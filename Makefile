@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race fuzz bench bench-serve chaos chaos-live serve-smoke serve-crash
+.PHONY: check vet build test race fuzz bench bench-serve bench-e2e chaos chaos-live serve-smoke serve-crash
 
 check: vet build race fuzz
 
@@ -55,6 +55,15 @@ bench-serve:
 	$(GO) build -o bin/dineserve ./cmd/dineserve
 	$(GO) build -o bin/dineload ./cmd/dineload
 	bash scripts/bench_serve.sh
+
+# The repository benchmark (BENCHMARK.json, bench/README.md): its four
+# closed-loop workloads on short windows, end-to-end metrics only. bench/ is
+# a module of its own, hence -C. The driver measures on 20 s windows; 5 s
+# is enough to see a layer move.
+bench-e2e:
+	for w in solo ring_extract ring_durable sim_campaign; do \
+		$(GO) run -C bench . --workload $$w --seconds 5 || exit 1; \
+	done
 
 # The default chaos campaign: 240 runs over the real dining boxes, exit 1 on
 # any property violation.

@@ -15,10 +15,10 @@ import (
 // loopback ephemeral port) driven by real protocol clients, with no
 // persistence and no extractor so the measured path is exactly the request
 // pipeline — codec, session registry, diner manager, flush writer. The
-// numbers include the dining layer's grant latency, which is tick-paced, so
-// they measure the service overhead *around* a fixed protocol core; the
-// end-to-end load numbers come from `make bench-serve` driving the
-// dineserve binary over dineload.
+// dining layer's own share is tens of microseconds (its steps run on the
+// event that enables them); the round trip is dominated by the two flush
+// windows and the wake-ups between goroutines. The end-to-end load numbers
+// come from `make bench-serve` driving the dineserve binary over dineload.
 
 // benchServer boots a servable table set on an ephemeral port and returns
 // its address plus a shutdown func. It takes testing.TB so the differential

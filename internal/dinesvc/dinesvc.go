@@ -147,6 +147,10 @@ type Service struct {
 	ln       net.Listener
 	stop     chan struct{}
 	draining atomic.Bool
+	// bg tracks every goroutine that journals to a table's WAL — janitors,
+	// managers, connection handlers — so Drain can see them gone before it
+	// closes the stores.
+	bg sync.WaitGroup
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -294,10 +298,10 @@ func (s *Service) Listen(addr string) (net.Listener, error) {
 	s.ln = ln
 	for _, t := range s.tables {
 		for _, m := range t.mgrs {
-			go m.run()
+			s.spawn(m.run)
 		}
 		if t.r != nil {
-			go t.janitor()
+			s.spawn(t.janitor)
 		}
 	}
 	go s.accept()
@@ -324,10 +328,26 @@ func (s *Service) accept() {
 			return // listener closed: we are draining
 		}
 		s.connMu.Lock()
+		if s.conns == nil {
+			// Drain already swept the connection set; this one slipped
+			// through the closing listener.
+			s.connMu.Unlock()
+			c.Close()
+			return
+		}
 		s.conns[c] = struct{}{}
+		s.spawn(func() { s.handleConn(c) })
 		s.connMu.Unlock()
-		go s.handleConn(c)
 	}
+}
+
+// spawn runs fn on a goroutine Drain waits for.
+func (s *Service) spawn(fn func()) {
+	s.bg.Add(1)
+	go func() {
+		defer s.bg.Done()
+		fn()
+	}()
 }
 
 // ChaosCrash schedules a one-shot crash/restart of one diner's process (on
@@ -378,7 +398,12 @@ func (s *Service) Drain(timeout time.Duration) {
 	for c := range s.conns {
 		c.Close()
 	}
+	s.conns = nil // accept hands out no more handlers
 	s.connMu.Unlock()
+	// A janitor mid-pass, a manager mid-barrier or a handler detaching its
+	// sessions still appends to a WAL; closing the store under it would turn
+	// a clean shutdown into a fatal "append on closed store".
+	s.bg.Wait()
 	for _, t := range s.tables {
 		if t.r != nil {
 			t.end = t.r.Now()

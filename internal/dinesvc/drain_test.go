@@ -1,6 +1,9 @@
 package dinesvc
 
 import (
+	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,5 +75,53 @@ func TestVanishedClientDoesNotLeakDrain(t *testing.T) {
 	}
 	if err := svc.Verdict(); err != nil {
 		t.Fatalf("verdict after forced release: %v", err)
+	}
+}
+
+// TestDrainWaitsForJanitor is the regression test for the shutdown race the
+// benchmark harness hit on 2 of 5 durable runs: Drain closed a table's WAL
+// while that table's janitor was still inside a pass, the janitor's clock
+// record hit "append on closed store", and Fatalf killed a healthy process
+// on its way out. Every cycle boots a durable table, serves one grant —
+// leaving the session held on an open connection, so the handler's teardown
+// journals a detach during the drain too — and drains at once; no cycle may
+// reach Fatalf.
+func TestDrainWaitsForJanitor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a full server per cycle; skipped in -short")
+	}
+	var fatal atomic.Pointer[string]
+	for cycle := 0; cycle < 24; cycle++ {
+		svc, err := New(Config{
+			N: 3, Topology: "ring",
+			Tick: 200 * time.Microsecond, HBTimeout: 2000,
+			DataDir: t.TempDir(), Fsync: "never",
+			Fatalf: func(format string, args ...any) {
+				msg := fmt.Sprintf(format, args...)
+				fatal.Store(&msg)
+				runtime.Goexit() // Fatalf must not return; fail the test, not the binary
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := svc.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := dialBench(t, ln.Addr().String())
+		id := fmt.Sprintf("j-%d", cycle)
+		if err := lockproto.WriteRequest(cl.c, &lockproto.Request{Op: lockproto.OpAcquire, Diner: 0, ID: id}); err != nil {
+			t.Fatal(err)
+		}
+		cl.await(t, lockproto.EvGranted, id)
+		// Spread the drains over the janitor's 50 ms cadence, so some of
+		// them land while a pass is in flight.
+		time.Sleep(time.Duration(cycle%8) * 7 * time.Millisecond)
+		svc.Drain(0)
+		cl.c.Close()
+		if msg := fatal.Load(); msg != nil {
+			t.Fatalf("cycle %d: Fatalf fired during a clean drain: %s", cycle, *msg)
+		}
 	}
 }

@@ -147,6 +147,9 @@ func (m *tableMetrics) observeRuntime(r *live.Runtime) {
 		return func() int64 { return r.Counter(name) }
 	}
 	m.reg.GaugeFunc(m.name("dineserve_rt_steps"), "protocol action steps executed", sample("steps"))
+	m.reg.GaugeFunc(m.name("dineserve_rt_yields_total"),
+		"step budgets exhausted: a process stayed busy for a whole budget without blocking (climbing steadily = an action cycle wired unpaced)",
+		sample("yields"))
 	m.reg.GaugeFunc(m.name("dineserve_rt_msgs_sent"), "protocol messages sent", sample("msg.sent"))
 	m.reg.GaugeFunc(m.name("dineserve_rt_msgs_delivered"), "protocol messages delivered", sample("msg.delivered"))
 	m.reg.GaugeFunc(m.name("dineserve_rt_msgs_dropped"), "protocol messages dropped (crashed destination)", sample("msg.dropped"))

@@ -1,10 +1,8 @@
 package live
 
 import (
-	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/rt"
 )
@@ -16,8 +14,9 @@ import (
 //
 // Delivery guarantees are the bus's own: the channel bus is reliable, the
 // TCP bus is reliable per connection but drops messages for unreachable
-// peers, and a LossyBus deliberately isn't — layer internal/transport on the
-// runtime (transport.Enable) to rebuild reliable channels above a lossy bus.
+// peers, and livechaos.ChaosBus deliberately isn't — layer internal/transport
+// on the runtime (transport.Enable) to rebuild reliable channels above a
+// lossy bus.
 type Bus interface {
 	// Bind installs the local delivery sink. The runtime calls it once,
 	// before Start; the bus must not invoke deliver before Bind returns.
@@ -89,110 +88,4 @@ func (b *ChanBus) Close() error {
 	b.closed = true
 	b.mu.Unlock()
 	return nil
-}
-
-// LossyBus wraps another bus and perturbs each message independently: drop
-// with probability Drop, duplicate with probability Dup, and delay by a
-// uniform draw from [0, DelayMax] — a per-direction-seeded miniature of the
-// simulator's fair-lossy LinkPlan, used to exercise the reliable transport
-// over a real scheduler.
-//
-// Deprecated: use livechaos.ChaosBus, which takes a full sim.LinkPlan
-// (per-link overrides, timed partition windows) so the same plan JSON drives
-// the simulator and the live runtime. LossyBus remains for tests that want a
-// uniform-loss bus with no plan machinery.
-type LossyBus struct {
-	Inner    Bus
-	Drop     float64
-	Dup      float64       // duplication probability (duplicate sent immediately after)
-	DelayMax time.Duration // extra per-message delay drawn from [0, DelayMax]
-
-	seed int64
-
-	mu      sync.Mutex
-	streams map[[2]rt.ProcID]*rand.Rand
-	closed  bool
-
-	dropped int64
-}
-
-// NewLossyBus wraps inner; drop is the per-message drop probability. Each
-// directed link draws from its own stream seeded from seed, so one link's
-// traffic volume cannot perturb another link's fault sequence.
-func NewLossyBus(inner Bus, drop float64, seed int64) *LossyBus {
-	return &LossyBus{Inner: inner, Drop: drop, seed: seed, streams: make(map[[2]rt.ProcID]*rand.Rand)}
-}
-
-// Bind implements Bus.
-func (b *LossyBus) Bind(deliver func(rt.Message)) { b.Inner.Bind(deliver) }
-
-// Send implements Bus.
-func (b *LossyBus) Send(m rt.Message) {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
-	key := [2]rt.ProcID{m.From, m.To}
-	rng, ok := b.streams[key]
-	if !ok {
-		rng = rand.New(rand.NewSource(b.seed + int64(m.From)*1_000_003 + int64(m.To)*7_919))
-		b.streams[key] = rng
-	}
-	var extra time.Duration
-	if b.DelayMax > 0 {
-		extra = time.Duration(rng.Int63n(int64(b.DelayMax) + 1))
-	}
-	if rng.Float64() < b.Drop {
-		b.dropped++
-		b.mu.Unlock()
-		return
-	}
-	copies := 1
-	if b.Dup > 0 && rng.Float64() < b.Dup {
-		copies = 2
-	}
-	b.mu.Unlock()
-	send := func() {
-		for i := 0; i < copies; i++ {
-			b.Inner.Send(m)
-		}
-	}
-	if extra > 0 {
-		time.AfterFunc(extra, func() {
-			b.mu.Lock()
-			closed := b.closed
-			b.mu.Unlock()
-			if !closed {
-				send()
-			}
-		})
-		return
-	}
-	send()
-}
-
-// Dropped returns how many messages the bus has eaten.
-func (b *LossyBus) Dropped() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
-}
-
-// BusStats implements StatsSource; inner-bus delivery counts fold in when
-// the inner bus keeps them.
-func (b *LossyBus) BusStats() BusStats {
-	st := BusStats{Dropped: b.Dropped()}
-	if src, ok := b.Inner.(StatsSource); ok {
-		st.Delivered = src.BusStats().Delivered
-	}
-	return st
-}
-
-// Close implements Bus.
-func (b *LossyBus) Close() error {
-	b.mu.Lock()
-	b.closed = true
-	b.mu.Unlock()
-	return b.Inner.Close()
 }

@@ -81,6 +81,14 @@ func validateExtraction(t *testing.T, which string, l *trace.Log, horizon rt.Tim
 // TestDifferentialExtraction drives the identical extraction scenario on
 // the simulation kernel and on the in-process live runtime and validates
 // both trace streams with the same (runtime-agnostic) checkers.
+//
+// The live leg wires the extraction through the paced view. Its witness and
+// subject threads dine forever, so some guard is always enabled at every
+// process; registered on the runtime itself the cycles run at CPU speed, the
+// timer goroutines that carry heartbeats are starved on a 2-CPU host, and the
+// result is measured, not hypothetical: false suspicions and exclusion
+// violations that persist past the convergence bound. In the simulator a
+// step occupies time; StepEvery is that rule in wall-clock form.
 func TestDifferentialExtraction(t *testing.T) {
 	// Simulated: deterministic, partially synchronous after GST.
 	simLog := &trace.Log{}
@@ -98,7 +106,7 @@ func TestDifferentialExtraction(t *testing.T) {
 	liveLog := &trace.Log{}
 	tick := 500 * time.Microsecond
 	r := New(Config{N: diffProcs, Tick: tick, Tracer: liveLog})
-	buildExtraction(r, liveHB)
+	buildExtraction(r.Paced(), liveHB)
 	r.Start()
 	time.Sleep(time.Duration(diffCrashAt) * tick)
 	r.Crash(diffCrash)

@@ -79,43 +79,6 @@ func TestForksDiningLive(t *testing.T) {
 	}
 }
 
-// TestTransportOverLossyBus layers the reliable transport on a live bus
-// that eats 25%% of all messages: the same retransmission code that rebuilds
-// reliable channels over the simulator's fair-lossy links does it over a
-// real lossy medium, and the dining table above it stays live and safe.
-func TestTransportOverLossyBus(t *testing.T) {
-	log := &trace.Log{}
-	g := graph.Ring(4)
-	bus := NewLossyBus(NewChanBus(), 0.25, 42)
-	r := New(Config{N: 4, Tick: 500 * time.Microsecond, Tracer: log, Bus: bus})
-	transport.Enable(r, "rt", transport.Config{})
-	// On a lossy bus a dropped heartbeat arrives one retransmission timeout
-	// late; the oracle timeout must dominate that.
-	hb := detector.HeartbeatConfig{Interval: 20, Check: 10, Timeout: 600, Bump: 300}
-	buildDining(r, g, hb)
-	r.Start()
-
-	time.Sleep(2 * time.Second)
-	end := r.Now()
-	r.Stop()
-
-	if bus.Dropped() == 0 {
-		t.Fatal("lossy bus dropped nothing; the test exercised no loss")
-	}
-	eat := log.Sessions("eating")
-	for _, p := range g.Nodes() {
-		if meals := len(eat[trace.SessionKey{Inst: "dine", P: p}]); meals < 1 {
-			t.Errorf("diner %d starved over the lossy bus (%d meals)", p, meals)
-		}
-	}
-	if _, err := checker.EventualWeakExclusion(log, g, "dine", end/2, end); err != nil {
-		t.Errorf("lossy-bus run violates eventual weak exclusion: %v", err)
-	}
-	if r.Counter("transport.retransmit") == 0 {
-		t.Error("transport never retransmitted despite losses")
-	}
-}
-
 // TestTCPBusSplitRing splits a ring of four across two runtimes connected
 // by loopback TCP: node A hosts diners 0 and 1, node B hosts 2 and 3. Both
 // nodes run identical wiring; the bus routes edge traffic between them.

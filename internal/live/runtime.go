@@ -13,18 +13,22 @@
 // live run's record stream is validated by exactly the code that validates
 // simulated runs.
 //
-// Execution model. Every local process runs a loop that interleaves mailbox
-// jobs (message deliveries, timer callbacks, injected client calls) with
-// guarded-action steps, one action per iteration chosen by rotating through
-// the action list — the same weak-fairness discipline as the simulator's
-// step scheduler. All of a process's handlers, timer callbacks, and action
-// bodies execute on its own goroutine, so process-local protocol state needs
-// no locking, exactly as in the simulator.
+// Execution model. Every local process runs an event-driven loop: it sleeps
+// until a message delivery, timer or injected call arrives, runs it, and then
+// runs guarded actions for as long as some guard holds — one action per
+// iteration, chosen by rotating through the action list, the same
+// weak-fairness discipline as the simulator's step scheduler. Actions
+// registered through the Paced view instead share one step per
+// Config.StepEvery: the tempo a perpetual action cycle needs. All of a
+// process's handlers, timer callbacks, and action bodies execute on its own
+// goroutine, so process-local protocol state needs no locking, exactly as in
+// the simulator.
 package live
 
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,13 +44,15 @@ type Config struct {
 	// Protocol timer constants (heartbeat intervals, retry periods) are in
 	// ticks, so Tick scales the whole system's tempo.
 	Tick time.Duration
-	// StepEvery is the minimum wall-clock spacing between consecutive
-	// guarded-action steps of one process (default: one Tick). Message and
-	// timer handling is never paced. Pacing carries the simulator's rule
-	// that a step occupies time into real time: without it, a permanently
-	// enabled action cycle — e.g. the extraction's witness threads dining
-	// forever past a subject's crash — busy-spins its goroutine and starves
-	// everything else of CPU.
+	// StepEvery is the minimum wall-clock spacing between consecutive steps
+	// of one process's paced actions — those registered through the Paced
+	// view (default: one Tick). Actions registered on the Runtime itself,
+	// and message and timer handling, are never paced. Pacing carries the
+	// simulator's rule that a step occupies time into real time, for the
+	// protocols that rely on it: a permanently enabled action cycle — the
+	// extraction's witness and subject threads dine forever — run unpaced
+	// spins its goroutine, starves its peers' timer deliveries, and on a
+	// small host manufactures false suspicions faster than ◇P converges.
 	StepEvery time.Duration
 	// Seed seeds the runtime's random source (default 1). Unlike the
 	// simulator, seeding does not make runs reproducible — it only makes
@@ -70,8 +76,11 @@ type process struct {
 	id       rt.ProcID
 	local    bool
 	handlers map[string]rt.Handler
-	actions  []action
-	rot      int // rotation cursor for weakly fair action selection
+	// Two action classes, scanned separately so the prompt class never
+	// walks the (much longer) paced list: prompt actions run as soon as
+	// their guard holds, paced ones share one step per stepEvery.
+	prompt actionSet
+	paced  actionSet
 
 	mu      sync.Mutex
 	queue   []func() // pending jobs: deliveries, timers, injected calls
@@ -86,13 +95,52 @@ type process struct {
 	// returns; Restart waits on it so two loops never share one mailbox.
 	loopDone chan struct{}
 
-	nextStep time.Time // earliest wall time for the next action step
+	nextStep time.Time // earliest wall time for the next paced step
 }
 
 type action struct {
 	name  string
 	guard func() bool
 	body  func()
+}
+
+// actionSet is one class of a process's guarded actions with its own
+// rotation cursor; only the owning process's goroutine touches it after
+// Start.
+type actionSet struct {
+	actions []action
+	rot     int // rotation cursor for weakly fair action selection
+}
+
+// stepBudget bounds how many consecutive loop iterations a process runs
+// without blocking before it yields the CPU, so a process that always has
+// work — a message flood, an action cycle wired unpaced — shares its core
+// instead of monopolizing it. It is deliberately not a Config field: nothing
+// in the repository needs a second value.
+const stepBudget = 64
+
+// The runtime's own hot-path counters are interned: one atomic add per step
+// or message instead of a mutex and a string-map lookup. Count and Counter
+// resolve these names to the slots; every other name (the transport's) goes
+// through the map.
+const (
+	cntSteps = iota
+	cntSent
+	cntDelivered
+	cntDropped
+	cntYields
+	numInterned
+)
+
+var internedNames = [numInterned]string{"steps", "msg.sent", "msg.delivered", "msg.dropped", "yields"}
+
+func interned(name string) int {
+	for i, n := range internedNames {
+		if n == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Runtime is the real-time implementation of rt.Runtime (and of
@@ -120,6 +168,7 @@ type Runtime struct {
 
 	rng *rand.Rand // over a locked source: safe for concurrent draws
 
+	hot      [numInterned]atomic.Int64
 	cntMu    sync.Mutex
 	counters map[string]int64
 
@@ -265,11 +314,29 @@ func (r *Runtime) Rand() *rand.Rand { return r.rng }
 // with Crash. (A live runtime has no other crash ground truth.)
 func (r *Runtime) Crashed(p rt.ProcID) bool { return r.procs[p].crashed.Load() }
 
-// AddAction implements rt.Runtime. Must be called before Start.
+// AddAction implements rt.Runtime: the action is prompt — it runs as soon as
+// a delivery, timer or Invoke leaves its guard true. Must be called before
+// Start.
 func (r *Runtime) AddAction(p rt.ProcID, name string, guard func() bool, body func()) {
+	r.addAction(&r.procs[p].prompt, name, guard, body)
+}
+
+func (r *Runtime) addAction(set *actionSet, name string, guard func() bool, body func()) {
 	r.mustWire("AddAction")
-	pr := r.procs[p]
-	pr.actions = append(pr.actions, action{name: name, guard: guard, body: body})
+	set.actions = append(set.actions, action{name: name, guard: guard, body: body})
+}
+
+// Paced returns a view of r for wiring protocols whose action cycles never
+// disable themselves: everything is r's own, except that actions registered
+// through the view are paced — at each process they share one step per
+// Config.StepEvery, under their own weakly fair rotation. Prompt actions and
+// jobs of the same process are not delayed by them.
+func (r *Runtime) Paced() rt.Runtime { return pacedView{r} }
+
+type pacedView struct{ *Runtime }
+
+func (v pacedView) AddAction(p rt.ProcID, name string, guard func() bool, body func()) {
+	v.addAction(&v.procs[p].paced, name, guard, body)
 }
 
 // Handle implements rt.Runtime. Must be called before Start.
@@ -304,7 +371,7 @@ func (r *Runtime) RawSend(from, to rt.ProcID, port string, payload any) {
 	if r.stopped.Load() {
 		return
 	}
-	r.Count("msg.sent", 1)
+	r.hot[cntSent].Add(1)
 	r.bus.Send(rt.Message{From: from, To: to, Port: port, Payload: payload})
 }
 
@@ -326,14 +393,14 @@ func (r *Runtime) inject(m rt.Message) {
 		return // not hosted here; the bus should not have delivered it
 	}
 	if pr.crashed.Load() {
-		r.Count("msg.dropped", 1)
+		r.hot[cntDropped].Add(1)
 		return
 	}
 	h, ok := pr.handlers[m.Port]
 	if !ok {
 		panic(fmt.Sprintf("live: no handler for port %q at process %d", m.Port, m.To))
 	}
-	r.Count("msg.delivered", 1)
+	r.hot[cntDelivered].Add(1)
 	r.enqueue(pr, func() { h(m) })
 }
 
@@ -422,7 +489,7 @@ func (r *Runtime) Restart(p rt.ProcID, reboot func()) bool {
 	pr.mu.Lock()
 	pr.queue = nil
 	pr.mu.Unlock()
-	pr.nextStep = time.Time{}
+	pr.prompt.rot, pr.paced.rot, pr.nextStep = 0, 0, time.Time{}
 	r.lifeMu.Lock()
 	defer r.lifeMu.Unlock()
 	if r.stopped.Load() {
@@ -461,13 +528,22 @@ func (r *Runtime) Emit(rec rt.Record) {
 
 // Count implements rt.TransportRuntime: add delta to a named counter.
 func (r *Runtime) Count(name string, delta int64) {
+	if i := interned(name); i >= 0 {
+		r.hot[i].Add(delta)
+		return
+	}
 	r.cntMu.Lock()
 	r.counters[name] += delta
 	r.cntMu.Unlock()
 }
 
-// Counter returns a named counter's current value.
+// Counter returns a named counter's current value. The runtime itself
+// maintains "steps" (action steps of both classes), "msg.sent",
+// "msg.delivered", "msg.dropped" and "yields" (step budgets exhausted).
 func (r *Runtime) Counter(name string) int64 {
+	if i := interned(name); i >= 0 {
+		return r.hot[i].Load()
+	}
 	r.cntMu.Lock()
 	defer r.cntMu.Unlock()
 	return r.counters[name]
@@ -503,22 +579,25 @@ func (pr *process) dequeue() func() {
 	return job
 }
 
-// loop is the per-process scheduler: one mailbox job and at most one enabled
-// action per iteration, blocking when neither exists. Interleaving jobs with
-// action steps keeps a message flood from starving the action system, and
-// the rotation cursor in stepOnce gives weak fairness across actions.
+// loop is the per-process scheduler. Each iteration runs at most one mailbox
+// job, one prompt action and — when the step clock allows — one paced action,
+// so no class can starve another: a message flood cannot hold off the action
+// system, a permanently enabled prompt action cannot hold off jobs or a due
+// paced step, and the rotation cursors give weak fairness within each class.
+// With nothing to run the loop blocks until a job arrives or, if a paced
+// action is enabled but not yet due, until the step clock reaches it.
 //
-// Action steps are paced: at most one per stepEvery of wall time. Jobs are
-// never paced. A process whose guards stay permanently enabled therefore
-// settles at the step rate instead of spinning its CPU — which matters
-// doubly on small machines, where a spinning process starves its peers'
-// timer deliveries and manufactures false suspicions.
+// Only paced steps are rationed by time (one per stepEvery). Everything else
+// is bounded by stepBudget: after that many busy iterations in a row the
+// loop yields the processor and carries on — no sleep, so a prompt action
+// never waits out a tick it does not need.
 func (r *Runtime) loop(pr *process) {
 	pacer := time.NewTimer(time.Hour)
 	if !pacer.Stop() {
 		<-pacer.C
 	}
 	defer pacer.Stop()
+	budget := stepBudget
 	for {
 		if r.stopped.Load() || pr.crashed.Load() {
 			return
@@ -527,53 +606,52 @@ func (r *Runtime) loop(pr *process) {
 		if job := pr.dequeue(); job != nil {
 			job()
 			ran = true
-		}
-		pace := time.Duration(-1)
-		if !pr.crashed.Load() {
-			if now := time.Now(); now.Before(pr.nextStep) {
-				if pr.anyEnabled() {
-					pace = pr.nextStep.Sub(now)
-				}
-			} else if r.stepOnce(pr) {
-				ran = true
-				pr.nextStep = now.Add(r.stepEvery)
-			}
-		}
-		if ran {
-			continue
-		}
-		if pace < 0 {
-			// Nothing to do until a job or the stop signal arrives.
-			select {
-			case <-pr.notify:
-			case <-r.stop:
+			if pr.crashed.Load() {
 				return
 			}
+		}
+		if r.step(&pr.prompt) {
+			ran = true
+		}
+		now := time.Now()
+		due := !now.Before(pr.nextStep)
+		if due && r.step(&pr.paced) {
+			ran = true
+			pr.nextStep = now.Add(r.stepEvery)
+		}
+		if ran {
+			if budget--; budget == 0 {
+				r.hot[cntYields].Add(1)
+				runtime.Gosched()
+				budget = stepBudget
+			}
 			continue
 		}
-		// An action is enabled but paced out: sleep until the step clock
-		// allows it, or until a job arrives in the meantime.
-		pacer.Reset(pace)
+		budget = stepBudget
+		var paceC <-chan time.Time // nil: only a job can create work
+		if !due && pr.paced.anyEnabled() {
+			pacer.Reset(pr.nextStep.Sub(now))
+			paceC = pacer.C
+		}
 		select {
 		case <-pr.notify:
-			if !pacer.Stop() {
+			if paceC != nil && !pacer.Stop() {
 				select {
 				case <-pacer.C:
 				default:
 				}
 			}
-		case <-pacer.C:
+		case <-paceC:
 		case <-r.stop:
 			return
 		}
 	}
 }
 
-// anyEnabled reports whether some guard of pr currently holds. Guards are
-// pure, so speculative evaluation is safe; only pr's own goroutine calls
-// this.
-func (pr *process) anyEnabled() bool {
-	for _, a := range pr.actions {
+// anyEnabled reports whether some guard of the set currently holds. Guards
+// are pure, so speculative evaluation is safe.
+func (s *actionSet) anyEnabled() bool {
+	for _, a := range s.actions {
 		if a.guard() {
 			return true
 		}
@@ -581,16 +659,16 @@ func (pr *process) anyEnabled() bool {
 	return false
 }
 
-// stepOnce executes at most one enabled action of pr, chosen by rotating
-// through the action list — the same weak-fairness rule as the simulator.
-func (r *Runtime) stepOnce(pr *process) bool {
-	n := len(pr.actions)
+// step executes at most one enabled action of the set, chosen by rotating
+// through its action list — the same weak-fairness rule as the simulator.
+func (r *Runtime) step(s *actionSet) bool {
+	n := len(s.actions)
 	for i := 0; i < n; i++ {
-		idx := (pr.rot + i) % n
-		a := pr.actions[idx]
+		idx := (s.rot + i) % n
+		a := s.actions[idx]
 		if a.guard() {
-			pr.rot = idx + 1
-			r.Count("steps", 1)
+			s.rot = idx + 1
+			r.hot[cntSteps].Add(1)
 			a.body()
 			return true
 		}

@@ -39,8 +39,7 @@ type BusConfig struct {
 
 // ChaosBus wraps a live.Bus and filters every Send through a sim.LinkPlan:
 // messages are dropped, duplicated, or delayed (bounded reorder) exactly as
-// the simulator's linkArrive would, but in real time. It supersedes
-// live.LossyBus, which only knows uniform drops.
+// the simulator's linkArrive would, but in real time.
 type ChaosBus struct {
 	inner live.Bus
 	plan  sim.LinkPlan
