@@ -3,72 +3,28 @@ package dinesvc
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/lockproto"
 )
 
-// sessionTable shards the key→*session map the same way the lockproto
-// registry shards its records: by diner, so the table lookup on the acquire
-// and release hot paths never serializes independent diners behind one
-// mutex.
-type sessionTable struct {
-	shards [16]struct {
-		mu sync.Mutex
-		m  map[lockproto.Key]*session
-		_  [24]byte // keep neighbouring locks off one cache line
-	}
-}
-
-func (t *sessionTable) shard(k lockproto.Key) (*sync.Mutex, map[lockproto.Key]*session) {
-	sh := &t.shards[uint(k.Diner)%uint(len(t.shards))]
-	return &sh.mu, sh.m
-}
-
-// init allocates the shard maps; newTable calls it before any traffic.
-func (t *sessionTable) init() {
-	for i := range t.shards {
-		t.shards[i].m = make(map[lockproto.Key]*session)
-	}
-}
-
-func (t *sessionTable) get(k lockproto.Key) *session {
-	mu, m := t.shard(k)
-	mu.Lock()
-	ses := m[k]
-	mu.Unlock()
-	return ses
-}
-
-func (t *sessionTable) put(k lockproto.Key, ses *session) {
-	mu, m := t.shard(k)
-	mu.Lock()
-	m[k] = ses
-	mu.Unlock()
-}
-
-func (t *sessionTable) del(k lockproto.Key) {
-	mu, m := t.shard(k)
-	mu.Lock()
-	delete(m, k)
-	mu.Unlock()
-}
-
-// session is one acquire from registry entry to release, owned by a
-// dinerMgr after being enqueued. Its connection binding is mutable: the
+// session is one acquire from registry entry to release, served by its
+// diner's seat after being enqueued. Its connection binding is mutable: the
 // client may vanish and re-attach from a new connection mid-session.
 type session struct {
 	key lockproto.Key
 	// regrant marks a session recovered from the WAL in granted state; its
-	// manager re-wins the dining-layer grant but must not re-run the
-	// registry transition. Set before enqueue, read-only afterwards.
+	// seat re-wins the dining-layer grant but must not re-run the registry
+	// transition. Set before enqueue, read-only afterwards.
 	regrant bool
 	// start stamps the acquire's arrival; the server-side grant-latency
 	// histogram observes start→grant-sent. Recovered sessions carry their
 	// resume time instead, which is why regrants are not observed.
-	start   time.Time
-	release chan struct{}
-	relOnce sync.Once
+	start time.Time
+	// released is set once (by seat.release) when a granted session's
+	// critical section is to be freed.
+	released atomic.Bool
 
 	mu      sync.Mutex
 	conn    *jconn // nil while detached
@@ -77,13 +33,8 @@ type session struct {
 }
 
 func newSession(k lockproto.Key) *session {
-	return &session{key: k, start: time.Now(), release: make(chan struct{})}
+	return &session{key: k, start: time.Now()}
 }
-
-// finishRelease signals the manager to free the critical section (or to
-// unwind, if it has not granted yet). Idempotent: the client's release and
-// the janitor's expiry may race.
-func (s *session) finishRelease() { s.relOnce.Do(func() { close(s.release) }) }
 
 // attach binds the session to a connection; if the grant was already issued
 // the (possibly lost) notification is re-sent on the new connection.
@@ -131,10 +82,11 @@ func (s *session) notify(ev lockproto.Event) {
 }
 
 // jconn is one client connection's outbound half: a coalescing flush
-// writer over the socket. Writes from the connection reader, the diner
-// managers, and the watch forwarder serialize on the writer's internal
-// lock; a burst of events (grant acks interleaved with the suspect stream)
-// rides one socket Write instead of one per event.
+// writer over the socket. Writes from the connection reader, the seats'
+// acks (diner processes, or a durable table's committer), and the watch
+// forwarder serialize on the writer's internal lock; a burst of events
+// (grant acks interleaved with the suspect stream) rides one socket Write
+// instead of one per event.
 type jconn struct {
 	c  net.Conn
 	fw *lockproto.FlushWriter
@@ -181,8 +133,12 @@ func (s *Service) handleConn(c net.Conn) {
 	}
 
 	rr := lockproto.NewRequestReader(c)
+	// One request value per connection: the decoder's stdlib fallback makes
+	// &req escape, so a per-iteration variable is a heap allocation per
+	// request. Nothing keeps req past its iteration; Read wants it zeroed.
+	var req lockproto.Request
 	for {
-		var req lockproto.Request
+		req = lockproto.Request{}
 		if err := rr.Read(&req); err != nil {
 			return
 		}
@@ -206,6 +162,7 @@ func (s *Service) handleConn(c net.Conn) {
 				continue
 			}
 			t := s.tableFor(req.Diner)
+			st := t.seatOf(req.Diner)
 			key := lockproto.Key{Diner: req.Diner, ID: req.ID}
 			now := t.now()
 			switch t.sessions.Acquire(key, now) {
@@ -217,18 +174,13 @@ func (s *Service) handleConn(c net.Conn) {
 					continue
 				}
 				ses := newSession(key)
-				t.byKey.put(key, ses)
 				t.sessions.Attach(key, now)
 				ses.attach(jc)
 				attached[key] = ses
 				t.inFlight.Add(1)
-				select {
-				case t.mgrFor(req.Diner).queue <- ses:
-				default:
+				if !st.enqueue(ses) {
 					t.inFlight.Add(-1)
-					ses.detach(jc)
 					delete(attached, key)
-					t.dropSession(key)
 					t.sessions.Abort(key)
 					fail(req, "busy")
 				}
@@ -239,7 +191,7 @@ func (s *Service) handleConn(c net.Conn) {
 				// section itself is never granted twice. The registry counts
 				// bindings, so this Attach and the dying connection's deferred
 				// Detach land safely in either order.
-				ses := t.byKey.get(key)
+				ses := st.get(req.ID)
 				if ses == nil {
 					// Completed between the registry check and here.
 					fail(req, "session expired")
@@ -264,16 +216,14 @@ func (s *Service) handleConn(c net.Conn) {
 			key := lockproto.Key{Diner: req.Diner, ID: req.ID}
 			switch t.sessions.Release(key, t.now()) {
 			case lockproto.ReleaseGranted:
-				if ses := t.byKey.get(key); ses != nil {
-					ses.finishRelease() // the manager sends EvReleased after the exit
-				}
+				t.seatOf(req.Diner).release(req.ID) // EvReleased follows the exit
 			case lockproto.ReleasePending:
-				// Released before the grant: the manager unwinds silently
-				// when the grant arrives; acknowledge the client now (the
-				// release record first — an acked release must survive a
-				// crash).
-				t.dur.barrier()
-				jc.send(lockproto.Event{Ev: lockproto.EvReleased, Diner: req.Diner, ID: req.ID, T: t.now()})
+				// Released before the grant: the seat unwinds silently when
+				// the grant arrives; acknowledge the client now (the release
+				// record first — an acked release must survive a crash).
+				t.dur.after(func() {
+					jc.send(lockproto.Event{Ev: lockproto.EvReleased, Diner: key.Diner, ID: key.ID, T: t.now()})
+				})
 			case lockproto.ReleaseDone:
 				// Replayed release (the first ack was lost): re-acknowledge.
 				jc.send(lockproto.Event{Ev: lockproto.EvReleased, Diner: req.Diner, ID: req.ID, T: t.now()})

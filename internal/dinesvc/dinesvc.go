@@ -147,9 +147,10 @@ type Service struct {
 	ln       net.Listener
 	stop     chan struct{}
 	draining atomic.Bool
-	// bg tracks every goroutine that journals to a table's WAL — janitors,
-	// managers, connection handlers — so Drain can see them gone before it
-	// closes the stores.
+	// bg tracks every service goroutine that journals to a table's WAL —
+	// janitors and connection handlers — so Drain can see them gone before
+	// it closes the stores. (The diner processes journal too; they belong to
+	// the runtimes, which Drain stops first as well.)
 	bg sync.WaitGroup
 
 	connMu sync.Mutex
@@ -278,8 +279,8 @@ func (s *Service) inFlightTotal() int64 {
 	return n
 }
 
-// Listen resumes every table's recovered sessions, starts the runtimes,
-// managers, and janitors, opens the listener, and begins accepting. The
+// Listen resumes every table's recovered sessions, starts the runtimes and
+// janitors, opens the listener, and begins accepting. The
 // resume happens strictly before the first accept, so a reconnecting client
 // always finds its session already queued.
 func (s *Service) Listen(addr string) (net.Listener, error) {
@@ -297,9 +298,6 @@ func (s *Service) Listen(addr string) (net.Listener, error) {
 	}
 	s.ln = ln
 	for _, t := range s.tables {
-		for _, m := range t.mgrs {
-			s.spawn(m.run)
-		}
 		if t.r != nil {
 			s.spawn(t.janitor)
 		}
@@ -379,7 +377,7 @@ func (s *Service) ChaosCrash(diner int, at, restartAfter time.Duration) error {
 }
 
 // Drain stops accepting work, waits (bounded) for in-flight sessions to
-// finish, then tears down connections, managers, runtimes, and WALs. Each
+// finish, then tears down connections, janitors, runtimes, and WALs. Each
 // table's end-of-run clock is recorded for Verdict.
 func (s *Service) Drain(timeout time.Duration) {
 	s.draining.Store(true)
@@ -400,9 +398,9 @@ func (s *Service) Drain(timeout time.Duration) {
 	}
 	s.conns = nil // accept hands out no more handlers
 	s.connMu.Unlock()
-	// A janitor mid-pass, a manager mid-barrier or a handler detaching its
-	// sessions still appends to a WAL; closing the store under it would turn
-	// a clean shutdown into a fatal "append on closed store".
+	// A janitor mid-pass or a handler detaching its sessions still appends to
+	// a WAL; closing the store under it would turn a clean shutdown into a
+	// fatal "append on closed store".
 	s.bg.Wait()
 	for _, t := range s.tables {
 		if t.r != nil {

@@ -37,18 +37,17 @@ type durable struct {
 	// backwards past a snapshot cut.
 	clock int64
 
-	// Group-commit barrier state (see barrier): one leader syncs on behalf
-	// of every caller that arrived while the previous round was in flight.
-	bmu      sync.Mutex
-	bcond    *sync.Cond
-	syncing  bool
-	syncedTo wal.LSN
+	// Acks posted by after, waiting for the committer's next round.
+	amu    sync.Mutex
+	posted []func()
+	wake   chan struct{} // cap 1: "posted is non-empty"; closed by close
+	done   chan struct{} // committer exited
 
 	// Registry handles, wired by instrument() before traffic starts.
 	// nil-safe, so a durable built in a test without metrics still works.
 	records *metrics.Counter // journal records appended
-	calls   *metrics.Counter // barrier invocations (grants + releases)
-	rounds  *metrics.Counter // leader syncs actually issued
+	calls   *metrics.Counter // acks posted (grants + releases)
+	rounds  *metrics.Counter // committer rounds: one Sync each
 }
 
 func newDurable(store *wal.Store, sessions *lockproto.Sessions, snapEvery int64,
@@ -59,8 +58,10 @@ func newDurable(store *wal.Store, sessions *lockproto.Sessions, snapEvery int64,
 		snapEvery: snapEvery,
 		fatalf:    fatalf,
 		forks:     make(map[[2]int]bool),
+		wake:      make(chan struct{}, 1),
+		done:      make(chan struct{}),
 	}
-	d.bcond = sync.NewCond(&d.bmu)
+	go d.commit()
 	return d
 }
 
@@ -78,7 +79,7 @@ func (d *durable) fatal(err error) {
 	d.fatalf("wal: %v", err)
 }
 
-// append journals one record (buffered; durability comes from barrier or
+// append journals one record (buffered; durability comes from after or
 // the store's fsync policy).
 func (d *durable) append(rec lockproto.Rec) {
 	if d == nil {
@@ -95,50 +96,54 @@ func (d *durable) append(rec lockproto.Rec) {
 // WAL order is registry apply order.
 func (d *durable) journal(rec lockproto.Rec) { d.append(rec) }
 
-// barrier blocks until everything appended so far is durable (or written,
-// under the weaker fsync policies). The grant and release paths call it
-// before acknowledging the client, so an acknowledged transition is never
-// lost to a crash.
-//
-// Barriers group-commit: the first caller of a round becomes the leader,
-// re-reads the append watermark (picking up every record journaled while it
-// waited for the lock) and issues one Sync for all of it; callers that
-// arrive mid-round just wait for a round that covers their own watermark.
-// Under a grant storm N diner managers acknowledge N grants on one or two
-// fsyncs instead of N — the durability ordering is unchanged (each caller
-// still returns only once its own records are on disk), only the fsync
-// count drops. barrierCalls/syncRounds expose the amortization ratio.
-func (d *durable) barrier() {
+// after runs fn once everything appended so far is durable (or written,
+// under the weaker fsync policies). Every client-visible effect of a grant
+// or a release goes through it, so an acknowledged transition is never lost
+// to a crash. On a non-persistent table fn runs inline; otherwise it is
+// posted to the table's committer and after returns at once — callers are
+// diner processes, and one that waited out an fsync would miss its
+// heartbeats for as long.
+func (d *durable) after(fn func()) {
 	if d == nil {
+		fn()
 		return
 	}
 	d.calls.Inc()
-	lsn := d.store.Appended()
-	d.bmu.Lock()
-	for d.syncedTo < lsn {
-		if d.syncing {
-			// A leader is mid-round; it may have read its target before our
-			// records landed, so wait and re-check rather than assume.
-			d.bcond.Wait()
-			continue
+	d.amu.Lock()
+	d.posted = append(d.posted, fn)
+	d.amu.Unlock()
+	select {
+	case d.wake <- struct{}{}:
+	default:
+	}
+}
+
+// commit is the table's committer, the one goroutine that waits on the WAL:
+// take everything posted, Sync once to the newest record, run the acks in
+// posting order. An ack is posted after its record is appended, so the
+// append watermark read here covers the whole batch; posting order is kept
+// across rounds, so released(k1) still reaches a connection before
+// granted(k2). The grouping of fsyncs is the WAL flusher's — acks posted
+// during a round simply form the next one. calls/rounds expose the ratio.
+func (d *durable) commit() {
+	defer close(d.done)
+	var batch []func()
+	for range d.wake {
+		d.amu.Lock()
+		batch, d.posted = d.posted, batch[:0]
+		d.amu.Unlock()
+		if len(batch) == 0 {
+			continue // the post behind this wake-up rode the previous round
 		}
-		d.syncing = true
-		d.bmu.Unlock()
-		target := d.store.Appended() // cover everyone queued behind us too
-		err := d.store.Sync(target)
-		d.bmu.Lock()
-		d.syncing = false
-		if target > d.syncedTo {
-			d.syncedTo = target
-		}
-		d.bcond.Broadcast()
-		if err != nil {
-			d.bmu.Unlock()
+		if err := d.store.Sync(d.store.Appended()); err != nil {
 			d.fatal(err)
 		}
 		d.rounds.Inc()
+		for i, fn := range batch {
+			fn()
+			batch[i] = nil
+		}
 	}
-	d.bmu.Unlock()
 }
 
 // onFork is the forks.Config observer: mirror the hold bit and journal the
@@ -189,10 +194,14 @@ func (d *durable) buildSnapshot() []byte {
 	return st.Encode()
 }
 
-// close flushes and closes the store at the end of a drain.
+// close runs the acks still posted, stops the committer, then flushes and
+// closes the store. Nothing may call after past this point: Drain gets here
+// once the handlers, the janitor and the runtime are gone.
 func (d *durable) close() error {
 	if d == nil {
 		return nil
 	}
+	close(d.wake)
+	<-d.done
 	return d.store.Close()
 }

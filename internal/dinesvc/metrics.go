@@ -82,7 +82,7 @@ type tableMetrics struct {
 	trusts       *metrics.Counter
 	watchDropped *metrics.Counter
 
-	// Durability (WAL + group-commit barrier).
+	// Durability (WAL + the committer's ack rounds).
 	walRecords    *metrics.Counter
 	walFsyncs     *metrics.Counter
 	walBarriers   *metrics.Counter
@@ -121,9 +121,9 @@ func newTableMetrics(reg *metrics.Registry, name func(string) string) *tableMetr
 	m.walFsyncs = reg.Counter(name("dineserve_wal_fsyncs_total"),
 		"fsyncs the WAL store issued")
 	m.walBarriers = reg.Counter(name("dineserve_wal_barriers_total"),
-		"durability barriers (grant and release acknowledgements)")
+		"acks held until durable (grant and release acknowledgements)")
 	m.walSyncRounds = reg.Counter(name("dineserve_wal_sync_rounds_total"),
-		"barrier leader rounds (barriers/rounds = group-commit amortization)")
+		"committer rounds, one WAL sync each (barriers/rounds = acks per sync)")
 	m.walFsyncLat = reg.Histogram(name("dineserve_wal_fsync_seconds"),
 		"WAL fsync latency", 1e-6)
 	m.walBatch = reg.Histogram(name("dineserve_wal_batch_records"),

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/detector"
-	"repro/internal/dining"
 	"repro/internal/dining/forks"
 	"repro/internal/graph"
 	"repro/internal/live"
@@ -45,8 +44,8 @@ type Table struct {
 	feed *suspectFeed
 	hb   *detector.Heartbeat
 	tbl  *forks.Table
-	mgrs []*dinerMgr // indexed by local proc id
 
+	seats    []*seat // indexed by local proc id
 	sessions *lockproto.Sessions
 	dur      *durable // nil: no persistence
 	// clockBase offsets the runtime's tick clock so table time resumes
@@ -55,7 +54,6 @@ type Table struct {
 	clockBase int64
 	recovered *lockproto.Recovered
 
-	byKey    sessionTable
 	inFlight atomic.Int64 // sessions accepted but not yet finished
 
 	m *tableMetrics
@@ -79,10 +77,14 @@ func (t *Table) now() int64 {
 	return t.clockBase + int64(t.r.Now())
 }
 
-// mgrFor returns the manager serving a global diner id hosted here.
-func (t *Table) mgrFor(diner int) *dinerMgr { return t.mgrs[t.svc.localOf[diner]] }
-
-func (t *Table) dropSession(k lockproto.Key) { t.byKey.del(k) }
+// seatOf returns the seat serving a global diner id, nil if this table does
+// not host it (a ledger written under another diner count can name one).
+func (t *Table) seatOf(diner int) *seat {
+	if diner < 0 || diner >= len(t.svc.tableOf) || t.svc.tableOf[diner] != t.idx {
+		return nil
+	}
+	return t.seats[t.svc.localOf[diner]]
+}
 
 // topoGraph builds one table's conflict graph over its local proc ids. The
 // named topologies need minimum sizes (a ring needs 3 nodes, a clique 2),
@@ -118,7 +120,6 @@ func newTable(svc *Service, idx int, globals []int, pol wal.Policy) (*Table, err
 	cfg := &svc.cfg
 	t := &Table{idx: idx, svc: svc, globals: globals}
 	t.m = newTableMetrics(svc.reg, svc.namerFor(idx))
-	t.byKey.init()
 
 	leaseTicks := svc.leaseTicks
 	t.sessions = lockproto.NewSessions(leaseTicks)
@@ -236,27 +237,7 @@ func newTable(svc *Service, idx int, globals []int, pol wal.Policy) (*Table, err
 	}
 
 	for _, p := range g.Nodes() {
-		m := &dinerMgr{
-			t:     t,
-			p:     p,
-			d:     t.tbl.Diner(p),
-			queue: make(chan *session, queueCap),
-			grant: make(chan struct{}, 1),
-			idle:  make(chan struct{}, 1),
-		}
-		// Registered before Start: both callbacks run on p's goroutine. The
-		// eating flag lets the manager distinguish a real grant from a stale
-		// pulse left behind by a chaos crash/restart.
-		m.d.OnChange(func(st dining.State) {
-			m.eating.Store(st == dining.Eating)
-			switch st {
-			case dining.Eating:
-				pulse(m.grant)
-			case dining.Thinking:
-				pulse(m.idle)
-			}
-		})
-		t.mgrs = append(t.mgrs, m)
+		t.seats = append(t.seats, newSeat(t, p, t.tbl.Diner(p)))
 	}
 	return t, nil
 }
@@ -275,20 +256,19 @@ func (t *Table) errPrefix() string { return t.logPrefix() }
 
 // resume re-enqueues the sessions a crash left in flight, in their original
 // acquire order. Granted ones carry the regrant flag: they already own the
-// critical section in the registry, so their manager re-wins the dining
-// layer's grant without a second registry transition (and without a second
-// grant journal record). Must run before the listener accepts traffic, so a
+// critical section in the registry, so their seat re-wins the dining layer's
+// grant without a second registry transition (and without a second grant
+// journal record). Must run before the listener accepts traffic, so a
 // reconnecting client always finds its session already queued.
 func (t *Table) resume(live []lockproto.RecoveredSession) int {
 	granted := 0
 	for _, rs := range live {
-		d := rs.Key.Diner
-		if d < 0 || d >= t.svc.cfg.N || t.svc.tableOf[d] != t.idx {
+		st := t.seatOf(rs.Key.Diner)
+		if st == nil {
 			// The ledger was written under a different diner count or table
 			// assignment than this boot; shed the foreign session rather
 			// than wedge (or mis-route) the boot.
-			t.svc.logf("%sdropping recovered session for diner %d: not hosted by this table", t.logPrefix(), d)
-			t.dropSession(rs.Key)
+			t.svc.logf("%sdropping recovered session for diner %d: not hosted by this table", t.logPrefix(), rs.Key.Diner)
 			t.sessions.Abort(rs.Key)
 			continue
 		}
@@ -297,15 +277,11 @@ func (t *Table) resume(live []lockproto.RecoveredSession) int {
 		if rs.Granted {
 			granted++
 		}
-		t.byKey.put(rs.Key, ses)
 		t.inFlight.Add(1)
-		select {
-		case t.mgrFor(d).queue <- ses:
-		default:
+		if !st.enqueue(ses) {
 			// A queue this full can only come from a corrupt ledger; shed
 			// the session rather than wedge the boot.
 			t.inFlight.Add(-1)
-			t.dropSession(rs.Key)
 			t.sessions.Abort(rs.Key)
 		}
 	}
@@ -328,8 +304,8 @@ func (t *Table) janitor() {
 		t.dur.tick(now)
 		for _, e := range t.sessions.Expire(now) {
 			t.m.expired.Inc()
-			if ses := t.byKey.get(e.Key); ses != nil && e.WasGranted {
-				ses.finishRelease()
+			if st := t.seatOf(e.Key.Diner); st != nil && e.WasGranted {
+				st.release(e.Key.ID)
 			}
 		}
 	}

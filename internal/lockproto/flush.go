@@ -25,8 +25,8 @@ import (
 //     the flush deadline. TestFlushWriterDeadline pins it.
 //
 // Send order is write order: events from the connection reader, the diner
-// managers, and the watch forwarder serialize on the internal mutex exactly
-// as they did on the old per-connection encoder mutex.
+// processes (or a durable table's committer), and the watch forwarder
+// serialize on the internal mutex.
 type FlushWriter struct {
 	w        io.Writer
 	maxBatch int

@@ -214,7 +214,9 @@ func Replay(lease int64, snapshot []byte, records [][]byte) (*Recovered, error) 
 			if sr.status == statusPending {
 				sr.status = statusGranted
 			}
-			if rec.T > sr.lastSeen {
+			// Same rule as the live Grant: a detached session's lease keeps
+			// running from its detach.
+			if sr.attached > 0 && rec.T > sr.lastSeen {
 				sr.lastSeen = rec.T
 			}
 		case RecRelease:

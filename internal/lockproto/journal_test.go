@@ -253,3 +253,48 @@ func TestReplayRejectsGarbage(t *testing.T) {
 		t.Error("unknown session status accepted")
 	}
 }
+
+// TestGrantDoesNotRenewDetachedLease pins the lease rule for a dead client's
+// queued acquire: the session detached (tick 5) while still pending, reaches
+// the head of its diner's queue and is granted much later (tick 12). The
+// grant must not restart the lease — nobody is there to use the critical
+// section — so the session expires one lease after the detach, not one lease
+// after the grant. Recovery must agree with the live registry, from the full
+// record chain and from a snapshot cut before the grant alike.
+func TestGrantDoesNotRenewDetachedLease(t *testing.T) {
+	const lease = 10
+	live := NewSessions(lease)
+	j := &recorder{}
+	live.SetJournal(j.hook)
+
+	dead := Key{Diner: 0, ID: "dead"}   // detached while queued
+	alive := Key{Diner: 1, ID: "alive"} // still bound: the grant is a touch
+
+	live.Acquire(dead, 1)
+	live.Attach(dead, 1)
+	live.Acquire(alive, 1)
+	live.Attach(alive, 1)
+	live.Detach(dead, 5)
+	snap := State{Watermark: 5, Sessions: live.SnapshotState()}.Encode()
+	cut := len(j.recs)
+	if !live.Grant(dead, 12) || !live.Grant(alive, 12) {
+		t.Fatal("pending sessions refused their grant")
+	}
+
+	check := func(name string, s *Sessions) {
+		t.Helper()
+		if got := s.Expire(15); len(got) != 0 {
+			t.Fatalf("%s: expired %v at tick 15, inside detach+lease", name, got)
+		}
+		got := s.Expire(16)
+		if len(got) != 1 || got[0].Key != dead || !got[0].WasGranted {
+			t.Fatalf("%s: Expire(16) = %v, want the detached grant reclaimed at detach+lease (not grant+lease = 22)", name, got)
+		}
+		if again := s.Expire(1000); len(again) != 0 {
+			t.Fatalf("%s: attached session expired: %v", name, again)
+		}
+	}
+	check("replay", replayT(t, lease, nil, j.recs).Sessions)
+	check("snapshot+replay", replayT(t, lease, snap, j.recs[cut:]).Sessions)
+	check("live", live)
+}

@@ -115,7 +115,7 @@ func (s *Sessions) shard(k Key) *sesShard {
 // mutations were applied; records of different shards interleave in
 // whatever order the WAL serializes them, which replay tolerates (every
 // cross-key ordering it relies on is forced by the caller's own
-// happens-before, e.g. a grant barrier preceding the release that follows).
+// happens-before, e.g. a grant made durable before the release that follows).
 func (s *Sessions) emit(r Rec) {
 	if fn := s.journal.Load(); fn != nil {
 		(*fn)(r)
@@ -173,7 +173,10 @@ func (s *Sessions) Abort(k Key) {
 // Grant moves a pending session into the critical section. It returns false
 // if the session is no longer pending — released or expired while queued —
 // in which case the caller must hand the section straight back. Grant can
-// return true at most once per key, ever.
+// return true at most once per key, ever. The lease clock is refreshed only
+// for a session some connection still holds: a dead client's queued acquire
+// that reaches the head of the queue must not buy a whole fresh lease on the
+// critical section, it keeps expiring one lease after its detach.
 func (s *Sessions) Grant(k Key, now int64) bool {
 	sh := s.shard(k)
 	sh.mu.Lock()
@@ -183,7 +186,9 @@ func (s *Sessions) Grant(k Key, now int64) bool {
 		return false
 	}
 	rec.status = statusGranted
-	rec.lastSeen = now
+	if rec.attached > 0 {
+		rec.lastSeen = now
+	}
 	s.emit(Rec{K: RecGrant, D: k.Diner, I: k.ID, T: now})
 	return true
 }

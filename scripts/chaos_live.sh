@@ -9,8 +9,9 @@
 #   2. The networked service: dineserve with a scheduled diner crash/restart,
 #      fronted by the chaosproxy applying the same plan (plus connection
 #      resets) to the client/server TCP path, hammered by self-healing
-#      dineload clients. Asserts a clean load run and a clean ◇WX verdict
-#      from the server's own checker on SIGINT.
+#      dineload clients. Asserts a clean load run, a drain that finishes
+#      every session, and a clean ◇WX verdict from the server's own checker
+#      on SIGINT.
 #
 # The fault schedule is a function of SEED alone; same seed, same schedule.
 # Used by `make chaos-live` and CI. SEED/CLIENTS/DURATION are overridable.
@@ -104,6 +105,13 @@ if [ "$SERVE_EXIT" -ne 0 ]; then
 fi
 if ! grep -q "exclusion check OK" "$LOG/serve.log"; then
     echo "chaos-live: FAIL — no exclusion verdict in the server log" >&2
+    exit 1
+fi
+# A drain that times out means a session was still holding (or queued for)
+# a critical section when its client was long gone — the lease clock failed
+# to reclaim it. The verdict alone would let that through.
+if grep -q "drain timeout" "$LOG/serve.log"; then
+    echo "chaos-live: FAIL — the drain timed out with sessions in flight" >&2
     exit 1
 fi
 if ! grep -q "diner 2 restarted" "$LOG/serve.log"; then
