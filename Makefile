@@ -37,7 +37,8 @@ fuzz:
 # cmd/bench2json. The previously committed artifact is embedded as the
 # baseline, so every BENCH_*.json carries its own before/after deltas
 # (ns/op, allocs/op, deliveries/op, campaign wall-clock + speedup). CI
-# archives both files per commit.
+# archives both files per commit. bench2json exits 1, after writing the
+# artifact, if a benchmark with a 0 allocs/op baseline now allocates.
 KERNEL_BENCH := BenchmarkKernel|BenchmarkForksTable|BenchmarkPairMonitor|BenchmarkHeartbeatOracle|BenchmarkCheckerExclusion
 EXPERIMENT_BENCH := BenchmarkE[0-9]|BenchmarkCampaignParallel
 

@@ -3,7 +3,10 @@
 // trajectory: `make bench` regenerates BENCH_kernel.json and
 // BENCH_experiments.json, CI archives them per commit, and each fresh run
 // embeds the previously committed file (via -baseline) so every artifact
-// carries its own before/after deltas.
+// carries its own before/after deltas. ns/op deltas are informational — the
+// hosts that run this vary — but allocation counts are exact: after writing
+// the artifact, bench2json exits 1 if a benchmark whose baseline allocs/op is
+// 0 now allocates, so `make bench` and `make bench-serve` fail on it.
 //
 // Usage:
 //
@@ -48,6 +51,7 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	baseline := flag.String("baseline", "", "prior JSON artifact to embed and diff against (missing file is not an error)")
 	flag.Parse()
+	var regressed []string
 
 	doc, err := parse(os.Stdin)
 	if err != nil {
@@ -65,6 +69,7 @@ func main() {
 			base.Deltas = nil
 			doc.Baseline = &base
 			doc.Deltas = deltas(doc, &base)
+			regressed = allocRegressions(doc, &base)
 		}
 	}
 
@@ -76,12 +81,32 @@ func main() {
 	enc = append(enc, '\n')
 	if *out == "" {
 		os.Stdout.Write(enc)
-		return
-	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
+	} else if err := os.WriteFile(*out, enc, 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "bench2json:", err)
 		os.Exit(1)
 	}
+	if len(regressed) > 0 {
+		fmt.Fprintln(os.Stderr, "bench2json: zero-alloc benchmarks now allocate:", strings.Join(regressed, ", "))
+		os.Exit(1)
+	}
+}
+
+// allocRegressions lists, as "name (n allocs/op)", the benchmarks that
+// allocated nothing per op in the baseline and allocate now.
+func allocRegressions(cur, base *Doc) []string {
+	zero := make(map[string]bool)
+	for _, b := range base.Benchmarks {
+		if v, ok := b.Metrics["allocs/op"]; ok && v == 0 {
+			zero[b.Name] = true
+		}
+	}
+	var out []string
+	for _, b := range cur.Benchmarks {
+		if v := b.Metrics["allocs/op"]; zero[b.Name] && v > 0 {
+			out = append(out, fmt.Sprintf("%s (%g allocs/op)", b.Name, v))
+		}
+	}
+	return out
 }
 
 // parse reads `go test -bench` text: header lines (goos/goarch/cpu/pkg) and

@@ -47,13 +47,11 @@ func main() {
 
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty: off)")
 		metricsAddr = flag.String("metrics", "", "serve /metrics (Prometheus text) and /statusz (JSON) on this address (e.g. 127.0.0.1:9117; empty: off)")
-		flushBatch  = flag.Int("flush-batch", 0, "per-connection write-coalescing batch bound in bytes (0: default 32KiB)")
 		flushDelay  = flag.Duration("flush-delay", 0, "per-connection write-coalescing flush deadline (0: default 500µs)")
 
-		dataDir    = flag.String("data-dir", "", "WAL+snapshot directory; empty disables persistence")
-		fsync      = flag.String("fsync", "always", "WAL durability: always (fsync per commit), interval, or never")
-		fsyncEvery = flag.Duration("fsync-interval", 50*time.Millisecond, "background fsync cadence under -fsync interval")
-		snapRecs   = flag.Int64("snap-records", 4096, "cut a snapshot after this many WAL records, per table")
+		dataDir  = flag.String("data-dir", "", "WAL+snapshot directory; empty disables persistence")
+		fsync    = flag.String("fsync", "always", "WAL durability: always (fsync per commit), interval (every 50ms), or never")
+		snapRecs = flag.Int64("snap-records", 4096, "cut a snapshot after this many WAL records, per table")
 
 		chaosCrash   = flag.Int("chaos-crash", -1, "diner to crash and restart once (chaos injection; -1: none)")
 		chaosCrashAt = flag.Duration("chaos-crash-at", 2*time.Second, "when after startup the chaos crash fires")
@@ -78,13 +76,11 @@ func main() {
 		Extract:     *extract,
 		Lease:       *lease,
 		MaxInflight: *maxInFl,
-		FlushBatch:  *flushBatch,
 		FlushDelay:  *flushDelay,
 
-		DataDir:       *dataDir,
-		Fsync:         *fsync,
-		FsyncInterval: *fsyncEvery,
-		SnapRecords:   *snapRecs,
+		DataDir:     *dataDir,
+		Fsync:       *fsync,
+		SnapRecords: *snapRecs,
 
 		Logf: func(format string, args ...any) {
 			fmt.Printf("dineserve: "+format+"\n", args...)

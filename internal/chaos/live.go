@@ -272,7 +272,7 @@ func RunLive(spec LiveSpec, interrupt <-chan struct{}) (*LiveResult, error) {
 	end := r.Now()
 	r.Stop()
 	res.End = end
-	res.Dropped, res.Duped, _ = bus.Stats()
+	res.Dropped, res.Duped = r.Counter("bus.dropped"), r.Counter("bus.duped")
 	bus.Close()
 
 	eat := log.Sessions("eating")

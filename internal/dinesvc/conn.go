@@ -92,14 +92,26 @@ type jconn struct {
 	fw *lockproto.FlushWriter
 }
 
-func (j *jconn) send(ev lockproto.Event) bool { return j.fw.Send(&ev) }
+// send queues ev for the client. A writer that refuses it is dead — write
+// error, closed, or a client that stopped reading (lockproto.ErrBacklog) —
+// so the socket goes too: that unblocks a Write stalled on the full socket
+// and ends the request loop, whose teardown detaches the connection's
+// sessions onto the lease path.
+func (j *jconn) send(ev lockproto.Event) bool {
+	ok := j.fw.Send(&ev)
+	if !ok {
+		j.c.Close()
+	}
+	return ok
+}
 
 // handleConn is the per-connection request loop. A connection is a service
 // resource shared by every table: each request routes to the table hosting
 // its diner, so one client can hold sessions on several tables over one
 // socket.
 func (s *Service) handleConn(c net.Conn) {
-	jc := &jconn{c: c, fw: lockproto.NewFlushWriter(c, s.cfg.FlushBatch, s.cfg.FlushDelay)}
+	// Batch bound 0: lockproto's 32 KiB default, the one value ever used.
+	jc := &jconn{c: c, fw: lockproto.NewFlushWriter(c, 0, s.cfg.FlushDelay)}
 	// Each socket write lands in the registry as it happens, so the
 	// coalescing ratio is scrapeable mid-run instead of only accumulating
 	// at connection teardown.

@@ -68,20 +68,16 @@ type Config struct {
 	// MaxInflight bounds accepted-but-unfinished sessions service-wide;
 	// beyond it new acquires are shed with "overloaded" (0: unlimited).
 	MaxInflight int64
-	// FlushBatch / FlushDelay tune each connection's coalescing writer
-	// (zero: lockproto defaults).
-	FlushBatch int
+	// FlushDelay is each connection's write-coalescing window (zero: the
+	// lockproto default).
 	FlushDelay time.Duration
 
 	// DataDir enables persistence: the WAL+snapshot directory (flat for
 	// one table, table-<i>/ subdirectories for more). Empty disables.
 	DataDir string
-	// Fsync is the WAL durability policy: "always" (default), "interval",
-	// or "never".
+	// Fsync is the WAL durability policy: "always" (default), "interval"
+	// (fsync on the WAL's 50ms background cadence), or "never".
 	Fsync string
-	// FsyncInterval is the background fsync cadence under Fsync="interval"
-	// (default 50ms).
-	FsyncInterval time.Duration
 	// SnapRecords cuts a snapshot after this many WAL records per table
 	// (default 4096).
 	SnapRecords int64
@@ -113,9 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Fsync == "" {
 		c.Fsync = "always"
-	}
-	if c.FsyncInterval <= 0 {
-		c.FsyncInterval = 50 * time.Millisecond
 	}
 	if c.SnapRecords <= 0 {
 		c.SnapRecords = 4096

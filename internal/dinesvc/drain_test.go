@@ -1,6 +1,7 @@
 package dinesvc
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -123,5 +124,62 @@ func TestDrainWaitsForJanitor(t *testing.T) {
 		if msg := fatal.Load(); msg != nil {
 			t.Fatalf("cycle %d: Fatalf fired during a clean drain: %s", cycle, *msg)
 		}
+	}
+}
+
+// TestStalledClientIsCutOff: a client that keeps requesting but never reads
+// its replies stalls the server's socket writes; the connection's flush
+// buffer must stop at lockproto's backlog bound instead of growing with every
+// reply, and the server must drop the connection — after which the client's
+// granted session is detached, expires on its lease and the table drains.
+func TestStalledClientIsCutOff(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a full server; skipped in -short")
+	}
+	svc, err := New(Config{
+		N: 3, Topology: "ring",
+		Tick: time.Millisecond, HBTimeout: 2000,
+		Lease: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := svc.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Drain(2 * time.Second)
+
+	cl := dialBench(t, ln.Addr().String())
+	defer cl.c.Close()
+	if err := lockproto.WriteRequest(cl.c, &lockproto.Request{Op: lockproto.OpAcquire, Diner: 0, ID: "stall"}); err != nil {
+		t.Fatal(err)
+	}
+	cl.await(t, lockproto.EvGranted, "stall")
+
+	// Stop reading; every info request costs the server one queued reply.
+	// Socket buffers absorb the first few MiB, the flush writer the next 8.
+	batch := bytes.Repeat([]byte(`{"op":"info"}`+"\n"), 4096)
+	cl.c.SetWriteDeadline(time.Now().Add(30 * time.Second))
+	sent := 0
+	for {
+		n, err := cl.c.Write(batch)
+		if sent += n; err != nil {
+			break // the server hung up on us
+		}
+		if sent > 256<<20 {
+			t.Fatalf("server still accepting requests after %d MiB of unread replies", sent>>20)
+		}
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for svc.inFlightTotal() > 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if left := svc.inFlightTotal(); left != 0 {
+		t.Fatalf("cut-off client's session never expired: %d in flight", left)
+	}
+	if tbl := svc.tableFor(0); tbl.m.expired.Value() != 1 {
+		t.Fatalf("expired=%d, want the stalled client's one session", tbl.m.expired.Value())
 	}
 }

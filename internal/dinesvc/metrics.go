@@ -140,35 +140,25 @@ func (m *tableMetrics) observeTable(t *Table) {
 		func() int64 { return t.inFlight.Load() })
 }
 
-// observeRuntime samples the table runtime's own counters (protocol steps,
-// bus-level message accounting) as gauges.
-func (m *tableMetrics) observeRuntime(r *live.Runtime) {
-	sample := func(name string) func() int64 {
-		return func() int64 { return r.Counter(name) }
-	}
-	m.reg.GaugeFunc(m.name("dineserve_rt_steps"), "protocol action steps executed", sample("steps"))
-	m.reg.GaugeFunc(m.name("dineserve_rt_yields_total"),
-		"step budgets exhausted: a process stayed busy for a whole budget without blocking (climbing steadily = an action cycle wired unpaced)",
-		sample("yields"))
-	m.reg.GaugeFunc(m.name("dineserve_rt_msgs_sent"), "protocol messages sent", sample("msg.sent"))
-	m.reg.GaugeFunc(m.name("dineserve_rt_msgs_delivered"), "protocol messages delivered", sample("msg.delivered"))
-	m.reg.GaugeFunc(m.name("dineserve_rt_msgs_dropped"), "protocol messages dropped (crashed destination)", sample("msg.dropped"))
+// runtimeSeries maps the counters the table's runtime and its bus keep
+// (live.Runtime.Counter names) to the series that expose them. They stay
+// gauges, sampled from the runtime's own handles at scrape time: the
+// benchmark reads them from Snapshot.Gauges.
+var runtimeSeries = []struct{ counter, series, help string }{
+	{"steps", "dineserve_rt_steps", "protocol action steps executed"},
+	{"yields", "dineserve_rt_yields_total", "step budgets exhausted: a process stayed busy for a whole budget without blocking (climbing steadily = an action cycle wired unpaced)"},
+	{"msg.sent", "dineserve_rt_msgs_sent", "protocol messages sent"},
+	{"msg.delivered", "dineserve_rt_msgs_delivered", "protocol messages delivered"},
+	{"msg.dropped", "dineserve_rt_msgs_dropped", "protocol messages dropped (crashed destination)"},
+	{"bus.delivered", "dineserve_bus_delivered_total", "messages the bus handed to delivery"},
+	{"bus.dropped", "dineserve_bus_dropped_total", "messages the bus ate"},
+	{"bus.duped", "dineserve_bus_duped_total", "duplicate deliveries a fault plan injected"},
+	{"bus.delayed", "dineserve_bus_delayed_total", "deliveries a fault plan held back"},
 }
 
-// observeBus samples the bus's delivery counters when the bus keeps them
-// (every bundled bus does; a custom Bus without StatsSource just exposes
-// nothing).
-func (m *tableMetrics) observeBus(bus live.Bus) {
-	src, ok := bus.(live.StatsSource)
-	if !ok {
-		return
+// observeRuntime exposes the table runtime's counters.
+func (m *tableMetrics) observeRuntime(r *live.Runtime) {
+	for _, s := range runtimeSeries {
+		m.reg.GaugeFunc(m.name(s.series), s.help, r.CounterHandle(s.counter).Value)
 	}
-	m.reg.GaugeFunc(m.name("dineserve_bus_delivered_total"), "messages the bus handed to delivery",
-		func() int64 { return src.BusStats().Delivered })
-	m.reg.GaugeFunc(m.name("dineserve_bus_dropped_total"), "messages the bus ate",
-		func() int64 { return src.BusStats().Dropped })
-	m.reg.GaugeFunc(m.name("dineserve_bus_duped_total"), "duplicate deliveries a fault plan injected",
-		func() int64 { return src.BusStats().Duped })
-	m.reg.GaugeFunc(m.name("dineserve_bus_delayed_total"), "deliveries a fault plan held back",
-		func() int64 { return src.BusStats().Delayed })
 }

@@ -39,7 +39,6 @@ type Table struct {
 
 	g    *graph.Graph
 	r    *live.Runtime // nil for a table no diner hashes to
-	bus  *live.ChanBus
 	log  *trace.Log
 	feed *suspectFeed
 	hb   *detector.Heartbeat
@@ -130,7 +129,7 @@ func newTable(svc *Service, idx int, globals []int, pol wal.Policy) (*Table, err
 			dir = wal.TableDir(cfg.DataDir, idx)
 		}
 		store, walRec, err := wal.Open(dir, wal.Options{
-			Policy: pol, Interval: cfg.FsyncInterval,
+			Policy: pol,
 			OnSync: func(records int64, d time.Duration) {
 				t.m.walFsyncs.Inc()
 				t.m.walFsyncLat.ObserveDuration(d)
@@ -187,17 +186,12 @@ func newTable(svc *Service, idx int, globals []int, pol wal.Policy) (*Table, err
 	t.log = &trace.Log{}
 	t.feed = newSuspectFeed(extInst, globals)
 	t.feed.suspects, t.feed.trusts, t.feed.droppedC = t.m.suspects, t.m.trusts, t.m.watchDropped
-	// Name the bus explicitly (live.New would default to the same one) so
-	// its delivery counters can be sampled by the registry.
-	t.bus = live.NewChanBus()
 	t.r = live.New(live.Config{
 		N:      k,
 		Tick:   cfg.Tick,
 		Tracer: multiTracer{t.log, t.feed},
-		Bus:    t.bus,
 	})
 	t.m.observeRuntime(t.r)
-	t.m.observeBus(t.bus)
 	t.m.observeTable(t)
 	t.hb = detector.NewHeartbeat(t.r, "hb", detector.HeartbeatConfig{
 		Interval: 20, Check: 10,

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dining"
 	"repro/internal/dining/forks"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/rt"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -72,8 +73,10 @@ type gateBus struct {
 	closed atomic.Bool
 }
 
-func (b *gateBus) Bind(deliver func(rt.Message)) { b.inner.Bind(deliver) }
-func (b *gateBus) Close() error                  { return b.inner.Close() }
+func (b *gateBus) Bind(deliver func(rt.Message), counter func(string) *metrics.Counter) {
+	b.inner.Bind(deliver, counter)
+}
+func (b *gateBus) Close() error { return b.inner.Close() }
 func (b *gateBus) Send(m rt.Message) {
 	if b.closed.Load() && m.From == 0 && m.Port == "rt/data" {
 		return

@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/rt"
 )
 
@@ -119,30 +120,6 @@ type actionSet struct {
 // in the repository needs a second value.
 const stepBudget = 64
 
-// The runtime's own hot-path counters are interned: one atomic add per step
-// or message instead of a mutex and a string-map lookup. Count and Counter
-// resolve these names to the slots; every other name (the transport's) goes
-// through the map.
-const (
-	cntSteps = iota
-	cntSent
-	cntDelivered
-	cntDropped
-	cntYields
-	numInterned
-)
-
-var internedNames = [numInterned]string{"steps", "msg.sent", "msg.delivered", "msg.dropped", "yields"}
-
-func interned(name string) int {
-	for i, n := range internedNames {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Runtime is the real-time implementation of rt.Runtime (and of
 // rt.TransportRuntime, so internal/transport's retransmission layer can be
 // enabled over an unreliable bus).
@@ -168,9 +145,11 @@ type Runtime struct {
 
 	rng *rand.Rand // over a locked source: safe for concurrent draws
 
-	hot      [numInterned]atomic.Int64
-	cntMu    sync.Mutex
-	counters map[string]int64
+	// reg is the runtime's one counter table: Counter reads it, the bus and
+	// the transport resolve their handles from it (CounterHandle), and the
+	// runtime's own hot paths count through the handles below.
+	reg                                     *metrics.Registry
+	steps, sent, delivered, dropped, yields *metrics.Counter
 
 	sendHook atomic.Value // of rt.SendHook
 }
@@ -227,10 +206,15 @@ func New(cfg Config) *Runtime {
 		bus:       cfg.Bus,
 		tracer:    cfg.Tracer,
 		stop:      make(chan struct{}),
-		counters:  make(map[string]int64),
+		reg:       metrics.New(),
 		rng:       rand.New(&lockedSource{src: rand.NewSource(seed).(rand.Source64)}),
 		start:     time.Now(),
 	}
+	r.steps = r.CounterHandle("steps")
+	r.sent = r.CounterHandle("msg.sent")
+	r.delivered = r.CounterHandle("msg.delivered")
+	r.dropped = r.CounterHandle("msg.dropped")
+	r.yields = r.CounterHandle("yields")
 	if r.bus == nil {
 		r.bus = NewChanBus()
 	}
@@ -253,7 +237,7 @@ func New(cfg Config) *Runtime {
 			notify:   make(chan struct{}, 1),
 		})
 	}
-	r.bus.Bind(r.inject)
+	r.bus.Bind(r.inject, r.CounterHandle)
 	return r
 }
 
@@ -371,7 +355,7 @@ func (r *Runtime) RawSend(from, to rt.ProcID, port string, payload any) {
 	if r.stopped.Load() {
 		return
 	}
-	r.hot[cntSent].Add(1)
+	r.sent.Inc()
 	r.bus.Send(rt.Message{From: from, To: to, Port: port, Payload: payload})
 }
 
@@ -393,14 +377,14 @@ func (r *Runtime) inject(m rt.Message) {
 		return // not hosted here; the bus should not have delivered it
 	}
 	if pr.crashed.Load() {
-		r.hot[cntDropped].Add(1)
+		r.dropped.Inc()
 		return
 	}
 	h, ok := pr.handlers[m.Port]
 	if !ok {
 		panic(fmt.Sprintf("live: no handler for port %q at process %d", m.Port, m.To))
 	}
-	r.hot[cntDelivered].Add(1)
+	r.delivered.Inc()
 	r.enqueue(pr, func() { h(m) })
 }
 
@@ -526,28 +510,16 @@ func (r *Runtime) Emit(rec rt.Record) {
 	}
 }
 
-// Count implements rt.TransportRuntime: add delta to a named counter.
-func (r *Runtime) Count(name string, delta int64) {
-	if i := interned(name); i >= 0 {
-		r.hot[i].Add(delta)
-		return
-	}
-	r.cntMu.Lock()
-	r.counters[name] += delta
-	r.cntMu.Unlock()
-}
+// CounterHandle implements rt.TransportRuntime: the handle of a named
+// counter in the runtime's table, created on first use.
+func (r *Runtime) CounterHandle(name string) *metrics.Counter { return r.reg.Counter(name, "") }
 
-// Counter returns a named counter's current value. The runtime itself
-// maintains "steps" (action steps of both classes), "msg.sent",
-// "msg.delivered", "msg.dropped" and "yields" (step budgets exhausted).
-func (r *Runtime) Counter(name string) int64 {
-	if i := interned(name); i >= 0 {
-		return r.hot[i].Load()
-	}
-	r.cntMu.Lock()
-	defer r.cntMu.Unlock()
-	return r.counters[name]
-}
+// Counter returns a named counter's current value; a name nothing counts
+// under reads 0. The runtime itself maintains "steps" (action steps of both
+// classes), "msg.sent", "msg.delivered", "msg.dropped" and "yields" (step
+// budgets exhausted); its bus adds "bus.*" and an enabled transport
+// "transport.*".
+func (r *Runtime) Counter(name string) int64 { return r.CounterHandle(name).Value() }
 
 // enqueue appends one job to pr's mailbox and nudges its loop. The mailbox
 // is unbounded: backpressure would let two processes sending to each other
@@ -621,7 +593,7 @@ func (r *Runtime) loop(pr *process) {
 		}
 		if ran {
 			if budget--; budget == 0 {
-				r.hot[cntYields].Add(1)
+				r.yields.Inc()
 				runtime.Gosched()
 				budget = stepBudget
 			}
@@ -668,7 +640,7 @@ func (r *Runtime) step(s *actionSet) bool {
 		a := s.actions[idx]
 		if a.guard() {
 			s.rot = idx + 1
-			r.hot[cntSteps].Add(1)
+			r.steps.Inc()
 			a.body()
 			return true
 		}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 
+	"repro/internal/metrics"
 	"repro/internal/rt"
 )
 
@@ -30,8 +30,8 @@ type TCPBus struct {
 	closed  bool
 	wg      sync.WaitGroup
 
-	delivered atomic.Int64 // frames handed to the local delivery sink
-	dropped   atomic.Int64 // sends eaten: unroutable peer, encode or write failure
+	delivered *metrics.Counter // frames handed to the local delivery sink
+	dropped   *metrics.Counter // sends eaten: unroutable peer, encode or write failure
 }
 
 // peerConn is one TCP connection with serialized frame writes.
@@ -59,9 +59,9 @@ func NewTCPBus(local []rt.ProcID) *TCPBus {
 }
 
 // Bind implements Bus.
-func (b *TCPBus) Bind(deliver func(rt.Message)) {
+func (b *TCPBus) Bind(deliver func(rt.Message), counter func(name string) *metrics.Counter) {
 	b.mu.Lock()
-	b.deliver = deliver
+	b.deliver, b.delivered, b.dropped = deliver, counter("bus.delivered"), counter("bus.dropped")
 	b.mu.Unlock()
 }
 
@@ -143,7 +143,7 @@ func (b *TCPBus) readLoop(pc *peerConn) {
 		deliver, isLocal := b.deliver, b.local[m.To]
 		b.mu.Unlock()
 		if isLocal && deliver != nil {
-			b.delivered.Add(1)
+			b.delivered.Inc()
 			deliver(m)
 		}
 	}
@@ -161,29 +161,24 @@ func (b *TCPBus) Send(m rt.Message) {
 	}
 	if isLocal {
 		if deliver != nil {
-			b.delivered.Add(1)
+			b.delivered.Inc()
 			deliver(m)
 		}
 		return
 	}
 	if route == nil {
-		b.dropped.Add(1)
+		b.dropped.Inc()
 		return
 	}
 	body, err := EncodeMessage(m)
 	if err != nil {
-		b.dropped.Add(1)
+		b.dropped.Inc()
 		return
 	}
 	if err := route.writeFrame(body); err != nil {
-		b.dropped.Add(1)
+		b.dropped.Inc()
 		route.c.Close()
 	}
-}
-
-// BusStats implements StatsSource.
-func (b *TCPBus) BusStats() BusStats {
-	return BusStats{Delivered: b.delivered.Load(), Dropped: b.dropped.Load()}
 }
 
 // Close implements Bus.

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/live"
+	"repro/internal/metrics"
 	"repro/internal/rt"
 	"repro/internal/sim"
 )
@@ -39,7 +40,11 @@ type BusConfig struct {
 
 // ChaosBus wraps a live.Bus and filters every Send through a sim.LinkPlan:
 // messages are dropped, duplicated, or delayed (bounded reorder) exactly as
-// the simulator's linkArrive would, but in real time.
+// the simulator's linkArrive would, but in real time. It counts into the
+// bound runtime's table: "bus.dropped", "bus.duped", "bus.delayed", and
+// "bus.partitioned" — the share of the drops eaten while their link sat
+// inside an active lossy window, which a convergence dashboard wants
+// separated from steady-state noise.
 type ChaosBus struct {
 	inner live.Bus
 	plan  sim.LinkPlan
@@ -51,10 +56,7 @@ type ChaosBus struct {
 	streams map[[2]rt.ProcID]*rand.Rand
 	closed  bool
 
-	dropped     int64
-	duped       int64
-	delayed     int64
-	partitioned int64 // drops attributable to an active lossy window
+	dropped, duped, delayed, partitioned *metrics.Counter
 }
 
 // NewChaosBus validates cfg.Plan and wraps inner. The plan clock starts
@@ -92,7 +94,13 @@ func (b *ChaosBus) ResetClock() {
 }
 
 // Bind implements live.Bus.
-func (b *ChaosBus) Bind(deliver func(rt.Message)) { b.inner.Bind(deliver) }
+func (b *ChaosBus) Bind(deliver func(rt.Message), counter func(name string) *metrics.Counter) {
+	b.mu.Lock()
+	b.dropped, b.duped = counter("bus.dropped"), counter("bus.duped")
+	b.delayed, b.partitioned = counter("bus.delayed"), counter("bus.partitioned")
+	b.mu.Unlock()
+	b.inner.Bind(deliver, counter)
+}
 
 // now returns the plan clock in ticks. Caller holds b.mu.
 func (b *ChaosBus) now() sim.Time { return sim.Time(time.Since(b.start) / b.tick) }
@@ -126,13 +134,13 @@ func (b *ChaosBus) Send(m rt.Message) {
 	if b.plan.ReorderMax > 0 {
 		extra = time.Duration(rng.Int63n(int64(b.plan.ReorderMax)+1)) * b.tick
 		if extra > 0 {
-			b.delayed++
+			b.delayed.Inc()
 		}
 	}
 	if p := b.plan.DropProb(m.From, m.To, now); p > 0 && rng.Float64() < p {
-		b.dropped++
+		b.dropped.Inc()
 		if b.plan.InWindow(m.From, m.To, now) {
-			b.partitioned++
+			b.partitioned.Inc()
 		}
 		b.mu.Unlock()
 		return
@@ -141,7 +149,7 @@ func (b *ChaosBus) Send(m rt.Message) {
 	var dupExtra time.Duration
 	if p := b.plan.DupProb(m.From, m.To); p > 0 && rng.Float64() < p {
 		dup = true
-		b.duped++
+		b.duped.Inc()
 		// Mirror the simulator: a duplicate is a second, independent delivery
 		// of the same wire message a little later, never duplicated again.
 		dupExtra = time.Duration(1+rng.Int63n(8)) * b.tick
@@ -167,36 +175,6 @@ func (b *ChaosBus) forward(m rt.Message, extra time.Duration) {
 			b.inner.Send(m)
 		}
 	})
-}
-
-// Stats reports the bus's perturbation counters.
-func (b *ChaosBus) Stats() (dropped, duped, delayed int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped, b.duped, b.delayed
-}
-
-// BusStats implements live.StatsSource, folding in the inner bus's delivery
-// count when it keeps one; Dropped includes the partition-window share,
-// which Partitioned breaks out separately.
-func (b *ChaosBus) BusStats() live.BusStats {
-	b.mu.Lock()
-	st := live.BusStats{Dropped: b.dropped, Duped: b.duped, Delayed: b.delayed}
-	b.mu.Unlock()
-	if src, ok := b.inner.(live.StatsSource); ok {
-		st.Delivered = src.BusStats().Delivered
-	}
-	return st
-}
-
-// Partitioned reports how many of the dropped messages were eaten while
-// their link sat inside an active lossy window — the partition share of the
-// loss, which a convergence dashboard wants separated from steady-state
-// noise.
-func (b *ChaosBus) Partitioned() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.partitioned
 }
 
 // Close implements live.Bus.

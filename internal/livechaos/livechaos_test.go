@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/live"
+	"repro/internal/metrics"
 	"repro/internal/rt"
 	"repro/internal/sim"
 )
@@ -17,7 +19,7 @@ type sinkBus struct {
 	got []rt.Message
 }
 
-func (s *sinkBus) Bind(func(rt.Message)) {}
+func (s *sinkBus) Bind(func(rt.Message), func(string) *metrics.Counter) {}
 func (s *sinkBus) Send(m rt.Message) {
 	s.mu.Lock()
 	s.got = append(s.got, m)
@@ -45,14 +47,16 @@ func TestChaosBusDeterministicDrops(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The bus counts into the table of the runtime it is bound to.
+		r := live.New(live.Config{N: 2, Bus: b})
 		for i := 0; i < 300; i++ {
 			b.Send(rt.Message{From: rt.ProcID(i % 2), To: rt.ProcID(1 - i%2), Port: "x", Payload: i})
 		}
-		dropped, _, _ := b.Stats()
-		if dropped == 0 {
-			t.Fatal("a 40% drop plan dropped nothing")
+		got := sink.payloads()
+		if dropped := r.Counter("bus.dropped"); dropped == 0 || int(dropped)+len(got) != 300 {
+			t.Fatalf("a 40%% drop plan: bus.dropped=%d, %d of 300 delivered", dropped, len(got))
 		}
-		return sink.payloads()
+		return got
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -76,12 +80,16 @@ func TestChaosBusPartitionWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := live.New(live.Config{N: 3, Bus: b})
 	b.Send(rt.Message{From: 0, To: 1, Port: "x", Payload: 1}) // crosses: dropped
 	b.Send(rt.Message{From: 2, To: 0, Port: "x", Payload: 2}) // crosses: dropped
 	b.Send(rt.Message{From: 1, To: 2, Port: "x", Payload: 3}) // same side: passes
 	got := sink.payloads()
 	if len(got) != 1 || got[0] != 3 {
 		t.Fatalf("partition window delivered %v, want [3]", got)
+	}
+	if d, p := r.Counter("bus.dropped"), r.Counter("bus.partitioned"); d != 2 || p != 2 {
+		t.Fatalf("bus.dropped=%d bus.partitioned=%d, want 2 and 2", d, p)
 	}
 }
 
@@ -93,6 +101,7 @@ func TestChaosBusDupAndDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := live.New(live.Config{N: 2, Bus: b})
 	for i := 0; i < 10; i++ {
 		b.Send(rt.Message{From: 0, To: 1, Port: "x", Payload: i})
 	}
@@ -105,6 +114,9 @@ func TestChaosBusDupAndDelay(t *testing.T) {
 	}
 	if got := len(sink.payloads()); got != 20 {
 		t.Fatalf("dup=1 delivered %d copies of 10 messages, want 20", got)
+	}
+	if d := r.Counter("bus.duped"); d != 10 {
+		t.Fatalf("bus.duped=%d, want 10", d)
 	}
 }
 

@@ -1,6 +1,7 @@
 package lockproto
 
 import (
+	"errors"
 	"io"
 	"sync"
 	"time"
@@ -18,11 +19,16 @@ import (
 // (MaxBatch) flushes immediately without waiting the window out. An idle
 // connection costs nothing — the flusher blocks until the next event.
 //
-// Two bounds shape the batching, both enforced by tests:
+// Three bounds shape the batching, all enforced by tests:
 //   - MaxBatch: once the pending buffer reaches this many bytes the flusher
-//     is woken immediately, so a burst never accumulates unbounded memory.
+//     is woken immediately instead of waiting the window out.
 //   - MaxDelay: no event sits in the buffer longer than (roughly) this —
 //     the flush deadline. TestFlushWriterDeadline pins it.
+//   - backlogBatches: Send appends while the flusher is inside Write, so a
+//     peer that stops reading would grow the buffer forever. Past
+//     backlogBatches full batches the writer fails with ErrBacklog and Send
+//     returns false; the owner closes the connection, which also unblocks
+//     the stalled Write.
 //
 // Send order is write order: events from the connection reader, the diner
 // processes (or a durable table's committer), and the watch forwarder
@@ -39,17 +45,21 @@ type FlushWriter struct {
 	kick   chan struct{} // wakes the flusher: buffer went non-empty or full
 	done   chan struct{} // flusher exited
 
-	// flushes and flushedEvents count Write calls and events written, for
-	// tests and for the server's batching telemetry.
-	flushes       int64
-	flushedEvents int64
 	pendingEvents int64
 
 	// onFlush, if set, observes every socket write as it happens — the
-	// writer's registry hook, so coalescing telemetry is visible mid-run
-	// instead of only when the connection's Stats are folded at close.
+	// writer's registry hook, so coalescing telemetry is visible mid-run.
 	onFlush func(events, bytes int64)
 }
+
+// backlogBatches bounds the pending buffer at this many MaxBatch-sized
+// batches (8 MiB at the default batch): two orders of magnitude beyond what
+// a reading peer ever leaves queued, small enough that stalled connections
+// cannot exhaust the server.
+const backlogBatches = 256
+
+// ErrBacklog is the sticky error of a writer whose peer stopped reading.
+var ErrBacklog = errors.New("lockproto: flush backlog exceeded, peer is not reading")
 
 // NewFlushWriter starts a coalescing writer over w. maxBatch is the byte
 // threshold that triggers an immediate flush (<=0: 32KiB); maxDelay is the
@@ -72,11 +82,14 @@ func NewFlushWriter(w io.Writer, maxBatch int, maxDelay time.Duration) *FlushWri
 	return f
 }
 
-// Send enqueues one event. It returns false once the writer has failed or
-// been closed — the same contract the per-event encoder had, which the
-// watch forwarder uses to stop.
+// Send enqueues one event. It returns false once the writer has failed
+// (a write error, or ErrBacklog) or been closed — the same contract the
+// per-event encoder had, which the watch forwarder uses to stop.
 func (f *FlushWriter) Send(ev *Event) bool {
 	f.mu.Lock()
+	if f.err == nil && len(f.buf) >= backlogBatches*f.maxBatch {
+		f.err = ErrBacklog
+	}
 	if f.err != nil || f.closed {
 		f.mu.Unlock()
 		return false
@@ -156,8 +169,6 @@ func (f *FlushWriter) run() {
 		scratch = batch[:0]
 
 		f.mu.Lock()
-		f.flushes++
-		f.flushedEvents += events
 		if err != nil && f.err == nil {
 			f.err = err
 		}
@@ -202,12 +213,4 @@ func (f *FlushWriter) hook() func(events, bytes int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.onFlush
-}
-
-// Stats reports (write calls, events written) so far — the coalescing
-// ratio is events/writes.
-func (f *FlushWriter) Stats() (flushes, events int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.flushes, f.flushedEvents
 }

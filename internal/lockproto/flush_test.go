@@ -170,6 +170,54 @@ func TestFlushWriterCloseDrains(t *testing.T) {
 	}
 }
 
+// stalledWriter is a socket whose peer stopped reading: Write blocks until
+// the owner closes it, then fails.
+type stalledWriter struct {
+	entered chan struct{} // closed when the first Write blocks
+	once    sync.Once
+	closed  chan struct{}
+}
+
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.closed
+	return 0, io.ErrClosedPipe
+}
+
+// TestFlushWriterBacklogBound: behind a Write that never returns the pending
+// buffer stops growing at backlogBatches*MaxBatch, Send reports false from
+// there on, and once the owner closes the socket Close returns ErrBacklog.
+func TestFlushWriterBacklogBound(t *testing.T) {
+	w := &stalledWriter{entered: make(chan struct{}), closed: make(chan struct{})}
+	const batch = 256
+	fw := NewFlushWriter(w, batch, time.Millisecond)
+	ev := Event{Ev: EvSuspect, Diner: 1, Peer: 2, T: 7}
+	if !fw.Send(&ev) {
+		t.Fatal("first send refused")
+	}
+	<-w.entered // the flusher is now stuck inside Write with that event
+	one := len(AppendEvent(nil, &ev)) + 1
+	accepted := 0
+	for fw.Send(&ev) {
+		if accepted++; accepted*one > 2*backlogBatches*batch {
+			t.Fatalf("buffer grew past twice the bound (%d events accepted)", accepted)
+		}
+	}
+	fw.mu.Lock()
+	pending := len(fw.buf)
+	fw.mu.Unlock()
+	if bound := backlogBatches * batch; pending < bound || pending >= bound+one || pending != accepted*one {
+		t.Fatalf("pending buffer %d bytes after %d accepted events, want the bound %d (+ under one event)", pending, accepted, bound)
+	}
+	if fw.Send(&ev) {
+		t.Fatal("Send accepted an event after the backlog bound tripped")
+	}
+	close(w.closed) // what the connection's owner does when Send reports false
+	if err := fw.Close(); err != ErrBacklog {
+		t.Fatalf("Close = %v, want ErrBacklog", err)
+	}
+}
+
 func BenchmarkFlushWriterSend(b *testing.B) {
 	b.ReportAllocs()
 	fw := NewFlushWriter(io.Discard, 32<<10, 500*time.Microsecond)

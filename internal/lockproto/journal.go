@@ -221,13 +221,11 @@ func Replay(lease int64, snapshot []byte, records [][]byte) (*Recovered, error) 
 			}
 		case RecRelease:
 			if sr, ok := s.getRec(k); ok {
-				sr.status = statusDone
-				sr.lastSeen = rec.T
+				s.shard(k).finish(k, sr, rec.T)
 			}
 		case RecExpire:
 			if sr, ok := s.getRec(k); ok {
-				sr.status = statusDone
-				sr.lastSeen = rec.T
+				s.shard(k).finish(k, sr, rec.T)
 				// The live janitor only expires sessions with no bindings;
 				// zeroing here erases any attach-count skew a snapshot-cut
 				// duplicate left behind.
@@ -314,17 +312,28 @@ func (s *Sessions) SetJournal(fn func(Rec)) {
 	s.journal.Store(&fn)
 }
 
-// getRec, putRec, and delRec are replay-time map accessors: Replay owns the
-// registry exclusively before any concurrency exists, so they skip the
-// shard locks.
+// getRec, putRec, and delRec are the map accessors that keep a shard's open
+// index in step with recs. They take no lock: live callers hold the key's
+// shard lock, and Replay owns the registry exclusively before any
+// concurrency exists.
 func (s *Sessions) getRec(k Key) (*sessionRec, bool) {
 	rec, ok := s.shard(k).recs[k]
 	return rec, ok
 }
 
-func (s *Sessions) putRec(k Key, rec *sessionRec) { s.shard(k).recs[k] = rec }
+func (s *Sessions) putRec(k Key, rec *sessionRec) {
+	sh := s.shard(k)
+	sh.recs[k] = rec
+	if rec.status != statusDone {
+		sh.open[k] = rec
+	}
+}
 
-func (s *Sessions) delRec(k Key) { delete(s.shard(k).recs, k) }
+func (s *Sessions) delRec(k Key) {
+	sh := s.shard(k)
+	delete(sh.recs, k)
+	delete(sh.open, k)
+}
 
 // SnapshotState captures every session — tombstones included, they are the
 // no-double-grant memory — in first-acquire order. Shards are captured one
@@ -366,10 +375,7 @@ func (s *Sessions) ResetBindings(now int64) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for _, rec := range sh.recs {
-			if rec.status == statusDone {
-				continue
-			}
+		for _, rec := range sh.open {
 			rec.attached = 0
 			rec.lastSeen = now
 		}

@@ -85,7 +85,17 @@ const sessionShards = 16
 type sesShard struct {
 	mu   sync.Mutex
 	recs map[Key]*sessionRec
-	_    [24]byte
+	// open is the subset of recs that is not done. Tombstones accumulate
+	// for the life of the server; the janitor's passes walk only this.
+	open map[Key]*sessionRec
+	_    [40]byte
+}
+
+// finish turns an open session into its tombstone.
+func (sh *sesShard) finish(k Key, rec *sessionRec, now int64) {
+	rec.status = statusDone
+	rec.lastSeen = now
+	delete(sh.open, k)
 }
 
 // Sessions tracks every session of one server run, keyed (diner, id).
@@ -128,6 +138,7 @@ func NewSessions(lease int64) *Sessions {
 	s := &Sessions{lease: lease}
 	for i := range s.shards {
 		s.shards[i].recs = make(map[Key]*sessionRec)
+		s.shards[i].open = make(map[Key]*sessionRec)
 	}
 	return s
 }
@@ -141,7 +152,7 @@ func (s *Sessions) Acquire(k Key, now int64) AcquireResult {
 	defer sh.mu.Unlock()
 	rec, ok := sh.recs[k]
 	if !ok {
-		sh.recs[k] = &sessionRec{status: statusPending, lastSeen: now, seq: s.nextSeq.Add(1) - 1}
+		s.putRec(k, &sessionRec{status: statusPending, lastSeen: now, seq: s.nextSeq.Add(1) - 1})
 		s.emit(Rec{K: RecAcquire, D: k.Diner, I: k.ID, T: now})
 		return AcquireNew
 	}
@@ -165,7 +176,7 @@ func (s *Sessions) Abort(k Key) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if rec, ok := sh.recs[k]; ok && rec.status == statusPending {
-		delete(sh.recs, k)
+		s.delRec(k)
 		s.emit(Rec{K: RecAbort, D: k.Diner, I: k.ID})
 	}
 }
@@ -204,13 +215,11 @@ func (s *Sessions) Release(k Key, now int64) ReleaseResult {
 	}
 	switch rec.status {
 	case statusGranted:
-		rec.status = statusDone
-		rec.lastSeen = now
+		sh.finish(k, rec, now)
 		s.emit(Rec{K: RecRelease, D: k.Diner, I: k.ID, T: now})
 		return ReleaseGranted
 	case statusPending:
-		rec.status = statusDone
-		rec.lastSeen = now
+		sh.finish(k, rec, now)
 		s.emit(Rec{K: RecRelease, D: k.Diner, I: k.ID, T: now})
 		return ReleasePending
 	default:
@@ -258,8 +267,9 @@ type Expiry struct {
 // lease as done and returns them. A session is never returned twice, and an
 // expired session behaves exactly like a released one afterwards: replayed
 // acquires get AcquireDone, replayed releases get ReleaseDone. The sweep
-// locks one shard at a time, so an expiry pass over a large registry never
-// blocks the other shards' request traffic.
+// locks one shard at a time and visits only its open sessions, so a pass
+// costs what is in flight, not what was ever served, and never blocks the
+// other shards' request traffic.
 func (s *Sessions) Expire(now int64) []Expiry {
 	if s.lease <= 0 {
 		return nil
@@ -268,13 +278,12 @@ func (s *Sessions) Expire(now int64) []Expiry {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for k, rec := range sh.recs {
-			if rec.status == statusDone || rec.attached > 0 || now-rec.lastSeen <= s.lease {
+		for k, rec := range sh.open {
+			if rec.attached > 0 || now-rec.lastSeen <= s.lease {
 				continue
 			}
 			out = append(out, Expiry{Key: k, WasGranted: rec.status == statusGranted})
-			rec.status = statusDone
-			rec.lastSeen = now
+			sh.finish(k, rec, now)
 			s.emit(Rec{K: RecExpire, D: k.Diner, I: k.ID, T: now})
 		}
 		sh.mu.Unlock()

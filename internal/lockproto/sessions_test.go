@@ -1,6 +1,10 @@
 package lockproto
 
-import "testing"
+import (
+	"strconv"
+	"strings"
+	"testing"
+)
 
 func TestSessionsLifecycle(t *testing.T) {
 	s := NewSessions(0)
@@ -221,4 +225,96 @@ func FuzzLockprotoDedup(f *testing.F) {
 			}
 		}
 	})
+}
+
+// openSessions counts the entries of the per-shard open index — exactly the
+// records an Expire or ResetBindings pass visits — and fails the test if the
+// index is not precisely the non-done subset of the registry.
+func openSessions(t *testing.T, name string, s *Sessions) (open, all int) {
+	t.Helper()
+	for i := range s.shards {
+		sh := &s.shards[i]
+		for k, rec := range sh.recs {
+			if _, in := sh.open[k]; in != (rec.status != statusDone) {
+				t.Fatalf("%s: session %v status %d, in open index: %v", name, k, rec.status, in)
+			}
+		}
+		if len(sh.open) > len(sh.recs) {
+			t.Fatalf("%s: shard %d open index holds %d entries beyond its %d records", name, i, len(sh.open), len(sh.recs))
+		}
+		open += len(sh.open)
+		all += len(sh.recs)
+	}
+	return open, all
+}
+
+// TestExpirePassSkipsTombstones: a server that has completed 200 000
+// sessions keeps 200 000 tombstones, and the janitor's pass must not walk
+// them. The pass visits the open index, whose size is the same with the
+// tombstones as without (it used to be all 200 015 records); Expire returns
+// exactly the ten detached sessions whose lease ran out, once. The index
+// survives recovery: the same holds, at a scale that keeps the journal
+// small, for a registry rebuilt from the journal and from a snapshot plus
+// the journal's suffix.
+func TestExpirePassSkipsTombstones(t *testing.T) {
+	const lease, lost, held = 10, 10, 5
+	build := func(tombstones int, j *recorder) (s *Sessions, snap []byte, cut int) {
+		s = NewSessions(lease)
+		if j != nil {
+			s.SetJournal(j.hook)
+		}
+		for i := 0; i < tombstones; i++ {
+			k := Key{Diner: i % 64, ID: "done-" + strconv.Itoa(i)}
+			s.Acquire(k, 0)
+			s.Grant(k, 0)
+			s.Release(k, 0)
+		}
+		if j != nil {
+			snap, cut = State{Sessions: s.SnapshotState()}.Encode(), len(j.recs)
+		}
+		for i := 0; i < lost+held; i++ {
+			k := Key{Diner: i, ID: "open-" + strconv.Itoa(i)}
+			s.Acquire(k, 1)
+			s.Attach(k, 1)
+			if i < lost {
+				s.Detach(k, 2) // its connection died: the lease is running
+			}
+		}
+		return s, snap, cut
+	}
+	clean, _, _ := build(0, nil)
+	wantOpen, _ := openSessions(t, "tombstone-free", clean)
+
+	check := func(name string, s *Sessions, tombstones int) {
+		t.Helper()
+		open, all := openSessions(t, name, s)
+		if all != tombstones+lost+held || open != wantOpen {
+			t.Fatalf("%s: a pass would visit %d of %d records, want %d (what a tombstone-free registry visits)", name, open, all, wantOpen)
+		}
+		if got := s.Expire(2 + lease); len(got) != 0 {
+			t.Fatalf("%s: %d sessions expired inside their lease", name, len(got))
+		}
+		got := s.Expire(3 + lease)
+		if len(got) != lost {
+			t.Fatalf("%s: Expire returned %d sessions, want the %d detached ones", name, len(got), lost)
+		}
+		for _, e := range got {
+			if !strings.HasPrefix(e.Key.ID, "open-") || e.Key.Diner >= lost || e.WasGranted {
+				t.Fatalf("%s: expired %+v, not one of the detached pending sessions", name, e)
+			}
+		}
+		if again := s.Expire(1 << 40); len(again) != 0 {
+			t.Fatalf("%s: second pass expired %d more (attached sessions never expire)", name, len(again))
+		}
+		if open, _ := openSessions(t, name, s); open != held {
+			t.Fatalf("%s: %d sessions open after the pass, want the %d attached ones", name, open, held)
+		}
+	}
+	live, _, _ := build(200_000, nil)
+	check("live", live, 200_000)
+
+	j := &recorder{}
+	_, snap, cut := build(2_000, j)
+	check("replay", replayT(t, lease, nil, j.recs).Sessions, 2_000)
+	check("snapshot+replay", replayT(t, lease, snap, j.recs[cut:]).Sessions, 2_000)
 }

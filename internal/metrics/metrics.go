@@ -203,62 +203,65 @@ func New() *Registry {
 	return &Registry{byName: make(map[string]*entry)}
 }
 
-// register installs e (or returns the existing entry for the name).
-func (r *Registry) register(name, help string, kind Kind) (*entry, bool) {
+// register finds or installs the entry for name and runs init on it under
+// the registry lock (fresh: the entry is new), so neither a concurrent
+// registration of the same name nor a scrape ever sees an entry without its
+// instrument.
+func (r *Registry) register(name, help string, kind Kind, init func(e *entry, fresh bool)) *entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.byName[name]; ok {
-		if e.kind != kind {
-			panic("metrics: " + name + " re-registered as a different kind")
-		}
-		return e, false
+	e, ok := r.byName[name]
+	if ok && e.kind != kind {
+		panic("metrics: " + name + " re-registered as a different kind")
 	}
-	e := &entry{name: name, help: help, kind: kind, scale: 1}
-	e.base, e.labels = splitLabels(name)
-	r.byName[name] = e
-	r.entries = append(r.entries, e)
-	return e, true
+	if !ok {
+		e = &entry{name: name, help: help, kind: kind, scale: 1}
+		e.base, e.labels = splitLabels(name)
+		r.byName[name] = e
+		r.entries = append(r.entries, e)
+	}
+	init(e, !ok)
+	return e
 }
 
 // Counter registers (or finds) a counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	e, fresh := r.register(name, help, KindCounter)
-	if fresh {
-		e.counter = &Counter{}
-	}
-	return e.counter
+	return r.register(name, help, KindCounter, func(e *entry, fresh bool) {
+		if fresh {
+			e.counter = &Counter{}
+		}
+	}).counter
 }
 
 // Gauge registers (or finds) a gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	e, fresh := r.register(name, help, KindGauge)
-	if fresh {
-		e.gauge = &Gauge{}
-	}
-	return e.gauge
+	return r.register(name, help, KindGauge, func(e *entry, fresh bool) {
+		if fresh {
+			e.gauge = &Gauge{}
+		}
+	}).gauge
 }
 
 // GaugeFunc registers a gauge whose value is sampled by fn at scrape time —
 // for values some other subsystem already maintains (an inflight count, a
-// runtime counter) that would be wasteful to mirror on the hot path.
+// runtime's counter handle) that would be wasteful to mirror on the hot
+// path. Registering the name again replaces fn.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
-	e, _ := r.register(name, help, KindGauge)
-	e.gaugeFn = fn
+	r.register(name, help, KindGauge, func(e *entry, _ bool) { e.gaugeFn = fn })
 }
 
 // Histogram registers (or finds) a log-scale histogram. scale converts raw
 // observed values into the exposition unit (e.g. 1e-6 for a histogram
 // observing microseconds but named _seconds); scale <= 0 means 1.
 func (r *Registry) Histogram(name, help string, scale float64) *Hist {
-	e, fresh := r.register(name, help, KindHist)
-	if fresh {
-		if scale <= 0 {
-			scale = 1
+	return r.register(name, help, KindHist, func(e *entry, fresh bool) {
+		if fresh {
+			if scale > 0 {
+				e.scale = scale
+			}
+			e.hist = NewHist()
 		}
-		e.scale = scale
-		e.hist = NewHist()
-	}
-	return e.hist
+	}).hist
 }
 
 // sorted snapshots the entry list ordered by name, so exposition output is

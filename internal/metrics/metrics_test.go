@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -51,7 +52,11 @@ func TestKindMismatchPanics(t *testing.T) {
 
 // TestRegistryStorm is the -race concurrency proof: parallel writers hammer
 // a counter, a gauge, and a histogram while a scraper loops both exposition
-// formats, and the final values must be exact.
+// formats, and the final values must be exact. The runtimes' counter tables
+// are registries used by name at wiring time from many goroutines, so the
+// writers also resolve handles mid-storm: the shared counter by name on
+// every iteration, and one counter each that does not exist until its
+// writer registers it under the scraper's feet.
 func TestRegistryStorm(t *testing.T) {
 	r := New()
 	c := r.Counter("storm_total", "storm counter")
@@ -85,8 +90,10 @@ func TestRegistryStorm(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			own := r.Counter("storm_writer_total{w=\""+strconv.Itoa(w)+"\"}", "per-writer counter")
 			for i := 0; i < perWriter; i++ {
-				c.Inc()
+				r.Counter("storm_total", "storm counter").Inc()
+				own.Inc()
 				g.Add(1)
 				h.Observe(int64(w*perWriter + i + 1))
 			}
@@ -99,6 +106,15 @@ func TestRegistryStorm(t *testing.T) {
 	const total = writers * perWriter
 	if c.Value() != total {
 		t.Fatalf("counter lost updates: got %d want %d", c.Value(), total)
+	}
+	snap := r.Snapshot()
+	if len(snap.Counters) != 1+writers || snap.Counters["storm_total"] != total {
+		t.Fatalf("snapshot after the storm: %v, want storm_total=%d and %d per-writer counters", snap.Counters, total, writers)
+	}
+	for w := 0; w < writers; w++ {
+		if got := snap.Counters[WithLabels("storm_writer_total", "w", strconv.Itoa(w))]; got != perWriter {
+			t.Fatalf("writer %d's late-registered counter: got %d want %d", w, got, perWriter)
+		}
 	}
 	if g.Value() != total {
 		t.Fatalf("gauge lost updates: got %d want %d", g.Value(), total)

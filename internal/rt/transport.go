@@ -1,5 +1,7 @@
 package rt
 
+import "repro/internal/metrics"
+
 // SendHook intercepts protocol-level sends (see TransportRuntime). Returning
 // true means the hook consumed the message and will arrange its delivery
 // itself (typically by re-sending wrapped envelopes through RawSend);
@@ -24,6 +26,8 @@ type TransportRuntime interface {
 	// is synchronous; in the live runtime it is queued onto the
 	// destination's mailbox.
 	Dispatch(m Message)
-	// Count adds delta to a named runtime counter (e.g. "transport.sent").
-	Count(name string, delta int64)
+	// CounterHandle resolves a named runtime counter (e.g. "transport.sent")
+	// in the runtime's own registry. It is a wiring-time lookup: keep the
+	// handle and Add to it on the message path.
+	CounterHandle(name string) *metrics.Counter
 }

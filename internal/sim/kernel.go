@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+
+	"repro/internal/metrics"
 )
 
 // proc is the kernel-side bookkeeping for one process.
@@ -30,11 +32,23 @@ type Kernel struct {
 	stepMax  Time // next step scheduled within [1, stepMax] ticks
 	tracer   Tracer
 	inFlight int
-	counters map[string]int64
-	sentKeys map[string]string // port -> interned "msg.sent:<prefix>" counter key
 	stopped  bool
 	links    *LinkPlan // fair-lossy link adversary (nil = reliable channels)
 	sendHook SendHook  // transport interposition (see SetSendHook)
+
+	// reg is the kernel's one counter table: Counter and Counters read it,
+	// layered modules resolve their handles from it (CounterHandle), and the
+	// kernel's own hot paths count through the handles below.
+	reg          *metrics.Registry
+	steps        *metrics.Counter
+	sent         *metrics.Counter
+	delivered    *metrics.Counter
+	dropped      *metrics.Counter // = droppedCrash + droppedLink
+	droppedCrash *metrics.Counter
+	droppedLink  *metrics.Counter
+	linkDropped  *metrics.Counter
+	linkDuped    *metrics.Counter
+	sentBy       map[string]*metrics.Counter // port -> "msg.sent:<prefix>"
 
 	// Robustness hooks (see robust.go).
 	triggers  []*trigger      // armed state-predicate crashes
@@ -68,12 +82,20 @@ func WithStepJitter(maxGap Time) Option {
 // NewKernel creates a kernel simulating n processes with ids 0..n-1.
 func NewKernel(n int, opts ...Option) *Kernel {
 	k := &Kernel{
-		rng:      rand.New(rand.NewSource(1)),
-		delay:    UniformDelay{Min: 1, Max: 8},
-		stepMax:  3,
-		counters: make(map[string]int64),
-		sentKeys: make(map[string]string),
+		rng:     rand.New(rand.NewSource(1)),
+		delay:   UniformDelay{Min: 1, Max: 8},
+		stepMax: 3,
+		reg:     metrics.New(),
+		sentBy:  make(map[string]*metrics.Counter),
 	}
+	k.steps = k.CounterHandle("steps")
+	k.sent = k.CounterHandle("msg.sent")
+	k.delivered = k.CounterHandle("msg.delivered")
+	k.dropped = k.CounterHandle("msg.dropped")
+	k.droppedCrash = k.CounterHandle("msg.dropped.crash")
+	k.droppedLink = k.CounterHandle("msg.dropped.link")
+	k.linkDropped = k.CounterHandle("link.dropped")
+	k.linkDuped = k.CounterHandle("link.duped")
 	for i := 0; i < n; i++ {
 		k.procs = append(k.procs, &proc{
 			id:        ProcID(i),
@@ -153,8 +175,15 @@ func (k *Kernel) Send(from, to ProcID, port string, payload any) {
 // installed SendHook. Protocol code should use Send; RawSend exists for the
 // transport layer underneath it.
 func (k *Kernel) RawSend(from, to ProcID, port string, payload any) {
-	k.counters["msg.sent"]++
-	k.counters[k.sentKey(port)]++
+	k.sent.Inc()
+	byPort := k.sentBy[port]
+	if byPort == nil {
+		// Ports repeat across a run (a system has a fixed set of channel
+		// names), so steady-state sends resolve no counter by name.
+		byPort = k.CounterHandle("msg.sent:" + portPrefix(port))
+		k.sentBy[port] = byPort
+	}
+	byPort.Inc()
 	m := Message{From: from, To: to, Port: port, Payload: payload}
 	d := k.delay.Delay(k.rng, from, to, k.now)
 	if d < 1 {
@@ -165,19 +194,6 @@ func (k *Kernel) RawSend(from, to ProcID, port string, payload any) {
 	k.scheduleEvent(k.now+d, event{kind: evArrive, msg: m})
 }
 
-// sentKey returns the interned "msg.sent:<prefix>" counter key for a port.
-// Ports repeat across a run's lifetime (a system has a fixed set of channel
-// names), so caching the concatenation makes steady-state sends allocate no
-// counter strings at all.
-func (k *Kernel) sentKey(port string) string {
-	if key, ok := k.sentKeys[port]; ok {
-		return key
-	}
-	key := "msg.sent:" + portPrefix(port)
-	k.sentKeys[port] = key
-	return key
-}
-
 // Dispatch synchronously invokes the handler registered for m.Port at m.To,
 // as if the message had just been delivered by the network, and wakes the
 // receiving process. Messages to crashed processes are dropped. It exists
@@ -186,8 +202,8 @@ func (k *Kernel) sentKey(port string) string {
 func (k *Kernel) Dispatch(m Message) {
 	pr := k.procs[m.To]
 	if pr.crashed {
-		k.counters["msg.dropped"]++
-		k.counters["msg.dropped.crash"]++
+		k.dropped.Inc()
+		k.droppedCrash.Inc()
 		return
 	}
 	h, ok := pr.handlers[m.Port]
@@ -243,28 +259,32 @@ func (k *Kernel) Emit(r Record) {
 }
 
 // Counter returns a named kernel counter (e.g. "msg.sent", "msg.dropped",
-// "steps", "msg.sent:dx"). "msg.dropped" is the sum of its two causes,
-// "msg.dropped.crash" (receiver dead at delivery time) and
-// "msg.dropped.link" (eaten by the link adversary).
-func (k *Kernel) Counter(name string) int64 { return k.counters[name] }
+// "steps", "msg.sent:dx"); a name nothing counts under reads 0.
+// "msg.dropped" is the sum of its two causes, "msg.dropped.crash" (receiver
+// dead at delivery time) and "msg.dropped.link" (eaten by the link
+// adversary).
+func (k *Kernel) Counter(name string) int64 { return k.CounterHandle(name).Value() }
 
-// Count adds delta to a named kernel counter. It exists so layered modules
-// (the transport, chiefly) can account into the same table that Counters
-// reports and experiments read.
-func (k *Kernel) Count(name string, delta int64) { k.counters[name] += delta }
+// CounterHandle implements rt.TransportRuntime: layered modules (the
+// transport, chiefly) count into the same table Counters reports and
+// experiments read.
+func (k *Kernel) CounterHandle(name string) *metrics.Counter { return k.reg.Counter(name, "") }
 
-// Counters returns a sorted snapshot of all counters.
+// Counters returns a sorted "name=value" snapshot of every counter that has
+// counted something.
 func (k *Kernel) Counters() []string {
-	names := make([]string, 0, len(k.counters))
-	for n := range k.counters {
-		names = append(names, n)
+	snap := k.reg.Snapshot().Counters
+	names := make([]string, 0, len(snap))
+	for n, v := range snap {
+		if v != 0 {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
-	out := make([]string, len(names))
 	for i, n := range names {
-		out[i] = fmt.Sprintf("%s=%d", n, k.counters[n])
+		names[i] = fmt.Sprintf("%s=%d", n, snap[n])
 	}
-	return out
+	return names
 }
 
 // Run executes the simulation until virtual time exceeds horizon or no
@@ -356,15 +376,15 @@ func (k *Kernel) deliver(m Message) {
 	k.inFlight--
 	pr := k.procs[m.To]
 	if pr.crashed {
-		k.counters["msg.dropped"]++
-		k.counters["msg.dropped.crash"]++
+		k.dropped.Inc()
+		k.droppedCrash.Inc()
 		return
 	}
 	h, ok := pr.handlers[m.Port]
 	if !ok {
 		panic(fmt.Sprintf("sim: no handler for port %q at process %d", m.Port, m.To))
 	}
-	k.counters["msg.delivered"]++
+	k.delivered.Inc()
 	h(m)
 	k.wake(m.To)
 }
@@ -396,7 +416,7 @@ func (k *Kernel) step(pr *proc) {
 		a := pr.actions[idx]
 		if a.Guard() {
 			pr.rot = idx + 1
-			k.counters["steps"]++
+			k.steps.Inc()
 			a.Body()
 			k.wake(pr.id)
 			return

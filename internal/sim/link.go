@@ -243,16 +243,16 @@ func (k *Kernel) linkArrive(m Message) {
 	}
 	if p := lp.DropProb(m.From, m.To, k.now); p > 0 && k.rng.Float64() < p {
 		k.inFlight--
-		k.counters["link.dropped"]++
-		k.counters["msg.dropped"]++
-		k.counters["msg.dropped.link"]++
+		k.linkDropped.Inc()
+		k.dropped.Inc()
+		k.droppedLink.Inc()
 		k.Emit(Record{P: m.To, Kind: KindLink, Peer: m.From, Inst: portPrefix(m.Port), Note: "drop"})
 		return
 	}
 	if p := lp.DupProb(m.From, m.To); p > 0 && k.rng.Float64() < p {
 		// The duplicate is a second, independent delivery of the same wire
 		// message a little later; it is not duplicated again.
-		k.counters["link.duped"]++
+		k.linkDuped.Inc()
 		k.Emit(Record{P: m.To, Kind: KindLink, Peer: m.From, Inst: portPrefix(m.Port), Note: "dup"})
 		extra := 1 + Time(k.rng.Int63n(8))
 		k.inFlight++

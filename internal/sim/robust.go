@@ -108,8 +108,8 @@ func (b *BudgetExceeded) Diagnostic() string {
 func (k *Kernel) checkBudget() {
 	var reason string
 	switch {
-	case k.budget.MaxSteps > 0 && k.counters["steps"] > k.budget.MaxSteps:
-		reason = fmt.Sprintf("step budget exceeded (%d > %d): livelock suspected", k.counters["steps"], k.budget.MaxSteps)
+	case k.budget.MaxSteps > 0 && k.steps.Value() > k.budget.MaxSteps:
+		reason = fmt.Sprintf("step budget exceeded (%d > %d): livelock suspected", k.steps.Value(), k.budget.MaxSteps)
 	case k.budget.MaxEvents > 0 && k.events > k.budget.MaxEvents:
 		reason = fmt.Sprintf("event budget exceeded (%d > %d): livelock suspected", k.events, k.budget.MaxEvents)
 	case k.budget.MaxQueue > 0 && k.queue.Len() > k.budget.MaxQueue:
@@ -119,7 +119,7 @@ func (k *Kernel) checkBudget() {
 	}
 	k.exhausted = &BudgetExceeded{
 		Reason:   reason,
-		Steps:    k.counters["steps"],
+		Steps:    k.steps.Value(),
 		Events:   k.events,
 		QueueLen: k.queue.Len(),
 		At:       k.now,

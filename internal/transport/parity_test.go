@@ -1,0 +1,117 @@
+package transport_test
+
+import (
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/live"
+	"repro/internal/livechaos"
+	"repro/internal/rt"
+	"repro/internal/sim"
+	"repro/internal/transport"
+)
+
+// counted is what the parity test needs of a runtime: the transport's
+// wiring surface plus the by-name read side.
+type counted interface {
+	rt.TransportRuntime
+	Counter(name string) int64
+}
+
+// TestCounterParity wires the same system — the reliable transport over a
+// medium that eats 30% of the messages, a ping-pong between two processes
+// driven by one guarded action, then a crash of the ponger — on both
+// runtimes, and requires both to have counted it under the same names.
+// Names only one runtime keeps are listed here and nowhere else: the
+// simulator splits msg.dropped by cause, counts sends per port prefix and
+// counts its link adversary under link.*; the live runtime counts yields and
+// what its bus did under bus.*.
+func TestCounterParity(t *testing.T) {
+	shared := []string{
+		"steps", "msg.sent", "msg.delivered", "msg.dropped",
+		"transport.sent", "transport.delivered", "transport.acks",
+		"transport.retransmit", "transport.dup",
+	}
+	simOnly := []string{"msg.dropped.crash", "msg.dropped.link", "link.dropped", "msg.sent:rt"}
+	liveOnly := []string{"bus.delivered", "bus.dropped"} // and "yields", which this run need not reach
+	plan := sim.LinkPlan{Name: "lossy", Drop: 0.3}
+	const rounds = 40
+
+	// wire installs the system on r and returns the pong count.
+	wire := func(r counted) *atomic.Int64 {
+		transport.Enable(r, "rt", transport.Config{})
+		var pongs atomic.Int64
+		serve := true // process 0's state: its turn to ping
+		r.AddAction(0, "ping", func() bool { return serve }, func() {
+			serve = false
+			r.Send(0, 1, "pp", nil)
+		})
+		r.Handle(1, "pp", func(rt.Message) { r.Send(1, 0, "pp", nil) })
+		r.Handle(0, "pp", func(rt.Message) {
+			pongs.Add(1)
+			serve = true
+		})
+		return &pongs
+	}
+
+	k := sim.NewKernel(2, sim.WithSeed(3))
+	if err := plan.Apply(k); err != nil {
+		t.Fatal(err)
+	}
+	simPongs := wire(k)
+	k.RunUntil(1_000_000, func() bool { return simPongs.Load() >= rounds })
+	k.CrashAt(1, k.Now()+1)
+	k.Run(k.Now() + 2_000) // process 0 keeps pinging a dead peer
+
+	tick := 200 * time.Microsecond
+	bus, err := livechaos.NewChaosBus(live.NewChanBus(), livechaos.BusConfig{N: 2, Seed: 3, Tick: tick, Plan: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := live.New(live.Config{N: 2, Tick: tick, Bus: bus})
+	livePongs := wire(r)
+	r.Start()
+	defer r.Stop()
+	deadline := time.Now().Add(20 * time.Second)
+	for livePongs.Load() < rounds {
+		if time.Now().After(deadline) {
+			t.Fatalf("live ping-pong stalled at %d of %d rounds", livePongs.Load(), rounds)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	r.Crash(1)
+	for r.Counter("msg.dropped") == 0 { // a retransmission reaches the dead peer
+		if time.Now().After(deadline) {
+			t.Fatal("no message to the crashed process was ever dropped")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	for _, name := range shared {
+		if s, l := k.Counter(name), r.Counter(name); s == 0 || l == 0 {
+			t.Errorf("%s: sim=%d live=%d, want both non-zero", name, s, l)
+		}
+	}
+	for _, name := range simOnly {
+		if s, l := k.Counter(name), r.Counter(name); s == 0 || l != 0 {
+			t.Errorf("%s: sim=%d live=%d, want a sim-only counter", name, s, l)
+		}
+	}
+	for _, name := range liveOnly {
+		if s, l := k.Counter(name), r.Counter(name); s != 0 || l == 0 {
+			t.Errorf("%s: sim=%d live=%d, want a live-only counter", name, s, l)
+		}
+	}
+	// The simulator can list what it counted: nothing outside the two lists.
+	known := make(map[string]bool)
+	for _, name := range append(shared, simOnly...) {
+		known[name] = true
+	}
+	for _, line := range k.Counters() {
+		if name, _, _ := strings.Cut(line, "="); !known[name] {
+			t.Errorf("sim counted under an undocumented name: %s", line)
+		}
+	}
+}

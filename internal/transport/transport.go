@@ -29,6 +29,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/metrics"
 	"repro/internal/rt"
 )
 
@@ -111,6 +112,9 @@ type Reliable struct {
 	mu   sync.Mutex
 	out  map[[2]rt.ProcID]*sender
 	in   map[[2]rt.ProcID]*receiver
+
+	// Counters in the runtime's table, resolved once by Enable.
+	sent, retransmit, delivered, dup, acks *metrics.Counter
 }
 
 // Enable attaches a reliable transport named name to k: it registers the
@@ -127,6 +131,12 @@ func Enable(k rt.TransportRuntime, name string, cfg Config) *Reliable {
 		k: k, name: name, cfg: cfg,
 		out: make(map[[2]rt.ProcID]*sender),
 		in:  make(map[[2]rt.ProcID]*receiver),
+
+		sent:       k.CounterHandle("transport.sent"),
+		retransmit: k.CounterHandle("transport.retransmit"),
+		delivered:  k.CounterHandle("transport.delivered"),
+		dup:        k.CounterHandle("transport.dup"),
+		acks:       k.CounterHandle("transport.acks"),
 	}
 	data, ack := name+"/data", name+"/ack"
 	for i := 0; i < k.N(); i++ {
@@ -152,7 +162,7 @@ func (t *Reliable) send(m rt.Message) {
 	s.next++
 	env := dataMsg{Seq: s.next, Port: m.Port, Payload: m.Payload}
 	s.unacked[env.Seq] = &flight{env: env, at: t.k.Now()}
-	t.k.Count("transport.sent", 1)
+	t.sent.Inc()
 	t.k.RawSend(m.From, m.To, t.name+"/data", env)
 	t.arm(key, s)
 }
@@ -195,7 +205,7 @@ func (t *Reliable) fire(key [2]rt.ProcID, s *sender) {
 	for _, seq := range seqs {
 		f := s.unacked[seq]
 		f.at = now
-		t.k.Count("transport.retransmit", 1)
+		t.retransmit.Inc()
 		t.k.RawSend(key[0], key[1], t.name+"/data", f.env)
 	}
 	if len(seqs) > 0 {
@@ -221,13 +231,13 @@ func (t *Reliable) onData(p rt.ProcID, m rt.Message) {
 			delete(r.above, r.cum)
 		}
 	} else {
-		t.k.Count("transport.dup", 1)
+		t.dup.Inc()
 	}
 	// Always ack, even duplicates: the first ack may have been lost.
-	t.k.Count("transport.acks", 1)
+	t.acks.Inc()
 	t.k.RawSend(p, m.From, t.name+"/ack", ackMsg{Cum: r.cum, Seq: env.Seq})
 	if fresh {
-		t.k.Count("transport.delivered", 1)
+		t.delivered.Inc()
 		t.k.Dispatch(rt.Message{From: m.From, To: p, Port: env.Port, Payload: env.Payload})
 	}
 }
