@@ -1,12 +1,18 @@
 # Standard verification pipeline. `make check` is the everything gate:
-# vet, build, race-enabled tests, and short passes over every fuzz target.
+# gofmt, vet, build, race-enabled tests, and short passes over every fuzz
+# target.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race fuzz bench bench-serve bench-e2e chaos chaos-live serve-smoke serve-crash
+.PHONY: check fmt vet build test race fuzz bench bench-serve bench-e2e chaos chaos-live serve-smoke serve-crash
 
-check: vet build race fuzz
+check: fmt vet build race fuzz
+
+# Fails when any file needs gofmt. The walk ignores module boundaries, so
+# bench/ is checked too.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

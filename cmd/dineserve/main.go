@@ -47,7 +47,6 @@ func main() {
 
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty: off)")
 		metricsAddr = flag.String("metrics", "", "serve /metrics (Prometheus text) and /statusz (JSON) on this address (e.g. 127.0.0.1:9117; empty: off)")
-		flushDelay  = flag.Duration("flush-delay", 0, "per-connection write-coalescing flush deadline (0: default 500µs)")
 
 		dataDir  = flag.String("data-dir", "", "WAL+snapshot directory; empty disables persistence")
 		fsync    = flag.String("fsync", "always", "WAL durability: always (fsync per commit), interval (every 50ms), or never")
@@ -76,7 +75,6 @@ func main() {
 		Extract:     *extract,
 		Lease:       *lease,
 		MaxInflight: *maxInFl,
-		FlushDelay:  *flushDelay,
 
 		DataDir:     *dataDir,
 		Fsync:       *fsync,

@@ -42,9 +42,9 @@ type Pingback struct {
 
 type pbModule struct {
 	self     rt.ProcID
-	seq      map[rt.ProcID]int64    // current query number per peer
+	seq      map[rt.ProcID]int64   // current query number per peer
 	sentAt   map[rt.ProcID]rt.Time // send time of the current query
-	answered map[rt.ProcID]bool     // current query answered?
+	answered map[rt.ProcID]bool    // current query answered?
 	timeout  map[rt.ProcID]rt.Time
 	suspects map[rt.ProcID]bool
 }

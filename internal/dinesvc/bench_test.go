@@ -14,11 +14,12 @@ import (
 // service (live runtime, forks table, heartbeat detector, TCP listener on a
 // loopback ephemeral port) driven by real protocol clients, with no
 // persistence and no extractor so the measured path is exactly the request
-// pipeline — codec, session registry, diner manager, flush writer. The
-// dining layer's own share is tens of microseconds (its steps run on the
-// event that enables them); the round trip is dominated by the two flush
-// windows and the wake-ups between goroutines. The end-to-end load numbers
-// come from `make bench-serve` driving the dineserve binary over dineload.
+// pipeline — codec, session registry, diner seat, flush writer. The dining
+// layer's own share is tens of microseconds (its steps run on the event
+// that enables them) and nothing waits on a timer; the rest of the round
+// trip is loopback crossings and the wake-ups between socket reader, diner
+// process and flusher. The end-to-end load numbers come from
+// `make bench-serve` driving the dineserve binary over dineload.
 
 // benchServer boots a servable table set on an ephemeral port and returns
 // its address plus a shutdown func. It takes testing.TB so the differential

@@ -81,12 +81,13 @@ func (s *session) notify(ev lockproto.Event) {
 	}
 }
 
-// jconn is one client connection's outbound half: a coalescing flush
+// jconn is one client connection's outbound half: a self-clocking flush
 // writer over the socket. Writes from the connection reader, the seats'
 // acks (diner processes, or a durable table's committer), and the watch
-// forwarder serialize on the writer's internal lock; a burst of events
-// (grant acks interleaved with the suspect stream) rides one socket Write
-// instead of one per event.
+// forwarder serialize on the writer's internal lock and never block on the
+// socket; an event on an idle connection is written at once, and whatever
+// arrives while that Write is in flight (grant acks interleaved with the
+// suspect stream) rides the next one instead of one Write per event.
 type jconn struct {
 	c  net.Conn
 	fw *lockproto.FlushWriter
@@ -111,7 +112,7 @@ func (j *jconn) send(ev lockproto.Event) bool {
 // socket.
 func (s *Service) handleConn(c net.Conn) {
 	// Batch bound 0: lockproto's 32 KiB default, the one value ever used.
-	jc := &jconn{c: c, fw: lockproto.NewFlushWriter(c, 0, s.cfg.FlushDelay)}
+	jc := &jconn{c: c, fw: lockproto.NewFlushWriter(c, 0, 0)}
 	// Each socket write lands in the registry as it happens, so the
 	// coalescing ratio is scrapeable mid-run instead of only accumulating
 	// at connection teardown.
@@ -125,8 +126,9 @@ func (s *Service) handleConn(c net.Conn) {
 		s.connMu.Lock()
 		delete(s.conns, c)
 		s.connMu.Unlock()
-		// Flush anything still coalescing (the close drains), then drop the
-		// socket.
+		// Write out anything still pending (the close drains) — this is how
+		// a connection's last event reaches a client Drain is ending — then
+		// drop the socket.
 		jc.fw.Close()
 		c.Close()
 		// Detach, don't abandon: the sessions stay in flight so the client

@@ -68,8 +68,8 @@ type Config struct {
 	// MaxInflight bounds accepted-but-unfinished sessions service-wide;
 	// beyond it new acquires are shed with "overloaded" (0: unlimited).
 	MaxInflight int64
-	// FlushDelay is each connection's write-coalescing window (zero: the
-	// lockproto default).
+	// FlushDelay is ignored (connections write at once; there is no flush
+	// window); kept for bench/ until a benchmark PR drops it.
 	FlushDelay time.Duration
 
 	// DataDir enables persistence: the WAL+snapshot directory (flat for
@@ -369,6 +369,10 @@ func (s *Service) ChaosCrash(diner int, at, restartAfter time.Duration) error {
 	return nil
 }
 
+// drainWriteGrace is how long Drain lets a connection's teardown spend
+// writing its pending events to a client that may have stopped reading.
+const drainWriteGrace = time.Second
+
 // Drain stops accepting work, waits (bounded) for in-flight sessions to
 // finish, then tears down connections, janitors, runtimes, and WALs. Each
 // table's end-of-run clock is recorded for Verdict.
@@ -385,9 +389,16 @@ func (s *Service) Drain(timeout time.Duration) {
 		s.logf("drain timeout with %d sessions in flight", left)
 	}
 	close(s.stop)
+	// End each handler, not its socket: the writer may still hold the
+	// connection's last event (an ack is queued before its session leaves
+	// inFlight), and the handler's teardown writes that out before closing.
+	// The write deadline keeps a client that stopped reading from wedging
+	// that teardown, and bg.Wait below with it.
+	now := time.Now()
 	s.connMu.Lock()
 	for c := range s.conns {
-		c.Close()
+		c.SetReadDeadline(now)
+		c.SetWriteDeadline(now.Add(drainWriteGrace))
 	}
 	s.conns = nil // accept hands out no more handlers
 	s.connMu.Unlock()

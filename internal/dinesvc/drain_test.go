@@ -3,6 +3,7 @@ package dinesvc
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -181,5 +182,72 @@ func TestStalledClientIsCutOff(t *testing.T) {
 	}
 	if tbl := svc.tableFor(0); tbl.m.expired.Value() != 1 {
 		t.Fatalf("expired=%d, want the stalled client's one session", tbl.m.expired.Value())
+	}
+}
+
+// TestDrainDeliversLastEvent is the regression test for Drain closing a
+// socket under its writer: a release's ack queues the `released` event and
+// then takes the session out of inFlight, so Drain's poll could read zero
+// and close the connection while the event was still pending — counted by
+// the server, never seen by the client. Every round releases at a different
+// phase of Drain's poll and then reads the socket to EOF; whatever the
+// server counted as released must have arrived.
+func TestDrainDeliversLastEvent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a full server per round; skipped in -short")
+	}
+	for round := 0; round < 160; round++ {
+		svc, err := New(Config{
+			N: 3, Topology: "ring",
+			Tick: 200 * time.Microsecond, HBTimeout: 2000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := svc.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := dialBench(t, ln.Addr().String())
+		id := fmt.Sprintf("last-%d", round)
+		if err := lockproto.WriteRequest(cl.c, &lockproto.Request{Op: lockproto.OpAcquire, Diner: 0, ID: id}); err != nil {
+			t.Fatal(err)
+		}
+		cl.await(t, lockproto.EvGranted, id)
+
+		drained := make(chan struct{})
+		go func() {
+			svc.Drain(5 * time.Second)
+			close(drained)
+		}()
+		// Spread the releases over Drain's 20 ms poll, so some acks land
+		// just ahead of the poll that ends the wait.
+		time.Sleep(time.Duration(round%40) * 500 * time.Microsecond)
+		if err := lockproto.WriteRequest(cl.c, &lockproto.Request{Op: lockproto.OpRelease, Diner: 0, ID: id}); err != nil {
+			t.Fatal(err)
+		}
+		<-drained
+
+		cl.c.SetReadDeadline(time.Now().Add(10 * time.Second)) // failure path only
+		seen := false
+		for {
+			var e lockproto.Event
+			if err := cl.er.Read(&e); err != nil {
+				if err != io.EOF {
+					t.Fatalf("round %d: reading to EOF: %v", round, err)
+				}
+				break
+			}
+			if e.Ev == lockproto.EvReleased && e.ID == id {
+				seen = true
+			}
+		}
+		cl.c.Close()
+		if released := svc.tableFor(0).m.released.Value(); released != 1 {
+			t.Fatalf("round %d: released=%d, want the one session", round, released)
+		}
+		if !seen {
+			t.Fatalf("round %d: server counted the release but the client never got `released`", round)
+		}
 	}
 }

@@ -207,7 +207,8 @@ func (st *seat) advance() {
 			// durability rule as the grant: the release record must not be
 			// lost once the client has seen the ack, or recovery would
 			// resurrect a finished session. The session leaves inFlight inside
-			// the ack, so Drain cannot close its connection ahead of the event.
+			// the ack, after the event is queued, so Drain cannot end its
+			// connection ahead of the event.
 			t.dur.after(func() { st.ackRelease(ses) })
 			st.cur = nil
 

@@ -123,7 +123,7 @@ type coordinator struct {
 	g      *graph.Graph
 	name   string
 	self   rt.ProcID
-	hungry []request            // FIFO arrival order
+	hungry []request           // FIFO arrival order
 	eating map[rt.ProcID]int64 // eater -> session number of the booking
 }
 

@@ -114,17 +114,17 @@ type module struct {
 	k      rt.Runtime
 	self   rt.ProcID
 	ring   []rt.ProcID // all diners in id order
-	idx    int          // our position in ring
+	idx    int         // our position in ring
 	view   detector.View
 	cfg    Config
 	prefix string
 
 	hasToken  bool
-	cur       epoch    // epoch of the held token
-	maxSeen   epoch    // highest epoch ever seen
+	cur       epoch   // epoch of the held token
+	maxSeen   epoch   // highest epoch ever seen
 	lastSeen  rt.Time // when the token last visited us
 	timeout   rt.Time // adaptive regeneration timeout
-	eatingNow bool     // we eat with the token and forward on exit
+	eatingNow bool    // we eat with the token and forward on exit
 }
 
 func newModule(k rt.Runtime, name string, p rt.ProcID, ring []rt.ProcID, idx int, oracle detector.Oracle, cfg Config) *module {

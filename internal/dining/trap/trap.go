@@ -116,7 +116,7 @@ func (s *stub) Exit() {
 
 type grantInfo struct {
 	at  rt.Time // grant time (mistake-era grants keep the escape open)
-	seq int64    // session number of the booking
+	seq int64   // session number of the booking
 }
 
 type coordinator struct {

@@ -34,7 +34,7 @@ import (
 // Config tunes the layer.
 type Config struct {
 	Retry rt.Time // request/announcement retransmission period (default 25)
-	K     int      // overtaking bound (default 2, the paper's bound)
+	K     int     // overtaking bound (default 2, the paper's bound)
 }
 
 // Table is an eventually k-fair WF-◇WX dining instance.

@@ -7,28 +7,28 @@ import (
 	"time"
 )
 
-// FlushWriter coalesces a connection's outbound events into batched writes.
+// FlushWriter coalesces a connection's outbound events into batched writes
+// without ever holding one back: it is self-clocking, the discipline the WAL
+// flusher and the durable committer already follow.
 //
-// The unbatched path pays one Write syscall per event; under load a single
-// connection can receive bursts of events (grant + release acks interleaved
-// with the suspect stream), and per-event writes make the kernel boundary
-// the bottleneck. FlushWriter instead appends encoded events to a pending
-// buffer and lets a per-connection flusher goroutine drain it: the first
-// event of a burst opens a short coalescing window (MaxDelay), everything
-// arriving inside the window rides the same Write, and a full buffer
-// (MaxBatch) flushes immediately without waiting the window out. An idle
-// connection costs nothing — the flusher blocks until the next event.
+// Send appends the encoded event to a pending buffer and, when that made the
+// buffer non-empty, wakes the per-connection flusher goroutine; the flusher
+// takes everything pending and writes it at once. An event on an idle
+// connection is therefore on the wire one goroutine wake-up after Send, and
+// coalescing happens only behind an in-flight Write: whatever arrives while
+// the socket is busy (grant and release acks interleaved with the suspect
+// stream) forms the next batch and rides one Write. There is no timer and no
+// window, so a grant never waits on a clock. An idle connection costs
+// nothing — the flusher blocks until the next event.
 //
-// Three bounds shape the batching, all enforced by tests:
-//   - MaxBatch: once the pending buffer reaches this many bytes the flusher
-//     is woken immediately instead of waiting the window out.
-//   - MaxDelay: no event sits in the buffer longer than (roughly) this —
-//     the flush deadline. TestFlushWriterDeadline pins it.
-//   - backlogBatches: Send appends while the flusher is inside Write, so a
-//     peer that stops reading would grow the buffer forever. Past
-//     backlogBatches full batches the writer fails with ErrBacklog and Send
-//     returns false; the owner closes the connection, which also unblocks
-//     the stalled Write.
+// Send never writes inline: its callers are diner processes and the durable
+// committer, which must not block on a client's socket.
+//
+// One bound, backlogBatches: Send appends while the flusher is inside Write,
+// so a peer that stops reading would grow the buffer forever. Past
+// backlogBatches batches of maxBatch bytes the writer fails with ErrBacklog
+// and Send returns false; the owner closes the connection, which also
+// unblocks the stalled Write.
 //
 // Send order is write order: events from the connection reader, the diner
 // processes (or a durable table's committer), and the watch forwarder
@@ -36,13 +36,12 @@ import (
 type FlushWriter struct {
 	w        io.Writer
 	maxBatch int
-	maxDelay time.Duration
 
 	mu     sync.Mutex
 	buf    []byte
 	err    error
 	closed bool
-	kick   chan struct{} // wakes the flusher: buffer went non-empty or full
+	kick   chan struct{} // wakes the flusher: buffer went non-empty, or Close
 	done   chan struct{} // flusher exited
 
 	pendingEvents int64
@@ -52,7 +51,7 @@ type FlushWriter struct {
 	onFlush func(events, bytes int64)
 }
 
-// backlogBatches bounds the pending buffer at this many MaxBatch-sized
+// backlogBatches bounds the pending buffer at this many maxBatch-sized
 // batches (8 MiB at the default batch): two orders of magnitude beyond what
 // a reading peer ever leaves queued, small enough that stalled connections
 // cannot exhaust the server.
@@ -61,20 +60,16 @@ const backlogBatches = 256
 // ErrBacklog is the sticky error of a writer whose peer stopped reading.
 var ErrBacklog = errors.New("lockproto: flush backlog exceeded, peer is not reading")
 
-// NewFlushWriter starts a coalescing writer over w. maxBatch is the byte
-// threshold that triggers an immediate flush (<=0: 32KiB); maxDelay is the
-// longest an event may sit buffered before it is written (<=0: 500µs).
-func NewFlushWriter(w io.Writer, maxBatch int, maxDelay time.Duration) *FlushWriter {
+// NewFlushWriter starts a self-clocking writer over w. maxBatch is the unit
+// of the backlog bound (<=0: 32KiB). The third argument, once the coalescing
+// window, is ignored; kept for bench/ until a benchmark PR drops it.
+func NewFlushWriter(w io.Writer, maxBatch int, _ time.Duration) *FlushWriter {
 	if maxBatch <= 0 {
 		maxBatch = 32 << 10
-	}
-	if maxDelay <= 0 {
-		maxDelay = 500 * time.Microsecond
 	}
 	f := &FlushWriter{
 		w:        w,
 		maxBatch: maxBatch,
-		maxDelay: maxDelay,
 		kick:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
@@ -94,88 +89,57 @@ func (f *FlushWriter) Send(ev *Event) bool {
 		f.mu.Unlock()
 		return false
 	}
+	wake := len(f.buf) == 0
 	f.buf = AppendEvent(f.buf, ev)
 	f.buf = append(f.buf, '\n')
 	f.pendingEvents++
-	wake := len(f.buf) >= f.maxBatch || f.pendingEvents == 1
 	f.mu.Unlock()
 	if wake {
-		select {
-		case f.kick <- struct{}{}:
-		default:
-		}
+		f.wake()
 	}
 	return true
 }
 
-// run is the per-connection flusher: wait for the buffer to go non-empty,
-// give the rest of a burst MaxDelay to pile in (cut short by a full
-// buffer), then write everything in one call.
+// wake nudges the flusher; a token already waiting serves as well.
+func (f *FlushWriter) wake() {
+	select {
+	case f.kick <- struct{}{}:
+	default:
+	}
+}
+
+// run is the per-connection flusher: take everything pending and write it
+// in one call; block only while there is nothing to write.
 func (f *FlushWriter) run() {
 	defer close(f.done)
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	var scratch []byte
 	for {
 		f.mu.Lock()
-		for len(f.buf) == 0 && !f.closed && f.err == nil {
-			f.mu.Unlock()
-			<-f.kick
-			f.mu.Lock()
-			if f.closed && len(f.buf) == 0 {
-				f.mu.Unlock()
-				return
-			}
-		}
 		if f.err != nil || (f.closed && len(f.buf) == 0) {
 			f.mu.Unlock()
 			return
 		}
-		closed := f.closed
-		full := len(f.buf) >= f.maxBatch
-		f.mu.Unlock()
-
-		// Coalescing window: only while the connection is live and the
-		// buffer still has room — a closing or full writer drains now.
-		if !closed && !full {
-			timer.Reset(f.maxDelay)
-			select {
-			case <-timer.C:
-			case <-f.kick: // buffer hit MaxBatch (or Close): flush early
-				if !timer.Stop() {
-					<-timer.C
-				}
-			}
-		}
-
-		f.mu.Lock()
-		batch := f.buf
-		events := f.pendingEvents
-		f.buf = scratch[:0]
-		f.pendingEvents = 0
-		f.mu.Unlock()
-		if len(batch) == 0 {
+		if len(f.buf) == 0 {
+			f.mu.Unlock()
+			<-f.kick
 			continue
 		}
+		batch, events, hook := f.buf, f.pendingEvents, f.onFlush
+		f.buf, f.pendingEvents = scratch[:0], 0
+		f.mu.Unlock()
 
 		_, err := f.w.Write(batch)
-		if err == nil {
-			if hook := f.hook(); hook != nil {
-				hook(events, int64(len(batch)))
-			}
-		}
 		scratch = batch[:0]
-
-		f.mu.Lock()
-		if err != nil && f.err == nil {
-			f.err = err
-		}
-		stop := f.err != nil || (f.closed && len(f.buf) == 0)
-		f.mu.Unlock()
-		if stop {
+		if err != nil {
+			f.mu.Lock()
+			if f.err == nil {
+				f.err = err
+			}
+			f.mu.Unlock()
 			return
+		}
+		if hook != nil {
+			hook(events, int64(len(batch)))
 		}
 	}
 }
@@ -184,14 +148,9 @@ func (f *FlushWriter) run() {
 // more than once; returns the writer's sticky error, if any.
 func (f *FlushWriter) Close() error {
 	f.mu.Lock()
-	if !f.closed {
-		f.closed = true
-	}
+	f.closed = true
 	f.mu.Unlock()
-	select {
-	case f.kick <- struct{}{}:
-	default:
-	}
+	f.wake()
 	<-f.done
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -206,11 +165,4 @@ func (f *FlushWriter) OnFlush(fn func(events, bytes int64)) {
 	f.mu.Lock()
 	f.onFlush = fn
 	f.mu.Unlock()
-}
-
-// hook reads the observer under the lock.
-func (f *FlushWriter) hook() func(events, bytes int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.onFlush
 }

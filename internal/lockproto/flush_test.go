@@ -4,25 +4,44 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// chunkRecorder records every Write call (the batch boundaries), with an
-// optional per-write gate for deadline tests.
+// testTimeout is the failure path of every wait below: no assertion
+// depends on how long anything took.
+const testTimeout = 10 * time.Second
+
+// chunkRecorder records every Write call (the batch boundaries). With a
+// gate, each Write first announces itself on entered and then blocks until
+// the test sends on gate (or closes it) — how a test holds the flusher
+// inside Write.
 type chunkRecorder struct {
-	mu     sync.Mutex
-	chunks [][]byte
-	wrote  chan struct{} // signaled (non-blocking) after every Write
+	mu      sync.Mutex
+	chunks  [][]byte
+	wrote   chan struct{} // signaled (non-blocking) after every Write
+	entered chan struct{} // gated only: one token per Write that began
+	gate    chan struct{} // gated only: one token lets one Write through; closed lets all
 }
 
 func newChunkRecorder() *chunkRecorder {
+	// 64 exceeds the Writes any test here makes, so a signal is never lost.
 	return &chunkRecorder{wrote: make(chan struct{}, 64)}
 }
 
+func newGatedRecorder() *chunkRecorder {
+	c := newChunkRecorder()
+	c.entered = make(chan struct{}, cap(c.wrote))
+	c.gate = make(chan struct{})
+	return c
+}
+
 func (c *chunkRecorder) Write(p []byte) (int, error) {
+	if c.gate != nil {
+		c.entered <- struct{}{}
+		<-c.gate
+	}
 	c.mu.Lock()
 	c.chunks = append(c.chunks, append([]byte(nil), p...))
 	c.mu.Unlock()
@@ -39,55 +58,113 @@ func (c *chunkRecorder) joined() []byte {
 	return bytes.Join(c.chunks, nil)
 }
 
+func (c *chunkRecorder) chunk(i int) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.chunks[i]
+}
+
 func (c *chunkRecorder) writeCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.chunks)
 }
 
-// TestFlushWriterDeadline is the flush-deadline bound: a single event on an
-// otherwise idle connection must hit the wire within (roughly) MaxDelay,
-// with no further Sends and no Close needed to push it out.
-func TestFlushWriterDeadline(t *testing.T) {
-	rec := newChunkRecorder()
-	const delay = 5 * time.Millisecond
-	fw := NewFlushWriter(rec, 1<<20, delay)
-	defer fw.Close()
-
-	start := time.Now()
-	if !fw.Send(&Event{Ev: EvGranted, Diner: 1, ID: "solo"}) {
-		t.Fatal("send refused")
-	}
+// await receives from ch, failing the test if nothing arrives.
+func await(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
 	select {
-	case <-rec.wrote:
-	case <-time.After(100 * delay):
-		t.Fatalf("event still unwritten %v after Send; deadline was %v", time.Since(start), delay)
-	}
-	if got := rec.joined(); !bytes.Contains(got, []byte(`"solo"`)) {
-		t.Fatalf("flushed bytes %q missing the event", got)
+	case <-ch:
+	case <-time.After(testTimeout):
+		t.Fatalf("timed out waiting for %s", what)
 	}
 }
 
-// TestFlushWriterCoalesces: a burst sent inside one coalescing window must
-// reach the socket in far fewer Write calls than events, in order, intact.
-func TestFlushWriterCoalesces(t *testing.T) {
-	rec := newChunkRecorder()
-	fw := NewFlushWriter(rec, 1<<20, 20*time.Millisecond)
-	const n = 200
+// flushObs is one OnFlush observation.
+type flushObs struct{ events, bytes int64 }
+
+// burstBehindWrite holds the first Write (one event) on the gate, sends n
+// more events behind it, opens the gate and closes the writer. It returns
+// the recorder and what OnFlush observed.
+func burstBehindWrite(t *testing.T, n int) (*chunkRecorder, []flushObs) {
+	t.Helper()
+	rec := newGatedRecorder()
+	fw := NewFlushWriter(rec, 1<<20, 0)
+	var obs []flushObs // written by the flusher only; read after Close
+	fw.OnFlush(func(events, bytes int64) { obs = append(obs, flushObs{events, bytes}) })
+
+	if !fw.Send(&Event{Ev: EvGranted, Diner: 1, ID: "first"}) {
+		t.Fatal("send refused")
+	}
+	await(t, rec.entered, "the first Write to begin")
 	for i := 0; i < n; i++ {
 		if !fw.Send(&Event{Ev: EvReleased, Diner: i % 5, ID: fmt.Sprintf("s%d", i)}) {
 			t.Fatal("send refused")
 		}
 	}
+	rec.gate <- struct{}{} // the first Write returns
+	await(t, rec.entered, "the second Write to begin")
+	close(rec.gate) // the second returns, and any Write there should not be
+	await(t, rec.wrote, "the first Write to land")
+	await(t, rec.wrote, "the second Write to land")
 	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if w := rec.writeCount(); w >= n/4 {
-		t.Fatalf("no coalescing: %d events took %d writes", n, w)
+	return rec, obs
+}
+
+// TestFlushWriterIdleWritesAtOnce: a single event on an otherwise idle
+// connection reaches Write with no further Send and no Close to push it
+// out — nothing but the flusher's own wake-up stands between Send and the
+// wire.
+func TestFlushWriterIdleWritesAtOnce(t *testing.T) {
+	rec := newChunkRecorder()
+	fw := NewFlushWriter(rec, 1<<20, 0)
+	defer fw.Close()
+
+	if !fw.Send(&Event{Ev: EvGranted, Diner: 1, ID: "solo"}) {
+		t.Fatal("send refused")
 	}
+	await(t, rec.wrote, "the idle writer's Write")
+	if got := rec.joined(); !bytes.Contains(got, []byte(`"solo"`)) {
+		t.Fatalf("flushed bytes %q missing the event", got)
+	}
+}
+
+// TestFlushWriterCoalescesBehindWrite is what pins batching under load:
+// everything sent while a Write is in flight forms the next batch — exactly
+// one more Write, carrying all of it — and OnFlush reports both.
+func TestFlushWriterCoalescesBehindWrite(t *testing.T) {
+	const n = 50
+	rec, obs := burstBehindWrite(t, n)
+	if w := rec.writeCount(); w != 2 {
+		t.Fatalf("%d events behind one in-flight Write took %d writes, want 2", n, w)
+	}
+	if first := rec.chunk(0); !bytes.Contains(first, []byte(`"first"`)) || bytes.Count(first, []byte("\n")) != 1 {
+		t.Fatalf("first write %q, want the one idle event", first)
+	}
+	second := rec.chunk(1)
+	if got := bytes.Count(second, []byte("\n")); got != n {
+		t.Fatalf("second write carries %d events, want %d", got, n)
+	}
+	if len(obs) != 2 || obs[0].events != 1 || obs[1].events != n ||
+		obs[0].bytes != int64(len(rec.chunk(0))) || obs[1].bytes != int64(len(second)) {
+		t.Fatalf("OnFlush observed %+v, want (1, %d) then (%d, %d)", obs, len(rec.chunk(0)), n, len(second))
+	}
+}
+
+// TestFlushWriterCoalesces: a burst sent behind an in-flight Write reaches
+// the socket in order and intact, with nothing trailing.
+func TestFlushWriterCoalesces(t *testing.T) {
+	const n = 200
+	rec, _ := burstBehindWrite(t, n)
 	er := NewEventReader(bytes.NewReader(rec.joined()))
+	var ev Event
+	if err := er.Read(&ev); err != nil || ev.ID != "first" {
+		t.Fatalf("leading event: %q, %v", ev.ID, err)
+	}
 	for i := 0; i < n; i++ {
-		var ev Event
+		ev = Event{}
 		if err := er.Read(&ev); err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
@@ -97,25 +174,7 @@ func TestFlushWriterCoalesces(t *testing.T) {
 	}
 	var extra Event
 	if err := er.Read(&extra); err != io.EOF {
-		t.Fatalf("trailing data after %d events: %v", n, err)
-	}
-}
-
-// TestFlushWriterMaxBatch: a burst larger than MaxBatch flushes on the size
-// bound without waiting out a long delay window.
-func TestFlushWriterMaxBatch(t *testing.T) {
-	rec := newChunkRecorder()
-	fw := NewFlushWriter(rec, 256, time.Hour) // the timer must never be the trigger
-	defer fw.Close()
-	big := strings.Repeat("x", 100)
-	start := time.Now()
-	for i := 0; i < 8; i++ {
-		fw.Send(&Event{Ev: EvGranted, ID: big})
-	}
-	select {
-	case <-rec.wrote:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("full buffer never flushed (waited %v)", time.Since(start))
+		t.Fatalf("trailing data after %d events: %v", n+1, err)
 	}
 }
 
@@ -133,7 +192,7 @@ func (w *errWriter) Write(p []byte) (int, error) {
 // TestFlushWriterErrorStops: after a write error, Send reports failure —
 // the signal the watch forwarder uses to drop its subscription.
 func TestFlushWriterErrorStops(t *testing.T) {
-	fw := NewFlushWriter(&errWriter{}, 1<<20, time.Millisecond)
+	fw := NewFlushWriter(&errWriter{}, 1<<20, 0)
 	fw.Send(&Event{Ev: EvGranted, ID: "a"})
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -152,7 +211,7 @@ func TestFlushWriterErrorStops(t *testing.T) {
 // and Send after Close is refused.
 func TestFlushWriterCloseDrains(t *testing.T) {
 	rec := newChunkRecorder()
-	fw := NewFlushWriter(rec, 1<<20, time.Hour) // only Close can flush this
+	fw := NewFlushWriter(rec, 1<<20, 0)
 	for i := 0; i < 10; i++ {
 		fw.Send(&Event{Ev: EvReleased, ID: fmt.Sprintf("c%d", i)})
 	}
@@ -190,7 +249,7 @@ func (w *stalledWriter) Write(p []byte) (int, error) {
 func TestFlushWriterBacklogBound(t *testing.T) {
 	w := &stalledWriter{entered: make(chan struct{}), closed: make(chan struct{})}
 	const batch = 256
-	fw := NewFlushWriter(w, batch, time.Millisecond)
+	fw := NewFlushWriter(w, batch, 0)
 	ev := Event{Ev: EvSuspect, Diner: 1, Peer: 2, T: 7}
 	if !fw.Send(&ev) {
 		t.Fatal("first send refused")
@@ -220,7 +279,7 @@ func TestFlushWriterBacklogBound(t *testing.T) {
 
 func BenchmarkFlushWriterSend(b *testing.B) {
 	b.ReportAllocs()
-	fw := NewFlushWriter(io.Discard, 32<<10, 500*time.Microsecond)
+	fw := NewFlushWriter(io.Discard, 32<<10, 0)
 	defer fw.Close()
 	ev := Event{Ev: EvGranted, Diner: 3, ID: "a1b2c3-c12-345", T: 123456}
 	b.RunParallel(func(pb *testing.PB) {

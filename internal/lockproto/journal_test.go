@@ -171,7 +171,7 @@ func TestRecoveryLeaseClock(t *testing.T) {
 		t.Fatal("recovered granted session granted again")
 	}
 	s.Attach(holder, rec.Watermark+2)
-	if got := s.Expire(rec.Watermark + 5 * lease); len(got) != 2 {
+	if got := s.Expire(rec.Watermark + 5*lease); len(got) != 2 {
 		t.Fatalf("expired %v, want only the two unreconnected sessions", got)
 	}
 	// Tombstones survive recovery: the completed session can never revive.

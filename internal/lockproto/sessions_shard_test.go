@@ -19,9 +19,9 @@ func TestSessionsShardedRace(t *testing.T) {
 	s.SetJournal(func(Rec) { journaled.Add(1) })
 
 	const (
-		workers  = 8
-		perG     = 200
-		diners   = 64 // several per shard
+		workers = 8
+		perG    = 200
+		diners  = 64 // several per shard
 	)
 	grants := make([]atomic.Int64, workers*perG)
 	var clock atomic.Int64

@@ -192,7 +192,7 @@ func FuzzWireCodecEquivalence(f *testing.F) {
 	f.Add([]byte(`{"op":"acquire","diner":3,"id":"s-1"}`), "acquire", 3, "id-1", "granted", int64(88), "msg")
 	f.Add([]byte(`{"ev":"suspect","of":1,"peer":2,"suspect":true}`), "", 0, "", "", int64(0), "")
 	f.Add([]byte(`{"OP":"x","bogus":[{"a":1}],"diner":2e3}`), "a\x00b", -1, "\xff", "<&>", int64(-5), "\u2028")
-	f.Add([]byte(" {\"op\"\n:\t\"a\" , \"id\" : null } "), "", 1 << 30, "dup", "e", int64(1)<<62, "")
+	f.Add([]byte(" {\"op\"\n:\t\"a\" , \"id\" : null } "), "", 1<<30, "dup", "e", int64(1)<<62, "")
 	f.Fuzz(func(t *testing.T, raw []byte, op string, diner int, id string, evs string, tt int64, msg string) {
 		req := Request{Op: op, Diner: diner, ID: id}
 		want, err := json.Marshal(req)

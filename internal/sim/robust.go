@@ -149,11 +149,11 @@ func (k *Kernel) Tail() []Record {
 // protocol panic (with stack), a watchdog budget breach, or both fields nil
 // never occurs — RunProtected returns nil instead.
 type RunFailure struct {
-	Panic    any              // recovered panic value, if the run panicked
-	Stack    string           // goroutine stack at the panic
-	Watchdog *BudgetExceeded  // watchdog diagnostic, if the budget broke
-	At       Time             // virtual time of the failure
-	Tail     []Record         // recent trace records, oldest first
+	Panic    any             // recovered panic value, if the run panicked
+	Stack    string          // goroutine stack at the panic
+	Watchdog *BudgetExceeded // watchdog diagnostic, if the budget broke
+	At       Time            // virtual time of the failure
+	Tail     []Record        // recent trace records, oldest first
 }
 
 // Error implements error.
