@@ -1,13 +1,13 @@
 # Standard verification pipeline. `make check` is the everything gate:
-# gofmt, vet, build, race-enabled tests, and short passes over every fuzz
-# target.
+# gofmt, vet, build, race-enabled tests, short passes over every fuzz
+# target, and the benchmark module's vet + smoke.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check fmt vet build test race fuzz bench bench-serve bench-e2e chaos chaos-live serve-smoke serve-crash
+.PHONY: check fmt vet build test race fuzz bench-smoke bench bench-serve bench-e2e chaos e2e
 
-check: fmt vet build race fuzz
+check: fmt vet build race fuzz bench-smoke
 
 # Fails when any file needs gofmt. The walk ignores module boundaries, so
 # bench/ is checked too.
@@ -38,6 +38,14 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzWireCodecEquivalence -fuzztime=$(FUZZTIME) ./internal/lockproto
 	$(GO) test -run=^$$ -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/wal
 
+# The repository benchmark (bench/) is a module of its own, outside
+# `go build ./...` and `go test ./...`: vet it and run its ~7 s smoke (every
+# workload once, every BENCHMARK.json metric produced), so a change to
+# internal/* that breaks it fails here rather than at the next measurement.
+bench-smoke:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench
+
 # Performance trajectory: run the substrate micro-benchmarks and the E*
 # experiment benches, and convert each set to a JSON artifact via
 # cmd/bench2json. The previously committed artifact is embedded as the
@@ -54,14 +62,15 @@ bench:
 	$(GO) test -run '^$$' -bench '$(EXPERIMENT_BENCH)' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/bench2json -baseline BENCH_experiments.json -o BENCH_experiments.json
 
-# Service-path trajectory: codec/flush/registry micro-benchmarks (with their
-# encoding/json baselines), the in-process loopback service benchmarks, and
-# a real dineload run against dineserve, all folded into BENCH_serve.json.
-# CLIENTS/DURATION are overridable.
+# Service-path trajectory, shaped like `bench`: lockproto's codec, flush
+# writer and registry micro-benchmarks (with their encoding/json baselines)
+# and dinesvc's in-process loopback service benchmarks, in BENCH_serve.json.
+# End-to-end figures are bench-e2e's.
+SERVE_BENCH := BenchmarkWire|BenchmarkFlushWriter|BenchmarkSessions|BenchmarkServeGrant|BenchmarkServeChurn
+
 bench-serve:
-	$(GO) build -o bin/dineserve ./cmd/dineserve
-	$(GO) build -o bin/dineload ./cmd/dineload
-	bash scripts/bench_serve.sh
+	$(GO) test -run '^$$' -bench '$(SERVE_BENCH)' -benchmem ./internal/lockproto ./internal/dinesvc \
+		| $(GO) run ./cmd/bench2json -baseline BENCH_serve.json -o BENCH_serve.json
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): its four
 # closed-loop workloads on short windows, end-to-end metrics only. bench/ is
@@ -77,34 +86,10 @@ bench-e2e:
 chaos:
 	$(GO) run ./cmd/chaos
 
-# The live chaos campaign: seeded fault schedules (drops, one partition
-# window, one crash/restart) against real tables — once in-process over the
-# fault-injecting bus, once as dineserve behind the chaos TCP proxy under a
-# self-healing dineload — with clean checker verdicts required of both.
-chaos-live:
-	$(GO) build -o bin/chaos ./cmd/chaos
-	$(GO) build -o bin/chaosproxy ./cmd/chaosproxy
-	$(GO) build -o bin/dineserve ./cmd/dineserve
-	$(GO) build -o bin/dineload ./cmd/dineload
-	bash scripts/chaos_live.sh
-
-# End-to-end smoke of the live service: boot dineserve on an ephemeral
-# loopback port, run a 64-client dineload burst, SIGINT the server, and
-# require a clean drain plus a clean ◇WX-exclusion verdict over the whole
-# run's trace. CLIENTS/DURATION are overridable.
-serve-smoke:
-	$(GO) build -o bin/dineserve ./cmd/dineserve
-	$(GO) build -o bin/dineload ./cmd/dineload
-	bash scripts/serve_smoke.sh
-
-# Crash-recovery acceptance: the in-process whole-table blackout campaign,
-# then dineserve with a WAL kill -9'd mid-load and restarted from its data
-# directory (clients must see zero errors and zero double grants, the
-# ledger must verify), then a torn-WAL-tail boot. CLIENTS/DURATION are
-# overridable.
-serve-crash:
-	$(GO) build -o bin/chaos ./cmd/chaos
-	$(GO) build -o bin/dineserve ./cmd/dineserve
-	$(GO) build -o bin/dineload ./cmd/dineload
-	$(GO) build -o bin/walinspect ./cmd/walinspect
-	bash scripts/serve_crash.sh
+# End to end against the real binaries (internal/e2e): dineserve under
+# dineload, flat and sharded, behind the chaos proxy with a diner
+# crash/restart, kill -9'd with sessions held and restarted from its WAL, and
+# booted from a torn WAL tail — exit statuses and /statusz series asserted,
+# every ledger audited by walinspect. METRICS_OUT keeps the final snapshot.
+e2e:
+	$(GO) test -count=1 ./internal/e2e

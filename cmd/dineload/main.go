@@ -5,8 +5,10 @@
 // sent → grant received), and optionally counts events on the ◇P suspect
 // stream over a separate watch connection.
 //
-// Exit status is non-zero if any client saw a protocol error or if no
-// session completed at all, so scripted smoke tests can assert on it.
+// Exit status is non-zero if any client saw a protocol error or a double
+// grant (each double grant also counts as an error), or if no session
+// completed at all, so the end-to-end harness (internal/e2e) asserts on it
+// instead of reading the report.
 package main
 
 import (
@@ -35,7 +37,6 @@ func main() {
 		hold     = flag.Duration("hold", 2*time.Millisecond, "how long each session holds the lock")
 		opTO     = flag.Duration("op-timeout", 15*time.Second, "per-reply read deadline")
 		watch    = flag.Bool("watch", true, "also stream ◇P suspect events on a side connection")
-		bench    = flag.Bool("bench", false, "also emit results as one go-test benchmark line (for bench2json)")
 		scrape   = flag.String("scrape", "", "dineserve -metrics base URL (e.g. http://127.0.0.1:9117): scrape /statusz mid-run and report the server-side grant latency next to the client-side numbers")
 	)
 	flag.Parse()
@@ -169,14 +170,7 @@ func main() {
 	if *watch {
 		fmt.Printf("dineload: suspect-stream events: %d\n", suspectEvents.Load())
 	}
-	if *bench && sessions > 0 {
-		// One go-test-format benchmark line so cmd/bench2json can fold the
-		// end-to-end load run into the same document as the micro-benchmarks.
-		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-		fmt.Printf("BenchmarkServeLoad %d %.1f sessions/s %.3f ms-p50 %.3f ms-p95 %.3f ms-p99 %.3f ms-max\n",
-			sessions, rate, ms(lat.PctDuration(50)), ms(lat.PctDuration(95)), ms(lat.PctDuration(99)), ms(lat.MaxDuration()))
-	}
-	if errs > 0 || sessions == 0 {
+	if errs > 0 || sessions == 0 { // a double grant is counted as an error too
 		os.Exit(1)
 	}
 }

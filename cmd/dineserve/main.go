@@ -12,8 +12,9 @@
 // metrics), signal handling, and exit-status policy. On SIGINT the service
 // drains: new acquires are refused, granted sessions run to completion
 // (bounded by -drain), and every table's trace is then validated by the ◇WX
-// checker. The exit status reports the verdict, which is what
-// `make serve-smoke` asserts.
+// checker. The exit status reports the verdict — the AND of the per-table
+// verdicts — which is what every scenario of `make e2e` (internal/e2e)
+// asserts.
 package main
 
 import (

@@ -37,7 +37,7 @@ type LiveCrash struct {
 // LiveBlackout is a whole-system crash: every process goes down together At
 // after the run starts and the full table restarts RestartAfter later — the
 // in-process analogue of kill -9 on a server hosting all diners, which is
-// how the serve-crash harness exercises recovery end to end.
+// what internal/e2e's crash scenarios do to a real dineserve.
 type LiveBlackout struct {
 	At           time.Duration `json:"at"`
 	RestartAfter time.Duration `json:"restart_after"`

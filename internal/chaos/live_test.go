@@ -91,10 +91,11 @@ func TestRunLiveChaos(t *testing.T) {
 	}
 }
 
-// TestRunLiveBlackout is the in-process shape of the serve-crash harness:
-// every process dies at once mid-run, the whole table restarts after the
-// gap, and the run must still converge — all diners eating again, exclusion
-// clean in the second half, and one recover record per process.
+// TestRunLiveBlackout is the in-process shape of internal/e2e's crash
+// scenarios, and the acceptance run of the blackout itself: every process
+// dies at once mid-run, the whole table restarts after the gap, and the run
+// must still converge — all diners eating again, exclusion clean in the
+// second half, and one recover record per process.
 func TestRunLiveBlackout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live blackout run occupies seconds of wall clock")

@@ -39,6 +39,10 @@ type ExclusionReport struct {
 // both exclusion criteria only constrain live neighbors, but a recovered
 // process is live again, so its post-recovery sessions count in full.
 // horizon is the run end (for still-open sessions).
+//
+// One diner's sessions are in start order (trace.Log.Sessions), so per edge
+// the sessions of b that can overlap a session of a form a window that only
+// moves forward: the check is linear in the sessions, not in their product.
 func Exclusion(l *trace.Log, g *graph.Graph, inst string, horizon sim.Time) ExclusionReport {
 	eat := l.Sessions("eating")
 	dead := l.DeadIntervals()
@@ -50,15 +54,20 @@ func Exclusion(l *trace.Log, g *graph.Graph, inst string, horizon sim.Time) Excl
 		bs := eat[trace.SessionKey{Inst: inst, P: b}]
 		downtime := append(append([]trace.Interval(nil), dead[a]...), dead[b]...)
 		for _, ia := range as {
+			// What ended before ia began ended before every later session of a.
+			for len(bs) > 0 && endOr(bs[0].End, horizon) <= ia.Start {
+				bs = bs[1:]
+			}
+			aEnd := endOr(ia.End, horizon)
 			for _, ib := range bs {
+				if ib.Start >= aEnd {
+					break // so does every later session of b
+				}
 				if !ia.Overlaps(ib, horizon) {
 					continue
 				}
 				lo := max(ia.Start, ib.Start)
-				hi := endOr(ia.End, horizon)
-				if e2 := endOr(ib.End, horizon); e2 < hi {
-					hi = e2
-				}
+				hi := min(aEnd, endOr(ib.End, horizon))
 				for _, seg := range subtractDead(lo, hi, downtime) {
 					rep.Violations = append(rep.Violations, Violation{Inst: inst, A: a, B: b, T: seg.Start})
 					if seg.End > rep.LastViolation {

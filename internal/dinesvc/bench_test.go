@@ -18,8 +18,9 @@ import (
 // layer's own share is tens of microseconds (its steps run on the event
 // that enables them) and nothing waits on a timer; the rest of the round
 // trip is loopback crossings and the wake-ups between socket reader, diner
-// process and flusher. The end-to-end load numbers come from
-// `make bench-serve` driving the dineserve binary over dineload.
+// process and flusher. `make bench-serve` records these in
+// BENCH_serve.json; the end-to-end numbers are the repository benchmark's
+// (bench/, `make bench-e2e`).
 
 // benchServer boots a servable table set on an ephemeral port and returns
 // its address plus a shutdown func. It takes testing.TB so the differential

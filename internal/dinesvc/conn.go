@@ -116,11 +116,7 @@ func (s *Service) handleConn(c net.Conn) {
 	// Each socket write lands in the registry as it happens, so the
 	// coalescing ratio is scrapeable mid-run instead of only accumulating
 	// at connection teardown.
-	jc.fw.OnFlush(func(events, bytes int64) {
-		s.m.wireWrites.Inc()
-		s.m.wireEvents.Add(events)
-		s.m.wireBytes.Add(bytes)
-	})
+	jc.fw.Writes, jc.fw.Events, jc.fw.Bytes = s.m.wireWrites, s.m.wireEvents, s.m.wireBytes
 	attached := make(map[lockproto.Key]*session)
 	defer func() {
 		s.connMu.Lock()
@@ -151,6 +147,7 @@ func (s *Service) handleConn(c net.Conn) {
 	// &req escape, so a per-iteration variable is a heap allocation per
 	// request. Nothing keeps req past its iteration; Read wants it zeroed.
 	var req lockproto.Request
+	watching := false
 	for {
 		req = lockproto.Request{}
 		if err := rr.Read(&req); err != nil {
@@ -246,6 +243,14 @@ func (s *Service) handleConn(c net.Conn) {
 			}
 
 		case lockproto.OpWatch:
+			// One watch per connection: a repeat would add a subscription
+			// and a forwarder per table until the socket closes, and send
+			// every change once more.
+			if watching {
+				fail(req, "already watching")
+				continue
+			}
+			watching = true
 			// One watch subscribes to every table's feed: the snapshots
 			// arrive first (each internally consistent), then one forwarder
 			// per table streams its changes, all coalescing onto this

@@ -342,8 +342,8 @@ func (s *Service) spawn(fn func()) {
 }
 
 // ChaosCrash schedules a one-shot crash/restart of one diner's process (on
-// whichever table hosts it) after the given delay — the live-runtime chaos
-// leg of the crash scripts.
+// whichever table hosts it) after the given delay — dineserve's
+// -chaos-crash, which internal/e2e's chaos/proxy scenario runs.
 func (s *Service) ChaosCrash(diner int, at, restartAfter time.Duration) error {
 	if diner < 0 || diner >= s.cfg.N {
 		return fmt.Errorf("%w: no such diner %d", ErrUsage, diner)

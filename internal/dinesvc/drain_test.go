@@ -69,7 +69,7 @@ func TestVanishedClientDoesNotLeakDrain(t *testing.T) {
 		t.Fatalf("granted=%d expired=%d, want 1/1 (the janitor must have reclaimed the grant)",
 			granted, expired)
 	}
-	// The smoke scripts' conservation invariant: every grant is eventually
+	// The e2e scenarios' conservation invariant: every grant is eventually
 	// released, nothing is held after drain.
 	if held != 0 || granted+regranted != released+held {
 		t.Fatalf("accounting leak: granted=%d regranted=%d released=%d held=%d",

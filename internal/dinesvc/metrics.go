@@ -6,10 +6,10 @@ import (
 )
 
 // The instrument inventory keeps the dineserve_ name prefix — dinesvc is the
-// embeddable kernel of that service, and every dashboard, smoke script, and
-// scrape assertion built against the binary keys on these exact series
-// names. Instruments are always live; whether an HTTP listener exposes them
-// is the embedder's business.
+// embeddable kernel of that service, and every dashboard, the end-to-end
+// harness (internal/e2e) and the benchmark key on these exact series names.
+// Instruments are always live; whether an HTTP listener exposes them is the
+// embedder's business.
 //
 // The inventory splits along the sharding boundary:
 //

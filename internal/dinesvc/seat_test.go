@@ -13,10 +13,11 @@ import (
 	"repro/internal/wal"
 )
 
-// This file covers the seat paths that only the shell scripts used to reach:
-// a process crash under a hungry and under an eating session, a release that
-// overtakes its grant, a reboot onto a granted ledger, and ack ordering on a
-// durable table. Every test ends on the smoke scripts' conservation check.
+// This file covers the seat paths that otherwise only the end-to-end
+// scenarios (internal/e2e) reach: a process crash under a hungry and under an
+// eating session, a release that overtakes its grant, a reboot onto a granted
+// ledger, and ack ordering on a durable table. Every test ends on those
+// scenarios' conservation check.
 
 // seatServer boots a 3-ring on an ephemeral port. restarted carries one token
 // per completed ChaosCrash restart.

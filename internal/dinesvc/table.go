@@ -130,13 +130,7 @@ func newTable(svc *Service, idx int, globals []int, pol wal.Policy) (*Table, err
 		}
 		store, walRec, err := wal.Open(dir, wal.Options{
 			Policy: pol,
-			OnSync: func(records int64, d time.Duration) {
-				t.m.walFsyncs.Inc()
-				t.m.walFsyncLat.ObserveDuration(d)
-				if records > 0 {
-					t.m.walBatch.Observe(records)
-				}
-			},
+			Fsyncs: t.m.walFsyncs, FsyncLat: t.m.walFsyncLat, Batch: t.m.walBatch,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%swal: %v", t.errPrefix(), err)

@@ -5,6 +5,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // FlushWriter coalesces a connection's outbound events into batched writes
@@ -46,9 +48,11 @@ type FlushWriter struct {
 
 	pendingEvents int64
 
-	// onFlush, if set, observes every socket write as it happens — the
-	// writer's registry hook, so coalescing telemetry is visible mid-run.
-	onFlush func(events, bytes int64)
+	// Writes, Events and Bytes count every socket write as it happens — the
+	// writes, the events they carried, their bytes — so coalescing telemetry
+	// is visible mid-run. Registry handles, nil = not counted; set them
+	// before the first Send (only the flusher reads them).
+	Writes, Events, Bytes *metrics.Counter
 }
 
 // backlogBatches bounds the pending buffer at this many maxBatch-sized
@@ -124,7 +128,7 @@ func (f *FlushWriter) run() {
 			<-f.kick
 			continue
 		}
-		batch, events, hook := f.buf, f.pendingEvents, f.onFlush
+		batch, events := f.buf, f.pendingEvents
 		f.buf, f.pendingEvents = scratch[:0], 0
 		f.mu.Unlock()
 
@@ -138,9 +142,9 @@ func (f *FlushWriter) run() {
 			f.mu.Unlock()
 			return
 		}
-		if hook != nil {
-			hook(events, int64(len(batch)))
-		}
+		f.Writes.Inc()
+		f.Events.Add(events)
+		f.Bytes.Add(int64(len(batch)))
 	}
 }
 
@@ -155,14 +159,4 @@ func (f *FlushWriter) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.err
-}
-
-// OnFlush installs fn as the per-write observer: it is called once per
-// successful socket write with the number of events and bytes the write
-// carried. Install before traffic (fn is read under the writer's lock; a
-// cheap atomic-counter hook is the intended shape).
-func (f *FlushWriter) OnFlush(fn func(events, bytes int64)) {
-	f.mu.Lock()
-	f.onFlush = fn
-	f.mu.Unlock()
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // testTimeout is the failure path of every wait below: no assertion
@@ -80,18 +82,14 @@ func await(t *testing.T, ch <-chan struct{}, what string) {
 	}
 }
 
-// flushObs is one OnFlush observation.
-type flushObs struct{ events, bytes int64 }
-
 // burstBehindWrite holds the first Write (one event) on the gate, sends n
 // more events behind it, opens the gate and closes the writer. It returns
-// the recorder and what OnFlush observed.
-func burstBehindWrite(t *testing.T, n int) (*chunkRecorder, []flushObs) {
+// the recorder and the writer, whose wire counters are live.
+func burstBehindWrite(t *testing.T, n int) (*chunkRecorder, *FlushWriter) {
 	t.Helper()
 	rec := newGatedRecorder()
 	fw := NewFlushWriter(rec, 1<<20, 0)
-	var obs []flushObs // written by the flusher only; read after Close
-	fw.OnFlush(func(events, bytes int64) { obs = append(obs, flushObs{events, bytes}) })
+	fw.Writes, fw.Events, fw.Bytes = new(metrics.Counter), new(metrics.Counter), new(metrics.Counter)
 
 	if !fw.Send(&Event{Ev: EvGranted, Diner: 1, ID: "first"}) {
 		t.Fatal("send refused")
@@ -110,7 +108,7 @@ func burstBehindWrite(t *testing.T, n int) (*chunkRecorder, []flushObs) {
 	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return rec, obs
+	return rec, fw
 }
 
 // TestFlushWriterIdleWritesAtOnce: a single event on an otherwise idle
@@ -133,10 +131,10 @@ func TestFlushWriterIdleWritesAtOnce(t *testing.T) {
 
 // TestFlushWriterCoalescesBehindWrite is what pins batching under load:
 // everything sent while a Write is in flight forms the next batch — exactly
-// one more Write, carrying all of it — and OnFlush reports both.
+// one more Write, carrying all of it — and the wire counters saw both.
 func TestFlushWriterCoalescesBehindWrite(t *testing.T) {
 	const n = 50
-	rec, obs := burstBehindWrite(t, n)
+	rec, fw := burstBehindWrite(t, n)
 	if w := rec.writeCount(); w != 2 {
 		t.Fatalf("%d events behind one in-flight Write took %d writes, want 2", n, w)
 	}
@@ -147,9 +145,8 @@ func TestFlushWriterCoalescesBehindWrite(t *testing.T) {
 	if got := bytes.Count(second, []byte("\n")); got != n {
 		t.Fatalf("second write carries %d events, want %d", got, n)
 	}
-	if len(obs) != 2 || obs[0].events != 1 || obs[1].events != n ||
-		obs[0].bytes != int64(len(rec.chunk(0))) || obs[1].bytes != int64(len(second)) {
-		t.Fatalf("OnFlush observed %+v, want (1, %d) then (%d, %d)", obs, len(rec.chunk(0)), n, len(second))
+	if w, e, b := fw.Writes.Value(), fw.Events.Value(), fw.Bytes.Value(); w != 2 || e != n+1 || b != int64(len(rec.joined())) {
+		t.Fatalf("wire counters: %d writes, %d events, %d bytes; want 2, %d, %d", w, e, b, n+1, len(rec.joined()))
 	}
 }
 

@@ -17,7 +17,8 @@ const (
 	OpRelease = "release"
 	// OpWatch subscribes this connection to the extracted ◇P suspect
 	// stream: one EvSuspect per output change, preceded by a snapshot of
-	// the current suspicion matrix.
+	// the current suspicion matrix. One watch per connection: a repeat is
+	// refused with EvError "already watching".
 	OpWatch = "watch"
 	// OpInfo asks for service parameters (diner count).
 	OpInfo = "info"

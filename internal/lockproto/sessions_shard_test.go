@@ -16,7 +16,13 @@ import (
 func TestSessionsShardedRace(t *testing.T) {
 	s := NewSessions(1) // tiny lease so Expire really reclaims
 	var journaled atomic.Int64
-	s.SetJournal(func(Rec) { journaled.Add(1) })
+	var expired sync.Map // Key → true: what the janitor reclaimed, per the journal
+	s.SetJournal(func(r Rec) {
+		journaled.Add(1)
+		if r.K == RecExpire {
+			expired.Store(Key{Diner: r.D, ID: r.I}, true)
+		}
+	})
 
 	const (
 		workers = 8
@@ -39,8 +45,21 @@ func TestSessionsShardedRace(t *testing.T) {
 					return
 				}
 				s.Attach(k, now)
-				// Replayed acquire must classify as pending, never re-new.
-				if res := s.Acquire(k, clock.Add(1)); res != AcquirePending {
+				// Replayed acquire must classify as pending, never re-new. The one
+				// exception: a janitor sweep that landed between Acquire and Attach
+				// (the lease is one tick of a clock every goroutine advances)
+				// reclaimed the session. Done is accepted only when the journal
+				// shows that expiry, and the key then goes through the rest of the
+				// lifecycle as a finished session: never granted, release replays.
+				gone := false
+				switch res := s.Acquire(k, clock.Add(1)); res {
+				case AcquirePending:
+				case AcquireDone:
+					if _, gone = expired.Load(k); !gone {
+						t.Errorf("replayed acquire on %v: done, but the janitor never expired it", k)
+						return
+					}
+				default:
 					t.Errorf("replayed acquire on %v: %v", k, res)
 					return
 				}
@@ -49,6 +68,16 @@ func TestSessionsShardedRace(t *testing.T) {
 				}
 				if s.Grant(k, clock.Add(1)) { // second grant must be refused
 					grants[idx].Add(1)
+				}
+				if gone {
+					if grants[idx].Load() != 0 {
+						t.Errorf("expired session %v was granted", k)
+						return
+					}
+					if res := s.Release(k, clock.Add(1)); res != ReleaseDone {
+						t.Errorf("release of expired session %v: %v", k, res)
+						return
+					}
 				}
 				switch i % 3 {
 				case 0:

@@ -189,6 +189,15 @@ func (l *Log) Sessions(state string) map[SessionKey][]Interval {
 	for k, s := range open {
 		out[k] = append(out[k], Interval{Start: s, End: sim.Never})
 	}
+	// Start order is a guarantee (checker.Exclusion's sweep depends on it). A
+	// recorded run has it by construction; only a hand-built log whose
+	// records are out of time order needs the sort.
+	for _, ivs := range out {
+		byStart := func(i, j int) bool { return ivs[i].Start < ivs[j].Start }
+		if !sort.SliceIsSorted(ivs, byStart) {
+			sort.SliceStable(ivs, byStart)
+		}
+	}
 	return out
 }
 

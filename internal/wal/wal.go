@@ -36,6 +36,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Policy selects the fsync discipline.
@@ -83,14 +85,12 @@ type Options struct {
 	// Interval is the background fsync cadence under PolicyInterval
 	// (default 50ms).
 	Interval time.Duration
-	// OnSync, if set, observes every fsync the store issues: how many
-	// records the call made durable (the group-commit batch) and how long
-	// the fsync took. It is the store's registry hook — callers wire it to
-	// their metrics instruments instead of the store keeping ad-hoc
-	// counters. Called from whichever goroutine synced, sometimes with
-	// store locks held: it must be cheap, concurrency-safe, and must not
-	// call back into the store.
-	OnSync func(records int64, d time.Duration)
+	// Instruments, nil = not counted: every fsync the store issues, how long
+	// it took, and how many records it made durable (the group-commit
+	// batch). Handles from the caller's metrics registry; the store keeps no
+	// counters of its own.
+	Fsyncs          *metrics.Counter
+	FsyncLat, Batch *metrics.Hist
 }
 
 // LSN identifies a record by its 1-based append position. LSNs are global
@@ -546,12 +546,14 @@ func (s *Store) Close() error {
 	return s.err
 }
 
-// observeSync forwards one completed fsync to the OnSync hook, if any:
-// records is the group-commit batch the call made durable (0 when the store
-// re-synced an already-durable tail, e.g. at rotate or close).
+// observeSync counts one completed fsync: records is the group-commit batch
+// the call made durable (0 when the store re-synced an already-durable tail,
+// e.g. at rotate or close).
 func (s *Store) observeSync(records LSN, d time.Duration) {
-	if s.opts.OnSync != nil {
-		s.opts.OnSync(int64(records), d)
+	s.opts.Fsyncs.Inc()
+	s.opts.FsyncLat.ObserveDuration(d)
+	if records > 0 {
+		s.opts.Batch.Observe(int64(records))
 	}
 }
 
