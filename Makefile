@@ -35,6 +35,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzForksSchedules -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzLinkPlanValidate -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzLockprotoDedup -fuzztime=$(FUZZTIME) ./internal/lockproto
+	$(GO) test -run=^$$ -fuzz=FuzzDoneIndex -fuzztime=$(FUZZTIME) ./internal/lockproto
+	$(GO) test -run=^$$ -fuzz=FuzzRecEncodeMatchesStdlib -fuzztime=$(FUZZTIME) ./internal/lockproto
 	$(GO) test -run=^$$ -fuzz=FuzzWireCodecEquivalence -fuzztime=$(FUZZTIME) ./internal/lockproto
 	$(GO) test -run=^$$ -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/wal
 
@@ -63,10 +65,11 @@ bench:
 		| $(GO) run ./cmd/bench2json -baseline BENCH_experiments.json -o BENCH_experiments.json
 
 # Service-path trajectory, shaped like `bench`: lockproto's codec, flush
-# writer and registry micro-benchmarks (with their encoding/json baselines)
-# and dinesvc's in-process loopback service benchmarks, in BENCH_serve.json.
-# End-to-end figures are bench-e2e's.
-SERVE_BENCH := BenchmarkWire|BenchmarkFlushWriter|BenchmarkSessions|BenchmarkServeGrant|BenchmarkServeChurn
+# writer, journal encoder and registry micro-benchmarks (with their
+# encoding/json baselines; BenchmarkSessionsSnapshot is one checkpoint of a
+# registry with 200 000 finished sessions) and dinesvc's in-process loopback
+# service benchmarks, in BENCH_serve.json. End-to-end figures are bench-e2e's.
+SERVE_BENCH := BenchmarkWire|BenchmarkFlushWriter|BenchmarkRecAppend|BenchmarkSessions|BenchmarkServeGrant|BenchmarkServeChurn
 
 bench-serve:
 	$(GO) test -run '^$$' -bench '$(SERVE_BENCH)' -benchmem ./internal/lockproto ./internal/dinesvc \

@@ -91,6 +91,9 @@ func (s *session) notify(ev lockproto.Event) {
 type jconn struct {
 	c  net.Conn
 	fw *lockproto.FlushWriter
+	// attached holds the unfinished sessions this connection is bound to —
+	// what its teardown must detach. Only the request loop touches it.
+	attached map[lockproto.Key]*session
 }
 
 // send queues ev for the client. A writer that refuses it is dead — write
@@ -106,18 +109,23 @@ func (j *jconn) send(ev lockproto.Event) bool {
 	return ok
 }
 
-// handleConn is the per-connection request loop. A connection is a service
-// resource shared by every table: each request routes to the table hosting
-// its diner, so one client can hold sessions on several tables over one
-// socket.
-func (s *Service) handleConn(c net.Conn) {
+// newConn wraps an accepted socket.
+func (s *Service) newConn(c net.Conn) *jconn {
 	// Batch bound 0: lockproto's 32 KiB default, the one value ever used.
-	jc := &jconn{c: c, fw: lockproto.NewFlushWriter(c, 0, 0)}
+	jc := &jconn{c: c, fw: lockproto.NewFlushWriter(c, 0, 0), attached: make(map[lockproto.Key]*session)}
 	// Each socket write lands in the registry as it happens, so the
 	// coalescing ratio is scrapeable mid-run instead of only accumulating
 	// at connection teardown.
 	jc.fw.Writes, jc.fw.Events, jc.fw.Bytes = s.m.wireWrites, s.m.wireEvents, s.m.wireBytes
-	attached := make(map[lockproto.Key]*session)
+	return jc
+}
+
+// handleConn is the per-connection request loop. A connection is a service
+// resource shared by every table: each request routes to the table hosting
+// its diner, so one client can hold sessions on several tables over one
+// socket.
+func (s *Service) handleConn(jc *jconn) {
+	c, attached := jc.c, jc.attached
 	defer func() {
 		s.connMu.Lock()
 		delete(s.conns, c)
@@ -227,8 +235,13 @@ func (s *Service) handleConn(c net.Conn) {
 			key := lockproto.Key{Diner: req.Diner, ID: req.ID}
 			switch t.sessions.Release(key, t.now()) {
 			case lockproto.ReleaseGranted:
+				// The session is done in the registry: nothing is left for this
+				// connection's teardown to detach (the ack travels through the
+				// session's own binding).
+				delete(attached, key)
 				t.seatOf(req.Diner).release(req.ID) // EvReleased follows the exit
 			case lockproto.ReleasePending:
+				delete(attached, key)
 				// Released before the grant: the seat unwinds silently when
 				// the grant arrives; acknowledge the client now (the release
 				// record first — an acked release must survive a crash).

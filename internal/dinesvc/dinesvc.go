@@ -79,7 +79,8 @@ type Config struct {
 	// (fsync on the WAL's 50ms background cadence), or "never".
 	Fsync string
 	// SnapRecords cuts a snapshot after this many WAL records per table
-	// (default 4096).
+	// (default 4096) — or after as many as the last snapshot had rows, once
+	// that is more, so checkpointing stays O(1) per record.
 	SnapRecords int64
 
 	// Registry receives every instrument (default: a fresh registry,
@@ -147,7 +148,7 @@ type Service struct {
 	bg sync.WaitGroup
 
 	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
+	conns  map[net.Conn]*jconn
 
 	logf   func(format string, args ...any)
 	fatalf func(format string, args ...any)
@@ -195,7 +196,7 @@ func New(cfg Config) (*Service, error) {
 		cfg:    cfg,
 		reg:    reg,
 		stop:   make(chan struct{}),
-		conns:  make(map[net.Conn]struct{}),
+		conns:  make(map[net.Conn]*jconn),
 		logf:   cfg.Logf,
 		fatalf: cfg.Fatalf,
 	}
@@ -326,8 +327,9 @@ func (s *Service) accept() {
 			c.Close()
 			return
 		}
-		s.conns[c] = struct{}{}
-		s.spawn(func() { s.handleConn(c) })
+		jc := s.newConn(c)
+		s.conns[c] = jc
+		s.spawn(func() { s.handleConn(jc) })
 		s.connMu.Unlock()
 	}
 }

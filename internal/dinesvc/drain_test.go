@@ -251,3 +251,58 @@ func TestDrainDeliversLastEvent(t *testing.T) {
 		}
 	}
 }
+
+// TestConnForgetsFinishedSessions: a connection's attached map is what its
+// teardown must detach, so it holds the connection's sessions in flight —
+// not every session the connection ever opened (it used to: a client that
+// served 185 000 sessions over one socket pinned 185 000 dead *session
+// values, all re-locked and Detach-ed one by one when it hung up). Half the
+// sessions release before their grant, the other path out of the map.
+func TestConnForgetsFinishedSessions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a full server; skipped in -short")
+	}
+	svc, addr, _ := seatServer(t, Config{})
+	defer svc.Drain(5 * time.Second)
+	cl := dialBench(t, addr)
+	defer cl.c.Close()
+
+	attached := func() int {
+		svc.connMu.Lock()
+		defer svc.connMu.Unlock()
+		if len(svc.conns) != 1 {
+			t.Fatalf("%d connections open, want the one", len(svc.conns))
+		}
+		for _, jc := range svc.conns {
+			// The request loop is idle — every request sent has been answered,
+			// and each answer was written after the loop was done with it.
+			return len(jc.attached)
+		}
+		return 0
+	}
+	const sessions = 20_000
+	for i := 0; i < sessions; i++ {
+		id := fmt.Sprintf("s-%d", i)
+		if i%2 == 0 {
+			cl.session(t, 0, id)
+		} else {
+			// Queued behind a held session, released before its grant.
+			hold := fmt.Sprintf("h-%d", i)
+			cl.request(t, lockproto.OpAcquire, 0, hold)
+			cl.await(t, lockproto.EvGranted, hold)
+			cl.request(t, lockproto.OpAcquire, 0, id)
+			cl.request(t, lockproto.OpRelease, 0, id)
+			cl.await(t, lockproto.EvReleased, id)
+			if n := attached(); n != 1 {
+				t.Fatalf("after %d sessions: %d sessions attached, want the one held", i+1, n)
+			}
+			cl.request(t, lockproto.OpRelease, 0, hold)
+			cl.await(t, lockproto.EvReleased, hold)
+		}
+		if i%1000 < 2 {
+			if n := attached(); n != 0 {
+				t.Fatalf("after %d sessions, none in flight: connection still remembers %d", i+1, n)
+			}
+		}
+	}
+}

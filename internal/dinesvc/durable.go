@@ -3,6 +3,7 @@ package dinesvc
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/lockproto"
 	"repro/internal/metrics"
@@ -23,10 +24,15 @@ import (
 type durable struct {
 	store    *wal.Store
 	sessions *lockproto.Sessions
-	// snapEvery bounds replay work: once this many records accumulate, the
-	// next janitor pass cuts a snapshot and prunes old segments.
+	// snapEvery is the floor of the cut rule: the janitor cuts a snapshot
+	// (and prunes old segments) once the records since the last cut reach
+	// max(snapEvery, snapRows). Letting the interval grow with the snapshot
+	// keeps checkpoint work O(1) per record however large the registry's
+	// memory gets — ids with no counter cost a row each, for good — and
+	// recovery still reads at most one snapshot plus as many records.
 	snapEvery int64
 	recsSince atomic.Int64
+	snapRows  int64 // registry rows in the last snapshot; janitor-only
 
 	fatalf func(format string, args ...any)
 
@@ -45,9 +51,12 @@ type durable struct {
 
 	// Registry handles, wired by instrument() before traffic starts.
 	// nil-safe, so a durable built in a test without metrics still works.
-	records *metrics.Counter // journal records appended
-	calls   *metrics.Counter // acks posted (grants + releases)
-	rounds  *metrics.Counter // committer rounds: one Sync each
+	records   *metrics.Counter // journal records appended
+	calls     *metrics.Counter // acks posted (grants + releases)
+	rounds    *metrics.Counter // committer rounds: one Sync each
+	snapshots *metrics.Counter // snapshots committed
+	snapLat   *metrics.Hist    // rotate → snapshot committed
+	snapBytes *metrics.Gauge   // last snapshot's payload
 }
 
 func newDurable(store *wal.Store, sessions *lockproto.Sessions, snapEvery int64,
@@ -73,11 +82,16 @@ func (d *durable) instrument(m *tableMetrics) {
 		return
 	}
 	d.records, d.calls, d.rounds = m.walRecords, m.walBarriers, m.walSyncRounds
+	d.snapshots, d.snapLat, d.snapBytes = m.walSnapshots, m.walSnapshotLat, m.walSnapshotBytes
 }
 
 func (d *durable) fatal(err error) {
 	d.fatalf("wal: %v", err)
 }
+
+// recBufs recycles record encode buffers: the store copies what it is
+// handed, but its checksum call makes a stack buffer escape.
+var recBufs = sync.Pool{New: func() any { b := make([]byte, 0, 128); return &b }}
 
 // append journals one record (buffered; durability comes from after or
 // the store's fsync policy).
@@ -85,7 +99,11 @@ func (d *durable) append(rec lockproto.Rec) {
 	if d == nil {
 		return
 	}
-	if _, err := d.store.Append(rec.Encode()); err != nil {
+	bp := recBufs.Get().(*[]byte)
+	*bp = lockproto.AppendRec((*bp)[:0], &rec)
+	_, err := d.store.Append(*bp)
+	recBufs.Put(bp)
+	if err != nil {
 		d.fatal(err)
 	}
 	d.records.Inc()
@@ -162,7 +180,7 @@ func (d *durable) onFork(p, q rt.ProcID, hold bool) {
 }
 
 // tick journals the clock watermark and cuts a snapshot if enough records
-// accumulated. Called from the table's janitor, once per pass.
+// accumulated (see snapEvery). Called from the table's janitor, once per pass.
 func (d *durable) tick(now int64) {
 	if d == nil {
 		return
@@ -171,27 +189,33 @@ func (d *durable) tick(now int64) {
 	d.clock = now
 	d.mu.Unlock()
 	d.append(lockproto.Rec{K: lockproto.RecTick, T: now})
-	if d.recsSince.Load() < d.snapEvery {
+	if n := d.recsSince.Load(); n < d.snapEvery || n < d.snapRows {
 		return
 	}
 	d.recsSince.Store(0)
+	t0 := time.Now()
 	if err := d.store.Snapshot(d.buildSnapshot); err != nil {
 		d.fatal(err)
 	}
+	d.snapLat.ObserveDuration(time.Since(t0))
+	d.snapshots.Inc()
 }
 
 // buildSnapshot serializes the full table state. The wal package calls it
 // after rotating, so records already in the new segment may be re-described
 // here — lockproto.Replay is idempotent against exactly that overlap.
 func (d *durable) buildSnapshot() []byte {
+	st := d.sessions.SnapshotState()
 	d.mu.Lock()
-	st := lockproto.State{Watermark: d.clock}
+	st.Watermark = d.clock
 	for pq, hold := range d.forks {
 		st.Forks = append(st.Forks, lockproto.ForkState{P: pq[0], Q: pq[1], Hold: hold})
 	}
 	d.mu.Unlock()
-	st.Sessions = d.sessions.SnapshotState()
-	return st.Encode()
+	payload := st.Encode()
+	d.snapRows = int64(st.Rows())
+	d.snapBytes.Set(int64(len(payload)))
+	return payload
 }
 
 // close runs the acks still posted, stops the committer, then flushes and

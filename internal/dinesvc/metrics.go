@@ -89,6 +89,11 @@ type tableMetrics struct {
 	walSyncRounds *metrics.Counter
 	walFsyncLat   *metrics.Hist
 	walBatch      *metrics.Hist
+
+	// Checkpoints (the janitor's snapshot cuts).
+	walSnapshots     *metrics.Counter
+	walSnapshotLat   *metrics.Hist
+	walSnapshotBytes *metrics.Gauge
 }
 
 func newTableMetrics(reg *metrics.Registry, name func(string) string) *tableMetrics {
@@ -129,6 +134,13 @@ func newTableMetrics(reg *metrics.Registry, name func(string) string) *tableMetr
 	m.walBatch = reg.Histogram(name("dineserve_wal_batch_records"),
 		"records made durable per fsync (group-commit batch size)", 1)
 
+	m.walSnapshots = reg.Counter(name("dineserve_wal_snapshots_total"),
+		"snapshots cut and committed")
+	m.walSnapshotLat = reg.Histogram(name("dineserve_wal_snapshot_seconds"),
+		"snapshot latency, log rotation to snapshot committed", 1e-6)
+	m.walSnapshotBytes = reg.Gauge(name("dineserve_wal_snapshot_bytes"),
+		"payload size of the last snapshot")
+
 	return m
 }
 
@@ -138,6 +150,9 @@ func (m *tableMetrics) observeTable(t *Table) {
 	m.reg.GaugeFunc(m.name("dineserve_sessions_inflight"),
 		"sessions accepted but not yet finished",
 		func() int64 { return t.inFlight.Load() })
+	m.reg.GaugeFunc(m.name("dineserve_sessions_done_spans"),
+		"entries + spans remembering finished sessions (sequential ids: 2 per client and diner; any other id: 1 more)",
+		t.sessions.DoneSize)
 }
 
 // runtimeSeries maps the counters the table's runtime and its bus keep

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // This file makes the session registry durable: every mutating transition
@@ -47,22 +48,61 @@ type Rec struct {
 	H bool   `json:"h,omitempty"` // fork hold bit
 }
 
-// Encode marshals the record for the WAL.
-func (r Rec) Encode() []byte {
-	b, err := json.Marshal(r)
-	if err != nil { // unreachable for this struct; keep the journal honest
-		panic(err)
+// AppendRec appends the JSON encoding of r — byte for byte what
+// json.Marshal produces (FuzzRecEncodeMatchesStdlib) — to dst. The journal
+// hook runs on the grant path, under a shard lock: no reflection, and no
+// allocation when dst has room.
+func AppendRec(dst []byte, r *Rec) []byte {
+	dst = append(dst, `{"k":`...)
+	dst = appendJSONString(dst, r.K)
+	if r.D != 0 {
+		dst = append(dst, `,"d":`...)
+		dst = strconv.AppendInt(dst, int64(r.D), 10)
 	}
-	return b
+	if r.I != "" {
+		dst = append(dst, `,"i":`...)
+		dst = appendJSONString(dst, r.I)
+	}
+	if r.T != 0 {
+		dst = append(dst, `,"t":`...)
+		dst = strconv.AppendInt(dst, r.T, 10)
+	}
+	if r.P != 0 {
+		dst = append(dst, `,"p":`...)
+		dst = strconv.AppendInt(dst, int64(r.P), 10)
+	}
+	if r.Q != 0 {
+		dst = append(dst, `,"q":`...)
+		dst = strconv.AppendInt(dst, int64(r.Q), 10)
+	}
+	if r.H {
+		dst = append(dst, `,"h":true`...)
+	}
+	return append(dst, '}')
 }
 
-// SessionState is one session in a snapshot.
+// Encode marshals the record for the WAL.
+func (r Rec) Encode() []byte { return AppendRec(nil, &r) }
+
+// SessionState is one session in flight in a snapshot. Snapshots written
+// before the done index (payload v1) also carry one "s":"done" row per
+// finished session; Replay folds those into the index, nothing writes them.
 type SessionState struct {
 	Diner    int    `json:"d"`
 	ID       string `json:"i"`
-	Status   string `json:"s"` // "pending" | "granted" | "done"
+	Status   string `json:"s"` // "pending" | "granted"
 	LastSeen int64  `json:"t"`
 	Attached int    `json:"a,omitempty"`
+}
+
+// DoneState is one done-index entry in a snapshot: the finished ids
+// Prefix+n for every n in Ranges (inclusive [lo, hi] pairs, ascending), and
+// the id Prefix itself if Bare.
+type DoneState struct {
+	Diner  int         `json:"d"`
+	Prefix string      `json:"p"`
+	Ranges [][2]uint64 `json:"r,omitempty"`
+	Bare   bool        `json:"b,omitempty"`
 }
 
 // ForkState is one process's hold bit for one edge in a snapshot.
@@ -74,11 +114,24 @@ type ForkState struct {
 
 // State is a snapshot payload: the full registry at a clock watermark. The
 // Sessions slice is in first-acquire order, which Replay preserves so that
-// recovered sessions re-enter the dining layer in their original order.
+// recovered sessions re-enter the dining layer in their original order; Done
+// is sorted by (diner, prefix). Its size is sessions in flight plus what
+// DoneSize counts, not sessions ever served.
 type State struct {
 	Watermark int64          `json:"w"`
 	Sessions  []SessionState `json:"sessions,omitempty"`
+	Done      []DoneState    `json:"done,omitempty"`
 	Forks     []ForkState    `json:"forks,omitempty"`
+}
+
+// Rows is the snapshot's size in registry rows: sessions, done entries and
+// their spans.
+func (st State) Rows() int {
+	n := len(st.Sessions) + len(st.Done)
+	for _, d := range st.Done {
+		n += len(d.Ranges)
+	}
+	return n
 }
 
 // Encode marshals the snapshot payload.
@@ -98,14 +151,10 @@ func DecodeState(data []byte) (State, error) {
 }
 
 func statusName(st sessionStatus) string {
-	switch st {
-	case statusPending:
-		return "pending"
-	case statusGranted:
+	if st == statusGranted {
 		return "granted"
-	default:
-		return "done"
 	}
+	return "pending"
 }
 
 func parseStatus(s string) (sessionStatus, error) {
@@ -114,13 +163,11 @@ func parseStatus(s string) (sessionStatus, error) {
 		return statusPending, nil
 	case "granted":
 		return statusGranted, nil
-	case "done":
-		return statusDone, nil
 	}
 	return 0, fmt.Errorf("unknown session status %q", s)
 }
 
-// RecoveredSession is one non-done session Replay found, in first-acquire
+// RecoveredSession is one unfinished session Replay found, in first-acquire
 // order. Granted sessions must be re-queued through the dining layer before
 // the server serves traffic (they hold the critical section).
 type RecoveredSession struct {
@@ -134,7 +181,7 @@ type Edge struct{ P, Q int }
 // Recovered is the state Replay rebuilt.
 type Recovered struct {
 	Sessions  *Sessions
-	Live      []RecoveredSession // non-done sessions, first-acquire order
+	Live      []RecoveredSession // unfinished sessions, first-acquire order
 	Forks     map[Edge]bool      // true: the lower endpoint holds the fork
 	Watermark int64              // highest tick any snapshot or record saw
 	Counts    map[string]int     // records applied, per kind
@@ -157,7 +204,6 @@ func Replay(lease int64, snapshot []byte, records [][]byte) (*Recovered, error) 
 	s := NewSessions(lease)
 	grants := make(map[Key]int)
 	holds := make(map[[2]int]bool) // directed: (p,q) -> p's hold bit for {p,q}
-	var order []Key
 
 	if snapshot != nil {
 		st, err := DecodeState(snapshot)
@@ -166,13 +212,22 @@ func Replay(lease int64, snapshot []byte, records [][]byte) (*Recovered, error) 
 		}
 		r.Watermark = st.Watermark
 		for _, ss := range st.Sessions {
+			k := Key{Diner: ss.Diner, ID: ss.ID}
+			sh := s.shard(k)
+			if ss.Status == "done" { // payload v1: one row per finished session
+				s.finish(sh, k)
+				continue
+			}
 			status, err := parseStatus(ss.Status)
 			if err != nil {
 				return nil, fmt.Errorf("snapshot session %d/%s: %w", ss.Diner, ss.ID, err)
 			}
-			k := Key{Diner: ss.Diner, ID: ss.ID}
-			s.putRec(k, &sessionRec{status: status, attached: ss.Attached, lastSeen: ss.LastSeen, seq: s.nextSeq.Add(1) - 1})
-			order = append(order, k)
+			sh.recs[k] = &sessionRec{status: status, attached: ss.Attached, lastSeen: ss.LastSeen, seq: s.nextSeq.Add(1) - 1}
+		}
+		for _, ds := range st.Done {
+			if err := s.loadDone(ds); err != nil {
+				return nil, fmt.Errorf("snapshot done entry %d/%s: %w", ds.Diner, ds.Prefix, err)
+			}
 		}
 		for _, f := range st.Forks {
 			holds[[2]int{f.P, f.Q}] = f.Hold
@@ -189,63 +244,56 @@ func Replay(lease int64, snapshot []byte, records [][]byte) (*Recovered, error) 
 			r.Watermark = rec.T
 		}
 		k := Key{Diner: rec.D, ID: rec.I}
+		sh := s.shard(k)
+		sr, live := sh.recs[k]
 		switch rec.K {
 		case RecAcquire:
-			if sr, ok := s.getRec(k); ok {
+			switch {
+			case live:
 				// Snapshot-cut duplicate: the session is already here.
 				if rec.T > sr.lastSeen {
 					sr.lastSeen = rec.T
 				}
-			} else {
-				s.putRec(k, &sessionRec{status: statusPending, lastSeen: rec.T, seq: s.nextSeq.Add(1) - 1})
-				order = append(order, k)
+			case !sh.isDone(k): // else a cut duplicate of a session the snapshot saw finish
+				sh.recs[k] = &sessionRec{status: statusPending, lastSeen: rec.T, seq: s.nextSeq.Add(1) - 1}
 			}
 		case RecGrant:
 			if grants[k]++; grants[k] > 1 {
 				r.Violations = append(r.Violations,
 					fmt.Sprintf("session %d/%s has %d grant records (double grant)", k.Diner, k.ID, grants[k]))
 			}
-			sr, ok := s.getRec(k)
-			if !ok {
-				r.Violations = append(r.Violations,
-					fmt.Sprintf("grant record for unknown session %d/%s", k.Diner, k.ID))
+			if !live {
+				if !sh.isDone(k) {
+					r.Violations = append(r.Violations,
+						fmt.Sprintf("grant record for unknown session %d/%s", k.Diner, k.ID))
+				}
 				continue
 			}
-			if sr.status == statusPending {
-				sr.status = statusGranted
-			}
+			sr.status = statusGranted
 			// Same rule as the live Grant: a detached session's lease keeps
 			// running from its detach.
 			if sr.attached > 0 && rec.T > sr.lastSeen {
 				sr.lastSeen = rec.T
 			}
-		case RecRelease:
-			if sr, ok := s.getRec(k); ok {
-				s.shard(k).finish(k, sr, rec.T)
-			}
-		case RecExpire:
-			if sr, ok := s.getRec(k); ok {
-				s.shard(k).finish(k, sr, rec.T)
-				// The live janitor only expires sessions with no bindings;
-				// zeroing here erases any attach-count skew a snapshot-cut
-				// duplicate left behind.
-				sr.attached = 0
+		case RecRelease, RecExpire:
+			if live {
+				s.finish(sh, k)
 			}
 		case RecAttach:
-			if sr, ok := s.getRec(k); ok && sr.status != statusDone {
+			if live {
 				sr.attached++
 				sr.lastSeen = rec.T
 			}
 		case RecDetach:
-			if sr, ok := s.getRec(k); ok && sr.status != statusDone {
+			if live {
 				if sr.attached > 0 {
 					sr.attached--
 				}
 				sr.lastSeen = rec.T
 			}
 		case RecAbort:
-			if sr, ok := s.getRec(k); ok && sr.status == statusPending {
-				s.delRec(k)
+			if live && sr.status == statusPending {
+				delete(sh.recs, k)
 			}
 		case RecTick:
 			// Nothing beyond the watermark advance above.
@@ -258,14 +306,10 @@ func Replay(lease int64, snapshot []byte, records [][]byte) (*Recovered, error) 
 		}
 	}
 
-	seen := make(map[Key]bool)
-	for _, k := range order {
-		sr, ok := s.getRec(k)
-		if !ok || sr.status == statusDone || seen[k] {
-			continue
-		}
-		seen[k] = true
-		r.Live = append(r.Live, RecoveredSession{Key: k, Granted: sr.status == statusGranted})
+	for _, ss := range s.capture(false).Sessions {
+		r.Live = append(r.Live, RecoveredSession{
+			Key: Key{Diner: ss.Diner, ID: ss.ID}, Granted: ss.Status == "granted",
+		})
 	}
 
 	// Fold directional hold bits into one owner per edge. Exactly one side
@@ -312,40 +356,23 @@ func (s *Sessions) SetJournal(fn func(Rec)) {
 	s.journal.Store(&fn)
 }
 
-// getRec, putRec, and delRec are the map accessors that keep a shard's open
-// index in step with recs. They take no lock: live callers hold the key's
-// shard lock, and Replay owns the registry exclusively before any
-// concurrency exists.
-func (s *Sessions) getRec(k Key) (*sessionRec, bool) {
-	rec, ok := s.shard(k).recs[k]
-	return rec, ok
-}
+// SnapshotState captures the registry — the sessions in flight and the done
+// index, which is the no-double-grant memory — as a State whose watermark
+// and forks are the caller's to fill in. Shards are captured one at a time,
+// each one's sessions and index under one hold of its lock; a mutation that
+// lands in an already-captured shard is simply re-described by its WAL record
+// in the fresh segment, which replay tolerates (the snapshot-cut idempotency
+// contract).
+func (s *Sessions) SnapshotState() State { return s.capture(true) }
 
-func (s *Sessions) putRec(k Key, rec *sessionRec) {
-	sh := s.shard(k)
-	sh.recs[k] = rec
-	if rec.status != statusDone {
-		sh.open[k] = rec
-	}
-}
-
-func (s *Sessions) delRec(k Key) {
-	sh := s.shard(k)
-	delete(sh.recs, k)
-	delete(sh.open, k)
-}
-
-// SnapshotState captures every session — tombstones included, they are the
-// no-double-grant memory — in first-acquire order. Shards are captured one
-// at a time; a mutation that lands in an already-captured shard is simply
-// re-described by its WAL record in the fresh segment, which replay
-// tolerates (the snapshot-cut idempotency contract).
-func (s *Sessions) SnapshotState() []SessionState {
+// capture is SnapshotState; withDone false leaves the index out.
+func (s *Sessions) capture(withDone bool) State {
 	type row struct {
 		seq int64
 		st  SessionState
 	}
 	var rows []row
+	var st State
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
@@ -355,14 +382,45 @@ func (s *Sessions) SnapshotState() []SessionState {
 				LastSeen: rec.lastSeen, Attached: rec.attached,
 			}})
 		}
+		if withDone {
+			for dk, ds := range sh.done {
+				d := DoneState{Diner: dk.diner, Prefix: dk.prefix, Bare: ds.bare}
+				for _, sp := range ds.spans {
+					d.Ranges = append(d.Ranges, [2]uint64{sp.lo, sp.hi})
+				}
+				st.Done = append(st.Done, d)
+			}
+		}
 		sh.mu.Unlock()
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].seq < rows[j].seq })
-	out := make([]SessionState, len(rows))
-	for i, r := range rows {
-		out[i] = r.st
+	for _, r := range rows {
+		st.Sessions = append(st.Sessions, r.st)
 	}
-	return out
+	sort.Slice(st.Done, func(i, j int) bool {
+		a, b := &st.Done[i], &st.Done[j]
+		if a.Diner != b.Diner {
+			return a.Diner < b.Diner
+		}
+		return a.Prefix < b.Prefix
+	})
+	return st
+}
+
+// loadDone folds one snapshot done entry into the index. A range no id
+// splits into (hi < lo, a counter of more than maxCounterDigits digits) is a
+// corrupt snapshot, not a registry state.
+func (s *Sessions) loadDone(d DoneState) error {
+	ds, delta := s.shard(Key{Diner: d.Diner}).doneSetOf(doneKey{d.Diner, d.Prefix})
+	ds.bare = ds.bare || d.Bare
+	for _, r := range d.Ranges {
+		if r[0] > r[1] || r[1] >= counterLimit {
+			return fmt.Errorf("bad range [%d,%d]", r[0], r[1])
+		}
+		delta += ds.add(span{r[0], r[1]})
+	}
+	s.doneSize.Add(int64(delta))
+	return nil
 }
 
 // ResetBindings is the post-recovery fixup: a crash severed every
@@ -375,7 +433,7 @@ func (s *Sessions) ResetBindings(now int64) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for _, rec := range sh.open {
+		for _, rec := range sh.recs {
 			rec.attached = 0
 			rec.lastSeen = now
 		}

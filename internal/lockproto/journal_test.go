@@ -1,7 +1,11 @@
 package lockproto
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -11,6 +15,13 @@ import (
 type recorder struct{ recs [][]byte }
 
 func (r *recorder) hook(rec Rec) { r.recs = append(r.recs, rec.Encode()) }
+
+// snapshotT is the payload a snapshot of s cut at the given watermark holds.
+func snapshotT(s *Sessions, watermark int64) []byte {
+	st := s.SnapshotState()
+	st.Watermark = watermark
+	return st.Encode()
+}
 
 func replayT(t *testing.T, lease int64, snap []byte, recs [][]byte) *Recovered {
 	t.Helper()
@@ -46,7 +57,7 @@ func TestJournalReplayDifferential(t *testing.T) {
 	// Snapshot cut: everything before this line is in the snapshot, the
 	// suffix must replay on top of it.
 	cut := len(j.recs)
-	snap := State{Watermark: 4, Sessions: live.SnapshotState()}.Encode()
+	snap := snapshotT(live, 4)
 
 	live.Acquire(c, 5)
 	live.Abort(c)
@@ -275,7 +286,7 @@ func TestGrantDoesNotRenewDetachedLease(t *testing.T) {
 	live.Acquire(alive, 1)
 	live.Attach(alive, 1)
 	live.Detach(dead, 5)
-	snap := State{Watermark: 5, Sessions: live.SnapshotState()}.Encode()
+	snap := snapshotT(live, 5)
 	cut := len(j.recs)
 	if !live.Grant(dead, 12) || !live.Grant(alive, 12) {
 		t.Fatal("pending sessions refused their grant")
@@ -297,4 +308,163 @@ func TestGrantDoesNotRenewDetachedLease(t *testing.T) {
 	check("replay", replayT(t, lease, nil, j.recs).Sessions)
 	check("snapshot+replay", replayT(t, lease, snap, j.recs[cut:]).Sessions)
 	check("live", live)
+}
+
+// TestReplaySnapshotV1 recovers a data dir written before the done index:
+// testdata/snapshot_v1.json is a v1 payload written by hand — one "s":"done"
+// row per finished session among the pending and granted ones, forks, a
+// watermark. It must replay to the registry its v2 equivalent replays to,
+// alone and under a record suffix, and its finished sessions must stay
+// finished.
+func TestReplaySnapshotV1(t *testing.T) {
+	v1, err := os.ReadFile("testdata/snapshot_v1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := State{
+		Watermark: 42,
+		Sessions: []SessionState{
+			{Diner: 0, ID: "c0-d0-3", Status: "granted", LastSeen: 30, Attached: 1},
+			{Diner: 1, ID: "c1-d1-2", Status: "pending", LastSeen: 35, Attached: 1},
+			{Diner: 2, ID: "waiting", Status: "pending", LastSeen: 40},
+		},
+		Done: []DoneState{
+			{Diner: 0, Prefix: "c0-d0-", Ranges: [][2]uint64{{1, 2}}},
+			{Diner: 1, Prefix: "c1-d1-", Ranges: [][2]uint64{{1, 1}, {3, 3}}},
+			{Diner: 1, Prefix: "lonely", Bare: true},
+			{Diner: 2, Prefix: "a00", Ranges: [][2]uint64{{7, 7}}},
+			{Diner: 17, Prefix: "c0-d0-", Ranges: [][2]uint64{{1, 1}}},
+		},
+		Forks: []ForkState{{P: 0, Q: 1, Hold: true}, {P: 1, Q: 0, Hold: false}, {P: 2, Q: 1, Hold: true}},
+	}
+	if strings.Contains(string(v2.Encode()), `"s":"done"`) || !strings.Contains(string(v1), `"s":"done"`) {
+		t.Fatal("the fixture must be a v1 payload and its equivalent a v2 one")
+	}
+	suffix := [][]byte{
+		Rec{K: RecGrant, D: 1, I: "c1-d1-2", T: 43}.Encode(),
+		Rec{K: RecRelease, D: 1, I: "c1-d1-2", T: 44}.Encode(), // bridges [1,1] and [3,3]
+		Rec{K: RecAcquire, D: 2, I: "a007", T: 45}.Encode(),    // replayed frames of finished sessions
+		Rec{K: RecRelease, D: 1, I: "lonely", T: 45}.Encode(),
+		Rec{K: RecAcquire, D: 0, I: "c0-d0-4", T: 46}.Encode(),
+	}
+	for _, tc := range []struct {
+		name   string
+		suffix [][]byte
+		done   []DoneState
+		live   []RecoveredSession
+	}{
+		{"snapshot only", nil, v2.Done, []RecoveredSession{
+			{Key: Key{Diner: 0, ID: "c0-d0-3"}, Granted: true}, {Key: Key{Diner: 1, ID: "c1-d1-2"}}, {Key: Key{Diner: 2, ID: "waiting"}},
+		}},
+		{"snapshot+suffix", suffix, []DoneState{
+			v2.Done[0], {Diner: 1, Prefix: "c1-d1-", Ranges: [][2]uint64{{1, 3}}}, v2.Done[2], v2.Done[3], v2.Done[4],
+		}, []RecoveredSession{
+			{Key: Key{Diner: 0, ID: "c0-d0-3"}, Granted: true}, {Key: Key{Diner: 2, ID: "waiting"}}, {Key: Key{Diner: 0, ID: "c0-d0-4"}},
+		}},
+	} {
+		old, cur := replayT(t, 10, v1, tc.suffix), replayT(t, 10, v2.Encode(), tc.suffix)
+		if got, want := old.Sessions.SnapshotState(), cur.Sessions.SnapshotState(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: v1 replays to %+v, its v2 equivalent to %+v", tc.name, got, want)
+		}
+		if got := old.Sessions.SnapshotState().Done; !reflect.DeepEqual(got, tc.done) {
+			t.Errorf("%s: done index %+v, want %+v", tc.name, got, tc.done)
+		}
+		if !reflect.DeepEqual(old.Live, tc.live) || !reflect.DeepEqual(cur.Live, tc.live) {
+			t.Errorf("%s: live = %+v (v1), %+v (v2), want %+v", tc.name, old.Live, cur.Live, tc.live)
+		}
+		if !reflect.DeepEqual(old.Forks, cur.Forks) || len(old.Forks) != 2 || old.Watermark != cur.Watermark || len(old.Violations)+len(cur.Violations) != 0 {
+			t.Errorf("%s: forks %v / %v, watermark %d / %d, violations %v %v", tc.name, old.Forks, cur.Forks, old.Watermark, cur.Watermark, old.Violations, cur.Violations)
+		}
+		for _, k := range []Key{{0, "c0-d0-1"}, {0, "c0-d0-2"}, {1, "c1-d1-1"}, {1, "c1-d1-3"}, {1, "lonely"}, {2, "a007"}, {17, "c0-d0-1"}} {
+			if got := old.Sessions.Acquire(k, 50); got != AcquireDone {
+				t.Errorf("%s: replayed acquire of finished %v = %v, want AcquireDone", tc.name, k, got)
+			}
+			if got := old.Sessions.Release(k, 50); got != ReleaseDone {
+				t.Errorf("%s: replayed release of finished %v = %v, want ReleaseDone", tc.name, k, got)
+			}
+		}
+		// Near misses of the finished ids were never seen.
+		for _, k := range []Key{{0, "c0-d0-0"}, {2, "a7"}, {2, "a07"}, {2, "a0007"}, {1, "lonely0"}, {3, "c0-d0-1"}} {
+			if got := old.Sessions.Release(k, 50); got != ReleaseUnknown {
+				t.Errorf("%s: release of never-seen %v = %v, want ReleaseUnknown", tc.name, k, got)
+			}
+		}
+	}
+
+	for _, bad := range []string{
+		`{"done":[{"d":0,"p":"x","r":[[5,4]]}]}`,
+		`{"done":[{"d":0,"p":"x","r":[[0,1000000000000000000]]}]}`,
+	} {
+		if _, err := Replay(0, []byte(bad), nil); err == nil {
+			t.Errorf("snapshot %s accepted", bad)
+		}
+	}
+}
+
+// FuzzRecEncodeMatchesStdlib: the journal's append encoder is encoding/json's
+// output, byte for byte.
+func FuzzRecEncodeMatchesStdlib(f *testing.F) {
+	f.Add(RecGrant, 3, "c1-d3-12345", int64(23456), 0, 0, false)
+	f.Add(RecFork, 0, "", int64(0), 2, 1, true)
+	f.Add(RecTick, 0, "", int64(-9), 0, 0, false)
+	f.Add("q\"uo\\te", -7, "id \"with\" <quotes> & \x00\x1f  \xff\xfe", int64(1)<<62, -1, -2, true)
+	f.Add("", 0, "é \x7f\t\n", int64(-1)<<63, 1<<31, -1<<31, false)
+	f.Fuzz(func(t *testing.T, k string, d int, i string, tick int64, p, q int, h bool) {
+		r := Rec{K: k, D: d, I: i, T: tick, P: p, Q: q, H: h}
+		want, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendRec(nil, &r); !bytes.Equal(got, want) {
+			t.Fatalf("AppendRec = %s, json.Marshal = %s", got, want)
+		}
+		if got := r.Encode(); !bytes.Equal(got, want) {
+			t.Fatalf("Encode = %s, json.Marshal = %s", got, want)
+		}
+	})
+}
+
+var recSink []byte
+
+// BenchmarkRecAppend is one journal record encoded the way durable.append
+// does it, into a buffer it owns: no allocation.
+func BenchmarkRecAppend(b *testing.B) {
+	b.ReportAllocs()
+	r := Rec{K: RecGrant, D: 3, I: "c1-d3-12345", T: 23456}
+	buf := make([]byte, 0, 128)
+	for i := 0; i < b.N; i++ {
+		buf = AppendRec(buf[:0], &r)
+	}
+	recSink = buf
+}
+
+// BenchmarkSessionsSnapshot is one checkpoint — capture and encode — of a
+// registry that has served 200 000 sessions: named prefix + counter, which
+// the done index holds as one span per client and diner, and named with no
+// counter, which cost an entry each (what every id cost before the index).
+func BenchmarkSessionsSnapshot(b *testing.B) {
+	const finished = 200_000
+	for _, bc := range []struct {
+		name string
+		id   func(i int) string
+	}{
+		{"sequential", func(i int) string { return "c" + strconv.Itoa(i%4) + "-" + strconv.Itoa(i/4) }},
+		{"bare", func(i int) string { return strconv.Itoa(i) + "-x" }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := NewSessions(0)
+			for i := 0; i < finished; i++ {
+				k := Key{Diner: i % 8, ID: bc.id(i / 8)}
+				s.Acquire(k, 0)
+				s.Grant(k, 0)
+				s.Release(k, 0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				recSink = s.SnapshotState().Encode()
+			}
+			b.ReportMetric(float64(len(recSink)), "snapshot-bytes")
+		})
+	}
 }

@@ -16,9 +16,9 @@ import (
 // array: a session's whole life happens under its diner's shard lock, so
 // requests for independent diners never contend — the sharding that turned
 // the old single registry mutex from a global serialization point into a
-// per-diner one. Cross-shard state is two atomics (the acquire sequence and
-// the journal hook); the janitor's Expire sweeps one shard at a time, so an
-// expiry pass never stops the world either.
+// per-diner one. Cross-shard state is three atomics (the acquire sequence,
+// the done index's size and the journal hook); the janitor's Expire sweeps
+// one shard at a time, so an expiry pass never stops the world either.
 
 // Key identifies one session across connections.
 type Key struct {
@@ -66,9 +66,10 @@ type sessionStatus int
 const (
 	statusPending sessionStatus = iota
 	statusGranted
-	statusDone
 )
 
+// sessionRec is one live session; a finished one is an entry of the done
+// index (done.go), not a record.
 type sessionRec struct {
 	status   sessionStatus
 	attached int   // live connection bindings; only 0 lets the lease run
@@ -84,34 +85,39 @@ const sessionShards = 16
 // neighbouring shards' locks never false-share.
 type sesShard struct {
 	mu   sync.Mutex
-	recs map[Key]*sessionRec
-	// open is the subset of recs that is not done. Tombstones accumulate
-	// for the life of the server; the janitor's passes walk only this.
-	open map[Key]*sessionRec
+	recs map[Key]*sessionRec  // sessions in flight
+	done map[doneKey]*doneSet // every session that finished; disjoint from recs
 	_    [40]byte
 }
 
-// finish turns an open session into its tombstone.
-func (sh *sesShard) finish(k Key, rec *sessionRec, now int64) {
-	rec.status = statusDone
-	rec.lastSeen = now
-	delete(sh.open, k)
+// finish moves a live session into the done index.
+func (s *Sessions) finish(sh *sesShard, k Key) {
+	delete(sh.recs, k)
+	if d := sh.markDone(k); d != 0 {
+		s.doneSize.Add(int64(d))
+	}
 }
 
 // Sessions tracks every session of one server run, keyed (diner, id).
-// Completed sessions leave tombstones, so a frame replayed arbitrarily late
-// can never re-grant. Detached sessions (their connection died) expire after
-// the lease; attached ones never do. Connection bindings are *counted*
+// Completed sessions stay in the done index for good, so a frame replayed
+// arbitrarily late can never re-grant. Detached sessions (their connection
+// died) expire after the lease; attached ones never do. Bindings are *counted*
 // (Attach/Detach), not flagged: a reconnecting client's new binding and the
 // old connection's teardown race in either order, and only a commutative
 // count guarantees the session stays pinned while at least one connection
 // holds it. Safe for concurrent use; see the sharding note above.
 type Sessions struct {
-	lease   int64 // ticks a detached session survives; 0 = forever
-	nextSeq atomic.Int64
-	journal atomic.Pointer[func(Rec)] // observes every mutation, under the shard lock
-	shards  [sessionShards]sesShard
+	lease    int64 // ticks a detached session survives; 0 = forever
+	nextSeq  atomic.Int64
+	doneSize atomic.Int64              // done-index entries + spans, all shards
+	journal  atomic.Pointer[func(Rec)] // observes every mutation, under the shard lock
+	shards   [sessionShards]sesShard
 }
+
+// DoneSize reports what the memory of finished sessions costs: done-index
+// entries plus spans. Clients with sequential ids hold it at two per (client,
+// diner); one id with no counter, or completed out of order, adds one.
+func (s *Sessions) DoneSize() int64 { return s.doneSize.Load() }
 
 // shard maps a key to its shard. The uint cast makes hostile negative
 // diners (which the Release path does not pre-validate) wrap instead of
@@ -138,7 +144,7 @@ func NewSessions(lease int64) *Sessions {
 	s := &Sessions{lease: lease}
 	for i := range s.shards {
 		s.shards[i].recs = make(map[Key]*sessionRec)
-		s.shards[i].open = make(map[Key]*sessionRec)
+		s.shards[i].done = make(map[doneKey]*doneSet)
 	}
 	return s
 }
@@ -150,22 +156,19 @@ func (s *Sessions) Acquire(k Key, now int64) AcquireResult {
 	sh := s.shard(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	rec, ok := sh.recs[k]
-	if !ok {
-		s.putRec(k, &sessionRec{status: statusPending, lastSeen: now, seq: s.nextSeq.Add(1) - 1})
-		s.emit(Rec{K: RecAcquire, D: k.Diner, I: k.ID, T: now})
-		return AcquireNew
-	}
-	switch rec.status {
-	case statusPending:
+	if rec, ok := sh.recs[k]; ok {
 		rec.lastSeen = now
+		if rec.status == statusGranted {
+			return AcquireGranted
+		}
 		return AcquirePending
-	case statusGranted:
-		rec.lastSeen = now
-		return AcquireGranted
-	default:
+	}
+	if sh.isDone(k) {
 		return AcquireDone
 	}
+	sh.recs[k] = &sessionRec{status: statusPending, lastSeen: now, seq: s.nextSeq.Add(1) - 1}
+	s.emit(Rec{K: RecAcquire, D: k.Diner, I: k.ID, T: now})
+	return AcquireNew
 }
 
 // Abort removes a session registered by AcquireNew that could not be
@@ -176,7 +179,7 @@ func (s *Sessions) Abort(k Key) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if rec, ok := sh.recs[k]; ok && rec.status == statusPending {
-		s.delRec(k)
+		delete(sh.recs, k)
 		s.emit(Rec{K: RecAbort, D: k.Diner, I: k.ID})
 	}
 }
@@ -211,20 +214,17 @@ func (s *Sessions) Release(k Key, now int64) ReleaseResult {
 	defer sh.mu.Unlock()
 	rec, ok := sh.recs[k]
 	if !ok {
+		if sh.isDone(k) {
+			return ReleaseDone
+		}
 		return ReleaseUnknown
 	}
-	switch rec.status {
-	case statusGranted:
-		sh.finish(k, rec, now)
-		s.emit(Rec{K: RecRelease, D: k.Diner, I: k.ID, T: now})
+	s.finish(sh, k)
+	s.emit(Rec{K: RecRelease, D: k.Diner, I: k.ID, T: now})
+	if rec.status == statusGranted {
 		return ReleaseGranted
-	case statusPending:
-		sh.finish(k, rec, now)
-		s.emit(Rec{K: RecRelease, D: k.Diner, I: k.ID, T: now})
-		return ReleasePending
-	default:
-		return ReleaseDone
 	}
+	return ReleasePending
 }
 
 // Attach binds one more live connection to the session; a session with at
@@ -234,7 +234,7 @@ func (s *Sessions) Attach(k Key, now int64) {
 	sh := s.shard(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if rec, ok := sh.recs[k]; ok && rec.status != statusDone {
+	if rec, ok := sh.recs[k]; ok {
 		rec.attached++
 		rec.lastSeen = now
 		s.emit(Rec{K: RecAttach, D: k.Diner, I: k.ID, T: now})
@@ -248,7 +248,7 @@ func (s *Sessions) Detach(k Key, now int64) {
 	sh := s.shard(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if rec, ok := sh.recs[k]; ok && rec.status != statusDone {
+	if rec, ok := sh.recs[k]; ok {
 		if rec.attached > 0 {
 			rec.attached--
 		}
@@ -263,13 +263,13 @@ type Expiry struct {
 	WasGranted bool // it held the critical section; the caller must free it
 }
 
-// Expire marks every detached, non-done session idle for longer than the
-// lease as done and returns them. A session is never returned twice, and an
+// Expire marks every detached session idle for longer than the lease as
+// done and returns them. A session is never returned twice, and an
 // expired session behaves exactly like a released one afterwards: replayed
 // acquires get AcquireDone, replayed releases get ReleaseDone. The sweep
-// locks one shard at a time and visits only its open sessions, so a pass
-// costs what is in flight, not what was ever served, and never blocks the
-// other shards' request traffic.
+// locks one shard at a time and recs holds only sessions in flight, so a
+// pass costs what is in flight, not what was ever served, and never blocks
+// the other shards' request traffic.
 func (s *Sessions) Expire(now int64) []Expiry {
 	if s.lease <= 0 {
 		return nil
@@ -278,12 +278,12 @@ func (s *Sessions) Expire(now int64) []Expiry {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for k, rec := range sh.open {
+		for k, rec := range sh.recs {
 			if rec.attached > 0 || now-rec.lastSeen <= s.lease {
 				continue
 			}
 			out = append(out, Expiry{Key: k, WasGranted: rec.status == statusGranted})
-			sh.finish(k, rec, now)
+			s.finish(sh, k)
 			s.emit(Rec{K: RecExpire, D: k.Diner, I: k.ID, T: now})
 		}
 		sh.mu.Unlock()

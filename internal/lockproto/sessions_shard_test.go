@@ -127,14 +127,18 @@ func TestSessionsShardedRace(t *testing.T) {
 	}
 	// Every key must still classify deterministically after the storm.
 	done, pending, granted := 0, 0, 0
-	for _, st := range s.SnapshotState() {
+	snap := s.SnapshotState()
+	for _, st := range snap.Sessions {
 		switch st.Status {
-		case "done":
-			done++
 		case "pending":
 			pending++
 		case "granted":
 			granted++
+		}
+	}
+	for _, d := range snap.Done { // ids are g<worker>-<i>: all counted
+		for _, r := range d.Ranges {
+			done += int(r[1] - r[0] + 1)
 		}
 	}
 	if done+pending+granted != workers*perG {
