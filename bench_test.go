@@ -247,6 +247,31 @@ func BenchmarkHeartbeatOracle(b *testing.B) {
 	}
 }
 
+// BenchmarkChaosCampaign is the kernel under the load the proof harness puts
+// on it: the 240 specs of the default campaign (bench/'s sim_campaign
+// horizon) run one after another through chaos.Execute — a couple of dozen
+// events in flight, heartbeats, dining boxes, driver timers, trace and
+// checkers — where BenchmarkKernelEvents keeps two events in the queue and
+// so cannot see what the queue costs. ns/event divides by the kernels' own
+// event counts.
+func BenchmarkChaosCampaign(b *testing.B) {
+	specs := chaos.DefaultCampaign(15000).Specs()
+	var events int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, spec := range specs {
+			r := chaos.Execute(spec)
+			if r.Failed() {
+				b.Fatalf("%s: [%s] %s", spec.ID(), r.Category, r.First())
+			}
+			events += r.Events
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
+
 // BenchmarkCheckerExclusion measures trace analysis over a dense run.
 func BenchmarkCheckerExclusion(b *testing.B) {
 	log := &trace.Log{}

@@ -5,8 +5,9 @@
 // embeds the previously committed file (via -baseline) so every artifact
 // carries its own before/after deltas. ns/op deltas are informational — the
 // hosts that run this vary — but allocation counts are exact: after writing
-// the artifact, bench2json exits 1 if a benchmark whose baseline allocs/op is
-// 0 now allocates, so `make bench` and `make bench-serve` fail on it.
+// the artifact, bench2json exits 1 if a benchmark's allocs/op rose against
+// the baseline (see allocRegressions for the tolerance), so `make bench` and
+// `make bench-serve` fail in the change that causes it.
 //
 // Usage:
 //
@@ -86,24 +87,39 @@ func main() {
 		os.Exit(1)
 	}
 	if len(regressed) > 0 {
-		fmt.Fprintln(os.Stderr, "bench2json: zero-alloc benchmarks now allocate:", strings.Join(regressed, ", "))
+		fmt.Fprintln(os.Stderr, "bench2json: allocs/op rose against the baseline:", strings.Join(regressed, ", "))
 		os.Exit(1)
 	}
 }
 
-// allocRegressions lists, as "name (n allocs/op)", the benchmarks that
-// allocated nothing per op in the baseline and allocate now.
+// The allocation ratchet's tolerance: a benchmark whose iterations differ
+// (seeds that follow b.N, amortised growth) wobbles by a few allocations or
+// a few percent, so a rise must exceed both to count. A baseline of 0 has no
+// tolerance: 0 stays 0.
+const (
+	allocSlackRatio = 0.05
+	allocSlackCount = 8
+)
+
+// allocRegressions lists, as "name (old -> new allocs/op)", the benchmarks
+// whose allocs/op rose against the baseline: from 0 to anything, or by more
+// than allocSlackRatio and more than allocSlackCount.
 func allocRegressions(cur, base *Doc) []string {
-	zero := make(map[string]bool)
+	prior := make(map[string]float64)
 	for _, b := range base.Benchmarks {
-		if v, ok := b.Metrics["allocs/op"]; ok && v == 0 {
-			zero[b.Name] = true
+		if v, ok := b.Metrics["allocs/op"]; ok {
+			prior[b.Name] = v
 		}
 	}
 	var out []string
 	for _, b := range cur.Benchmarks {
-		if v := b.Metrics["allocs/op"]; zero[b.Name] && v > 0 {
-			out = append(out, fmt.Sprintf("%s (%g allocs/op)", b.Name, v))
+		old, ok := prior[b.Name]
+		v, measured := b.Metrics["allocs/op"]
+		if !ok || !measured {
+			continue
+		}
+		if (old == 0 && v > 0) || (v > old*(1+allocSlackRatio) && v > old+allocSlackCount) {
+			out = append(out, fmt.Sprintf("%s (%g -> %g allocs/op)", b.Name, old, v))
 		}
 	}
 	return out

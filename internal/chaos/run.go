@@ -30,6 +30,7 @@ const (
 type Result struct {
 	Spec       Spec
 	End        sim.Time        // virtual time the run stopped at
+	Events     int64           // kernel events the run processed
 	TraceHash  uint64          // deterministic digest of the full trace
 	Category   string          // "" if the run satisfied every property
 	Violations []string        // human-readable findings, worst first
@@ -69,7 +70,13 @@ func Execute(spec Spec) *Result {
 	if spec.Box == "perfect" || spec.Box == "trap" {
 		extra = 1
 	}
-	log := &trace.Log{}
+	// Capacity hint for the trace, so Log.Trace does not re-grow it a dozen
+	// times per run: a meal is four state records and lasts, on average, at
+	// least the driver's mean think plus mean eat. The meal count is capped,
+	// because a spec's horizon is outside input.
+	drive := dining.DriverConfig{ThinkMin: 10, ThinkMax: 120, EatMin: 5, EatMax: 40}
+	meals := min(2*spec.Horizon/(drive.ThinkMin+drive.ThinkMax+drive.EatMin+drive.EatMax), 1<<12)
+	log := &trace.Log{Records: make([]sim.Record, 0, 4*n*int(meals))}
 	policy, _ := spec.Delay.Policy()
 	k := sim.NewKernel(n+extra,
 		sim.WithSeed(spec.Seed),
@@ -99,9 +106,7 @@ func Execute(spec Spec) *Result {
 		return res
 	}
 	for _, p := range g.Nodes() {
-		dining.Drive(k, p, tbl.Diner(p), dining.DriverConfig{
-			ThinkMin: 10, ThinkMax: 120, EatMin: 5, EatMax: 40,
-		})
+		dining.Drive(k, p, tbl.Diner(p), drive)
 	}
 	if err := armCrashes(k, tbl, spec); err != nil {
 		res.Category = CatPanic
@@ -112,6 +117,7 @@ func Execute(spec Spec) *Result {
 
 	end, fail := k.RunProtected(spec.Horizon)
 	res.End = end
+	res.Events = k.Events()
 	res.TraceHash = log.Hash()
 	if fail != nil {
 		res.Failure = fail

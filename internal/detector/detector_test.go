@@ -119,6 +119,57 @@ func TestHeartbeatAdaptiveTimeoutGrows(t *testing.T) {
 	}
 }
 
+// TestHeartbeatResetTrustOrder: Reset re-trusts the peers the dead
+// incarnation suspected in ProcID order, so a restarted diner's trace reads
+// the same every run. (The per-peer state was once four maps, and these
+// records came out in map order.)
+func TestHeartbeatResetTrustOrder(t *testing.T) {
+	const n = 6
+	log := &trace.Log{}
+	k := sim.NewKernel(n, sim.WithTracer(log))
+	hb := detector.NewHeartbeat(k, "hb", detector.HeartbeatConfig{})
+	for q := 1; q < n; q++ {
+		k.CrashAt(sim.ProcID(q), 10)
+	}
+	k.Run(2000)
+	for q := 1; q < n; q++ {
+		if !hb.Suspected(0, sim.ProcID(q)) {
+			t.Fatalf("0 does not suspect crashed %d", q)
+		}
+	}
+	before := log.Len()
+	hb.Reset(0)
+	got := log.Records[before:]
+	if len(got) != n-1 {
+		t.Fatalf("Reset emitted %d records, want %d trusts: %v", len(got), n-1, got)
+	}
+	for i, r := range got {
+		if r.Kind != trace.KindTrust || r.P != 0 || r.Peer != sim.ProcID(i+1) {
+			t.Fatalf("record %d is %s %d->%d, want trust 0->%d", i, r.Kind, r.P, r.Peer, i+1)
+		}
+	}
+	if hb.Suspected(0, 1) {
+		t.Fatal("still suspecting after Reset")
+	}
+}
+
+// TestHeartbeatSteadyStateAllocs: once the kernel's queue and the port
+// counters are warm, a full heartbeat period — every module's broadcast, its
+// deliveries and two suspicion checks — allocates nothing: no closure per
+// timer, no map growth.
+func TestHeartbeatSteadyStateAllocs(t *testing.T) {
+	k := sim.NewKernel(4)
+	detector.NewHeartbeat(k, "hb", detector.HeartbeatConfig{})
+	horizon := k.Run(5000)
+	allocs := testing.AllocsPerRun(200, func() {
+		horizon += 20 // HeartbeatConfig's default Interval
+		k.Run(horizon)
+	})
+	if allocs != 0 {
+		t.Fatalf("a steady-state heartbeat period allocated %v times, want 0", allocs)
+	}
+}
+
 // TestTrustingAxioms: the model-true T satisfies trusting accuracy and
 // strong completeness on a run with a crash.
 func TestTrustingAxioms(t *testing.T) {

@@ -44,16 +44,21 @@ type Heartbeat struct {
 }
 
 type hbModule struct {
-	k        rt.Runtime
-	name     string
-	cfg      HeartbeatConfig
-	port     string
-	self     rt.ProcID
-	n        int
-	lastBeat map[rt.ProcID]rt.Time
-	deadline map[rt.ProcID]rt.Time
-	timeout  map[rt.ProcID]rt.Time
-	suspects map[rt.ProcID]bool
+	k    rt.Runtime
+	name string
+	cfg  HeartbeatConfig
+	port string
+	self rt.ProcID
+	n    int
+
+	// Per-peer state, indexed by ProcID (the entry at self is unused).
+	deadline []rt.Time
+	timeout  []rt.Time
+	suspects []bool
+
+	// The two timer bodies, bound once: a method value evaluated at each
+	// After call would allocate a closure per timer.
+	beatFn, checkFn func()
 }
 
 // NewHeartbeat installs heartbeat ◇P modules at every process of k.
@@ -70,6 +75,7 @@ func NewHeartbeat(k rt.Runtime, name string, cfg HeartbeatConfig) *Heartbeat {
 			self: p,
 			n:    k.N(),
 		}
+		m.beatFn, m.checkFn = m.beat, m.check
 		h.mods[i] = m
 		m.init()
 		k.Handle(p, m.port, m.onBeat)
@@ -78,32 +84,26 @@ func NewHeartbeat(k rt.Runtime, name string, cfg HeartbeatConfig) *Heartbeat {
 	return h
 }
 
-// init (re)creates the module's mutable maps: everyone trusted, deadlines
+// init (re)creates the module's per-peer state: everyone trusted, deadlines
 // one full timeout from now.
 func (m *hbModule) init() {
-	m.lastBeat = make(map[rt.ProcID]rt.Time)
-	m.deadline = make(map[rt.ProcID]rt.Time)
-	m.timeout = make(map[rt.ProcID]rt.Time)
-	m.suspects = make(map[rt.ProcID]bool)
-	for j := 0; j < m.n; j++ {
-		q := rt.ProcID(j)
-		if q == m.self {
-			continue
-		}
-		m.timeout[q] = m.cfg.Timeout
-		m.deadline[q] = m.k.Now() + m.cfg.Timeout
+	m.deadline = make([]rt.Time, m.n)
+	m.timeout = make([]rt.Time, m.n)
+	m.suspects = make([]bool, m.n)
+	for j := range m.timeout {
+		m.timeout[j] = m.cfg.Timeout
+		m.deadline[j] = m.k.Now() + m.cfg.Timeout
 	}
 }
 
 // arm starts the periodic broadcast and suspicion-check timer chains.
 func (m *hbModule) arm(firstBeat rt.Time) {
-	m.k.After(m.self, firstBeat, m.beat)
-	m.k.After(m.self, m.cfg.Check, m.check)
+	m.k.After(m.self, firstBeat, m.beatFn)
+	m.k.After(m.self, m.cfg.Check, m.checkFn)
 }
 
 func (m *hbModule) onBeat(msg rt.Message) {
 	k := m.k
-	m.lastBeat[msg.From] = k.Now()
 	m.deadline[msg.From] = k.Now() + m.timeout[msg.From]
 	if m.suspects[msg.From] {
 		// Premature suspicion: trust again and learn.
@@ -121,7 +121,7 @@ func (m *hbModule) beat() {
 			m.k.Send(m.self, rt.ProcID(j), m.port, nil)
 		}
 	}
-	m.k.After(m.self, m.cfg.Interval, m.beat)
+	m.k.After(m.self, m.cfg.Interval, m.beatFn)
 }
 
 // check suspects every peer whose heartbeat is overdue and reschedules
@@ -137,21 +137,21 @@ func (m *hbModule) check() {
 			emitChange(m.k, m.name, m.self, q, true)
 		}
 	}
-	m.k.After(m.self, m.cfg.Check, m.check)
+	m.k.After(m.self, m.cfg.Check, m.checkFn)
 }
 
 // Reset reinstalls p's monitor state after a crash-restart: every peer is
-// trusted again (emitting trust records for peers the dead incarnation
-// suspected, so the suspicion history in the trace stays well-bracketed),
-// deadlines restart one full timeout from now, learned timeouts are
-// forgotten, and the broadcast/check timer chains — whose previous
-// incarnation died with the crash — are re-armed. Call it from the reboot
-// hook of live.Runtime.Restart.
+// trusted again (emitting trust records, in ProcID order, for peers the dead
+// incarnation suspected, so the suspicion history in the trace stays
+// well-bracketed), deadlines restart one full timeout from now, learned
+// timeouts are forgotten, and the broadcast/check timer chains — whose
+// previous incarnation died with the crash — are re-armed. Call it from the
+// reboot hook of live.Runtime.Restart.
 func (h *Heartbeat) Reset(p rt.ProcID) {
 	m := h.mods[p]
 	for q, s := range m.suspects {
 		if s {
-			emitChange(h.k, h.name, p, q, false)
+			emitChange(h.k, h.name, p, rt.ProcID(q), false)
 		}
 	}
 	m.init()

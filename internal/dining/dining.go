@@ -161,13 +161,16 @@ func Drive(k rt.Runtime, p rt.ProcID, d Diner, cfg DriverConfig) {
 		cfg.EatMax = cfg.EatMin
 	}
 	meals := 0
-	var scheduleHunger func(after rt.Time)
-	scheduleHunger = func(after rt.Time) {
-		k.After(p, after, func() {
-			if d.State() == Thinking {
-				d.Hungry()
-			}
-		})
+	// The two timer bodies are built once, not once per meal.
+	hunger := func() {
+		if d.State() == Thinking {
+			d.Hungry()
+		}
+	}
+	exit := func() {
+		if d.State() == Eating {
+			d.Exit()
+		}
 	}
 	d.OnChange(func(s State) {
 		switch s {
@@ -176,23 +179,19 @@ func Drive(k rt.Runtime, p rt.ProcID, d Diner, cfg DriverConfig) {
 			if cfg.NeverExit {
 				return
 			}
-			k.After(p, span(k, cfg.EatMin, cfg.EatMax), func() {
-				if d.State() == Eating {
-					d.Exit()
-				}
-			})
+			k.After(p, span(k, cfg.EatMin, cfg.EatMax), exit)
 		case Thinking:
 			if cfg.Meals > 0 && meals >= cfg.Meals {
 				return
 			}
-			scheduleHunger(span(k, cfg.ThinkMin, cfg.ThinkMax))
+			k.After(p, span(k, cfg.ThinkMin, cfg.ThinkMax), hunger)
 		}
 	})
 	first := cfg.FirstHunger
 	if first <= 0 {
 		first = span(k, cfg.ThinkMin, cfg.ThinkMax)
 	}
-	scheduleHunger(first)
+	k.After(p, first, hunger)
 }
 
 func span(k rt.Runtime, lo, hi rt.Time) rt.Time {

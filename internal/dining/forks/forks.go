@@ -135,13 +135,17 @@ type syncAckMsg struct {
 
 type module struct {
 	*dining.Core
-	k      rt.Runtime
-	self   rt.ProcID
-	nbrs   []rt.ProcID
-	edges  map[rt.ProcID]*edge
-	view   detector.View
-	cfg    Config
-	prefix string
+	k     rt.Runtime
+	self  rt.ProcID
+	nbrs  []rt.ProcID
+	edges map[rt.ProcID]*edge
+	view  detector.View
+	cfg   Config
+
+	// Built once rather than per send and per timer: the port names
+	// (name+"/req" and so on) and the bound retry method.
+	reqPort, forkPort, syncPort, syncAckPort string
+	retryFn                                  func()
 
 	clock    int64 // Lamport clock
 	hungerTS int64 // timestamp of the current hunger session
@@ -155,15 +159,20 @@ type module struct {
 
 func newModule(k rt.Runtime, g *graph.Graph, name string, p rt.ProcID, oracle detector.Oracle, cfg Config) *module {
 	m := &module{
-		Core:   dining.NewCore(k, p, name),
-		k:      k,
-		self:   p,
-		nbrs:   g.Neighbors(p),
-		edges:  make(map[rt.ProcID]*edge),
-		view:   detector.View{Oracle: oracle, Self: p},
-		cfg:    cfg,
-		prefix: name,
+		Core:  dining.NewCore(k, p, name),
+		k:     k,
+		self:  p,
+		nbrs:  g.Neighbors(p),
+		edges: make(map[rt.ProcID]*edge),
+		view:  detector.View{Oracle: oracle, Self: p},
+		cfg:   cfg,
+
+		reqPort:     name + "/req",
+		forkPort:    name + "/fork",
+		syncPort:    name + "/sync",
+		syncAckPort: name + "/syncack",
 	}
+	m.retryFn = m.retry
 	for _, q := range m.nbrs {
 		// Initial fork placement: the lower id holds (any assignment works;
 		// priority comes from timestamps, not from placement) unless a Seed
@@ -177,12 +186,12 @@ func newModule(k rt.Runtime, g *graph.Graph, name string, p rt.ProcID, oracle de
 			m.setHold(q, true)
 		}
 	}
-	k.Handle(p, m.prefix+"/req", m.onReq)
-	k.Handle(p, m.prefix+"/fork", m.onFork)
-	k.Handle(p, m.prefix+"/sync", m.onSync)
-	k.Handle(p, m.prefix+"/syncack", m.onSyncAck)
-	k.AddAction(p, m.prefix+"/eat", m.canEat, m.eat)
-	k.AddAction(p, m.prefix+"/exit-done", func() bool { return m.State() == dining.Exiting }, m.finishExit)
+	k.Handle(p, m.reqPort, m.onReq)
+	k.Handle(p, m.forkPort, m.onFork)
+	k.Handle(p, m.syncPort, m.onSync)
+	k.Handle(p, m.syncAckPort, m.onSyncAck)
+	k.AddAction(p, name+"/eat", m.canEat, m.eat)
+	k.AddAction(p, name+"/exit-done", func() bool { return m.State() == dining.Exiting }, m.finishExit)
 	return m
 }
 
@@ -298,10 +307,10 @@ func (m *module) yield(q rt.ProcID) {
 	e := m.edges[q]
 	m.setHold(q, false)
 	e.wanted = false
-	m.k.Send(m.self, q, m.prefix+"/fork", forkMsg{})
+	m.k.Send(m.self, q, m.forkPort, forkMsg{})
 	if m.State() == dining.Hungry {
 		// We still compete: chase the fork we just gave up.
-		m.k.Send(m.self, q, m.prefix+"/req", reqMsg{TS: m.hungerTS})
+		m.k.Send(m.self, q, m.reqPort, reqMsg{TS: m.hungerTS})
 	}
 }
 
@@ -309,7 +318,7 @@ func (m *module) yield(q rt.ProcID) {
 func (m *module) requestMissing() {
 	for _, q := range m.nbrs {
 		if !m.edges[q].hold {
-			m.k.Send(m.self, q, m.prefix+"/req", reqMsg{TS: m.hungerTS})
+			m.k.Send(m.self, q, m.reqPort, reqMsg{TS: m.hungerTS})
 		}
 	}
 }
@@ -317,14 +326,14 @@ func (m *module) requestMissing() {
 // scheduleRetry retransmits requests periodically while hungry, making the
 // protocol robust to reorderings; retries to crashed holders are dropped by
 // the network (the suspicion override unblocks us instead).
-func (m *module) scheduleRetry() {
-	m.k.After(m.self, m.cfg.Retry, func() {
-		if m.State() != dining.Hungry {
-			return
-		}
-		m.requestMissing()
-		m.scheduleRetry()
-	})
+func (m *module) scheduleRetry() { m.k.After(m.self, m.cfg.Retry, m.retryFn) }
+
+func (m *module) retry() {
+	if m.State() != dining.Hungry {
+		return
+	}
+	m.requestMissing()
+	m.scheduleRetry()
 }
 
 // Reset reinstalls p's module state after a crash-restart: the diner returns
@@ -348,7 +357,7 @@ func (t *Table) Reset(p rt.ProcID) {
 		m.setHold(q, false)
 		e.wanted = false
 		m.resync[q] = true
-		m.k.Send(m.self, q, m.prefix+"/sync", syncMsg{})
+		m.k.Send(m.self, q, m.syncPort, syncMsg{})
 	}
 	m.scheduleSyncRetry()
 }
@@ -371,7 +380,7 @@ func (m *module) onSync(msg rt.Message) {
 			m.setHold(q, true)
 		}
 	}
-	m.k.Send(m.self, q, m.prefix+"/syncack", syncAckMsg{Hold: e.hold})
+	m.k.Send(m.self, q, m.syncAckPort, syncAckMsg{Hold: e.hold})
 }
 
 // onSyncAck resolves one pending edge of a resync: mint the fork iff the
@@ -401,7 +410,7 @@ func (m *module) scheduleSyncRetry() {
 			return
 		}
 		for q := range m.resync {
-			m.k.Send(m.self, q, m.prefix+"/sync", syncMsg{})
+			m.k.Send(m.self, q, m.syncPort, syncMsg{})
 		}
 		m.scheduleSyncRetry()
 	})

@@ -81,12 +81,14 @@ type stub struct {
 	k     rt.Runtime
 	self  rt.ProcID
 	coord rt.ProcID
-	name  string
 	seq   int64 // hunger session number; brackets HUNGRY/EXIT pairs
+
+	hungryPort, exitPort string // name+"/hungry", name+"/exit", built once
 }
 
 func newStub(k rt.Runtime, name string, p, coord rt.ProcID) *stub {
-	s := &stub{Core: dining.NewCore(k, p, name), k: k, self: p, coord: coord, name: name}
+	s := &stub{Core: dining.NewCore(k, p, name), k: k, self: p, coord: coord,
+		hungryPort: name + "/hungry", exitPort: name + "/exit"}
 	k.Handle(p, name+"/eat", func(rt.Message) {
 		if s.State() == dining.Hungry {
 			s.Set(dining.Eating)
@@ -102,13 +104,13 @@ func newStub(k rt.Runtime, name string, p, coord rt.ProcID) *stub {
 func (s *stub) Hungry() {
 	s.Set(dining.Hungry)
 	s.seq++
-	s.k.Send(s.self, s.coord, s.name+"/hungry", s.seq)
+	s.k.Send(s.self, s.coord, s.hungryPort, s.seq)
 }
 
 // Exit implements dining.Diner.
 func (s *stub) Exit() {
 	s.Set(dining.Exiting)
-	s.k.Send(s.self, s.coord, s.name+"/exit", s.seq)
+	s.k.Send(s.self, s.coord, s.exitPort, s.seq)
 }
 
 // request is one queued hunger (diner plus its session number).
@@ -119,16 +121,16 @@ type request struct {
 
 // coordinator is the service-side scheduler.
 type coordinator struct {
-	k      rt.Runtime
-	g      *graph.Graph
-	name   string
-	self   rt.ProcID
-	hungry []request           // FIFO arrival order
-	eating map[rt.ProcID]int64 // eater -> session number of the booking
+	k       rt.Runtime
+	g       *graph.Graph
+	self    rt.ProcID
+	eatPort string              // name+"/eat", built once
+	hungry  []request           // FIFO arrival order
+	eating  map[rt.ProcID]int64 // eater -> session number of the booking
 }
 
 func newCoordinator(k rt.Runtime, g *graph.Graph, name string, self rt.ProcID) *coordinator {
-	c := &coordinator{k: k, g: g, name: name, self: self, eating: make(map[rt.ProcID]int64)}
+	c := &coordinator{k: k, g: g, self: self, eatPort: name + "/eat", eating: make(map[rt.ProcID]int64)}
 	k.Handle(self, name+"/hungry", func(m rt.Message) {
 		c.hungry = append(c.hungry, request{p: m.From, seq: m.Payload.(int64)})
 	})
@@ -186,7 +188,7 @@ func (c *coordinator) grant() {
 		return // drop requests of crashed diners
 	}
 	c.eating[r.p] = r.seq
-	c.k.Send(c.self, r.p, c.name+"/eat", nil)
+	c.k.Send(c.self, r.p, c.eatPort, nil)
 }
 
 // Eaters returns the coordinator's current books, sorted (for tests).

@@ -111,13 +111,13 @@ type tokenMsg struct {
 
 type module struct {
 	*dining.Core
-	k      rt.Runtime
-	self   rt.ProcID
-	ring   []rt.ProcID // all diners in id order
-	idx    int         // our position in ring
-	view   detector.View
-	cfg    Config
-	prefix string
+	k    rt.Runtime
+	self rt.ProcID
+	ring []rt.ProcID // all diners in id order
+	idx  int         // our position in ring
+	view detector.View
+	cfg  Config
+	port string // name+"/token", built once
 
 	hasToken  bool
 	cur       epoch   // epoch of the held token
@@ -136,14 +136,14 @@ func newModule(k rt.Runtime, name string, p rt.ProcID, ring []rt.ProcID, idx int
 		idx:     idx,
 		view:    detector.View{Oracle: oracle, Self: p},
 		cfg:     cfg,
-		prefix:  name,
+		port:    name + "/token",
 		timeout: cfg.Timeout,
 		// The lowest-id diner starts with the token.
 		hasToken: idx == 0,
 		cur:      epoch{C: 1, M: ring[0]},
 		maxSeen:  epoch{C: 1, M: ring[0]},
 	}
-	k.Handle(p, name+"/token", m.onToken)
+	k.Handle(p, m.port, m.onToken)
 	k.AddAction(p, name+"/eat", m.canEat, m.eat)
 	k.AddAction(p, name+"/forward", m.canForward, m.forward)
 	k.AddAction(p, name+"/exit-done", func() bool { return m.State() == dining.Exiting }, m.finishExit)
@@ -193,7 +193,7 @@ func (m *module) forward() {
 		}
 		if !m.view.Suspected(q) {
 			m.hasToken = false
-			m.k.Send(m.self, q, m.prefix+"/token", tokenMsg{Epoch: m.cur})
+			m.k.Send(m.self, q, m.port, tokenMsg{Epoch: m.cur})
 			return
 		}
 	}
@@ -246,6 +246,6 @@ func (m *module) maybeRegenerate() {
 	m.cur = m.maxSeen
 	m.hasToken = true
 	m.lastSeen = m.k.Now()
-	m.k.Emit(rt.Record{P: m.self, Kind: "mark", Peer: -1, Inst: m.prefix,
+	m.k.Emit(rt.Record{P: m.self, Kind: "mark", Peer: -1, Inst: m.Inst,
 		Note: fmt.Sprintf("regenerate epoch=%d.%d", m.cur.C, m.cur.M)})
 }

@@ -84,12 +84,14 @@ type stub struct {
 	k     rt.Runtime
 	self  rt.ProcID
 	coord rt.ProcID
-	name  string
 	seq   int64 // hunger session number; brackets HUNGRY/EXIT pairs
+
+	hungryPort, exitPort string // name+"/hungry", name+"/exit", built once
 }
 
 func newStub(k rt.Runtime, name string, p, coord rt.ProcID) *stub {
-	s := &stub{Core: dining.NewCore(k, p, name), k: k, self: p, coord: coord, name: name}
+	s := &stub{Core: dining.NewCore(k, p, name), k: k, self: p, coord: coord,
+		hungryPort: name + "/hungry", exitPort: name + "/exit"}
 	k.Handle(p, name+"/eat", func(rt.Message) {
 		if s.State() == dining.Hungry {
 			s.Set(dining.Eating)
@@ -105,13 +107,13 @@ func newStub(k rt.Runtime, name string, p, coord rt.ProcID) *stub {
 func (s *stub) Hungry() {
 	s.Set(dining.Hungry)
 	s.seq++
-	s.k.Send(s.self, s.coord, s.name+"/hungry", s.seq)
+	s.k.Send(s.self, s.coord, s.hungryPort, s.seq)
 }
 
 // Exit implements dining.Diner.
 func (s *stub) Exit() {
 	s.Set(dining.Exiting)
-	s.k.Send(s.self, s.coord, s.name+"/exit", s.seq)
+	s.k.Send(s.self, s.coord, s.exitPort, s.seq)
 }
 
 type grantInfo struct {
@@ -122,8 +124,8 @@ type grantInfo struct {
 type coordinator struct {
 	k            rt.Runtime
 	g            *graph.Graph
-	name         string
 	self         rt.ProcID
+	eatPort      string // name+"/eat", built once
 	mistakeUntil rt.Time
 	hungry       []request
 	eating       map[rt.ProcID]grantInfo
@@ -137,7 +139,7 @@ type request struct {
 
 func newCoordinator(k rt.Runtime, g *graph.Graph, name string, self rt.ProcID, mistakeUntil rt.Time) *coordinator {
 	c := &coordinator{
-		k: k, g: g, name: name, self: self,
+		k: k, g: g, self: self, eatPort: name + "/eat",
 		mistakeUntil: mistakeUntil,
 		eating:       make(map[rt.ProcID]grantInfo),
 	}
@@ -204,5 +206,5 @@ func (c *coordinator) grant() {
 		return
 	}
 	c.eating[r.p] = grantInfo{at: c.k.Now(), seq: r.seq}
-	c.k.Send(c.self, r.p, c.name+"/eat", nil)
+	c.k.Send(c.self, r.p, c.eatPort, nil)
 }

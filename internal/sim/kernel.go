@@ -369,7 +369,7 @@ func (k *Kernel) scheduleEvent(t Time, e event) {
 	k.seq++
 	e.at = t
 	e.seq = k.seq
-	k.queue.push(e)
+	k.queue.push(&e)
 }
 
 func (k *Kernel) deliver(m Message) {

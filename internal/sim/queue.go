@@ -1,5 +1,11 @@
 package sim
 
+import (
+	"fmt"
+	"math/bits"
+	"sort"
+)
+
 // event is an internal kernel event: a message delivery, a process step, a
 // timer expiry, or a generic scheduled closure. Events are totally ordered by
 // (at, seq); seq is unique per event, so the order is strict and the queue
@@ -29,96 +35,184 @@ const (
 	evTimer                 // After timer at p: skip if crashed, else fn() + wake
 )
 
-// eventQueue is an index-based 4-ary min-heap of events ordered by (at, seq).
-// The zero value is an empty queue ready to use.
+// wheelSize is the number of consecutive ticks the ring covers. A constant,
+// not a knob: the kernel's delays, step gaps and protocol timers are tens of
+// ticks, so all but a handful of events per run (crash schedules, era
+// timers) land inside it, and those few are the overflow's job.
+const (
+	wheelSize = 256
+	wheelMask = wheelSize - 1
+)
+
+// eventQueue is a calendar queue: pop returns the events pushed so far in
+// (at, seq) order. The zero value is an empty queue ready to use.
 //
-// Design notes (see DESIGN.md "Performance"): a 4-ary layout halves the tree
-// depth of a binary heap, and sift-down — the expensive direction, paid on
-// every pop — touches 4 children per level that sit in one or two cache
-// lines. Storing events by value removes the per-event pointer allocation
-// and the interface boxing that container/heap imposes; the slice's spare
-// capacity is the free list, so after warm-up a steady-state push recycles a
-// slot vacated by an earlier pop and the queue stops allocating entirely.
+// It is not a general priority queue. It relies on — and the kernel's
+// scheduleEvent guarantees — a narrower contract than the heap it replaced
+// (refHeap in queue_ref_test.go):
+//
+//   - seq is strictly increasing across pushes;
+//   - at is never below base, the tick of the last popped event (0 before
+//     the first pop). push panics on an event that is.
+//
+// Under that contract the events of one tick arrive already in seq order,
+// so a tick is a FIFO and needs no comparisons. The ring holds one FIFO per
+// tick of [base, base+wheelSize), indexed by at mod wheelSize, with an
+// occupancy bitmap to find the next non-empty tick; FIFO nodes live in one
+// slab, linked by index, with the vacated ones on a free list — after
+// warm-up push and pop allocate nothing and the slab is as long as the ring
+// ever was. Events at or beyond base+wheelSize wait in overflow, sorted by
+// (at, seq), and move into the ring as base catches up with them.
+//
+// The one ordering hazard is a tick T that receives both: overflow events
+// (pushed early, small seq) and direct pushes (T came within the window
+// later, larger seq). The direct ones must queue behind the others, so pop
+// drains the overflow whenever it advances base, before it returns — i.e.
+// before the popped event fires and can push anything. That keeps the
+// invariant "every overflow event is at or beyond base+wheelSize" between
+// calls, which is what makes a direct push to T proof that T's overflow
+// events are already in its FIFO. See DESIGN.md "Performance".
 type eventQueue struct {
-	items []event
+	base     Time // tick of the last popped event
+	n        int  // events held: ring + overflow
+	occupied [wheelSize / 64]uint64
+	buckets  [wheelSize]bucket
+	slab     []node  // slab[0] is unused, so index 0 can mean "none"
+	free     int32   // head of the free list through node.next
+	overflow []event // at - base >= wheelSize, sorted by (at, seq)
 }
 
-func (q *eventQueue) Len() int { return len(q.items) }
+// bucket is the FIFO of one tick: slab indices, 0 = empty.
+type bucket struct{ head, tail int32 }
 
-func less(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+type node struct {
+	ev   event
+	next int32
+}
+
+func (q *eventQueue) Len() int { return q.n }
+
+// push inserts a copy of *e. See the contract on eventQueue.
+func (q *eventQueue) push(e *event) {
+	if e.at < q.base {
+		panic(fmt.Sprintf("sim: event queue: push at t=%d behind the last popped tick %d", e.at, q.base))
 	}
-	return a.seq < b.seq
+	q.n++
+	if e.at-q.base < wheelSize {
+		q.link(e)
+		return
+	}
+	// Beyond the window. A later push at the same tick has the larger seq,
+	// so inserting after every event of that tick keeps (at, seq) order.
+	ov := q.overflow
+	i := sort.Search(len(ov), func(i int) bool { return ov[i].at > e.at })
+	ov = append(ov, event{})
+	copy(ov[i+1:], ov[i:])
+	ov[i] = *e
+	q.overflow = ov
 }
 
-// push inserts e, sifting it up from the new leaf.
-func (q *eventQueue) push(e event) {
-	q.items = append(q.items, e)
-	it := q.items
-	i := len(it) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !less(&e, &it[parent]) {
-			break
+// link appends e to the FIFO of its tick, which must be inside the window.
+func (q *eventQueue) link(e *event) {
+	i := q.free
+	if i != 0 {
+		q.free = q.slab[i].next
+	} else {
+		if len(q.slab) == 0 {
+			q.slab = append(q.slab, node{})
 		}
-		it[i] = it[parent]
-		i = parent
+		i = int32(len(q.slab))
+		q.slab = append(q.slab, node{})
 	}
-	it[i] = e
+	nd := &q.slab[i]
+	nd.ev = *e
+	nd.next = 0
+	tick := int(e.at) & wheelMask
+	b := &q.buckets[tick]
+	if b.head == 0 {
+		b.head = i
+		q.occupied[tick>>6] |= 1 << (tick & 63)
+	} else {
+		q.slab[b.tail].next = i
+	}
+	b.tail = i
 }
 
-// pop removes and returns the minimum event. The vacated tail slot is zeroed
+// first returns the ring index of the earliest non-empty tick. The ring must
+// not be empty. Ticks wrap: the scan starts at base's slot and the last word
+// it visits is the first one again, for the bits below base's.
+func (q *eventQueue) first() int {
+	start := int(q.base) & wheelMask
+	w := start >> 6
+	if m := q.occupied[w] >> (start & 63); m != 0 {
+		return start + bits.TrailingZeros64(m)
+	}
+	for i := 1; i <= len(q.occupied); i++ {
+		ww := (w + i) % len(q.occupied)
+		if m := q.occupied[ww]; m != 0 {
+			return ww<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	panic("sim: event queue: occupancy bitmap out of step with the ring")
+}
+
+// pop removes and returns the minimum event; the queue must not be empty.
+// When that moves base forward, the overflow events the window now covers
+// are filed before pop returns (see eventQueue). The vacated node is zeroed
 // so the queue does not retain message payloads or closures beyond their
-// lifetime (the slot itself stays in the slice's capacity for reuse).
-func (q *eventQueue) pop() event {
-	it := q.items
-	top := it[0]
-	n := len(it) - 1
-	last := it[n]
-	it[n] = event{}
-	q.items = it[:n]
-	if n > 0 {
-		q.siftDown(last)
+// lifetime.
+func (q *eventQueue) pop() (e event) {
+	if q.n == len(q.overflow) {
+		// Empty ring: jump to the overflow's first tick.
+		q.advance(q.overflow[0].at)
 	}
-	return top
+	tick := q.first()
+	b := &q.buckets[tick]
+	i := b.head
+	nd := &q.slab[i]
+	e = nd.ev
+	if b.head = nd.next; b.head == 0 {
+		b.tail = 0
+		q.occupied[tick>>6] &^= 1 << (tick & 63)
+	}
+	nd.ev = event{}
+	nd.next = q.free
+	q.free = i
+	q.n--
+	if e.at != q.base {
+		q.advance(e.at)
+	}
+	return e
 }
 
-// siftDown places e (the displaced last element) starting from the root.
-func (q *eventQueue) siftDown(e event) {
-	it := q.items
-	n := len(it)
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		// Select the minimum of the up-to-4 children.
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if less(&it[j], &it[m]) {
-				m = j
-			}
-		}
-		if !less(&it[m], &e) {
-			break
-		}
-		it[i] = it[m]
-		i = m
+// advance moves base to t and files every overflow event the window has
+// reached. None of them is earlier than t: they were beyond the old window,
+// and t — the ring's first event, or theirs if the ring was empty — was not.
+func (q *eventQueue) advance(t Time) {
+	q.base = t
+	ov := q.overflow
+	k := 0
+	for k < len(ov) && ov[k].at-t < wheelSize {
+		q.link(&ov[k])
+		k++
 	}
-	it[i] = e
+	if k > 0 {
+		rest := copy(ov, ov[k:])
+		clear(ov[rest:])
+		q.overflow = ov[:rest]
+	}
 }
 
 // peekAt returns the minimum event's time without removing it; ok is false
 // on an empty queue.
 func (q *eventQueue) peekAt() (at Time, ok bool) {
-	if len(q.items) == 0 {
+	switch {
+	case q.n == 0:
 		return 0, false
+	case q.n == len(q.overflow):
+		return q.overflow[0].at, true
 	}
-	return q.items[0].at, true
+	// A ring slot holds one tick of [base, base+wheelSize): its distance from
+	// base's slot is the tick's distance from base.
+	return q.base + Time((q.first()-int(q.base))&wheelMask), true
 }

@@ -72,6 +72,10 @@ type Budget struct {
 // diagnostic retrievable via Exhausted.
 func (k *Kernel) SetBudget(b Budget) { k.budget = b }
 
+// Events returns the number of events processed so far — deliveries, timers
+// and steps — the count MaxEvents bounds.
+func (k *Kernel) Events() int64 { return k.events }
+
 // Exhausted returns the watchdog diagnostic if the budget was exceeded, else
 // nil.
 func (k *Kernel) Exhausted() *BudgetExceeded { return k.exhausted }
