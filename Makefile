@@ -69,12 +69,14 @@ bench:
 # Service-path trajectory, shaped like `bench`: lockproto's codec, flush
 # writer, journal encoder and registry micro-benchmarks (with their
 # encoding/json baselines; BenchmarkSessionsSnapshot is one checkpoint of a
-# registry with 200 000 finished sessions) and dinesvc's in-process loopback
-# service benchmarks, in BENCH_serve.json. End-to-end figures are bench-e2e's.
-SERVE_BENCH := BenchmarkWire|BenchmarkFlushWriter|BenchmarkRecAppend|BenchmarkSessions|BenchmarkServeGrant|BenchmarkServeChurn
+# registry with 200 000 finished sessions), the WAL's append+sync round and
+# its group commit (BenchmarkStore*; "interval" is held at 0 allocs/op by
+# bench2json's rule) and dinesvc's in-process loopback service benchmarks, in
+# BENCH_serve.json. End-to-end figures are bench-e2e's.
+SERVE_BENCH := BenchmarkWire|BenchmarkFlushWriter|BenchmarkRecAppend|BenchmarkSessions|BenchmarkStore|BenchmarkServeGrant|BenchmarkServeChurn
 
 bench-serve:
-	$(GO) test -run '^$$' -bench '$(SERVE_BENCH)' -benchmem ./internal/lockproto ./internal/dinesvc \
+	$(GO) test -run '^$$' -bench '$(SERVE_BENCH)' -benchmem ./internal/lockproto ./internal/wal ./internal/dinesvc \
 		| $(GO) run ./cmd/bench2json -baseline BENCH_serve.json -o BENCH_serve.json
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): its four

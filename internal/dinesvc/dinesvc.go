@@ -76,7 +76,7 @@ type Config struct {
 	// one table, table-<i>/ subdirectories for more). Empty disables.
 	DataDir string
 	// Fsync is the WAL durability policy: "always" (default), "interval"
-	// (fsync on the WAL's 50ms background cadence), or "never".
+	// (a write arms an fsync 50ms later), or "never".
 	Fsync string
 	// SnapRecords cuts a snapshot after this many WAL records per table
 	// (default 4096) — or after as many as the last snapshot had rows, once

@@ -93,8 +93,8 @@ func (d *durable) fatal(err error) {
 // handed, but its checksum call makes a stack buffer escape.
 var recBufs = sync.Pool{New: func() any { b := make([]byte, 0, 128); return &b }}
 
-// append journals one record (buffered; durability comes from after or
-// the store's fsync policy).
+// append journals one record. It only buffers — the store never makes an
+// appender wait on the disk — and durability comes from after.
 func (d *durable) append(rec lockproto.Rec) {
 	if d == nil {
 		return
@@ -136,13 +136,15 @@ func (d *durable) after(fn func()) {
 	}
 }
 
-// commit is the table's committer, the one goroutine that waits on the WAL:
-// take everything posted, Sync once to the newest record, run the acks in
-// posting order. An ack is posted after its record is appended, so the
-// append watermark read here covers the whole batch; posting order is kept
-// across rounds, so released(k1) still reaches a connection before
-// granted(k2). The grouping of fsyncs is the WAL flusher's — acks posted
-// during a round simply form the next one. calls/rounds expose the ratio.
+// commit is the table's committer, the one goroutine that waits on the WAL
+// and — the store has no goroutine of its own — the one that writes it: take
+// everything posted, Sync once to the newest record, which performs the
+// write and the fsync right here, and run the acks in posting order. An ack is
+// posted after its record is appended, so the append watermark read here
+// covers the whole batch; posting order is kept across rounds, so
+// released(k1) still reaches a connection before granted(k2). A round is
+// one group commit: everything diner processes appended while the previous
+// round was on the disk. calls/rounds expose the ratio.
 func (d *durable) commit() {
 	defer close(d.done)
 	var batch []func()
@@ -189,10 +191,11 @@ func (d *durable) tick(now int64) {
 	d.clock = now
 	d.mu.Unlock()
 	d.append(lockproto.Rec{K: lockproto.RecTick, T: now})
-	if n := d.recsSince.Load(); n < d.snapEvery || n < d.snapRows {
+	n := d.recsSince.Load()
+	if n < d.snapEvery || n < d.snapRows {
 		return
 	}
-	d.recsSince.Store(0)
+	d.recsSince.Add(-n) // not Store(0): diner processes append meanwhile
 	t0 := time.Now()
 	if err := d.store.Snapshot(d.buildSnapshot); err != nil {
 		d.fatal(err)

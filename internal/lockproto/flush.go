@@ -10,8 +10,8 @@ import (
 )
 
 // FlushWriter coalesces a connection's outbound events into batched writes
-// without ever holding one back: it is self-clocking, the discipline the WAL
-// flusher and the durable committer already follow.
+// without ever holding one back: it is self-clocking, the discipline the
+// durable committer and the WAL under it already follow.
 //
 // Send appends the encoded event to a pending buffer and, when that made the
 // buffer non-empty, wakes the per-connection flusher goroutine; the flusher

@@ -12,16 +12,18 @@ import (
 // it.
 type SegmentInfo struct {
 	Name       string
+	Gen        uint64
 	Records    int   // valid frames
 	ValidBytes int64 // length of the valid prefix
 	TotalBytes int64
-	Torn       bool // bytes past the valid prefix exist
+	Torn       bool // a segment with bytes past the valid prefix; a snapshot with no valid first frame
 	Replayed   bool // recovery would use this file
 }
 
 // Report is the read-only analysis of a WAL+snapshot directory: what
-// recovery would load, and where the corruption (if any) sits. Unlike Open,
-// Inspect never mutates the directory — no truncation, no tmp cleanup.
+// recovery loads, what it drops, and where the corruption (if any) sits.
+// Inspect never mutates the directory; Open applies the report — tmp
+// cleanup, truncation — and serves from it.
 type Report struct {
 	Dir       string
 	Gen       uint64 // snapshot generation recovery would choose
@@ -33,8 +35,8 @@ type Report struct {
 	Strays    []string
 }
 
-// Valid reports whether the directory is fully intact: every snapshot
-// parses and no segment carries a torn tail.
+// Valid reports whether recovery would drop nothing: the newest snapshot
+// parses and no replayed segment carries a torn tail.
 func (r *Report) Valid() bool { return r.TornBytes == 0 }
 
 // Render formats the report for humans.
@@ -83,9 +85,14 @@ func replayed(s SegmentInfo) string {
 	return " (not replayed)"
 }
 
-// Inspect analyzes dir without modifying it, applying exactly the selection
-// rules Open uses: newest valid snapshot wins, segments at or after it are
-// replayed in order, and everything past the first invalid frame is torn.
+// Inspect analyzes dir without modifying it. It is the one statement of the
+// recovery rules — Open applies what it reports. A snapshot is its first
+// frame; the newest one that has a valid first frame wins, and the corrupt
+// ones newer than it are dropped whole. Segments at or after the chosen
+// generation are replayed in order. Only the last may legitimately have a
+// torn tail (a crash mid append); an invalid frame in an earlier one means
+// external corruption, and everything past it — including whole later
+// segments — is untrusted and dropped so the append order stays consistent.
 func Inspect(dir string) (*Report, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -108,30 +115,25 @@ func Inspect(dir string) (*Report, error) {
 	sort.Slice(snapGens, func(i, j int) bool { return snapGens[i] < snapGens[j] })
 	sort.Slice(walGens, func(i, j int) bool { return walGens[i] < walGens[j] })
 
-	chosen := uint64(0)
-	haveSnap := false
-	for _, g := range snapGens {
+	r.Snapshots = make([]SegmentInfo, len(snapGens))
+	for i := len(snapGens) - 1; i >= 0; i-- { // newest first
+		g := snapGens[i]
 		data, err := os.ReadFile(filepath.Join(dir, snapName(g)))
 		if err != nil {
 			return nil, err
 		}
 		recs, valid := scanFrames(data)
-		info := SegmentInfo{Name: snapName(g), TotalBytes: int64(len(data)), ValidBytes: valid,
-			Records: len(recs), Torn: len(recs) == 0 || valid < int64(len(data))}
-		if len(recs) > 0 && (!haveSnap || g > chosen) {
-			chosen, haveSnap = g, true
-			r.Snapshot = recs[0]
+		info := SegmentInfo{Name: snapName(g), Gen: g, TotalBytes: int64(len(data)), ValidBytes: valid,
+			Records: len(recs), Torn: len(recs) == 0}
+		switch {
+		case r.Snapshot != nil: // older than the chosen one: a fallback recovery does not touch; reported, not counted
+		case info.Torn:
+			r.TornBytes += info.TotalBytes
+		default:
+			r.Gen, r.Snapshot, info.Replayed = g, recs[0], true
 		}
-		if info.Torn {
-			r.TornBytes += int64(len(data)) - valid
-		}
-		r.Snapshots = append(r.Snapshots, info)
+		r.Snapshots[i] = info
 	}
-	// Mark which snapshot wins (only the newest valid one is replayed).
-	for i := range r.Snapshots {
-		r.Snapshots[i].Replayed = haveSnap && r.Snapshots[i].Name == snapName(chosen) && !r.Snapshots[i].Torn
-	}
-	r.Gen = chosen
 
 	corrupt := false
 	for _, g := range walGens {
@@ -140,16 +142,16 @@ func Inspect(dir string) (*Report, error) {
 			return nil, err
 		}
 		recs, valid := scanFrames(data)
-		info := SegmentInfo{Name: walName(g), TotalBytes: int64(len(data)), ValidBytes: valid,
+		info := SegmentInfo{Name: walName(g), Gen: g, TotalBytes: int64(len(data)), ValidBytes: valid,
 			Records: len(recs), Torn: valid < int64(len(data))}
-		if g >= chosen && !corrupt {
+		if g >= r.Gen && !corrupt {
 			info.Replayed = true
 			r.Records = append(r.Records, recs...)
 			if info.Torn {
 				r.TornBytes += info.TotalBytes - valid
 				corrupt = true
 			}
-		} else if g >= chosen {
+		} else if g >= r.Gen {
 			// Past the first corrupted segment: dropped wholesale.
 			r.TornBytes += info.TotalBytes
 		}

@@ -36,9 +36,6 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// frameSize is the encoded size of a payload of n bytes.
-func frameSize(n int) int64 { return int64(headerSize + n) }
-
 // scanFrames walks the frames of one segment and returns the decoded
 // payloads plus the byte length of the valid prefix. Scanning stops — never
 // errors — at the first frame that is truncated, oversized, or fails its

@@ -5,12 +5,17 @@
 // never interprets payloads), group-commit them with a policy-controlled
 // fsync discipline, and periodically cut a snapshot that bounds replay work.
 //
-// Durability model. Append only buffers; a background flusher writes batches
-// and — under PolicyAlways — fsyncs them, so N concurrent appenders waiting
-// on Sync share one fsync (group commit). Sync(lsn) blocks until record lsn
-// is durable under the active policy: written and fsynced (PolicyAlways), or
-// merely written with fsync left to the background cadence (PolicyInterval)
-// or to the operating system (PolicyNever).
+// Durability model. Append only buffers, and never waits on the disk. The
+// store runs no goroutine of its own: the caller of Sync is the writer. It
+// takes the I/O lock, swaps the buffer out, writes it and — under
+// PolicyAlways — fsyncs it; callers that arrive meanwhile queue on the lock
+// and, once through, find their record covered by the batch of whoever went
+// before them, so N concurrent appenders waiting on Sync share one fsync
+// (group commit). Sync(lsn) returns once record lsn is durable under the
+// active policy: written and fsynced (PolicyAlways), or merely written, with
+// the fsync left to a timer the write arms (PolicyInterval) or to the
+// operating system (PolicyNever). A record nobody Syncs is written by the
+// next Sync, snapshot or Close.
 //
 // Crash model. A crashed writer may leave a torn tail: a partially written
 // frame, or garbage past the last flush. Recovery walks frames until the
@@ -32,7 +37,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -47,13 +51,17 @@ const (
 	// PolicyAlways: Sync returns only after the record is fsynced. Appends
 	// are still batched — concurrent waiters share one fsync.
 	PolicyAlways Policy = iota
-	// PolicyInterval: records are fsynced on a background cadence; Sync
-	// waits only for the write. A crash loses at most Interval of records.
+	// PolicyInterval: Sync waits only for the write; the first write after
+	// an fsync arms the next one, syncInterval later. A crash loses at most
+	// that much of what Sync acknowledged.
 	PolicyInterval
 	// PolicyNever: the store never fsyncs; the OS page cache decides. A
 	// machine crash can lose anything not yet written back.
 	PolicyNever
 )
+
+// syncInterval is the PolicyInterval fsync cadence.
+const syncInterval = 50 * time.Millisecond
 
 // ParsePolicy maps the -fsync flag vocabulary onto a Policy.
 func ParsePolicy(s string) (Policy, error) {
@@ -82,9 +90,6 @@ func (p Policy) String() string {
 // Options shapes a store.
 type Options struct {
 	Policy Policy
-	// Interval is the background fsync cadence under PolicyInterval
-	// (default 50ms).
-	Interval time.Duration
 	// Instruments, nil = not counted: every fsync the store issues, how long
 	// it took, and how many records it made durable (the group-commit
 	// batch). Handles from the caller's metrics registry; the store keeps no
@@ -109,131 +114,92 @@ type Recovered struct {
 	Segments  int // wal segments replayed (fully or partially)
 }
 
+// file is what the store needs of a segment, a snapshot or a directory
+// handle. Tests substitute a fake through openFile to block, fail or crash
+// the disk; nothing else sets it.
+type file interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+	Close() error
+}
+
+var openFile = func(name string, flag int, perm os.FileMode) (file, error) {
+	return os.OpenFile(name, flag, perm)
+}
+
 // Store is a write-ahead log plus snapshot directory. Safe for concurrent
 // use.
+//
+// Two locks, io before mu. io serialises file I/O: whoever holds it — a Sync
+// caller, rotate, the interval fsync, Close — is the writer. mu guards the
+// in-memory state and is never held across a system call, so Append never
+// waits on the disk. rotate holds io across two fsyncs and a file create (a
+// millisecond or two); the only goroutine that can queue behind it is one
+// that called Sync — in the service, the table's committer, never a diner.
 type Store struct {
 	dir  string
 	opts Options
 
+	io    sync.Mutex
+	f     file   // active segment
+	spare []byte // the buffer the last flush wrote, reused as the next pending
+
 	mu       sync.Mutex
-	cond     *sync.Cond
-	f        *os.File
-	gen      uint64 // active segment generation
 	nextGen  uint64 // next rotation's generation (monotonic over stray files)
 	lastSnap uint64 // newest committed snapshot generation
-	pending  []byte // frames appended but not yet handed to the flusher
+	pending  []byte // frames appended but not yet written
 	appended LSN
 	written  LSN
 	durable  LSN
-	inflight int // file I/O operations outside mu (flusher, interval sync)
-	rotating bool
+	timer    *time.Timer // the PolicyInterval fsync, armed by the first unsynced write
 	closed   bool
 	err      error // sticky I/O error; the store is dead once set
-
-	flushDone chan struct{}
-	stopSync  chan struct{}
 }
 
 // Open recovers the durable state under dir (creating it if needed) and
-// returns a store appending after the last valid record. The active
-// segment's torn tail, if any, is truncated on the spot.
+// returns a store appending after the last valid record. What to load and
+// what to drop is Inspect's decision; Open applies it: uncommitted snapshot
+// attempts are removed, corrupt snapshots newer than the chosen one are set
+// aside under a .corrupt name (preserved for forensics, out of the recovery
+// path so the next boot converges to a clean directory), segments past a
+// tear are removed, and the active segment is truncated to its valid prefix.
 func Open(dir string, opts Options) (*Store, *Recovered, error) {
-	if opts.Interval <= 0 {
-		opts.Interval = 50 * time.Millisecond
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	entries, err := os.ReadDir(dir)
+	rep, err := Inspect(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	var snapGens, walGens []uint64
-	var maxGen uint64
-	for _, e := range entries {
-		name := e.Name()
+	for _, name := range rep.Strays {
 		if strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(dir, name)) // uncommitted snapshot attempt
-			continue
-		}
-		prefix, g, ok := parseGen(name)
-		if !ok {
-			continue
-		}
-		if g > maxGen {
-			maxGen = g
-		}
-		if prefix == "snap" {
-			snapGens = append(snapGens, g)
-		} else {
-			walGens = append(walGens, g)
+			os.Remove(filepath.Join(dir, name))
 		}
 	}
-	sort.Slice(snapGens, func(i, j int) bool { return snapGens[i] > snapGens[j] }) // newest first
-	sort.Slice(walGens, func(i, j int) bool { return walGens[i] < walGens[j] })    // oldest first
-
-	rec := &Recovered{}
-	// The newest snapshot that validates wins; a corrupt one (torn write
-	// that somehow survived the rename discipline, or external damage) is
-	// skipped in favor of its predecessor and set aside under a .corrupt
-	// name — preserved for forensics, but out of the recovery path so the
-	// next boot converges to a clean directory.
-	for _, g := range snapGens {
-		path := filepath.Join(dir, snapName(g))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			continue
+	rec := &Recovered{Snapshot: rep.Snapshot, Records: rep.Records, Gen: rep.Gen, TornBytes: rep.TornBytes}
+	maxGen := rep.Gen
+	for _, sn := range rep.Snapshots {
+		maxGen = max(maxGen, sn.Gen)
+		if sn.Torn && (rep.Snapshot == nil || sn.Gen > rep.Gen) {
+			path := filepath.Join(dir, sn.Name)
+			os.Rename(path, path+".corrupt")
 		}
-		if recs, _ := scanFrames(data); len(recs) > 0 {
-			rec.Snapshot = recs[0]
-			rec.Gen = g
-			break
-		}
-		rec.TornBytes += int64(len(data))
-		os.Rename(path, path+".corrupt")
 	}
-
-	s := &Store{dir: dir, opts: opts, gen: rec.Gen, nextGen: maxGen + 1,
-		lastSnap: rec.Gen, flushDone: make(chan struct{}), stopSync: make(chan struct{})}
-	s.cond = sync.NewCond(&s.mu)
-
-	// Replay every segment at or after the snapshot generation, in order.
-	// Only the last segment may legitimately have a torn tail (a crash mid
-	// append); an invalid frame in an earlier segment means external
-	// corruption, and everything past it — including whole later segments —
-	// is untrusted and dropped so the append order stays consistent.
-	active := rec.Gen
-	activeValid := int64(0)
-	corrupt := false
-	for _, g := range walGens {
-		if g < rec.Gen {
-			continue
-		}
-		path := filepath.Join(dir, walName(g))
-		if corrupt {
-			if fi, err := os.Stat(path); err == nil {
-				rec.TornBytes += fi.Size()
-			}
-			os.Remove(path)
-			continue
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		recs, valid := scanFrames(data)
-		rec.Records = append(rec.Records, recs...)
-		rec.Segments++
-		active, activeValid = g, valid
-		if torn := int64(len(data)) - valid; torn > 0 {
-			rec.TornBytes += torn
-			corrupt = true
+	active, activeValid := rep.Gen, int64(0)
+	for _, seg := range rep.Segments {
+		maxGen = max(maxGen, seg.Gen)
+		switch {
+		case seg.Replayed:
+			rec.Segments++
+			active, activeValid = seg.Gen, seg.ValidBytes
+		case seg.Gen >= rep.Gen:
+			os.Remove(filepath.Join(dir, seg.Name))
 		}
 	}
 
-	// Open (or create) the active segment for append, truncated to its
-	// valid prefix.
-	f, err := os.OpenFile(filepath.Join(dir, walName(active)), os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := openFile(filepath.Join(dir, walName(active)), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -245,23 +211,13 @@ func Open(dir string, opts Options) (*Store, *Recovered, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	s.f = f
-	s.gen = active
-	if active >= s.nextGen {
-		s.nextGen = active + 1
-	}
-	s.appended = LSN(len(rec.Records))
-	s.written, s.durable = s.appended, s.appended
-
-	go s.flusher()
-	if opts.Policy == PolicyInterval {
-		go s.syncLoop()
-	}
-	return s, rec, nil
+	n := LSN(len(rec.Records))
+	return &Store{dir: dir, opts: opts, f: f, nextGen: maxGen + 1, lastSnap: rep.Gen,
+		appended: n, written: n, durable: n}, rec, nil
 }
 
-// Append buffers one record and returns its LSN. The write happens on the
-// flusher's schedule; pair with Sync for durability.
+// Append buffers one record and returns its LSN. Nothing is written until a
+// Sync, a snapshot or Close; pair with Sync for durability.
 func (s *Store) Append(payload []byte) (LSN, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -273,7 +229,6 @@ func (s *Store) Append(payload []byte) (LSN, error) {
 	}
 	s.pending = appendFrame(s.pending, payload)
 	s.appended++
-	s.cond.Broadcast()
 	return s.appended, nil
 }
 
@@ -286,166 +241,139 @@ func (s *Store) Appended() LSN {
 }
 
 // Sync blocks until record lsn is durable under the store's policy:
-// fsynced for PolicyAlways, written for the others.
+// fsynced for PolicyAlways, written for the others. The caller that finds
+// io free is the leader and flushes everything appended so far; the callers
+// that queued behind it find their record covered and return.
 func (s *Store) Sync(lsn LSN) error {
+	if done, err := s.covered(lsn); done {
+		return err
+	}
+	s.io.Lock()
+	defer s.io.Unlock()
+	if done, err := s.covered(lsn); done {
+		return err
+	}
+	return s.flush(s.opts.Policy == PolicyAlways)
+}
+
+// covered reports whether Sync(lsn) has its answer already.
+func (s *Store) covered(lsn LSN) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		if s.err != nil {
-			return s.err
-		}
-		mark := s.written
-		if s.opts.Policy == PolicyAlways {
-			mark = s.durable
-		}
-		if mark >= lsn {
-			return nil
-		}
-		if s.closed {
-			return fmt.Errorf("wal: store closed before record %d was synced", lsn)
-		}
-		s.cond.Wait()
+	mark := s.written
+	if s.opts.Policy == PolicyAlways {
+		mark = s.durable
 	}
+	switch {
+	case s.err != nil:
+		return true, s.err
+	case mark >= lsn:
+		return true, nil
+	case s.closed:
+		return true, fmt.Errorf("wal: store closed before record %d was synced", lsn)
+	}
+	return false, nil
 }
 
-// flusher is the single writer: it drains the pending buffer in batches and
-// — under PolicyAlways — fsyncs each batch, waking every Sync waiter at
-// once. One fsync therefore commits every record appended while the
-// previous one was in flight: group commit.
-func (s *Store) flusher() {
-	defer close(s.flushDone)
-	for {
-		s.mu.Lock()
-		for (len(s.pending) == 0 || s.rotating) && !s.closed && s.err == nil {
-			s.cond.Wait()
-		}
-		if s.err != nil || (s.closed && len(s.pending) == 0) {
-			s.mu.Unlock()
-			return
-		}
-		buf, target, f, prevDurable := s.pending, s.appended, s.f, s.durable
-		s.pending = nil
-		s.inflight++
+// flush writes every record appended so far to the active segment and, if
+// fsync is set, makes them durable. The caller holds io; the buffer is
+// swapped out under mu and the system calls run outside it.
+func (s *Store) flush(fsync bool) error {
+	s.mu.Lock()
+	if s.err != nil {
 		s.mu.Unlock()
-
-		_, werr := f.Write(buf)
-		var serr error
-		if werr == nil && s.opts.Policy == PolicyAlways {
-			t0 := time.Now()
-			serr = f.Sync()
-			if serr == nil {
-				s.observeSync(target-prevDurable, time.Since(t0))
-			}
-		}
-
-		s.mu.Lock()
-		s.inflight--
-		switch {
-		case werr != nil:
-			s.err = werr
-		case serr != nil:
-			s.written = target
-			s.err = serr
-		default:
-			s.written = target
-			if s.opts.Policy == PolicyAlways {
-				s.durable = target
-			}
-		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
+		return s.err
 	}
-}
+	buf, target, prevWritten, prevDurable := s.pending, s.appended, s.written, s.durable
+	s.pending = s.spare[:0]
+	s.mu.Unlock()
 
-// syncLoop is the PolicyInterval background fsync cadence.
-func (s *Store) syncLoop() {
-	tick := time.NewTicker(s.opts.Interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stopSync:
-			return
-		case <-tick.C:
-		}
-		s.mu.Lock()
-		if s.closed || s.err != nil || s.durable == s.written || s.rotating {
-			s.mu.Unlock()
-			continue
-		}
-		f, target, prevDurable := s.f, s.written, s.durable
-		s.inflight++
-		s.mu.Unlock()
+	var werr, serr error
+	if len(buf) > 0 {
+		_, werr = s.f.Write(buf)
+	}
+	s.spare = buf
+	if werr == nil && fsync {
 		t0 := time.Now()
-		err := f.Sync()
-		if err == nil {
+		if serr = s.f.Sync(); serr == nil {
 			s.observeSync(target-prevDurable, time.Since(t0))
 		}
-		s.mu.Lock()
-		s.inflight--
-		if err == nil && target > s.durable {
-			s.durable = target
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case werr != nil:
+		s.err = werr
+	case serr != nil:
+		s.written = target
+		s.err = serr
+	case fsync:
+		s.written, s.durable = target, target
+	default:
+		s.written = target
+		if s.opts.Policy == PolicyInterval && prevWritten == prevDurable && target > prevWritten {
+			s.arm()
 		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
+	}
+	return s.err
+}
+
+// arm schedules the interval fsync; the caller holds mu. The first write
+// after an fsync arms it and the fsync disarms it, so an idle store never
+// wakes.
+func (s *Store) arm() {
+	if s.timer == nil {
+		s.timer = time.AfterFunc(syncInterval, s.intervalSync)
+	} else {
+		s.timer.Reset(syncInterval)
+	}
+}
+
+// intervalSync runs on the timer: fsync what was written since the last one,
+// unless a rotate or Close already did.
+func (s *Store) intervalSync() {
+	s.io.Lock()
+	defer s.io.Unlock()
+	s.mu.Lock()
+	idle := s.closed || s.durable == s.written
+	s.mu.Unlock()
+	if !idle {
+		s.flush(true) // an error is sticky; the next Append or Sync reports it
 	}
 }
 
 // rotate cuts the log to a fresh segment: pending records drain to the old
-// file (fsynced unless PolicyNever), and every later append lands in the
-// new one. Returns the new generation.
+// file, which is fsynced (unless PolicyNever) before the new one is created
+// and the directory synced; every later flush lands in the new one. Records
+// appended while rotate runs belong to the new segment — they precede the
+// snapshot build that follows, which replay's idempotency covers. Returns
+// the new generation.
 func (s *Store) rotate() (uint64, error) {
+	s.io.Lock()
+	defer s.io.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return 0, s.err
-	}
-	if s.closed {
+	gen, closed := s.nextGen, s.closed
+	s.mu.Unlock()
+	if closed {
 		return 0, fmt.Errorf("wal: rotate on closed store")
 	}
-	s.rotating = true
-	defer func() {
-		s.rotating = false
-		s.cond.Broadcast()
-	}()
-	for s.inflight > 0 {
-		s.cond.Wait()
-	}
-	// Drain what the flusher has not picked up; records appended during the
-	// waits above are included — they precede the snapshot build that
-	// follows a rotate, so the old segment plus the snapshot covers them.
-	if len(s.pending) > 0 {
-		if _, err := s.f.Write(s.pending); err != nil {
-			s.err = err
-			return 0, err
-		}
-		s.pending = nil
-		s.written = s.appended
-	}
-	if s.opts.Policy != PolicyNever {
-		prevDurable := s.durable
-		t0 := time.Now()
-		if err := s.f.Sync(); err != nil {
-			s.err = err
-			return 0, err
-		}
-		s.observeSync(s.written-prevDurable, time.Since(t0))
-		s.durable = s.written
-	}
-	gen := s.nextGen
-	f, err := os.OpenFile(filepath.Join(s.dir, walName(gen)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		s.err = err
+	if err := s.flush(s.opts.Policy != PolicyNever); err != nil {
 		return 0, err
+	}
+	f, err := openFile(filepath.Join(s.dir, walName(gen)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return 0, s.fail(err)
 	}
 	if err := syncDir(s.dir); err != nil {
 		f.Close()
-		s.err = err
-		return 0, err
+		return 0, s.fail(err)
 	}
 	s.f.Close()
 	s.f = f
-	s.gen = gen
+	s.mu.Lock()
 	s.nextGen = gen + 1
+	s.mu.Unlock()
 	return gen, nil
 }
 
@@ -460,28 +388,7 @@ func (s *Store) Snapshot(build func() []byte) error {
 	if err != nil {
 		return err
 	}
-	payload := build()
-
-	tmp := filepath.Join(s.dir, snapName(gen)+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return s.fail(err)
-	}
-	if _, err := f.Write(appendFrame(nil, payload)); err != nil {
-		f.Close()
-		return s.fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return s.fail(err)
-	}
-	if err := f.Close(); err != nil {
-		return s.fail(err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, snapName(gen))); err != nil {
-		return s.fail(err)
-	}
-	if err := syncDir(s.dir); err != nil {
+	if err := s.commitSnapshot(gen, build()); err != nil {
 		return s.fail(err)
 	}
 
@@ -501,13 +408,36 @@ func (s *Store) Snapshot(build func() []byte) error {
 	return nil
 }
 
+// commitSnapshot writes generation gen's snapshot: temp file, fsync, rename,
+// fsync the directory.
+func (s *Store) commitSnapshot(gen uint64, payload []byte) error {
+	tmp := filepath.Join(s.dir, snapName(gen)+".tmp")
+	f, err := openFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(appendFrame(nil, payload))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(s.dir, snapName(gen)))
+	}
+	if err == nil {
+		err = syncDir(s.dir)
+	}
+	return err
+}
+
 // fail records a sticky error.
 func (s *Store) fail(err error) error {
 	s.mu.Lock()
 	if s.err == nil {
 		s.err = err
 	}
-	s.cond.Broadcast()
 	s.mu.Unlock()
 	return err
 }
@@ -515,35 +445,23 @@ func (s *Store) fail(err error) error {
 // Close drains pending records, fsyncs (unless PolicyNever), and closes the
 // active segment. Further appends fail.
 func (s *Store) Close() error {
+	s.io.Lock()
+	defer s.io.Unlock()
 	s.mu.Lock()
-	if s.closed {
-		err := s.err
-		s.mu.Unlock()
+	err, closed := s.err, s.closed
+	s.closed = true
+	if s.timer != nil {
+		s.timer.Stop()
+	}
+	s.mu.Unlock()
+	if closed {
 		return err
 	}
-	s.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	close(s.stopSync)
-	<-s.flushDone
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err == nil && s.opts.Policy != PolicyNever {
-		prevDurable := s.durable
-		t0 := time.Now()
-		if err := s.f.Sync(); err != nil {
-			s.err = err
-		} else {
-			s.observeSync(s.written-prevDurable, time.Since(t0))
-			s.durable = s.written
-		}
+	err = s.flush(s.opts.Policy != PolicyNever)
+	if cerr := s.f.Close(); cerr != nil && err == nil {
+		err = s.fail(cerr)
 	}
-	if cerr := s.f.Close(); cerr != nil && s.err == nil {
-		s.err = cerr
-	}
-	s.cond.Broadcast()
-	return s.err
+	return err
 }
 
 // observeSync counts one completed fsync: records is the group-commit batch
@@ -559,7 +477,7 @@ func (s *Store) observeSync(records LSN, d time.Duration) {
 
 // syncDir fsyncs a directory so renames and creates within it are durable.
 func syncDir(dir string) error {
-	d, err := os.Open(dir)
+	d, err := openFile(dir, os.O_RDONLY, 0)
 	if err != nil {
 		return err
 	}

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
-func openT(t *testing.T, dir string, opts Options) (*Store, *Recovered) {
+func openT(t testing.TB, dir string, opts Options) (*Store, *Recovered) {
 	t.Helper()
 	s, rec, err := Open(dir, opts)
 	if err != nil {
@@ -19,7 +22,7 @@ func openT(t *testing.T, dir string, opts Options) (*Store, *Recovered) {
 	return s, rec
 }
 
-func appendT(t *testing.T, s *Store, payload string) LSN {
+func appendT(t testing.TB, s *Store, payload string) LSN {
 	t.Helper()
 	lsn, err := s.Append([]byte(payload))
 	if err != nil {
@@ -39,6 +42,9 @@ func wantRecords(t *testing.T, got [][]byte, want ...string) {
 		}
 	}
 }
+
+// frameSize is the encoded size of a payload of n bytes.
+func frameSize(n int) int64 { return int64(headerSize + n) }
 
 // activeSegment returns the path of the newest wal segment in dir.
 func activeSegment(t *testing.T, dir string) string {
@@ -244,7 +250,8 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 
 func TestGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openT(t, dir, Options{Policy: PolicyAlways})
+	var fsyncs metrics.Counter
+	s, _ := openT(t, dir, Options{Policy: PolicyAlways, Fsyncs: &fsyncs})
 	const workers, each = 8, 40
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -265,6 +272,11 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	// Group commit by measurement: appenders that queued behind a leader's
+	// fsync were covered by the next one, together.
+	if n := fsyncs.Value(); n == 0 || n >= workers*each {
+		t.Errorf("%d fsyncs for %d synced appends, want fewer fsyncs than records", n, workers*each)
+	}
 	s.Close()
 
 	s2, rec := openT(t, dir, Options{})
@@ -287,20 +299,14 @@ func TestGroupCommitConcurrent(t *testing.T) {
 
 func TestIntervalPolicySyncs(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openT(t, dir, Options{Policy: PolicyInterval, Interval: 5 * time.Millisecond})
+	s, _ := openT(t, dir, Options{Policy: PolicyInterval})
 	lsn := appendT(t, s, "x")
 	if err := s.Sync(lsn); err != nil { // waits for the write only
 		t.Fatal(err)
 	}
-	// The background cadence must advance durability without Close's help.
+	// The timer that write armed must advance durability without Close's help.
 	deadline := time.Now().Add(2 * time.Second)
-	for {
-		s.mu.Lock()
-		d := s.durable
-		s.mu.Unlock()
-		if d >= lsn {
-			break
-		}
+	for durableLSN(s) < lsn {
 		if time.Now().After(deadline) {
 			t.Fatal("interval fsync never advanced durability")
 		}
@@ -309,18 +315,97 @@ func TestIntervalPolicySyncs(t *testing.T) {
 	s.Close()
 }
 
+func durableLSN(s *Store) LSN {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.durable
+}
+
+// TestStoreStartsNoGoroutines pins that the store has no goroutine of its
+// own: none after Open, none while it is written to, none once the interval
+// timer has fired (and it must fire once, not re-arm), none after Close.
+func TestStoreStartsNoGoroutines(t *testing.T) {
+	settle := func(when string, base int) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, %d before Open", when, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for _, pol := range []Policy{PolicyAlways, PolicyInterval, PolicyNever} {
+		t.Run(pol.String(), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			s, _ := openT(t, t.TempDir(), Options{Policy: pol})
+			if n := runtime.NumGoroutine(); n > base {
+				t.Fatalf("Open started %d goroutines", n-base)
+			}
+			var lsn LSN
+			for i := 0; i < 1000; i++ {
+				lsn = appendT(t, s, "record")
+				if err := s.Sync(lsn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			time.Sleep(3 * syncInterval)
+			settle("idle", base)
+			if d := durableLSN(s); pol == PolicyInterval && d != lsn {
+				t.Errorf("idle interval store: durable = %d, want %d (the timer did not fire)", d, lsn)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			settle("closed", base)
+		})
+	}
+}
+
+// sameRecovery fails the test unless Open loaded exactly what Inspect said
+// recovery would: generation, snapshot, records and torn bytes.
+func sameRecovery(t testing.TB, rep *Report, rec *Recovered) {
+	t.Helper()
+	if rec.Gen != rep.Gen || !bytes.Equal(rec.Snapshot, rep.Snapshot) || (rec.Snapshot == nil) != (rep.Snapshot == nil) {
+		t.Fatalf("Open chose snapshot gen %d %q, Inspect gen %d %q", rec.Gen, rec.Snapshot, rep.Gen, rep.Snapshot)
+	}
+	if len(rec.Records) != len(rep.Records) {
+		t.Fatalf("Open replayed %d records, Inspect %d", len(rec.Records), len(rep.Records))
+	}
+	for i := range rec.Records {
+		if !bytes.Equal(rec.Records[i], rep.Records[i]) {
+			t.Fatalf("record %d: Open %q, Inspect %q", i, rec.Records[i], rep.Records[i])
+		}
+	}
+	if rec.TornBytes != rep.TornBytes {
+		t.Fatalf("Open dropped %d torn bytes, Inspect reported %d", rec.TornBytes, rep.TornBytes)
+	}
+}
+
 func TestInspectMatchesRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir, Options{})
 	appendT(t, s, "k1")
-	s.Snapshot(func() []byte { return []byte("S") })
+	s.Snapshot(func() []byte { return []byte("OLD") })
 	appendT(t, s, "k2")
+	s.Snapshot(func() []byte { return []byte("S") })
 	appendT(t, s, "k3")
+	appendT(t, s, "k4")
 	s.Close()
 	// Torn tail on the active segment.
 	f, _ := os.OpenFile(activeSegment(t, dir), os.O_WRONLY|os.O_APPEND, 0)
 	f.Write(bytes.Repeat([]byte{0x7}, 11))
 	f.Close()
+	// Bytes recovery never looks at: past the first frame of the chosen
+	// snapshot, and anywhere in the older one.
+	for _, name := range []string{snapName(1), snapName(2)} {
+		f, err := os.OpenFile(filepath.Join(dir, name), os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Write([]byte{1, 2, 3})
+		f.Close()
+	}
 
 	rep, err := Inspect(dir)
 	if err != nil {
@@ -329,21 +414,21 @@ func TestInspectMatchesRecovery(t *testing.T) {
 	if rep.Valid() {
 		t.Error("corrupted dir inspected as valid")
 	}
-	if string(rep.Snapshot) != "S" {
-		t.Errorf("inspect snapshot = %q", rep.Snapshot)
+	if string(rep.Snapshot) != "S" || rep.Gen != 2 {
+		t.Errorf("inspect snapshot = gen %d %q", rep.Gen, rep.Snapshot)
 	}
-	wantRecords(t, rep.Records, "k2", "k3")
+	wantRecords(t, rep.Records, "k3", "k4")
 	if rep.TornBytes != 11 {
-		t.Errorf("inspect TornBytes = %d, want 11", rep.TornBytes)
+		t.Errorf("inspect TornBytes = %d, want 11 (the segment's tail only)", rep.TornBytes)
+	}
+	if sn := rep.Snapshots[len(rep.Snapshots)-1]; sn.Torn || !sn.Replayed {
+		t.Errorf("chosen snapshot with trailing bytes reported as %+v", sn)
 	}
 
-	// Open must agree with Inspect on what survives.
+	// Open must load exactly what Inspect reported.
 	s2, rec := openT(t, dir, Options{})
 	defer s2.Close()
-	wantRecords(t, rec.Records, "k2", "k3")
-	if rec.TornBytes != 11 {
-		t.Errorf("recovery TornBytes = %d, want 11", rec.TornBytes)
-	}
+	sameRecovery(t, rep, rec)
 }
 
 func TestParsePolicy(t *testing.T) {
