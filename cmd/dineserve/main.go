@@ -18,6 +18,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -113,7 +114,7 @@ func main() {
 			os.Exit(1)
 		}
 		go func() {
-			if err := http.Serve(mln, metrics.Handler(svc.Registry())); err != nil {
+			if err := http.Serve(mln, metricsHandler(svc.Registry())); err != nil {
 				// Closed at process exit; nothing to clean up.
 				_ = err
 			}
@@ -139,4 +140,28 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dineserve: exclusion check FAILED: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// metricsHandler serves a registry over HTTP:
+//
+//	/metrics — Prometheus text exposition (curl-able, collector-compatible)
+//	/statusz — JSON Snapshot (programmatic consumers, e.g. dineload's
+//	           mid-run scrape)
+//
+// Scrapes are read-only and safe concurrently with writers; -metrics gives
+// the handler a dedicated listener to keep observability traffic off the
+// service port.
+func metricsHandler(r *metrics.Registry) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		r.WritePrometheus(w)
+	})
+	mux.HandleFunc("/statusz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(r.Snapshot())
+	})
+	return mux
 }

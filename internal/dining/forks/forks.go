@@ -113,6 +113,11 @@ func (t *Table) HoldsFork(p, q rt.ProcID) bool {
 type edge struct {
 	hold   bool // we hold the fork of this edge
 	wanted bool // the neighbor requested it while we could not yield
+	// resync: we still await the neighbor's syncAck after a Reset. While it
+	// is set the edge's fork is neither held nor mintable; the suspicion
+	// override still applies, so a dead neighbor cannot wedge the restarted
+	// diner.
+	resync bool
 }
 
 type reqMsg struct {
@@ -143,18 +148,12 @@ type module struct {
 	cfg   Config
 
 	// Built once rather than per send and per timer: the port names
-	// (name+"/req" and so on) and the bound retry method.
+	// (name+"/req" and so on) and the bound retry methods.
 	reqPort, forkPort, syncPort, syncAckPort string
-	retryFn                                  func()
+	retryFn, syncRetryFn                     func()
 
 	clock    int64 // Lamport clock
 	hungerTS int64 // timestamp of the current hunger session
-
-	// resync holds the neighbors whose syncAck we still await after a Reset.
-	// While an edge is pending here its fork is neither held nor mintable;
-	// the suspicion override still applies, so a dead neighbor cannot wedge
-	// the restarted diner.
-	resync map[rt.ProcID]bool
 }
 
 func newModule(k rt.Runtime, g *graph.Graph, name string, p rt.ProcID, oracle detector.Oracle, cfg Config) *module {
@@ -172,7 +171,7 @@ func newModule(k rt.Runtime, g *graph.Graph, name string, p rt.ProcID, oracle de
 		syncPort:    name + "/sync",
 		syncAckPort: name + "/syncack",
 	}
-	m.retryFn = m.retry
+	m.retryFn, m.syncRetryFn = m.retry, m.syncRetry
 	for _, q := range m.nbrs {
 		// Initial fork placement: the lower id holds (any assignment works;
 		// priority comes from timestamps, not from placement) unless a Seed
@@ -296,7 +295,7 @@ func (m *module) onFork(msg rt.Message) {
 	}
 	m.setHold(msg.From, true)
 	// A real fork settles a pending resync of its edge: no need to mint.
-	delete(m.resync, msg.From)
+	e.resync = false
 	if e.wanted && m.State() == dining.Thinking {
 		m.yield(msg.From)
 	}
@@ -351,12 +350,11 @@ func (t *Table) Reset(p rt.ProcID) {
 	}
 	m.Core.Reset()
 	m.hungerTS = 0
-	m.resync = make(map[rt.ProcID]bool)
 	for _, q := range m.nbrs {
 		e := m.edges[q]
 		m.setHold(q, false)
 		e.wanted = false
-		m.resync[q] = true
+		e.resync = true
 		m.k.Send(m.self, q, m.syncPort, syncMsg{})
 	}
 	m.scheduleSyncRetry()
@@ -374,8 +372,8 @@ func (m *module) onSync(msg rt.Message) {
 		return
 	}
 	e.wanted = false
-	if m.resync[q] {
-		delete(m.resync, q)
+	if e.resync {
+		e.resync = false
 		if m.self < q {
 			m.setHold(q, true)
 		}
@@ -385,14 +383,14 @@ func (m *module) onSync(msg rt.Message) {
 
 // onSyncAck resolves one pending edge of a resync: mint the fork iff the
 // neighbor does not hold it. Duplicate or stale acks are ignored via the
-// pending set, so replayed frames cannot mint a second fork.
+// edge's resync bit, so replayed messages cannot mint a second fork.
 func (m *module) onSyncAck(msg rt.Message) {
 	q := msg.From
 	e, ok := m.edges[q]
-	if !ok || !m.resync[q] {
+	if !ok || !e.resync {
 		return
 	}
-	delete(m.resync, q)
+	e.resync = false
 	if !msg.Payload.(syncAckMsg).Hold {
 		m.setHold(q, true)
 		if e.wanted && m.State() == dining.Thinking {
@@ -401,17 +399,20 @@ func (m *module) onSyncAck(msg rt.Message) {
 	}
 }
 
-// scheduleSyncRetry retransmits outstanding sync queries until every edge is
-// settled, so a resync survives message loss and a neighbor that is itself
-// down for a while.
-func (m *module) scheduleSyncRetry() {
-	m.k.After(m.self, m.cfg.Retry, func() {
-		if len(m.resync) == 0 {
-			return
-		}
-		for q := range m.resync {
+// scheduleSyncRetry retransmits outstanding sync queries, in neighbor order,
+// until every edge is settled, so a resync survives message loss and a
+// neighbor that is itself down for a while.
+func (m *module) scheduleSyncRetry() { m.k.After(m.self, m.cfg.Retry, m.syncRetryFn) }
+
+func (m *module) syncRetry() {
+	pending := false
+	for _, q := range m.nbrs {
+		if m.edges[q].resync {
+			pending = true
 			m.k.Send(m.self, q, m.syncPort, syncMsg{})
 		}
+	}
+	if pending {
 		m.scheduleSyncRetry()
-	})
+	}
 }

@@ -8,18 +8,15 @@ import (
 )
 
 // Bus carries inter-process messages for a live runtime. The runtime calls
-// Send for every outbound message; the bus routes it — directly back into
-// this runtime for local destinations, over the wire for remote ones — and
-// hands inbound messages to the delivery sink installed with Bind. A bus
-// counts what it does with them — "bus.delivered", "bus.dropped", and a
-// fault-injecting bus "bus.duped", "bus.delayed", "bus.partitioned" — in the
-// binding runtime's counter table, read with Runtime.Counter.
+// Send for every outbound message; the bus hands it, now, later or never, to
+// the delivery sink installed with Bind. A bus counts what it does with
+// messages — "bus.delivered", and a fault-injecting bus "bus.dropped",
+// "bus.duped", "bus.delayed", "bus.partitioned" — in the binding runtime's
+// counter table, read with Runtime.Counter.
 //
-// Delivery guarantees are the bus's own: the channel bus is reliable, the
-// TCP bus is reliable per connection but drops messages for unreachable
-// peers, and livechaos.ChaosBus deliberately isn't — layer internal/transport
-// on the runtime (transport.Enable) to rebuild reliable channels above a
-// lossy bus.
+// Delivery guarantees are the bus's own: the channel bus is reliable, and
+// livechaos.ChaosBus deliberately isn't — layer internal/transport on the
+// runtime (transport.Enable) to rebuild reliable channels above a lossy bus.
 type Bus interface {
 	// Bind installs the local delivery sink and hands the bus the runtime's
 	// counter table, from which it resolves its handles. The runtime calls

@@ -88,7 +88,8 @@ func validateExtraction(t *testing.T, which string, l *trace.Log, horizon rt.Tim
 // timer goroutines that carry heartbeats are starved on a 2-CPU host, and the
 // result is measured, not hypothetical: false suspicions and exclusion
 // violations that persist past the convergence bound. In the simulator a
-// step occupies time; StepEvery is that rule in wall-clock form.
+// step occupies time; one paced step per Tick is that rule in wall-clock
+// form.
 func TestDifferentialExtraction(t *testing.T) {
 	// Simulated: deterministic, partially synchronous after GST.
 	simLog := &trace.Log{}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/rt"
 	"repro/internal/trace"
-	"repro/internal/transport"
 )
 
 // liveHB is a heartbeat configuration with timeouts generous enough that a
@@ -76,54 +75,6 @@ func TestForksDiningLive(t *testing.T) {
 	}
 	if r.Counter("msg.delivered") == 0 {
 		t.Error("no messages delivered")
-	}
-}
-
-// TestTCPBusSplitRing splits a ring of four across two runtimes connected
-// by loopback TCP: node A hosts diners 0 and 1, node B hosts 2 and 3. Both
-// nodes run identical wiring; the bus routes edge traffic between them.
-func TestTCPBusSplitRing(t *testing.T) {
-	forks.RegisterWire()
-	transport.RegisterWire()
-	g := graph.Ring(4)
-
-	busA := NewTCPBus([]rt.ProcID{0, 1})
-	addr, err := busA.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	busB := NewTCPBus([]rt.ProcID{2, 3})
-	if err := busB.Dial(addr.String(), []rt.ProcID{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-
-	logA, logB := &trace.Log{}, &trace.Log{}
-	tick := time.Millisecond
-	nodeA := New(Config{N: 4, Tick: tick, Tracer: logA, Bus: busA, Local: []rt.ProcID{0, 1}})
-	nodeB := New(Config{N: 4, Tick: tick, Tracer: logB, Bus: busB, Local: []rt.ProcID{2, 3}})
-	// The transport gives exactly-once delivery even for frames sent before
-	// the listener has learned its return routes.
-	transport.Enable(nodeA, "rt", transport.Config{})
-	transport.Enable(nodeB, "rt", transport.Config{})
-	buildDining(nodeA, g, liveHB)
-	buildDining(nodeB, g, liveHB)
-	nodeA.Start()
-	nodeB.Start()
-
-	time.Sleep(2 * time.Second)
-	nodeA.Stop()
-	nodeB.Stop()
-
-	eatA, eatB := logA.Sessions("eating"), logB.Sessions("eating")
-	for _, p := range []rt.ProcID{0, 1} {
-		if meals := len(eatA[trace.SessionKey{Inst: "dine", P: p}]); meals < 1 {
-			t.Errorf("node A diner %d starved (%d meals)", p, meals)
-		}
-	}
-	for _, p := range []rt.ProcID{2, 3} {
-		if meals := len(eatB[trace.SessionKey{Inst: "dine", P: p}]); meals < 1 {
-			t.Errorf("node B diner %d starved (%d meals)", p, meals)
-		}
 	}
 }
 

@@ -1,28 +1,27 @@
 // Package live executes protocol code in real time: each process is a
 // goroutine with its own mailbox, timers are wall-clock, and messages travel
-// over a pluggable Bus (in-process channels, or length-prefixed TCP frames
-// between runtimes on different machines).
+// over a pluggable Bus (in-process channels, optionally wrapped by a
+// fault-injecting bus such as livechaos.ChaosBus).
 //
 // Runtime implements rt.Runtime — the same interface the discrete-event
 // simulator (internal/sim) implements — so the dining tables, failure
 // detectors, and the paper's extraction run unmodified on both. What changes
 // is the determinism contract: the simulator replays a run exactly from its
-// seed, while here the scheduler is the operating system and the network is
-// real, so runs are not reproducible. The trace vocabulary is identical,
-// which is what keeps the checkers (internal/checker) runtime-agnostic: a
-// live run's record stream is validated by exactly the code that validates
-// simulated runs.
+// seed, while here the scheduler is the operating system and timers run on
+// the wall clock, so runs are not reproducible. The trace vocabulary is
+// identical, which is what keeps the checkers (internal/checker)
+// runtime-agnostic: a live run's record stream is validated by exactly the
+// code that validates simulated runs.
 //
-// Execution model. Every local process runs an event-driven loop: it sleeps
+// Execution model. Every process runs an event-driven loop: it sleeps
 // until a message delivery, timer or injected call arrives, runs it, and then
 // runs guarded actions for as long as some guard holds — one action per
 // iteration, chosen by rotating through the action list, the same
 // weak-fairness discipline as the simulator's step scheduler. Actions
-// registered through the Paced view instead share one step per
-// Config.StepEvery: the tempo a perpetual action cycle needs. All of a
-// process's handlers, timer callbacks, and action bodies execute on its own
-// goroutine, so process-local protocol state needs no locking, exactly as in
-// the simulator.
+// registered through the Paced view instead share one step per Config.Tick:
+// the tempo a perpetual action cycle needs. All of a process's handlers,
+// timer callbacks, and action bodies execute on its own goroutine, so
+// process-local protocol state needs no locking, exactly as in the simulator.
 package live
 
 import (
@@ -39,22 +38,21 @@ import (
 
 // Config shapes a live runtime.
 type Config struct {
-	// N is the number of processes in the system (across all nodes).
+	// N is the number of processes in the system.
 	N int
 	// Tick is the wall-clock duration of one rt.Time tick (default 1ms).
 	// Protocol timer constants (heartbeat intervals, retry periods) are in
-	// ticks, so Tick scales the whole system's tempo.
+	// ticks, so Tick scales the whole system's tempo. One Tick is also the
+	// minimum spacing between consecutive steps of one process's paced
+	// actions — those registered through the Paced view; actions registered
+	// on the Runtime itself, and message and timer handling, are never
+	// paced. Pacing carries the simulator's rule that a step occupies time
+	// into real time, for the protocols that rely on it: a permanently
+	// enabled action cycle — the extraction's witness and subject threads
+	// dine forever — run unpaced spins its goroutine, starves its peers'
+	// timer deliveries, and on a small host manufactures false suspicions
+	// faster than ◇P converges.
 	Tick time.Duration
-	// StepEvery is the minimum wall-clock spacing between consecutive steps
-	// of one process's paced actions — those registered through the Paced
-	// view (default: one Tick). Actions registered on the Runtime itself,
-	// and message and timer handling, are never paced. Pacing carries the
-	// simulator's rule that a step occupies time into real time, for the
-	// protocols that rely on it: a permanently enabled action cycle — the
-	// extraction's witness and subject threads dine forever — run unpaced
-	// spins its goroutine, starves its peers' timer deliveries, and on a
-	// small host manufactures false suspicions faster than ◇P converges.
-	StepEvery time.Duration
 	// Seed seeds the runtime's random source (default 1). Unlike the
 	// simulator, seeding does not make runs reproducible — it only makes
 	// the randomness well-defined.
@@ -63,23 +61,17 @@ type Config struct {
 	// serialized by the runtime, so a plain *trace.Log works.
 	Tracer rt.Tracer
 	// Bus carries inter-process messages. Nil means the in-process channel
-	// bus (all processes local to this runtime).
+	// bus.
 	Bus Bus
-	// Local lists the processes this runtime hosts (nil = all N). In a
-	// multi-node deployment each node builds the full protocol wiring but
-	// starts goroutines only for its local processes; the bus routes
-	// messages addressed to remote processes.
-	Local []rt.ProcID
 }
 
 // process is the runtime-side bookkeeping for one process.
 type process struct {
 	id       rt.ProcID
-	local    bool
 	handlers map[string]rt.Handler
 	// Two action classes, scanned separately so the prompt class never
 	// walks the (much longer) paced list: prompt actions run as soon as
-	// their guard holds, paced ones share one step per stepEvery.
+	// their guard holds, paced ones share one step per tick.
 	prompt actionSet
 	paced  actionSet
 
@@ -124,11 +116,10 @@ const stepBudget = 64
 // rt.TransportRuntime, so internal/transport's retransmission layer can be
 // enabled over an unreliable bus).
 type Runtime struct {
-	cfg       Config
-	tick      time.Duration
-	stepEvery time.Duration
-	procs     []*process
-	bus       Bus
+	cfg   Config
+	tick  time.Duration
+	procs []*process
+	bus   Bus
 
 	start   time.Time
 	started atomic.Bool
@@ -192,23 +183,19 @@ func New(cfg Config) *Runtime {
 	if cfg.Tick <= 0 {
 		cfg.Tick = time.Millisecond
 	}
-	if cfg.StepEvery <= 0 {
-		cfg.StepEvery = cfg.Tick
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
 	}
 	r := &Runtime{
-		cfg:       cfg,
-		tick:      cfg.Tick,
-		stepEvery: cfg.StepEvery,
-		bus:       cfg.Bus,
-		tracer:    cfg.Tracer,
-		stop:      make(chan struct{}),
-		reg:       metrics.New(),
-		rng:       rand.New(&lockedSource{src: rand.NewSource(seed).(rand.Source64)}),
-		start:     time.Now(),
+		cfg:    cfg,
+		tick:   cfg.Tick,
+		bus:    cfg.Bus,
+		tracer: cfg.Tracer,
+		stop:   make(chan struct{}),
+		reg:    metrics.New(),
+		rng:    rand.New(&lockedSource{src: rand.NewSource(seed).(rand.Source64)}),
+		start:  time.Now(),
 	}
 	r.steps = r.CounterHandle("steps")
 	r.sent = r.CounterHandle("msg.sent")
@@ -218,21 +205,9 @@ func New(cfg Config) *Runtime {
 	if r.bus == nil {
 		r.bus = NewChanBus()
 	}
-	local := make(map[rt.ProcID]bool, cfg.N)
-	if cfg.Local == nil {
-		for i := 0; i < cfg.N; i++ {
-			local[rt.ProcID(i)] = true
-		}
-	} else {
-		for _, p := range cfg.Local {
-			local[p] = true
-		}
-	}
 	for i := 0; i < cfg.N; i++ {
-		p := rt.ProcID(i)
 		r.procs = append(r.procs, &process{
-			id:       p,
-			local:    local[p],
+			id:       rt.ProcID(i),
 			handlers: make(map[string]rt.Handler),
 			notify:   make(chan struct{}, 1),
 		})
@@ -241,17 +216,14 @@ func New(cfg Config) *Runtime {
 	return r
 }
 
-// Start launches one goroutine per local process. Registration
-// (Handle/AddAction) must be complete before Start.
+// Start launches one goroutine per process. Registration (Handle/AddAction)
+// must be complete before Start.
 func (r *Runtime) Start() {
 	if !r.started.CompareAndSwap(false, true) {
 		panic("live: Start called twice")
 	}
 	r.start = time.Now()
 	for _, pr := range r.procs {
-		if !pr.local {
-			continue
-		}
 		r.spawn(pr)
 	}
 }
@@ -313,7 +285,7 @@ func (r *Runtime) addAction(set *actionSet, name string, guard func() bool, body
 // Paced returns a view of r for wiring protocols whose action cycles never
 // disable themselves: everything is r's own, except that actions registered
 // through the view are paced — at each process they share one step per
-// Config.StepEvery, under their own weakly fair rotation. Prompt actions and
+// Config.Tick, under their own weakly fair rotation. Prompt actions and
 // jobs of the same process are not delayed by them.
 func (r *Runtime) Paced() rt.Runtime { return pacedView{r} }
 
@@ -369,13 +341,10 @@ func (r *Runtime) SetSendHook(h rt.SendHook) { r.sendHook.Store(h) }
 // execution order a real system has anyway.
 func (r *Runtime) Dispatch(m rt.Message) { r.inject(m) }
 
-// inject is the bus's local delivery sink: run the registered handler at
-// the destination as one of its steps.
+// inject is the bus's delivery sink: run the registered handler at the
+// destination as one of its steps.
 func (r *Runtime) inject(m rt.Message) {
 	pr := r.procs[m.To]
-	if !pr.local {
-		return // not hosted here; the bus should not have delivered it
-	}
 	if pr.crashed.Load() {
 		r.dropped.Inc()
 		return
@@ -389,15 +358,12 @@ func (r *Runtime) inject(m rt.Message) {
 }
 
 // After implements rt.Runtime: fn runs at process p after d ticks of wall
-// time, as one of p's steps. Timers at non-local or crashed processes are
-// dropped, and a timer scheduled by one incarnation never fires into a later
-// one: the incarnation counter is captured at scheduling time and checked at
-// fire time, so a crash permanently retires every timer armed before it.
+// time, as one of p's steps. Timers at crashed processes are dropped, and a
+// timer scheduled by one incarnation never fires into a later one: the
+// incarnation counter is captured at scheduling time and checked at fire
+// time, so a crash permanently retires every timer armed before it.
 func (r *Runtime) After(p rt.ProcID, d rt.Time, fn func()) {
 	pr := r.procs[p]
-	if !pr.local {
-		return
-	}
 	if d < 1 {
 		d = 1
 	}
@@ -415,7 +381,7 @@ func (r *Runtime) After(p rt.ProcID, d rt.Time, fn func()) {
 // reports whether the call was accepted (false: crashed or stopped).
 func (r *Runtime) Invoke(p rt.ProcID, fn func()) bool {
 	pr := r.procs[p]
-	if !pr.local || pr.crashed.Load() || r.stopped.Load() {
+	if pr.crashed.Load() || r.stopped.Load() {
 		return false
 	}
 	r.enqueue(pr, fn)
@@ -438,7 +404,7 @@ func (r *Runtime) Crash(p rt.ProcID) {
 	// Guards elsewhere may consult Crashed (schedule-fed oracles): give
 	// every process a chance to re-examine its guards.
 	for _, other := range r.procs {
-		if other.local && !other.crashed.Load() {
+		if !other.crashed.Load() {
 			wake(other)
 		}
 	}
@@ -453,8 +419,8 @@ func (r *Runtime) Crash(p rt.ProcID) {
 // Handlers and actions registered before Start stay registered: a restart
 // reuses the wiring but not the state.
 //
-// Restart returns false (and does nothing) if p is not hosted here, is not
-// crashed, or the runtime is stopped or not yet started.
+// Restart returns false (and does nothing) if p is not crashed, or the
+// runtime is stopped or not yet started.
 //
 // Semantics note: the runtime drops messages addressed to a crashed process,
 // but a fault-injecting bus may still hold pre-crash messages in a delay
@@ -464,7 +430,7 @@ func (r *Runtime) Crash(p rt.ProcID) {
 // the live analogue of the simulator's bounded-reorder axiom.
 func (r *Runtime) Restart(p rt.ProcID, reboot func()) bool {
 	pr := r.procs[p]
-	if !pr.local || !r.started.Load() || r.stopped.Load() || !pr.crashed.Load() {
+	if !r.started.Load() || r.stopped.Load() || !pr.crashed.Load() {
 		return false
 	}
 	// The old loop exits promptly after Crash (it rechecks crashed between
@@ -490,7 +456,7 @@ func (r *Runtime) Restart(p rt.ProcID, reboot func()) bool {
 	r.spawn(pr)
 	// Oracles and guards may consult Crashed: let everyone re-examine.
 	for _, other := range r.procs {
-		if other.local && !other.crashed.Load() {
+		if !other.crashed.Load() {
 			wake(other)
 		}
 	}
@@ -559,7 +525,7 @@ func (pr *process) dequeue() func() {
 // With nothing to run the loop blocks until a job arrives or, if a paced
 // action is enabled but not yet due, until the step clock reaches it.
 //
-// Only paced steps are rationed by time (one per stepEvery). Everything else
+// Only paced steps are rationed by time (one per tick). Everything else
 // is bounded by stepBudget: after that many busy iterations in a row the
 // loop yields the processor and carries on — no sleep, so a prompt action
 // never waits out a tick it does not need.
@@ -589,7 +555,7 @@ func (r *Runtime) loop(pr *process) {
 		due := !now.Before(pr.nextStep)
 		if due && r.step(&pr.paced) {
 			ran = true
-			pr.nextStep = now.Add(r.stepEvery)
+			pr.nextStep = now.Add(r.tick)
 		}
 		if ran {
 			if budget--; budget == 0 {

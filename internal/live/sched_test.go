@@ -41,11 +41,11 @@ func eventually(t *testing.T, what string, cond func() bool) {
 // TestPromptActionSkipsThePacedRotation: eight permanently enabled paced
 // actions own the step clock, and a prompt action enabled by an Invoke still
 // runs in the very iteration that ran the Invoke — no paced step in between,
-// and so well inside one StepEvery. Under the single shared rotation it
-// waited out up to eight slots.
+// and so well inside one paced slot (a Tick). Under the single shared
+// rotation it waited out up to eight slots.
 func TestPromptActionSkipsThePacedRotation(t *testing.T) {
-	const stepEvery = 50 * time.Millisecond
-	r := New(Config{N: 1, Tick: time.Millisecond, StepEvery: stepEvery})
+	const tick = 50 * time.Millisecond
+	r := New(Config{N: 1, Tick: tick})
 	var pacedSteps atomic.Int64
 	for i := 0; i < 8; i++ {
 		r.Paced().AddAction(0, "spin", always, func() { pacedSteps.Add(1) })
@@ -64,7 +64,7 @@ func TestPromptActionSkipsThePacedRotation(t *testing.T) {
 	defer r.Stop()
 
 	// Let the paced class take the clock: from here on the loop is asleep
-	// inside a StepEvery slot whenever the Invoke lands.
+	// inside a paced slot whenever the Invoke lands.
 	eventually(t, "the first paced step", func() bool { return pacedSteps.Load() > 0 })
 	for i := 0; i < 5; i++ {
 		var before int64
@@ -74,19 +74,19 @@ func TestPromptActionSkipsThePacedRotation(t *testing.T) {
 		if between := got.paced - before; between != 0 {
 			t.Errorf("round %d: %d paced steps ran between the Invoke and the prompt action it enabled, want 0", i, between)
 		}
-		if d := got.at.Sub(t0); d >= stepEvery {
-			t.Errorf("round %d: prompt action ran %v after the Invoke, want under StepEvery = %v", i, d, stepEvery)
+		if d := got.at.Sub(t0); d >= tick {
+			t.Errorf("round %d: prompt action ran %v after the Invoke, want under Tick = %v", i, d, tick)
 		}
 	}
 }
 
 // TestPacedStepsRespectTheStepClock: however busy the process is with jobs
-// and prompt steps, its paced class takes at most one step per StepEvery —
-// the k-th step is at least (k-1)·StepEvery after the first, so the count
-// over any interval is bounded by elapsed/StepEvery + 1 on any host.
+// and prompt steps, its paced class takes at most one step per Tick — the
+// k-th step is at least (k-1)·Tick after the first, so the count over any
+// interval is bounded by elapsed/Tick + 1 on any host.
 func TestPacedStepsRespectTheStepClock(t *testing.T) {
-	const stepEvery = 5 * time.Millisecond
-	r := New(Config{N: 1, Tick: time.Millisecond, StepEvery: stepEvery})
+	const tick = 5 * time.Millisecond
+	r := New(Config{N: 1, Tick: tick})
 	var pacedSteps atomic.Int64
 	for i := 0; i < 8; i++ {
 		r.Paced().AddAction(0, "spin", always, func() { pacedSteps.Add(1) })
@@ -98,7 +98,7 @@ func TestPacedStepsRespectTheStepClock(t *testing.T) {
 	r.Start()
 	time.Sleep(200 * time.Millisecond)
 	steps := pacedSteps.Load()
-	bound := int64(time.Since(t0)/stepEvery) + 1
+	bound := int64(time.Since(t0)/tick) + 1
 	r.Stop()
 	if steps > bound {
 		t.Errorf("%d paced steps in an interval that allows at most %d", steps, bound)
@@ -117,7 +117,7 @@ func TestPacedStepsRespectTheStepClock(t *testing.T) {
 // paced action holds off neither a prompt action nor the paced class.
 func TestNoClassStarvesAnother(t *testing.T) {
 	t.Run("prompt cycle", func(t *testing.T) {
-		r := New(Config{N: 1, Tick: time.Millisecond, StepEvery: time.Millisecond})
+		r := New(Config{N: 1, Tick: time.Millisecond})
 		var prompt [3]atomic.Int64
 		for i := range prompt {
 			i := i
@@ -144,7 +144,7 @@ func TestNoClassStarvesAnother(t *testing.T) {
 	})
 
 	t.Run("job flood and paced cycle", func(t *testing.T) {
-		r := New(Config{N: 1, Tick: time.Millisecond, StepEvery: time.Millisecond})
+		r := New(Config{N: 1, Tick: time.Millisecond})
 		var pacedSteps atomic.Int64
 		r.Paced().AddAction(0, "paced", always, func() { pacedSteps.Add(1) })
 		armed := false
@@ -166,11 +166,12 @@ func TestNoClassStarvesAnother(t *testing.T) {
 }
 
 // TestRestartResetsTheScheduler: a new incarnation starts both rotations at
-// the first action and owes the step clock nothing. StepEvery is an hour, so
-// the second incarnation's paced step can only happen if Restart zeroed the
-// clock, and each class reports action 0 again only if its cursor was reset.
+// the first action and owes the step clock nothing. A Tick is an hour (no
+// timer is armed), so the second incarnation's paced step can only happen if
+// Restart zeroed the clock, and each class reports action 0 again only if its
+// cursor was reset.
 func TestRestartResetsTheScheduler(t *testing.T) {
-	r := New(Config{N: 1, Tick: time.Millisecond, StepEvery: time.Hour})
+	r := New(Config{N: 1, Tick: time.Hour})
 	var mu sync.Mutex
 	var order []string
 	record := func(s string) func() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -279,10 +280,26 @@ func BenchmarkFlushWriterSend(b *testing.B) {
 	fw := NewFlushWriter(io.Discard, 32<<10, 0)
 	defer fw.Close()
 	ev := Event{Ev: EvGranted, Diner: 3, ID: "a1b2c3-c12-345", T: 123456}
+	// The flusher is one goroutine against GOMAXPROCS senders that never
+	// block: on a small host it may get no slice before the senders fill
+	// the backlog bound, and Send refuses. So a sender yields, but only
+	// while the pending buffer is past half the bound — about once per 10⁵
+	// sends, checked every 256 — keeping this a benchmark of Send, not of
+	// Gosched.
+	half := backlogBatches * fw.maxBatch / 2
 	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
+		for n := 1; pb.Next(); n++ {
 			if !fw.Send(&ev) {
 				b.Fatal("send refused")
+			}
+			if n%256 != 0 {
+				continue
+			}
+			fw.mu.Lock()
+			pending := len(fw.buf)
+			fw.mu.Unlock()
+			if pending > half {
+				runtime.Gosched()
 			}
 		}
 	})
