@@ -40,6 +40,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzRecEncodeMatchesStdlib -fuzztime=$(FUZZTIME) ./internal/lockproto
 	$(GO) test -run=^$$ -fuzz=FuzzWireCodecEquivalence -fuzztime=$(FUZZTIME) ./internal/lockproto
 	$(GO) test -run=^$$ -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/wal
+	$(GO) test -run=^$$ -fuzz=FuzzExclusionMonitor -fuzztime=$(FUZZTIME) ./internal/checker
 
 # The repository benchmark (bench/) is a module of its own, outside
 # `go build ./...` and `go test ./...`: vet it and run its ~7 s smoke (every

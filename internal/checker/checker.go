@@ -7,7 +7,9 @@
 package checker
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -34,79 +36,22 @@ type ExclusionReport struct {
 }
 
 // Exclusion finds every overlap of live neighbors' eating sessions in the
-// given dining instance. Periods during which either endpoint was dead (its
-// crash not yet followed by a recover) are subtracted from each overlap:
-// both exclusion criteria only constrain live neighbors, but a recovered
-// process is live again, so its post-recovery sessions count in full.
-// horizon is the run end (for still-open sessions).
-//
-// One diner's sessions are in start order (trace.Log.Sessions), so per edge
-// the sessions of b that can overlap a session of a form a window that only
-// moves forward: the check is linear in the sessions, not in their product.
+// given dining instance: it feeds the log through an ExclusionMonitor and
+// returns its report at horizon, the run end (for still-open sessions).
+// A recorded run is in time order; a hand-built log is stable-sorted by T
+// first.
 func Exclusion(l *trace.Log, g *graph.Graph, inst string, horizon sim.Time) ExclusionReport {
-	eat := l.Sessions("eating")
-	dead := l.DeadIntervals()
-	var rep ExclusionReport
-	rep.LastViolation = sim.Never
-	for _, e := range g.Edges() {
-		a, b := e[0], e[1]
-		as := eat[trace.SessionKey{Inst: inst, P: a}]
-		bs := eat[trace.SessionKey{Inst: inst, P: b}]
-		downtime := append(append([]trace.Interval(nil), dead[a]...), dead[b]...)
-		for _, ia := range as {
-			// What ended before ia began ended before every later session of a.
-			for len(bs) > 0 && endOr(bs[0].End, horizon) <= ia.Start {
-				bs = bs[1:]
-			}
-			aEnd := endOr(ia.End, horizon)
-			for _, ib := range bs {
-				if ib.Start >= aEnd {
-					break // so does every later session of b
-				}
-				if !ia.Overlaps(ib, horizon) {
-					continue
-				}
-				lo := max(ia.Start, ib.Start)
-				hi := min(aEnd, endOr(ib.End, horizon))
-				for _, seg := range subtractDead(lo, hi, downtime) {
-					rep.Violations = append(rep.Violations, Violation{Inst: inst, A: a, B: b, T: seg.Start})
-					if seg.End > rep.LastViolation {
-						rep.LastViolation = seg.End
-					}
-				}
-			}
-		}
+	recs := l.Records
+	byT := func(a, b sim.Record) int { return cmp.Compare(a.T, b.T) }
+	if !slices.IsSortedFunc(recs, byT) {
+		recs = slices.Clone(recs)
+		slices.SortStableFunc(recs, byT)
 	}
-	sort.Slice(rep.Violations, func(i, j int) bool { return rep.Violations[i].T < rep.Violations[j].T })
-	return rep
-}
-
-// subtractDead removes every dead period from [lo, hi) and returns the
-// surviving sub-intervals in time order. An open dead interval (End ==
-// sim.Never) extends past hi.
-func subtractDead(lo, hi sim.Time, dead []trace.Interval) []trace.Interval {
-	segs := []trace.Interval{{Start: lo, End: hi}}
-	for _, d := range dead {
-		dEnd := d.End
-		if dEnd == sim.Never {
-			dEnd = hi
-		}
-		var next []trace.Interval
-		for _, s := range segs {
-			if d.Start >= s.End || dEnd <= s.Start {
-				next = append(next, s)
-				continue
-			}
-			if d.Start > s.Start {
-				next = append(next, trace.Interval{Start: s.Start, End: d.Start})
-			}
-			if dEnd < s.End {
-				next = append(next, trace.Interval{Start: dEnd, End: s.End})
-			}
-		}
-		segs = next
+	m := NewExclusionMonitor(g, inst, nil)
+	for _, r := range recs {
+		m.Trace(r)
 	}
-	return segs
+	return m.Report(horizon)
 }
 
 // EventualWeakExclusion checks ◇WX: finitely many violations, all ending
@@ -116,11 +61,17 @@ func subtractDead(lo, hi sim.Time, dead []trace.Interval) []trace.Interval {
 // check is meaningful: a run with violations right up to the horizon fails.
 func EventualWeakExclusion(l *trace.Log, g *graph.Graph, inst string, convergedBy, horizon sim.Time) (ExclusionReport, error) {
 	rep := Exclusion(l, g, inst, horizon)
+	return rep, rep.Eventual(inst, convergedBy)
+}
+
+// Eventual is the ◇WX rule applied to a report of instance inst: an error
+// if a violation lasted past convergedBy.
+func (rep ExclusionReport) Eventual(inst string, convergedBy sim.Time) error {
 	if rep.LastViolation != sim.Never && rep.LastViolation > convergedBy {
-		return rep, fmt.Errorf("checker: %s: exclusion violation persists past t=%d (last at t=%d)",
+		return fmt.Errorf("checker: %s: exclusion violation persists past t=%d (last at t=%d)",
 			inst, convergedBy, rep.LastViolation)
 	}
-	return rep, nil
+	return nil
 }
 
 // PerpetualWeakExclusion checks ℙWX: no violations at all.

@@ -8,10 +8,11 @@ import (
 	"repro/internal/trace"
 )
 
-// ExclusionQuadratic is Exclusion without the forward-moving window: per
-// edge, every eating session of one endpoint against every session of the
-// other. It is the reference TestExclusionMatchesQuadratic compares the
-// linear sweep with, report for report.
+// ExclusionQuadratic is the batch definition Exclusion's monitor must meet:
+// per edge, every eating session of one endpoint against every session of
+// the other, minus the periods either endpoint was dead. It is the reference
+// TestExclusionMatchesQuadratic and FuzzExclusionMonitor compare the
+// monitor with, report for report. Violations come out in (T, edge) order.
 func ExclusionQuadratic(l *trace.Log, g *graph.Graph, inst string, horizon sim.Time) ExclusionReport {
 	eat := l.Sessions("eating")
 	dead := l.DeadIntervals()
@@ -41,6 +42,37 @@ func ExclusionQuadratic(l *trace.Log, g *graph.Graph, inst string, horizon sim.T
 			}
 		}
 	}
-	sort.Slice(rep.Violations, func(i, j int) bool { return rep.Violations[i].T < rep.Violations[j].T })
+	sort.SliceStable(rep.Violations, func(i, j int) bool { return rep.Violations[i].T < rep.Violations[j].T })
 	return rep
+}
+
+// subtractDead removes every dead period from [lo, hi) and returns the
+// surviving sub-intervals in time order. An open dead interval (End ==
+// sim.Never) is unbounded: it extends past hi, so it also excuses a
+// zero-length overlap at hi, exactly as a closed dead interval spanning hi
+// does. (Clipping it at hi would report that overlap; only a log in which a
+// dead process emits eating records can reach the difference.)
+func subtractDead(lo, hi sim.Time, dead []trace.Interval) []trace.Interval {
+	segs := []trace.Interval{{Start: lo, End: hi}}
+	for _, d := range dead {
+		dEnd := d.End
+		if dEnd == sim.Never {
+			dEnd = hi + 1
+		}
+		var next []trace.Interval
+		for _, s := range segs {
+			if d.Start >= s.End || dEnd <= s.Start {
+				next = append(next, s)
+				continue
+			}
+			if d.Start > s.Start {
+				next = append(next, trace.Interval{Start: s.Start, End: d.Start})
+			}
+			if dEnd < s.End {
+				next = append(next, trace.Interval{Start: dEnd, End: s.End})
+			}
+		}
+		segs = next
+	}
+	return segs
 }

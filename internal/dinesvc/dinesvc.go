@@ -3,14 +3,16 @@
 // a networked lock/session service. It hosts N diners arbitrated by the
 // forks algorithm over a heartbeat ◇P on the live runtime, optionally runs
 // the paper's ◇P extraction alongside (feeding the watch stream), journals
-// every session transition to a crash-consistent WAL, and validates each
-// run's trace with the ◇WX checker at drain.
+// every session transition to a crash-consistent WAL, and watches each
+// table's record stream with the ◇WX exclusion monitor (checker.
+// ExclusionMonitor, bounded state; no trace is retained), whose report is
+// the run's verdict at drain.
 //
 // The kernel is layered in two:
 //
 //   - Table is one independent dining table: runtime + conflict graph +
-//     forks + session registry + suspect feed + janitor + WAL, recovered
-//     and audited in isolation.
+//     forks + session registry + suspect feed + exclusion monitor +
+//     janitor + WAL, recovered and audited in isolation.
 //   - Service owns the shared edges: the listener and accept loop, the
 //     key→table router (the pinned lockproto.TableOf hash of the diner
 //     id), drain/verdict fan-in, and the metrics registry every table's
@@ -32,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/checker"
 	"repro/internal/lockproto"
 	"repro/internal/metrics"
 	"repro/internal/rt"
@@ -352,22 +353,27 @@ func (s *Service) ChaosCrash(diner int, at, restartAfter time.Duration) error {
 	}
 	t := s.tableFor(diner)
 	p := rt.ProcID(s.localOf[diner])
-	go func() {
+	wait := func(d time.Duration) bool {
 		select {
-		case <-time.After(at):
+		case <-time.After(d):
+			return true
 		case <-s.stop:
+			return false
+		}
+	}
+	s.spawn(func() {
+		if !wait(at) {
 			return
 		}
 		s.logf("chaos — crashing diner %d", diner)
 		t.r.Crash(p)
-		time.Sleep(restartAfter)
-		if t.r.Restart(p, func() {
+		if wait(restartAfter) && t.r.Restart(p, func() {
 			t.tbl.Reset(p)
 			t.hb.Reset(p)
 		}) {
 			s.logf("chaos — diner %d restarted", diner)
 		}
-	}()
+	})
 	return nil
 }
 
@@ -450,8 +456,9 @@ func (s *Service) Summary() {
 	}
 }
 
-// Verdict runs the ◇WX checker over every table's trace: the service's
-// whole life is the run, and exclusion mistakes must have stopped by its
+// Verdict applies the ◇WX rule to every table's exclusion monitor, which
+// has watched the table's record stream since boot: the service's whole
+// life is the run, and exclusion mistakes must have stopped by its
 // midpoint. With no crashes and sane timeouts there are normally no
 // violations at all. The first failing table's error is returned; passing
 // tables log their verdict lines either way. Call after Drain.
@@ -461,9 +468,9 @@ func (s *Service) Verdict() error {
 		if t.r == nil {
 			continue
 		}
-		rep, err := checker.EventualWeakExclusion(t.log, t.g, tableInst, t.end/2, t.end)
-		if err != nil {
-			err = fmt.Errorf("%s%v (%d violations)", t.errPrefix(), err, len(rep.Violations))
+		rep := t.ex.Report(t.end)
+		if err := rep.Eventual(tableInst, t.end/2); err != nil {
+			err = fmt.Errorf("%s%v (%d violations)", t.logPrefix(), err, len(rep.Violations))
 			if firstErr == nil {
 				firstErr = err
 			}

@@ -28,11 +28,10 @@ type suspectFeed struct {
 	trusts   *metrics.Counter
 	droppedC *metrics.Counter
 
-	mu      sync.Mutex
-	cur     map[[2]int]bool
-	subs    map[int]chan lockproto.Event
-	nextID  int
-	dropped int64 // events not delivered to slow watchers
+	mu     sync.Mutex
+	cur    map[[2]int]bool
+	subs   map[int]chan lockproto.Event
+	nextID int
 }
 
 func newSuspectFeed(inst string, globals []int) *suspectFeed {
@@ -79,7 +78,6 @@ func (f *suspectFeed) Trace(r rt.Record) {
 		select {
 		case ch <- ev:
 		default:
-			f.dropped++
 			f.droppedC.Inc()
 		}
 	}

@@ -77,6 +77,9 @@ type tableMetrics struct {
 	held      *metrics.Gauge // sessions currently in the critical section
 	grantLat  *metrics.Hist  // acquire received → grant sent, server-side
 
+	// ◇WX: exclusion violations the table's monitor decided.
+	violations *metrics.Counter
+
 	// ◇P extraction watch stream (suspect churn: transitions per direction).
 	suspects     *metrics.Counter
 	trusts       *metrics.Counter
@@ -113,6 +116,8 @@ func newTableMetrics(reg *metrics.Registry, name func(string) string) *tableMetr
 		"sessions currently holding the critical section")
 	m.grantLat = reg.Histogram(name("dineserve_grant_latency_seconds"),
 		"server-side acquire-to-grant latency", 1e-6)
+	m.violations = reg.Counter(name("dineserve_exclusion_violations_total"),
+		"overlaps of live neighbours' eating sessions (◇WX: finitely many, then none)")
 
 	m.suspects = reg.Counter(name("dineserve_suspect_transitions_total"),
 		"trust->suspect transitions on the extraction watch stream")

@@ -343,3 +343,31 @@ func TestGoroutineBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosCrashEndsWithDrain: a chaos crash whose restart is still an hour
+// away is a goroutine Drain waits for and ends, not one that sleeps through
+// the teardown and then restarts a diner on a stopped runtime.
+func TestChaosCrashEndsWithDrain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a full server; skipped in -short")
+	}
+	base := standingGoroutines()
+	svc, _, _ := seatServer(t, Config{})
+	if err := svc.ChaosCrash(1, 0, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !svc.tableFor(1).r.Crashed(1) {
+		if time.Now().After(deadline) {
+			t.Fatal("diner 1 never crashed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	svc.Drain(time.Second)
+	if left := standingGoroutines() - base; left > 0 {
+		t.Fatalf("%d goroutines left behind by Drain", left)
+	}
+	if err := svc.Verdict(); err != nil {
+		t.Fatalf("verdict: %v", err)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/checker"
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/dining/forks"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/live"
 	"repro/internal/lockproto"
 	"repro/internal/rt"
-	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -39,7 +39,7 @@ type Table struct {
 
 	g    *graph.Graph
 	r    *live.Runtime // nil for a table no diner hashes to
-	log  *trace.Log
+	ex   *checker.ExclusionMonitor
 	feed *suspectFeed
 	hb   *detector.Heartbeat
 	tbl  *forks.Table
@@ -133,18 +133,18 @@ func newTable(svc *Service, idx int, globals []int, pol wal.Policy) (*Table, err
 			Fsyncs: t.m.walFsyncs, FsyncLat: t.m.walFsyncLat, Batch: t.m.walBatch,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("%swal: %v", t.errPrefix(), err)
+			return nil, fmt.Errorf("%swal: %v", t.logPrefix(), err)
 		}
 		recovered, err := lockproto.Replay(leaseTicks, walRec.Snapshot, walRec.Records)
 		if err != nil {
 			store.Close()
-			return nil, fmt.Errorf("%swal replay: %v", t.errPrefix(), err)
+			return nil, fmt.Errorf("%swal replay: %v", t.logPrefix(), err)
 		}
 		if len(recovered.Violations) > 0 {
 			// The ledger proves the pre-crash run broke safety; refusing to
 			// serve from it beats laundering the violation into a new run.
 			store.Close()
-			return nil, fmt.Errorf("%sledger violation: %s", t.errPrefix(), recovered.Violations[0])
+			return nil, fmt.Errorf("%sledger violation: %s", t.logPrefix(), recovered.Violations[0])
 		}
 		t.recovered = recovered
 		t.sessions = recovered.Sessions
@@ -177,13 +177,13 @@ func newTable(svc *Service, idx int, globals []int, pol wal.Policy) (*Table, err
 		return nil, err
 	}
 	t.g = g
-	t.log = &trace.Log{}
+	t.ex = checker.NewExclusionMonitor(g, tableInst, t.m.violations)
 	t.feed = newSuspectFeed(extInst, globals)
 	t.feed.suspects, t.feed.trusts, t.feed.droppedC = t.m.suspects, t.m.trusts, t.m.watchDropped
 	t.r = live.New(live.Config{
 		N:      k,
 		Tick:   cfg.Tick,
-		Tracer: multiTracer{t.log, t.feed},
+		Tracer: multiTracer{t.ex, t.feed},
 	})
 	t.m.observeRuntime(t.r)
 	t.m.observeTable(t)
@@ -238,9 +238,6 @@ func (t *Table) logPrefix() string {
 	}
 	return fmt.Sprintf("table %d: ", t.idx)
 }
-
-// errPrefix is logPrefix for error text.
-func (t *Table) errPrefix() string { return t.logPrefix() }
 
 // resume re-enqueues the sessions a crash left in flight, in their original
 // acquire order. Granted ones carry the regrant flag: they already own the

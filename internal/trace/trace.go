@@ -154,10 +154,10 @@ type SessionKey struct {
 }
 
 // Sessions extracts, for every (table instance, diner), its intervals in the
-// given dining state (e.g. "eating" or "hungry"), in start-time order. A
-// crash ends every open session of the crashed process: the dead incarnation
-// is no longer in any dining phase, and a restarted one re-announces its
-// state from scratch.
+// given dining state (e.g. "eating" or "hungry"), in record order: start
+// order for a log in time order, which a recorded run is. A crash ends every
+// open session of the crashed process: the dead incarnation is no longer in
+// any dining phase, and a restarted one re-announces its state from scratch.
 func (l *Log) Sessions(state string) map[SessionKey][]Interval {
 	open := make(map[SessionKey]sim.Time)
 	out := make(map[SessionKey][]Interval)
@@ -188,15 +188,6 @@ func (l *Log) Sessions(state string) map[SessionKey][]Interval {
 	}
 	for k, s := range open {
 		out[k] = append(out[k], Interval{Start: s, End: sim.Never})
-	}
-	// Start order is a guarantee (checker.Exclusion's sweep depends on it). A
-	// recorded run has it by construction; only a hand-built log whose
-	// records are out of time order needs the sort.
-	for _, ivs := range out {
-		byStart := func(i, j int) bool { return ivs[i].Start < ivs[j].Start }
-		if !sort.SliceIsSorted(ivs, byStart) {
-			sort.SliceStable(ivs, byStart)
-		}
 	}
 	return out
 }
