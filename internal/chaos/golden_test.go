@@ -8,21 +8,31 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/campaign.golden")
+var update = flag.Bool("update", false, "rewrite the campaign goldens under testdata/")
 
 // TestCampaignGolden pins trace identity across commits: one line per spec
 // of the default campaign — ID, trace hash, end time, record count, category
 // — compared against a committed file. The determinism tests elsewhere only
 // compare a binary with itself, so a kernel change that reorders events the
 // same way every run would pass them all; this one fails. Regenerate with
-// `go test ./internal/chaos -run TestCampaignGolden -update` only when a
+// `go test ./internal/chaos -run 'Campaign.*Golden' -update` only when a
 // change is meant to alter schedules.
 func TestCampaignGolden(t *testing.T) {
+	checkGolden(t, "testdata/campaign.golden", DefaultCampaign(15000))
+}
+
+// TestLinkCampaignGolden is the same pin for the lossy campaign: the
+// transport's envelopes, the link adversary's drops and duplicates (the
+// kernel's evDeliver events) and the transport's Dispatch to the protocol
+// handler — paths the default campaign never takes.
+func TestLinkCampaignGolden(t *testing.T) {
+	checkGolden(t, "testdata/link_campaign.golden", DefaultLinkCampaign(15000))
+}
+
+func checkGolden(t *testing.T, path string, c Campaign) {
 	if testing.Short() {
 		t.Skip("240-run campaign in -short mode")
 	}
-	const path = "testdata/campaign.golden"
-	c := DefaultCampaign(15000)
 	c.Seeds = []int64{1, 2} // pinned here, so a new default cannot silently re-key the file
 	var b strings.Builder
 	c.Progress = func(r *Result) {

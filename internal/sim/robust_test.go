@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 )
@@ -197,5 +198,130 @@ func TestTailRingBuffer(t *testing.T) {
 	}
 	if tail[0].Note != fmt.Sprintf("m%d", total-tailCap) || tail[len(tail)-1].Note != fmt.Sprintf("m%d", total-1) {
 		t.Fatalf("tail window wrong: first=%s last=%s", tail[0].Note, tail[len(tail)-1].Note)
+	}
+}
+
+// pinWorkload keeps the kernel busy on every path the watchdog counts: each
+// process spins an always-enabled action that sends to its ring successor
+// every third step and marks the trace every fifth, handles those messages,
+// and runs a periodic timer. amplify adds a port on which every delivery
+// sends two more messages, for the queue limit.
+func pinWorkload(k *Kernel, amplify bool) {
+	n := ProcID(k.N())
+	for p := ProcID(0); p < n; p++ {
+		p, cnt := p, 0
+		k.AddAction(p, "work", func() bool { return true }, func() {
+			cnt++
+			if cnt%3 == 0 {
+				k.Send(p, (p+1)%n, "ping", cnt)
+			}
+			if cnt%5 == 0 {
+				k.Emit(Record{P: p, Kind: "mark", Peer: -1, Note: fmt.Sprint("work ", cnt)})
+			}
+		})
+		k.Handle(p, "ping", func(m Message) {
+			k.Emit(Record{P: m.To, Kind: "recv", Peer: m.From, Note: fmt.Sprint(m.Payload)})
+		})
+		k.Handle(p, "amp", func(m Message) {
+			k.Send(m.To, m.From, "amp", nil)
+			k.Send(m.To, m.From, "amp", nil)
+		})
+		var tick func()
+		tick = func() {
+			k.Emit(Record{P: p, Kind: "tick", Peer: -1})
+			k.After(p, 17, tick)
+		}
+		k.After(p, 17, tick)
+	}
+	if amplify {
+		k.After(0, 40, func() { k.Send(0, 1, "amp", nil) })
+	}
+}
+
+// TestWatchdogPin pins the watchdog's exact verdict — which limit, on which
+// event, with which counters, queue length, time and trace tail — for each
+// limit alone, for all three at once, and for a budget replaced mid-run,
+// between two Runs and from inside an event. Any change to how often or when
+// the kernel checks its budget must leave every line unchanged.
+func TestWatchdogPin(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(k *Kernel) *BudgetExceeded
+		want string
+	}{
+		{"steps", func(k *Kernel) *BudgetExceeded {
+			pinWorkload(k, false)
+			k.SetBudget(Budget{MaxSteps: 400})
+			k.Run(1 << 40)
+			return k.Exhausted()
+		}, "sim: watchdog at t=267: step budget exceeded (401 > 400): livelock suspected (steps=401 events=577 queue=8) | tail 48 seq 690..840 9549ea861d105a2d"},
+		{"events", func(k *Kernel) *BudgetExceeded {
+			pinWorkload(k, false)
+			k.SetBudget(Budget{MaxEvents: 900})
+			k.Run(1 << 40)
+			return k.Exhausted()
+		}, "sim: watchdog at t=419: event budget exceeded (901 > 900): livelock suspected (steps=625 events=901 queue=9) | tail 48 seq 1154..1307 6380536cd9277bd2"},
+		{"queue", func(k *Kernel) *BudgetExceeded {
+			pinWorkload(k, true)
+			k.SetBudget(Budget{MaxQueue: 300})
+			k.Run(1 << 40)
+			return k.Exhausted()
+		}, "sim: watchdog at t=82: event queue exceeded 300 entries (301): runaway scheduling (steps=126 events=468 queue=301) | tail 48 seq 105..738 36cfca8bf35c86b4"},
+		{"all three, steps first", func(k *Kernel) *BudgetExceeded {
+			pinWorkload(k, false)
+			k.SetBudget(Budget{MaxSteps: 700, MaxEvents: 1500, MaxQueue: 1000})
+			k.Run(1 << 40)
+			return k.Exhausted()
+		}, "sim: watchdog at t=472: step budget exceeded (701 > 700): livelock suspected (steps=701 events=1013 queue=8) | tail 48 seq 1322..1468 805a2a2f214ac408"},
+		{"all three, events first", func(k *Kernel) *BudgetExceeded {
+			pinWorkload(k, false)
+			k.SetBudget(Budget{MaxSteps: 700, MaxEvents: 800, MaxQueue: 1000})
+			k.Run(1 << 40)
+			return k.Exhausted()
+		}, "sim: watchdog at t=370: event budget exceeded (801 > 800): livelock suspected (steps=556 events=801 queue=8) | tail 48 seq 1017..1160 980df4861bec1ecc"},
+		{"all three, queue first", func(k *Kernel) *BudgetExceeded {
+			pinWorkload(k, true)
+			k.SetBudget(Budget{MaxSteps: 700, MaxEvents: 1500, MaxQueue: 1000})
+			k.Run(1 << 40)
+			return k.Exhausted()
+		}, "sim: watchdog at t=89: event queue exceeded 1000 entries (1001): runaway scheduling (steps=136 events=1188 queue=1001) | tail 48 seq 137..1633 7f5ab42cfa1b921d"},
+		{"set between runs", func(k *Kernel) *BudgetExceeded {
+			pinWorkload(k, false)
+			k.SetBudget(Budget{MaxSteps: 1 << 40, MaxEvents: 1 << 40})
+			k.Run(150)
+			k.SetBudget(Budget{MaxEvents: k.Events() + 37})
+			k.Run(1 << 40)
+			return k.Exhausted()
+		}, "sim: watchdog at t=168: event budget exceeded (363 > 362): livelock suspected (steps=254 events=363 queue=8) | tail 48 seq 378..530 4bded5987378b6d2"},
+		{"set inside an event", func(k *Kernel) *BudgetExceeded {
+			pinWorkload(k, false)
+			k.SetBudget(Budget{MaxEvents: 1 << 40})
+			k.After(2, 200, func() { k.SetBudget(Budget{MaxSteps: k.steps.Value() + 25}) })
+			k.Run(1 << 40)
+			return k.Exhausted()
+		}, "sim: watchdog at t=215: step budget exceeded (328 > 327): livelock suspected (steps=328 events=470 queue=9) | tail 48 seq 530..680 db380a1a98ec6dcc"},
+		{"lowered below the counters", func(k *Kernel) *BudgetExceeded {
+			pinWorkload(k, false)
+			k.SetBudget(Budget{MaxSteps: 1 << 40})
+			k.After(1, 90, func() { k.SetBudget(Budget{MaxSteps: 10}) })
+			k.Run(1 << 40)
+			return k.Exhausted()
+		}, "sim: watchdog at t=90: step budget exceeded (136 > 10): livelock suspected (steps=136 events=192 queue=10) | tail 48 seq 117..271 1645a0c8a078d899"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel(3, WithSeed(7))
+			wd := tc.run(k)
+			if wd == nil {
+				t.Fatal("watchdog did not fire")
+			}
+			h := fnv.New64a()
+			h.Write([]byte(wd.Diagnostic()))
+			got := fmt.Sprintf("%s | tail %d seq %d..%d %016x", wd.Error(), len(wd.Tail),
+				wd.Tail[0].Seq, wd.Tail[len(wd.Tail)-1].Seq, h.Sum64())
+			if got != tc.want {
+				t.Errorf("verdict moved\n got  %s\n want %s", got, tc.want)
+			}
+		})
 	}
 }
