@@ -99,31 +99,45 @@ func (s Starvation) String() string {
 // process ends in an eating session. A hunger session still open at the
 // horizon counts as starvation only if it began before grace (hunger that
 // started very late in the run has legitimately not been served yet).
+//
+// Only the session open at the end can starve, so one pass keeps, per
+// diner, the start of its open hunger session in inst and whether it ever
+// crashed; the result is ordered by process. WaitFreedomSessions
+// (export_test.go) is the definition over Log.Sessions it must equal.
 func WaitFreedom(l *trace.Log, inst string, grace, horizon sim.Time) []Starvation {
-	hungry := l.Sessions("hungry")
-	crash := l.CrashTimes()
-	var out []Starvation
-	keys := make([]trace.SessionKey, 0, len(hungry))
-	for k := range hungry {
-		if k.Inst == inst {
-			keys = append(keys, k)
+	var since []sim.Time // by ProcID: start of the open hunger session, or Never
+	var crashed []bool   // by ProcID
+	for i := range l.Records {
+		r := &l.Records[i]
+		switch {
+		case r.Kind == trace.KindCrash:
+			crashed = growTo(crashed, r.P, false)
+			crashed[r.P] = true
+		case r.Kind == trace.KindState && r.Inst == inst:
+			since = growTo(since, r.P, sim.Never)
+			if r.Note != "hungry" {
+				since[r.P] = sim.Never
+			} else if since[r.P] == sim.Never {
+				since[r.P] = r.T
+			}
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].P < keys[j].P })
-	for _, k := range keys {
-		if _, crashed := crash[k.P]; crashed {
-			continue // only correct processes are owed progress
+	var out []Starvation
+	for p, s := range since {
+		if s == sim.Never || s > grace || p < len(crashed) && crashed[p] {
+			continue // fed, hungry too recently, or not owed progress
 		}
-		for _, iv := range hungry[k] {
-			if iv.Closed() {
-				continue // hunger ended; the state machine only permits hungry->eating
-			}
-			if iv.Start <= grace {
-				out = append(out, Starvation{Inst: k.Inst, P: k.P, Since: iv.Start})
-			}
-		}
+		out = append(out, Starvation{Inst: inst, P: sim.ProcID(p), Since: s})
 	}
 	return out
+}
+
+// growTo returns s extended with fill so that p indexes it.
+func growTo[T any](s []T, p sim.ProcID, fill T) []T {
+	for int(p) >= len(s) {
+		s = append(s, fill)
+	}
+	return s
 }
 
 // Overtake records one process exceeding the k-fairness bound against a

@@ -34,6 +34,33 @@ func mark(l *trace.Log, t sim.Time, p sim.ProcID, kind string) {
 	l.Trace(sim.Record{T: t, P: p, Kind: kind, Peer: -1})
 }
 
+// randomHorizon is where randomLog's logs end.
+const randomHorizon = 400
+
+// randomLog is a random schedule on four diners of table "t": per diner a
+// run of sessions in state in, ended by state out, with zero-length and
+// touching ones, some left open, crashes (which close the open session) and
+// recoveries, merged into one time-ordered log. One record in faultEvery is
+// a crash and one a recovery.
+func randomLog(seed int64, in, out string, faultEvery int) *trace.Log {
+	rng := rand.New(rand.NewSource(seed))
+	l := &trace.Log{}
+	for now := sim.Time(0); now < randomHorizon; now += sim.Time(rng.Intn(3)) {
+		p := sim.ProcID(rng.Intn(4))
+		switch r := rng.Intn(faultEvery); {
+		case r < faultEvery/2-1:
+			state(l, now, p, in)
+		case r < faultEvery-2:
+			state(l, now, p, out)
+		case r == faultEvery-2:
+			mark(l, now, p, trace.KindCrash)
+		default:
+			mark(l, now, p, trace.KindRecover)
+		}
+	}
+	return l
+}
+
 // TestExclusionMatchesQuadratic pins the streaming Exclusion to the plain
 // double loop (export_test.go) on recorded runs, on random interval logs,
 // and on hand-built logs whose records are out of time order. On the
@@ -69,29 +96,12 @@ func TestExclusionMatchesQuadratic(t *testing.T) {
 		}
 	})
 
-	// Random schedules on a 4-clique: per diner a run of sessions with
-	// zero-length and touching ones, some left open, crashes (which close
-	// the open session) and recoveries, merged into one time-ordered log.
+	// Random schedules on a 4-clique (randomLog).
 	t.Run("random", func(t *testing.T) {
 		g := graph.Clique(4)
 		for seed := int64(0); seed < 2000; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			l := &trace.Log{}
-			const horizon = 400
-			for now := sim.Time(0); now < horizon; now += sim.Time(rng.Intn(3)) {
-				p := sim.ProcID(rng.Intn(4))
-				switch r := rng.Intn(20); {
-				case r < 9:
-					state(l, now, p, "eating")
-				case r < 18:
-					state(l, now, p, "exiting")
-				case r == 18:
-					mark(l, now, p, trace.KindCrash)
-				default:
-					mark(l, now, p, trace.KindRecover)
-				}
-			}
-			sameReport(t, fmt.Sprintf("seed %d", seed), l, g, "t", horizon)
+			l := randomLog(seed, "eating", "exiting", 20)
+			sameReport(t, fmt.Sprintf("seed %d", seed), l, g, "t", randomHorizon)
 		}
 	})
 
@@ -199,5 +209,49 @@ func FuzzExclusionMonitor(f *testing.F) {
 			}
 		}
 		sameReport(t, fmt.Sprintf("%x", data), l, graph.Clique(4), "t", now+sim.Time(data[0]%3))
+	})
+}
+
+// TestWaitFreedomMatchesSessions pins the one-pass WaitFreedom to its
+// definition over Log.Sessions (export_test.go) on every default campaign
+// trace and on randomLog's hunger schedules, at graces from the start to the
+// end of the run. The random logs crash a diner about once per log, so
+// most have both correct diners and excused ones.
+func TestWaitFreedomMatchesSessions(t *testing.T) {
+	same := func(what string, l *trace.Log, inst string, end sim.Time) (starved int) {
+		t.Helper()
+		for _, grace := range []sim.Time{0, end / 2, end - end/4, end} {
+			got := checker.WaitFreedom(l, inst, grace, end)
+			want := checker.WaitFreedomSessions(l, inst, grace, end)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, grace %d: one pass diverges from the Sessions definition\n got %v\nwant %v", what, grace, got, want)
+			}
+			starved += len(got)
+		}
+		return starved
+	}
+	t.Run("campaign", func(t *testing.T) {
+		starved := 0
+		for _, spec := range chaos.DefaultCampaign(6000).Specs() {
+			res := chaos.Execute(spec)
+			if res.Log == nil {
+				t.Fatalf("%s: no trace", spec.ID())
+			}
+			starved += same(spec.ID(), res.Log, "dine", res.End)
+		}
+		if starved == 0 {
+			t.Fatal("no campaign trace had an open hunger session: the comparison is vacuous")
+		}
+		t.Logf("%d starvations reported", starved)
+	})
+	t.Run("random", func(t *testing.T) {
+		starved := 0
+		for seed := int64(0); seed < 2000; seed++ {
+			starved += same(fmt.Sprintf("seed %d", seed), randomLog(seed, "hungry", "eating", 400), "t", randomHorizon)
+		}
+		if starved == 0 {
+			t.Fatal("no random log starved anyone: the comparison is vacuous")
+		}
+		t.Logf("%d starvations reported", starved)
 	})
 }

@@ -76,3 +76,34 @@ func subtractDead(lo, hi sim.Time, dead []trace.Interval) []trace.Interval {
 	}
 	return segs
 }
+
+// WaitFreedomSessions is the definition WaitFreedom's one pass must meet:
+// every never-crashed diner's hunger sessions from Log.Sessions, reporting
+// the open ones that began by grace, in process order.
+// TestWaitFreedomMatchesSessions compares the two.
+func WaitFreedomSessions(l *trace.Log, inst string, grace, horizon sim.Time) []Starvation {
+	hungry := l.Sessions("hungry")
+	crash := l.CrashTimes()
+	var out []Starvation
+	keys := make([]trace.SessionKey, 0, len(hungry))
+	for k := range hungry {
+		if k.Inst == inst {
+			keys = append(keys, k)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].P < keys[j].P })
+	for _, k := range keys {
+		if _, crashed := crash[k.P]; crashed {
+			continue // only correct processes are owed progress
+		}
+		for _, iv := range hungry[k] {
+			if iv.Closed() {
+				continue // hunger ended; the state machine only permits hungry->eating
+			}
+			if iv.Start <= grace {
+				out = append(out, Starvation{Inst: k.Inst, P: k.P, Since: iv.Start})
+			}
+		}
+	}
+	return out
+}

@@ -313,11 +313,16 @@ func (m *module) yield(q rt.ProcID) {
 	}
 }
 
-// requestMissing asks for every fork we lack.
+// requestMissing asks for every fork we lack, with one boxed request for
+// all of them.
 func (m *module) requestMissing() {
+	var req any
 	for _, q := range m.nbrs {
 		if !m.edges[q].hold {
-			m.k.Send(m.self, q, m.reqPort, reqMsg{TS: m.hungerTS})
+			if req == nil {
+				req = reqMsg{TS: m.hungerTS}
+			}
+			m.k.Send(m.self, q, m.reqPort, req)
 		}
 	}
 }

@@ -121,6 +121,7 @@ type module struct {
 
 	hasToken  bool
 	cur       epoch   // epoch of the held token
+	tok       any     // tokenMsg{Epoch: cur}, boxed once per epoch
 	maxSeen   epoch   // highest epoch ever seen
 	lastSeen  rt.Time // when the token last visited us
 	timeout   rt.Time // adaptive regeneration timeout
@@ -128,6 +129,7 @@ type module struct {
 }
 
 func newModule(k rt.Runtime, name string, p rt.ProcID, ring []rt.ProcID, idx int, oracle detector.Oracle, cfg Config) *module {
+	first := epoch{C: 1, M: ring[0]}
 	m := &module{
 		Core:    dining.NewCore(k, p, name),
 		k:       k,
@@ -140,8 +142,9 @@ func newModule(k rt.Runtime, name string, p rt.ProcID, ring []rt.ProcID, idx int
 		timeout: cfg.Timeout,
 		// The lowest-id diner starts with the token.
 		hasToken: idx == 0,
-		cur:      epoch{C: 1, M: ring[0]},
-		maxSeen:  epoch{C: 1, M: ring[0]},
+		cur:      first,
+		tok:      tokenMsg{Epoch: first},
+		maxSeen:  first,
 	}
 	k.Handle(p, m.port, m.onToken)
 	k.AddAction(p, name+"/eat", m.canEat, m.eat)
@@ -193,7 +196,7 @@ func (m *module) forward() {
 		}
 		if !m.view.Suspected(q) {
 			m.hasToken = false
-			m.k.Send(m.self, q, m.port, tokenMsg{Epoch: m.cur})
+			m.k.Send(m.self, q, m.port, m.tok)
 			return
 		}
 	}
@@ -225,6 +228,7 @@ func (m *module) onToken(msg rt.Message) {
 	}
 	m.hasToken = true
 	m.cur = tok.Epoch
+	m.tok = msg.Payload // forwarded as received: no box per hop
 	m.lastSeen = m.k.Now()
 }
 
@@ -244,6 +248,7 @@ func (m *module) maybeRegenerate() {
 	m.timeout *= 2
 	m.maxSeen = epoch{C: m.maxSeen.C + 1, M: m.self}
 	m.cur = m.maxSeen
+	m.tok = tokenMsg{Epoch: m.cur}
 	m.hasToken = true
 	m.lastSeen = m.k.Now()
 	m.k.Emit(rt.Record{P: m.self, Kind: "mark", Peer: -1, Inst: m.Inst,

@@ -116,3 +116,24 @@ func TestTokenDuplicatesAreTransient(t *testing.T) {
 		t.Fatalf("starvation: %v", starved)
 	}
 }
+
+// TestTokenSteadyStateAllocs: once the kernel is warm, a token round with no
+// regeneration — every hop's forward, delivery and adoption, and the
+// regeneration checks that find nothing to do — allocates nothing: the
+// token is boxed when its epoch is minted and forwarded as received.
+func TestTokenSteadyStateAllocs(t *testing.T) {
+	g := graph.Ring(4)
+	k := sim.NewKernel(g.N(), sim.WithSeed(1))
+	token.New(k, g, "tk", detector.Perfect{K: k}, token.Config{})
+	horizon := k.Run(2000)
+	allocs := testing.AllocsPerRun(100, func() {
+		horizon += 50 // a round or more of a 4-ring with the default delays
+		k.Run(horizon)
+	})
+	if allocs != 0 {
+		t.Fatalf("a steady-state token round allocated %v times, want 0", allocs)
+	}
+	if n := k.Counter("msg.sent:tk"); n < 100 {
+		t.Fatalf("the token made %d hops: the round is not exercised", n)
+	}
+}

@@ -235,30 +235,33 @@ func (k *Kernel) reorderExtra() Time {
 // linkArrive is the delivery-time firing point of the link adversary: the
 // message is dropped or duplicated here, with counters and a trace event per
 // perturbation, before the surviving copy reaches the normal delivery path.
-func (k *Kernel) linkArrive(m Message) {
+func (k *Kernel) linkArrive(e *event) {
 	lp := k.links
 	if lp == nil {
-		k.deliver(m)
+		k.deliver(e)
 		return
 	}
-	if p := lp.DropProb(m.From, m.To, k.now); p > 0 && k.rng.Float64() < p {
+	from, to := ProcID(e.from), ProcID(e.to)
+	if p := lp.DropProb(from, to, k.now); p > 0 && k.rng.Float64() < p {
 		k.inFlight--
 		k.linkDropped.Inc()
 		k.dropped.Inc()
 		k.droppedLink.Inc()
-		k.Emit(Record{P: m.To, Kind: KindLink, Peer: m.From, Inst: portPrefix(m.Port), Note: "drop"})
+		k.Emit(Record{P: to, Kind: KindLink, Peer: from, Inst: portPrefix(k.portName[e.port]), Note: "drop"})
 		return
 	}
-	if p := lp.DupProb(m.From, m.To); p > 0 && k.rng.Float64() < p {
+	if p := lp.DupProb(from, to); p > 0 && k.rng.Float64() < p {
 		// The duplicate is a second, independent delivery of the same wire
 		// message a little later; it is not duplicated again.
 		k.linkDuped.Inc()
-		k.Emit(Record{P: m.To, Kind: KindLink, Peer: m.From, Inst: portPrefix(m.Port), Note: "dup"})
+		k.Emit(Record{P: to, Kind: KindLink, Peer: from, Inst: portPrefix(k.portName[e.port]), Note: "dup"})
 		extra := 1 + Time(k.rng.Int63n(8))
 		k.inFlight++
 		// evDeliver (not evArrive): the duplicate must bypass the adversary so
 		// it is not dropped or duplicated again.
-		k.scheduleEvent(k.now+extra, event{kind: evDeliver, msg: m})
+		dup := *e
+		dup.kind = evDeliver
+		k.scheduleEvent(k.now+extra, &dup)
 	}
-	k.deliver(m)
+	k.deliver(e)
 }

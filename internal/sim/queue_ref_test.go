@@ -101,28 +101,43 @@ type qop struct {
 
 // diffQueues drives eventQueue and refHeap through the same schedule the way
 // the kernel would — every push stamped with the next seq at now+arg, now
-// following the popped events, 'r' popping up to a horizon and parking now
-// on it when later events remain — and compares Len, peekAt and every popped
-// (at, seq) after every step, then drains both.
+// following the popped events, 'r' calling pop(horizon) until it refuses and
+// parking now on the horizon when later events remain — and compares every
+// popped (at, seq) and every refusal with the reference. After every step
+// Len must agree, and a pop with the horizon one tick before the reference's
+// minimum must refuse and leave the queue as it was. Then it drains both.
 func diffQueues(t testing.TB, ops []qop) {
 	t.Helper()
 	var q eventQueue
 	var ref refHeap
 	var now Time
 	var seq int64
-	pop := func(step int) {
-		got, want := q.pop(), ref.pop()
+	// pop pops up to horizon from both; it reports whether they popped.
+	pop := func(step int, horizon Time) bool {
+		got, ok := q.pop(horizon)
+		next, refOK := ref.peekAt()
+		if refOK = refOK && next <= horizon; ok != refOK {
+			t.Fatalf("step %d: pop(%d) ok=%v (at=%d), reference next t=%d ok=%v", step, horizon, ok, got.at, next, refOK)
+		}
+		if !ok {
+			return false
+		}
+		want := ref.pop()
 		if got.at != want.at || got.seq != want.seq {
 			t.Fatalf("step %d: popped (at=%d seq=%d), reference (at=%d seq=%d)", step, got.at, got.seq, want.at, want.seq)
 		}
 		now = got.at
+		return true
 	}
 	agree := func(step int) {
-		gotAt, gotOK := q.peekAt()
-		wantAt, wantOK := ref.peekAt()
-		if q.Len() != ref.Len() || gotAt != wantAt || gotOK != wantOK {
-			t.Fatalf("step %d: Len %d peekAt (%d, %v), reference Len %d peekAt (%d, %v)",
-				step, q.Len(), gotAt, gotOK, ref.Len(), wantAt, wantOK)
+		if q.Len() != ref.Len() {
+			t.Fatalf("step %d: Len %d, reference Len %d", step, q.Len(), ref.Len())
+		}
+		if next, ok := ref.peekAt(); ok {
+			if e, popped := q.pop(next - 1); popped || q.Len() != ref.Len() {
+				t.Fatalf("step %d: pop(%d) with the minimum at t=%d popped t=%d (ok=%v), Len %d",
+					step, next-1, next, e.at, popped, q.Len())
+			}
 		}
 	}
 	for i, o := range ops {
@@ -133,23 +148,19 @@ func diffQueues(t testing.TB, ops []qop) {
 			q.push(&e)
 			ref.push(e)
 		case 'o':
-			if ref.Len() > 0 {
-				pop(i)
-			}
+			pop(i, forever)
 		case 'r':
 			horizon := now + o.arg
-			for ref.Len() > 0 {
-				if next, _ := ref.peekAt(); next > horizon {
-					now = horizon
-					break
-				}
-				pop(i)
+			for pop(i, horizon) {
+			}
+			if ref.Len() > 0 {
+				now = horizon
 			}
 		}
 		agree(i)
 	}
 	for i := len(ops); ref.Len() > 0; i++ {
-		pop(i)
+		pop(i, forever)
 		agree(i)
 	}
 }
@@ -205,6 +216,15 @@ func TestQueueDifferential(t *testing.T) {
 		{"horizon exactly on an event", script(
 			pushes(10, 20), []qop{{'r', 10}}, pushes(10, 246, 247), []qop{{'r', 10}}, pushes(0))},
 		{"same far tick, many", script(pushes(700, 700, 700, 300, 700), pops(2), pushes(400, 400, 399, 401))},
+		// Ring events and overflow events, and a horizon between two
+		// overflow ticks: the ring drains, the first overflow tick is filed
+		// and popped, the second stays put.
+		{"horizon inside the overflow", script(
+			pushes(3, 40, 1000, 3000, 3000), []qop{{'r', 2000}}, pushes(5, 600), []qop{{'r', 999}}, pops(1), []qop{{'r', 5000}})},
+		// Only overflow events: a horizon short of the first must not move
+		// base (a later push near now would then be behind it).
+		{"horizon with an empty ring", script(
+			pushes(900, 2000), []qop{{'r', 500}}, pushes(1, 300), pops(1), []qop{{'r', 300}}, pushes(0, 400), []qop{{'r', 1000}, {'r', 1000}})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { diffQueues(t, tc.ops) })

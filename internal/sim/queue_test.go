@@ -1,11 +1,34 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// forever is a horizon no event reaches: pop(forever) pops unconditionally.
+const forever = Time(math.MaxInt64)
+
+// popAny pops the minimum event of a non-empty queue.
+func popAny(t testing.TB, q *eventQueue) event {
+	t.Helper()
+	e, ok := q.pop(forever)
+	if !ok {
+		t.Fatalf("pop of a queue holding %d events returned nothing", q.Len())
+	}
+	return e
+}
+
+// TestEventSize pins the event at 56 bytes: a queue node is one event, and
+// every push and pop copies one.
+func TestEventSize(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size > 56 {
+		t.Fatalf("event is %d bytes, want at most 56", size)
+	}
+}
 
 // TestQueueOrdering: popping returns events in (time, seq) order regardless
 // of the order their times were pushed in (property-based). Times are
@@ -19,7 +42,7 @@ func TestQueueOrdering(t *testing.T) {
 		}
 		var got []event
 		for q.Len() > 0 {
-			got = append(got, q.pop())
+			got = append(got, popAny(t, &q))
 		}
 		for i := 1; i < len(got); i++ {
 			a, b := got[i-1], got[i]
@@ -43,25 +66,38 @@ func TestQueueStability(t *testing.T) {
 		q.push(&event{at: 7, seq: int64(i)})
 	}
 	for i := 0; i < n; i++ {
-		if e := q.pop(); e.seq != int64(i) {
+		if e := popAny(t, &q); e.seq != int64(i) {
 			t.Fatalf("pop %d returned seq %d", i, e.seq)
 		}
 	}
 }
 
-// TestQueuePeek: peekAt returns the minimum time without removing anything.
-func TestQueuePeek(t *testing.T) {
+// TestQueuePopHorizon: pop refuses an empty queue and a minimum past the
+// horizon without removing anything, and pops an event exactly on it — in
+// the ring and, with the ring empty, in the overflow.
+func TestQueuePopHorizon(t *testing.T) {
 	var q eventQueue
-	if _, ok := q.peekAt(); ok {
-		t.Fatal("peekAt of empty queue should report !ok")
+	if _, ok := q.pop(forever); ok {
+		t.Fatal("pop of an empty queue should report !ok")
 	}
 	q.push(&event{at: 5, seq: 1})
 	q.push(&event{at: 3, seq: 2})
-	if at, ok := q.peekAt(); !ok || at != 3 {
-		t.Fatalf("peekAt returned at=%d ok=%v, want 3 true", at, ok)
+	q.push(&event{at: 1000, seq: 3})
+	for _, tc := range []struct {
+		horizon Time
+		at      Time // 0: nothing may pop
+	}{{2, 0}, {3, 3}, {4, 0}, {999, 5}, {999, 0}, {1000, 1000}} {
+		before := q.Len()
+		e, ok := q.pop(tc.horizon)
+		switch {
+		case tc.at == 0 && (ok || q.Len() != before):
+			t.Fatalf("pop(%d) popped t=%d (ok=%v), len %d -> %d", tc.horizon, e.at, ok, before, q.Len())
+		case tc.at != 0 && (!ok || e.at != tc.at):
+			t.Fatalf("pop(%d) = t=%d ok=%v, want t=%d", tc.horizon, e.at, ok, tc.at)
+		}
 	}
-	if q.Len() != 2 {
-		t.Fatalf("peekAt must not remove: len=%d", q.Len())
+	if q.Len() != 0 {
+		t.Fatalf("%d events left", q.Len())
 	}
 }
 
@@ -82,7 +118,7 @@ func TestQueueMixedWorkload(t *testing.T) {
 			q.push(&event{at: at, seq: seq})
 			pushed = append(pushed, at)
 		} else {
-			at := q.pop().at
+			at := popAny(t, &q).at
 			if at < base {
 				t.Fatalf("pop went back in time: %d after %d", at, base)
 			}
@@ -91,7 +127,7 @@ func TestQueueMixedWorkload(t *testing.T) {
 		}
 	}
 	for q.Len() > 0 {
-		popped = append(popped, q.pop().at)
+		popped = append(popped, popAny(t, &q).at)
 	}
 	sort.Slice(pushed, func(i, j int) bool { return pushed[i] < pushed[j] })
 	if len(popped) != len(pushed) {
@@ -118,12 +154,12 @@ func TestQueueNoSteadyStateAllocs(t *testing.T) {
 		q.push(&event{at: Time(i), seq: seq})
 	}
 	for q.Len() > 32 {
-		q.pop()
+		popAny(t, &q)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		seq++
 		q.push(&event{at: q.base + Time(seq%97), seq: seq})
-		q.pop()
+		q.pop(forever)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state push/pop allocated %v times per run, want 0", allocs)
@@ -135,7 +171,7 @@ func TestQueueNoSteadyStateAllocs(t *testing.T) {
 func TestQueuePushBehindBasePanics(t *testing.T) {
 	var q eventQueue
 	q.push(&event{at: 10, seq: 1})
-	q.pop()
+	popAny(t, &q)
 	q.push(&event{at: 10, seq: 2}) // the base tick itself is still open
 	defer func() {
 		if recover() == nil {

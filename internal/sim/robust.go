@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime/debug"
 	"strings"
 )
@@ -70,7 +71,10 @@ type Budget struct {
 // SetBudget installs (or replaces) the run budget. Exceeding it stops the
 // run at the end of the offending event and records a BudgetExceeded
 // diagnostic retrievable via Exhausted.
-func (k *Kernel) SetBudget(b Budget) { k.budget = b }
+func (k *Kernel) SetBudget(b Budget) {
+	k.budget = b
+	k.budgetAt = 0 // check after the next event, against the new limits
+}
 
 // Events returns the number of events processed so far — deliveries, timers
 // and steps — the count MaxEvents bounds.
@@ -108,22 +112,38 @@ func (b *BudgetExceeded) Diagnostic() string {
 	return s.String()
 }
 
-// checkBudget stops the run with a diagnostic if any limit is exceeded.
+// checkBudget stops the run with a diagnostic if any limit is exceeded, and
+// otherwise sets budgetAt to the first event count at which a step or event
+// limit could be exceeded. The loop calls it only then, or when the queue
+// limit is exceeded, and the watchdog still trips on exactly the event it
+// would trip on if it ran after every event: the loop counts one event per
+// event and the kernel at most one step per event (a step event runs one
+// action), so with steps ≤ MaxSteps now, steps cannot pass MaxSteps before
+// events has grown by MaxSteps+1−steps, nor events pass MaxEvents before it
+// reaches MaxEvents+1.
 func (k *Kernel) checkBudget() {
+	b, steps := k.budget, k.steps.Value()
 	var reason string
 	switch {
-	case k.budget.MaxSteps > 0 && k.steps.Value() > k.budget.MaxSteps:
-		reason = fmt.Sprintf("step budget exceeded (%d > %d): livelock suspected", k.steps.Value(), k.budget.MaxSteps)
-	case k.budget.MaxEvents > 0 && k.events > k.budget.MaxEvents:
-		reason = fmt.Sprintf("event budget exceeded (%d > %d): livelock suspected", k.events, k.budget.MaxEvents)
-	case k.budget.MaxQueue > 0 && k.queue.Len() > k.budget.MaxQueue:
-		reason = fmt.Sprintf("event queue exceeded %d entries (%d): runaway scheduling", k.budget.MaxQueue, k.queue.Len())
+	case b.MaxSteps > 0 && steps > b.MaxSteps:
+		reason = fmt.Sprintf("step budget exceeded (%d > %d): livelock suspected", steps, b.MaxSteps)
+	case b.MaxEvents > 0 && k.events > b.MaxEvents:
+		reason = fmt.Sprintf("event budget exceeded (%d > %d): livelock suspected", k.events, b.MaxEvents)
+	case b.MaxQueue > 0 && k.queue.Len() > b.MaxQueue:
+		reason = fmt.Sprintf("event queue exceeded %d entries (%d): runaway scheduling", b.MaxQueue, k.queue.Len())
 	default:
+		k.budgetAt = math.MaxInt64
+		if b.MaxSteps > 0 {
+			k.budgetAt = k.events + b.MaxSteps + 1 - steps
+		}
+		if b.MaxEvents > 0 {
+			k.budgetAt = min(k.budgetAt, b.MaxEvents+1)
+		}
 		return
 	}
 	k.exhausted = &BudgetExceeded{
 		Reason:   reason,
-		Steps:    k.steps.Value(),
+		Steps:    steps,
 		Events:   k.events,
 		QueueLen: k.queue.Len(),
 		At:       k.now,

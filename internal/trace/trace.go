@@ -5,9 +5,7 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 
@@ -60,27 +58,45 @@ func (l *Log) Filter(want sim.Record) []sim.Record {
 // Hash returns an order-sensitive FNV-1a digest of the full record stream.
 // Two runs of the same (program, topology, fault plan, delay policy, seed)
 // must produce equal hashes — the determinism contract the chaos engine's
-// replayable repro artifacts depend on.
+// replayable repro artifacts depend on. Per record it digests T, Seq, P and
+// Peer as little-endian 64-bit words, then Kind, Inst and Note, each followed
+// by a zero byte: the value hash/fnv's New64a gives over those bytes, computed
+// inline.
 func (l *Log) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	word := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+	h := uint64(fnvOffset64)
+	for i := range l.Records {
+		r := &l.Records[i]
+		h = fnvWord(h, uint64(r.T))
+		h = fnvWord(h, uint64(r.Seq))
+		h = fnvWord(h, uint64(r.P))
+		h = fnvWord(h, uint64(r.Peer))
+		h = fnvString(h, r.Kind)
+		h = fnvString(h, r.Inst)
+		h = fnvString(h, r.Note)
 	}
-	for _, r := range l.Records {
-		word(int64(r.T))
-		word(r.Seq)
-		word(int64(r.P))
-		word(int64(r.Peer))
-		h.Write([]byte(r.Kind))
-		h.Write([]byte{0})
-		h.Write([]byte(r.Inst))
-		h.Write([]byte{0})
-		h.Write([]byte(r.Note))
-		h.Write([]byte{0})
+	return h
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvWord digests v's eight little-endian bytes.
+func fnvWord(h, v uint64) uint64 {
+	for range 8 {
+		h = (h ^ v&0xff) * fnvPrime64
+		v >>= 8
 	}
-	return h.Sum64()
+	return h
+}
+
+// fnvString digests s's bytes and a terminating zero byte.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h * fnvPrime64
 }
 
 // CrashTimes returns the first crash time of every process that ever

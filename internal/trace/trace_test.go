@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -160,5 +163,55 @@ func TestTimelineRendersBars(t *testing.T) {
 	// w0's bar must be in the left half, s0's in the right half.
 	if strings.Index(lines[0], "#") > strings.Index(lines[1], "#") {
 		t.Fatalf("bars misplaced:\n%s", out)
+	}
+}
+
+// hashRef is Log.Hash written against hash/fnv: the definition the inline
+// digest must reproduce bit for bit.
+func hashRef(l *Log) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	word := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for _, r := range l.Records {
+		word(int64(r.T))
+		word(r.Seq)
+		word(int64(r.P))
+		word(int64(r.Peer))
+		for _, s := range []string{r.Kind, r.Inst, r.Note} {
+			h.Write([]byte(s))
+			h.Write([]byte{0})
+		}
+	}
+	return h.Sum64()
+}
+
+// TestHashMatchesFNV: the inline digest equals hash/fnv's FNV-1a over the
+// same bytes — on the empty log, on negative and extreme integers, and on
+// random records whose strings are empty, ASCII, non-ASCII or not UTF-8 at
+// all.
+func TestHashMatchesFNV(t *testing.T) {
+	strs := []string{"", "state", "eating", "dine", "hb", "ß", "日本語", "\x00", "\xff\xfe", "a\x00b", "mark regenerate epoch=3.1"}
+	ints := []int64{0, 1, -1, 255, 256, 1 << 40, -1 << 63, 1<<63 - 1}
+	rng := rand.New(rand.NewSource(1))
+	pick := func() int64 {
+		if rng.Intn(2) == 0 {
+			return ints[rng.Intn(len(ints))]
+		}
+		return rng.Int63() - rng.Int63()
+	}
+	for n := 0; n < 200; n++ {
+		l := &Log{}
+		for i := 0; i < n%17; i++ {
+			l.Trace(sim.Record{
+				T: sim.Time(pick()), Seq: pick(), P: sim.ProcID(pick()), Peer: sim.ProcID(pick()),
+				Kind: strs[rng.Intn(len(strs))], Inst: strs[rng.Intn(len(strs))], Note: strs[rng.Intn(len(strs))],
+			})
+		}
+		if got, want := l.Hash(), hashRef(l); got != want {
+			t.Fatalf("log %d (%d records): Hash %016x, hash/fnv %016x", n, l.Len(), got, want)
+		}
 	}
 }
