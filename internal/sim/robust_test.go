@@ -296,7 +296,7 @@ func TestWatchdogPin(t *testing.T) {
 		{"set inside an event", func(k *Kernel) *BudgetExceeded {
 			pinWorkload(k, false)
 			k.SetBudget(Budget{MaxEvents: 1 << 40})
-			k.After(2, 200, func() { k.SetBudget(Budget{MaxSteps: k.steps.Value() + 25}) })
+			k.After(2, 200, func() { k.SetBudget(Budget{MaxSteps: k.Counter("steps") + 25}) })
 			k.Run(1 << 40)
 			return k.Exhausted()
 		}, "sim: watchdog at t=215: step budget exceeded (328 > 327): livelock suspected (steps=328 events=470 queue=9) | tail 48 seq 530..680 db380a1a98ec6dcc"},
