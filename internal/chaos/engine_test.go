@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -30,6 +31,37 @@ func TestExecuteDeterministic(t *testing.T) {
 					box, i+2, again.End, first.End, again.Category, first.Category)
 			}
 		}
+	}
+}
+
+// TestExecuteTraceExactAndRecycled: a Result's trace is allocated at its
+// exact length, and the buffer runs record into carries nothing from one run
+// into the next — a run after a longer one and a run after a shorter one
+// record the same trace as the first run of the spec.
+func TestExecuteTraceExactAndRecycled(t *testing.T) {
+	short := Spec{Topology: "ring", N: 4, Box: "perfect", Seed: 3, Horizon: 3000,
+		Delay: DelaySpec{Kind: "uniform", Min: 1, Max: 9}}
+	long := short
+	long.Box, long.N, long.Horizon = "forks", 6, 9000
+	first := Execute(short)
+	between := Execute(long)
+	again := Execute(short)
+	for _, r := range []*Result{first, between, again} {
+		if n := r.Log.Len(); n == 0 || cap(r.Log.Records) != n {
+			t.Fatalf("%s: %d records in a slice of capacity %d", r.Spec.ID(), n, cap(r.Log.Records))
+		}
+	}
+	if between.Log.Len() <= first.Log.Len() {
+		t.Fatalf("the long spec recorded %d records, the short one %d", between.Log.Len(), first.Log.Len())
+	}
+	if !reflect.DeepEqual(first.Log.Records, again.Log.Records) {
+		t.Fatal("the short spec recorded a different trace after a longer run")
+	}
+	if later := Execute(long); !reflect.DeepEqual(between.Log.Records, later.Log.Records) {
+		t.Fatal("the long spec recorded a different trace after a shorter run")
+	}
+	if &first.Log.Records[0] == &again.Log.Records[0] {
+		t.Fatal("two results share one trace")
 	}
 }
 

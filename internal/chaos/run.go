@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/checker"
 	"repro/internal/detector"
@@ -53,7 +54,30 @@ func (r *Result) First() string {
 // and the watchdog, run under panic recovery, then apply the checker suite
 // appropriate to the box's advertised exclusion class. It never panics on
 // protocol misbehavior — that comes back as a Result with Category set.
+//
+// The run records into a recycled buffer (traceBufs) and the Result's Log
+// is allocated once, at the trace's exact length.
 func Execute(spec Spec) *Result {
+	buf := traceBufs.Get().(*[]sim.Record)
+	log := &trace.Log{Records: (*buf)[:0]}
+	res := execute(spec, log)
+	if res.Log != nil {
+		res.Log = &trace.Log{Records: make([]sim.Record, log.Len())}
+		copy(res.Log.Records, log.Records)
+	}
+	*buf = log.Records
+	traceBufs.Put(buf)
+	return res
+}
+
+// traceBufs recycles the buffers runs record into. A buffer grows to the
+// longest trace its worker has recorded, so a run neither reserves records it
+// never writes nor re-grows the ones it does.
+var traceBufs = sync.Pool{New: func() any { return new([]sim.Record) }}
+
+// execute is Execute recording into log. Result.Log is set to log once the
+// run's kernel exists.
+func execute(spec Spec, log *trace.Log) *Result {
 	res := &Result{Spec: spec}
 	if err := spec.Validate(); err != nil {
 		// An unexecutable spec is an engine-usage bug; surface it loudly but
@@ -70,13 +94,7 @@ func Execute(spec Spec) *Result {
 	if spec.Box == "perfect" || spec.Box == "trap" {
 		extra = 1
 	}
-	// Capacity hint for the trace, so Log.Trace does not re-grow it a dozen
-	// times per run: a meal is four state records and lasts, on average, at
-	// least the driver's mean think plus mean eat. The meal count is capped,
-	// because a spec's horizon is outside input.
 	drive := dining.DriverConfig{ThinkMin: 10, ThinkMax: 120, EatMin: 5, EatMax: 40}
-	meals := min(2*spec.Horizon/(drive.ThinkMin+drive.ThinkMax+drive.EatMin+drive.EatMax), 1<<12)
-	log := &trace.Log{Records: make([]sim.Record, 0, 4*n*int(meals))}
 	policy, _ := spec.Delay.Policy()
 	k := sim.NewKernel(n+extra,
 		sim.WithSeed(spec.Seed),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"repro/internal/metrics"
 )
@@ -36,26 +37,25 @@ type Kernel struct {
 	links    *LinkPlan // fair-lossy link adversary (nil = reliable channels)
 	sendHook SendHook  // transport interposition (see SetSendHook)
 
-	// reg is the kernel's one counter table: Counter and Counters read it,
-	// layered modules resolve their handles from it (CounterHandle), and the
-	// kernel's own hot paths count through the handles below.
+	// The kernel is single-threaded, so it counts its own work in plain
+	// ints; Counter and Counters read them by name. reg holds only what
+	// layered modules count through CounterHandle (the transport), and is
+	// made on first use.
+	steps        int64
+	sent         int64
+	delivered    int64
+	droppedCrash int64 // receiver dead at delivery time
+	droppedLink  int64 // eaten by the link adversary
+	linkDuped    int64
 	reg          *metrics.Registry
-	steps        *metrics.Counter
-	sent         *metrics.Counter
-	delivered    *metrics.Counter
-	dropped      *metrics.Counter // = droppedCrash + droppedLink
-	droppedCrash *metrics.Counter
-	droppedLink  *metrics.Counter
-	linkDropped  *metrics.Counter
-	linkDuped    *metrics.Counter
 
 	// Ports are interned: the first Handle or send of a name gives it the
-	// next index, events carry the index, and handlers and send counters are
+	// next index, events carry the index, and handlers and send counts are
 	// slices indexed by it. A port name is hashed once per Send or Dispatch
 	// and never on delivery.
 	portIDs  map[string]int32
-	portName []string           // index -> name
-	sentBy   []*metrics.Counter // index -> "msg.sent:<prefix>", made on first send
+	portName []string // index -> name
+	sentBy   []int64  // index -> messages sent on the port
 
 	// Robustness hooks (see robust.go).
 	triggers  []*trigger      // armed state-predicate crashes
@@ -90,25 +90,18 @@ func WithStepJitter(maxGap Time) Option {
 // NewKernel creates a kernel simulating n processes with ids 0..n-1.
 func NewKernel(n int, opts ...Option) *Kernel {
 	k := &Kernel{
-		rng:     rand.New(rand.NewSource(1)),
 		delay:   UniformDelay{Min: 1, Max: 8},
 		stepMax: 3,
-		reg:     metrics.New(),
 		portIDs: make(map[string]int32),
 	}
-	k.steps = k.CounterHandle("steps")
-	k.sent = k.CounterHandle("msg.sent")
-	k.delivered = k.CounterHandle("msg.delivered")
-	k.dropped = k.CounterHandle("msg.dropped")
-	k.droppedCrash = k.CounterHandle("msg.dropped.crash")
-	k.droppedLink = k.CounterHandle("msg.dropped.link")
-	k.linkDropped = k.CounterHandle("link.dropped")
-	k.linkDuped = k.CounterHandle("link.duped")
 	for i := 0; i < n; i++ {
 		k.procs = append(k.procs, &proc{id: ProcID(i), crashedAt: Never})
 	}
 	for _, o := range opts {
 		o(k)
+	}
+	if k.rng == nil {
+		k.rng = rand.New(rand.NewSource(1))
 	}
 	return k
 }
@@ -168,7 +161,7 @@ func (k *Kernel) portID(port string) int32 {
 		id = int32(len(k.portName))
 		k.portIDs[port] = id
 		k.portName = append(k.portName, port)
-		k.sentBy = append(k.sentBy, nil)
+		k.sentBy = append(k.sentBy, 0)
 	}
 	return id
 }
@@ -209,16 +202,9 @@ func (k *Kernel) Send(from, to ProcID, port string, payload any) {
 // installed SendHook. Protocol code should use Send; RawSend exists for the
 // transport layer underneath it.
 func (k *Kernel) RawSend(from, to ProcID, port string, payload any) {
-	k.sent.Inc()
+	k.sent++
 	id := k.portID(port)
-	byPort := k.sentBy[id]
-	if byPort == nil {
-		// Ports repeat across a run (a system has a fixed set of channel
-		// names), so steady-state sends resolve no counter by name.
-		byPort = k.CounterHandle("msg.sent:" + portPrefix(port))
-		k.sentBy[id] = byPort
-	}
-	byPort.Inc()
+	k.sentBy[id]++
 	d := k.delay.Delay(k.rng, from, to, k.now)
 	if d < 1 {
 		d = 1
@@ -237,8 +223,7 @@ func (k *Kernel) RawSend(from, to ProcID, port string, payload any) {
 func (k *Kernel) Dispatch(m Message) {
 	pr := k.procs[m.To]
 	if pr.crashed {
-		k.dropped.Inc()
-		k.droppedCrash.Inc()
+		k.droppedCrash++
 		return
 	}
 	k.handler(pr, k.portID(m.Port))(m)
@@ -291,30 +276,71 @@ func (k *Kernel) Emit(r Record) {
 }
 
 // Counter returns a named kernel counter (e.g. "msg.sent", "msg.dropped",
-// "steps", "msg.sent:dx"); a name nothing counts under reads 0.
-// "msg.dropped" is the sum of its two causes, "msg.dropped.crash" (receiver
-// dead at delivery time) and "msg.dropped.link" (eaten by the link
-// adversary).
-func (k *Kernel) Counter(name string) int64 { return k.CounterHandle(name).Value() }
+// "steps", "msg.sent:dx") or one a layered module counts under (e.g.
+// "transport.sent"); a name nothing counts under reads 0. "msg.dropped" is
+// the sum of its two causes, "msg.dropped.crash" (receiver dead at delivery
+// time) and "msg.dropped.link" (eaten by the link adversary, also read as
+// "link.dropped").
+func (k *Kernel) Counter(name string) int64 {
+	if v, ok := k.ownCounters()[name]; ok {
+		return v
+	}
+	if k.reg == nil {
+		return 0
+	}
+	return k.reg.Counter(name, "").Value()
+}
+
+// ownCounters names the counts the kernel keeps itself.
+func (k *Kernel) ownCounters() map[string]int64 {
+	own := map[string]int64{
+		"steps":             k.steps,
+		"msg.sent":          k.sent,
+		"msg.delivered":     k.delivered,
+		"msg.dropped":       k.droppedCrash + k.droppedLink,
+		"msg.dropped.crash": k.droppedCrash,
+		"msg.dropped.link":  k.droppedLink,
+		"link.dropped":      k.droppedLink,
+		"link.duped":        k.linkDuped,
+	}
+	for id, n := range k.sentBy {
+		own["msg.sent:"+portPrefix(k.portName[id])] += n
+	}
+	return own
+}
 
 // CounterHandle implements rt.TransportRuntime: layered modules (the
-// transport, chiefly) count into the same table Counters reports and
-// experiments read.
-func (k *Kernel) CounterHandle(name string) *metrics.Counter { return k.reg.Counter(name, "") }
+// transport, chiefly) count into a table Counter and Counters also read.
+// The kernel's own counters are not in it: asking for the handle of one is
+// a wiring bug.
+func (k *Kernel) CounterHandle(name string) *metrics.Counter {
+	if _, own := k.ownCounters()[name]; own || strings.HasPrefix(name, "msg.sent:") {
+		panic(fmt.Sprintf("sim: counter %q is the kernel's own; read it with Counter", name))
+	}
+	if k.reg == nil {
+		k.reg = metrics.New()
+	}
+	return k.reg.Counter(name, "")
+}
 
 // Counters returns a sorted "name=value" snapshot of every counter that has
 // counted something.
 func (k *Kernel) Counters() []string {
-	snap := k.reg.Snapshot().Counters
-	names := make([]string, 0, len(snap))
-	for n, v := range snap {
+	all := k.ownCounters()
+	if k.reg != nil {
+		for n, v := range k.reg.Snapshot().Counters {
+			all[n] = v
+		}
+	}
+	names := make([]string, 0, len(all))
+	for n, v := range all {
 		if v != 0 {
 			names = append(names, n)
 		}
 	}
 	sort.Strings(names)
 	for i, n := range names {
-		names[i] = fmt.Sprintf("%s=%d", n, snap[n])
+		names[i] = fmt.Sprintf("%s=%d", n, all[n])
 	}
 	return names
 }
@@ -334,9 +360,9 @@ func (k *Kernel) runLoop(horizon Time, cond func() bool) (Time, bool) {
 	if cond != nil && cond() {
 		return k.now, true
 	}
+	var e event
 	for {
-		e, ok := k.queue.pop(horizon)
-		if !ok {
+		if !k.queue.pop(horizon, &e) {
 			if k.queue.Len() > 0 {
 				k.now = horizon
 				return k.now, false
@@ -415,12 +441,11 @@ func (k *Kernel) deliver(e *event) {
 	k.inFlight--
 	pr := k.procs[e.to]
 	if pr.crashed {
-		k.dropped.Inc()
-		k.droppedCrash.Inc()
+		k.droppedCrash++
 		return
 	}
 	h := k.handler(pr, e.port)
-	k.delivered.Inc()
+	k.delivered++
 	h(Message{From: ProcID(e.from), To: pr.id, Port: k.portName[e.port], Payload: e.payload})
 	k.wake(pr.id)
 }
@@ -455,7 +480,7 @@ func (k *Kernel) step(pr *proc) {
 		}
 		if a := &pr.actions[idx]; a.Guard() {
 			pr.rot = idx + 1
-			k.steps.Inc()
+			k.steps++
 			a.Body()
 			k.wake(pr.id)
 			return

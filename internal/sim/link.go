@@ -244,16 +244,14 @@ func (k *Kernel) linkArrive(e *event) {
 	from, to := ProcID(e.from), ProcID(e.to)
 	if p := lp.DropProb(from, to, k.now); p > 0 && k.rng.Float64() < p {
 		k.inFlight--
-		k.linkDropped.Inc()
-		k.dropped.Inc()
-		k.droppedLink.Inc()
+		k.droppedLink++
 		k.Emit(Record{P: to, Kind: KindLink, Peer: from, Inst: portPrefix(k.portName[e.port]), Note: "drop"})
 		return
 	}
 	if p := lp.DupProb(from, to); p > 0 && k.rng.Float64() < p {
 		// The duplicate is a second, independent delivery of the same wire
 		// message a little later; it is not duplicated again.
-		k.linkDuped.Inc()
+		k.linkDuped++
 		k.Emit(Record{P: to, Kind: KindLink, Peer: from, Inst: portPrefix(k.portName[e.port]), Note: "dup"})
 		extra := 1 + Time(k.rng.Int63n(8))
 		k.inFlight++

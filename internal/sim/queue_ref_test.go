@@ -114,7 +114,8 @@ func diffQueues(t testing.TB, ops []qop) {
 	var seq int64
 	// pop pops up to horizon from both; it reports whether they popped.
 	pop := func(step int, horizon Time) bool {
-		got, ok := q.pop(horizon)
+		var got event
+		ok := q.pop(horizon, &got)
 		next, refOK := ref.peekAt()
 		if refOK = refOK && next <= horizon; ok != refOK {
 			t.Fatalf("step %d: pop(%d) ok=%v (at=%d), reference next t=%d ok=%v", step, horizon, ok, got.at, next, refOK)
@@ -134,7 +135,8 @@ func diffQueues(t testing.TB, ops []qop) {
 			t.Fatalf("step %d: Len %d, reference Len %d", step, q.Len(), ref.Len())
 		}
 		if next, ok := ref.peekAt(); ok {
-			if e, popped := q.pop(next - 1); popped || q.Len() != ref.Len() {
+			e := event{at: -1}
+			if popped := q.pop(next-1, &e); popped || q.Len() != ref.Len() || e.at != -1 {
 				t.Fatalf("step %d: pop(%d) with the minimum at t=%d popped t=%d (ok=%v), Len %d",
 					step, next-1, next, e.at, popped, q.Len())
 			}

@@ -15,8 +15,8 @@ const forever = Time(math.MaxInt64)
 // popAny pops the minimum event of a non-empty queue.
 func popAny(t testing.TB, q *eventQueue) event {
 	t.Helper()
-	e, ok := q.pop(forever)
-	if !ok {
+	var e event
+	if !q.pop(forever, &e) {
 		t.Fatalf("pop of a queue holding %d events returned nothing", q.Len())
 	}
 	return e
@@ -73,11 +73,12 @@ func TestQueueStability(t *testing.T) {
 }
 
 // TestQueuePopHorizon: pop refuses an empty queue and a minimum past the
-// horizon without removing anything, and pops an event exactly on it — in
-// the ring and, with the ring empty, in the overflow.
+// horizon without removing anything or writing the caller's event, and pops
+// an event exactly on it — in the ring and, with the ring empty, in the
+// overflow.
 func TestQueuePopHorizon(t *testing.T) {
 	var q eventQueue
-	if _, ok := q.pop(forever); ok {
+	if q.pop(forever, new(event)) {
 		t.Fatal("pop of an empty queue should report !ok")
 	}
 	q.push(&event{at: 5, seq: 1})
@@ -88,9 +89,10 @@ func TestQueuePopHorizon(t *testing.T) {
 		at      Time // 0: nothing may pop
 	}{{2, 0}, {3, 3}, {4, 0}, {999, 5}, {999, 0}, {1000, 1000}} {
 		before := q.Len()
-		e, ok := q.pop(tc.horizon)
+		e := event{at: -1}
+		ok := q.pop(tc.horizon, &e)
 		switch {
-		case tc.at == 0 && (ok || q.Len() != before):
+		case tc.at == 0 && (ok || q.Len() != before || e.at != -1):
 			t.Fatalf("pop(%d) popped t=%d (ok=%v), len %d -> %d", tc.horizon, e.at, ok, before, q.Len())
 		case tc.at != 0 && (!ok || e.at != tc.at):
 			t.Fatalf("pop(%d) = t=%d ok=%v, want t=%d", tc.horizon, e.at, ok, tc.at)
@@ -159,7 +161,7 @@ func TestQueueNoSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		seq++
 		q.push(&event{at: q.base + Time(seq%97), seq: seq})
-		q.pop(forever)
+		q.pop(forever, new(event))
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state push/pop allocated %v times per run, want 0", allocs)

@@ -122,7 +122,7 @@ func (b *BudgetExceeded) Diagnostic() string {
 // events has grown by MaxSteps+1−steps, nor events pass MaxEvents before it
 // reaches MaxEvents+1.
 func (k *Kernel) checkBudget() {
-	b, steps := k.budget, k.steps.Value()
+	b, steps := k.budget, k.steps
 	var reason string
 	switch {
 	case b.MaxSteps > 0 && steps > b.MaxSteps:
