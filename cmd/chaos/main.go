@@ -63,7 +63,7 @@ func main() {
 		expected = flag.Bool("expect-caught", false, "fail if the buggy box is swept but never caught")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count for campaign runs (1 = sequential); the report is identical either way")
 
-		liveMode  = flag.Bool("live", false, "run the campaign against live tables (goroutines, wall clock, fault-injecting bus) instead of the simulator")
+		liveMode  = flag.Bool("live", false, "run the campaign against live tables (goroutines, wall clock, lossy links) instead of the simulator")
 		liveDur   = flag.Duration("live-duration", 6*time.Second, "wall-clock length of each live run")
 		livePlan  = flag.String("liveplan", "", "JSON file with the link shape for -live runs (chaos.LinkSpec; same JSON drives the TCP proxy); empty = built-in drops+partition schedule")
 		liveBlack = flag.String("live-blackout", "", "replace the per-process crash with a whole-system blackout, as \"at+gap\" durations (e.g. 1500ms+500ms): crash every process at once, restart the full table together")
@@ -184,7 +184,7 @@ func main() {
 
 // liveCampaign runs the live-runtime leg: one run per (topology, size, seed)
 // with a seeded fault schedule — steady drops, one partition window, one
-// crash/restart — against a real table over the fault-injecting bus, judged
+// crash/restart — against a real table over lossy links, judged
 // by the shared checkers. SIGINT follows the same convention as simulator
 // campaigns: the partial report is flushed and the exit status is 130.
 func liveCampaign(topos []string, seeds []int64, sizes []string, dur time.Duration, planFile, blackoutSpec string) int {

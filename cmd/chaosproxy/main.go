@@ -1,7 +1,7 @@
 // Command chaosproxy is a standalone fault-injecting TCP proxy for
 // line-oriented protocols — put it in front of dineserve and point dineload
 // at it to subject the client/server path to the same declarative link
-// faults the simulator and the live-runtime chaos bus use. The -plan file is
+// faults the simulator and the live runtime's link plans use. The -plan file is
 // a chaos.LinkSpec JSON (drop/dup/reorder plus timed partition windows)
 // interpreted over the two-node link client=0, server=1; the identical file
 // drives `chaos -live -liveplan`. Faults are line-aware: frames are delayed,

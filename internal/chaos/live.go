@@ -10,7 +10,6 @@ import (
 	"repro/internal/dining"
 	"repro/internal/dining/forks"
 	"repro/internal/live"
-	"repro/internal/livechaos"
 	"repro/internal/rt"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -18,7 +17,7 @@ import (
 
 // This file is the live-runtime face of the campaign engine: where Execute
 // replays a Spec inside the deterministic simulator, RunLive subjects a real
-// table — goroutines, wall-clock timers, a fault-injecting bus — to a seeded
+// table — goroutines, wall-clock timers, lossy links — to a seeded
 // fault schedule and validates the resulting trace with the same checkers.
 // The schedule (drop rates, partition windows, crash/restart times) is a
 // pure function of the spec, so the same LiveSpec always injects the same
@@ -44,8 +43,8 @@ type LiveBlackout struct {
 }
 
 // LiveSpec describes one live chaos run. Links reuses the declarative link
-// shape of the simulator campaigns — the identical JSON drives sim.LinkPlan,
-// livechaos.ChaosBus, and the livechaos TCP proxy.
+// shape of the simulator campaigns — the identical JSON drives the kernel,
+// live.Runtime.SetLinks, and the livechaos TCP proxy.
 type LiveSpec struct {
 	Topology string        `json:"topology"`
 	N        int           `json:"n"`
@@ -70,7 +69,10 @@ func (s *LiveSpec) withDefaults() LiveSpec {
 
 // Validate rejects live specs the driver cannot execute. All faults must
 // finish in the first half of the run: the second half is the convergence
-// era the ◇WX verdict is judged on.
+// era the ◇WX verdict is judged on. Every restart gap must outlast the link
+// plan's longest hold on a message (Reorder ticks, plus 8 when it
+// duplicates): a shorter gap lets a pre-crash message reach the new
+// incarnation (see live.Runtime.Restart).
 func (s LiveSpec) Validate() error {
 	sp := s.withDefaults()
 	if sp.N < 2 {
@@ -89,6 +91,14 @@ func (s LiveSpec) Validate() error {
 			}
 		}
 	}
+	var hold time.Duration
+	if l := sp.Links; l != nil {
+		ticks := l.Reorder
+		if l.Dup > 0 {
+			ticks += 8
+		}
+		hold = time.Duration(ticks) * sp.Tick
+	}
 	seen := make(map[rt.ProcID]bool)
 	for _, c := range sp.Crashes {
 		if c.P < 0 || int(c.P) >= sp.N {
@@ -98,8 +108,8 @@ func (s LiveSpec) Validate() error {
 			return fmt.Errorf("chaos: duplicate live crash of process %d", c.P)
 		}
 		seen[c.P] = true
-		if c.RestartAfter <= 0 {
-			return fmt.Errorf("chaos: live crash of %d needs a positive restart gap", c.P)
+		if c.RestartAfter <= hold {
+			return fmt.Errorf("chaos: live crash of %d needs a restart gap over the links' longest hold %v", c.P, hold)
 		}
 		if c.At+c.RestartAfter > sp.Duration/2 {
 			return fmt.Errorf("chaos: live crash of %d recovers past the run's half-point", c.P)
@@ -109,8 +119,8 @@ func (s LiveSpec) Validate() error {
 		if len(sp.Crashes) > 0 {
 			return fmt.Errorf("chaos: live blackout and per-process crashes are mutually exclusive")
 		}
-		if b.RestartAfter <= 0 {
-			return fmt.Errorf("chaos: live blackout needs a positive restart gap")
+		if b.RestartAfter <= hold {
+			return fmt.Errorf("chaos: live blackout needs a restart gap over the links' longest hold %v", hold)
 		}
 		if b.At+b.RestartAfter > sp.Duration/2 {
 			return fmt.Errorf("chaos: live blackout recovers past the run's half-point")
@@ -141,7 +151,7 @@ type LiveResult struct {
 	Spec        LiveSpec
 	End         rt.Time // run length in ticks
 	Meals       []int   // per-diner eating sessions
-	Dropped     int64   // bus faults actually injected
+	Dropped     int64   // link faults actually injected
 	Duped       int64
 	Recovered   int      // restarts that completed
 	Failures    []string // empty = clean verdict
@@ -160,7 +170,7 @@ func (r *LiveResult) First() string {
 }
 
 // RunLive executes one live chaos run: a dining table on the live runtime
-// over a fault-injecting ChaosBus, with the spec's crash/restart schedule
+// over the spec's lossy links, with the spec's crash/restart schedule
 // applied, validated by the shared trace checkers. interrupt (may be nil)
 // cuts the run short without a verdict.
 func RunLive(spec LiveSpec, interrupt <-chan struct{}) (*LiveResult, error) {
@@ -175,14 +185,11 @@ func RunLive(spec LiveSpec, interrupt <-chan struct{}) (*LiveResult, error) {
 	}
 
 	log := &trace.Log{}
-	bus, err := livechaos.NewChaosBus(live.NewChanBus(), livechaos.BusConfig{
-		N: sp.N, Plan: sp.Links.Plan(), Seed: sp.Seed, Tick: sp.Tick,
-	})
-	if err != nil {
+	r := live.New(live.Config{N: sp.N, Tick: sp.Tick, Seed: sp.Seed, Tracer: log})
+	if err := r.SetLinks(sp.Links.Plan()); err != nil {
 		return nil, err
 	}
-	r := live.New(live.Config{N: sp.N, Tick: sp.Tick, Seed: sp.Seed, Tracer: log, Bus: bus})
-	// The bus eats messages, so rebuild reliable channels the same way the
+	// The links eat messages, so rebuild reliable channels the same way the
 	// simulator campaigns do — with the retransmitting transport. Dropped
 	// messages then cost one retransmission timeout, which the heartbeat
 	// suspicion timeout must dominate.
@@ -196,63 +203,29 @@ func RunLive(spec LiveSpec, interrupt <-chan struct{}) (*LiveResult, error) {
 			ThinkMin: 10, ThinkMax: 60, EatMin: 10, EatMax: 30, FirstHunger: 30,
 		})
 	}
-	r.Start()
-	bus.ResetClock() // window ticks count from run start, not bus creation
+	r.Start() // window ticks count from here
 
 	// The crash schedule. Each fault is its own timeline: crash, wait out
-	// the gap (which must exceed the bus's max delay so no pre-crash message
-	// is still in flight at restart), then restart with fresh state.
+	// the gap (which Validate makes outlast the links' longest hold, so no
+	// pre-crash message is still in flight at restart), then restart with
+	// fresh state.
 	crashDone := make(chan struct{})
 	go func() {
 		defer close(crashDone)
 		start := time.Now()
-		if b := sp.Blackout; b != nil {
-			// Whole-system crash: take every process down at once, wait out
-			// the gap (long enough for all in-flight messages to die), then
-			// restart the entire table with fresh protocol state — the same
-			// shape a kill -9'd server presents its clients.
-			if d := b.At - time.Since(start); d > 0 {
-				select {
-				case <-time.After(d):
-				case <-interrupt:
-					return
-				}
-			}
-			for _, p := range g.Nodes() {
-				r.Crash(p)
+		// wait sleeps d, reporting false if the run is interrupted first.
+		wait := func(d time.Duration) bool {
+			if d <= 0 {
+				return true
 			}
 			select {
-			case <-time.After(b.RestartAfter):
+			case <-time.After(d):
+				return true
 			case <-interrupt:
-				return
+				return false
 			}
-			for _, p := range g.Nodes() {
-				p := p
-				if r.Restart(p, func() {
-					tr.Reset(p) // first: resync messages need a working sender
-					tbl.Reset(p)
-					hb.Reset(p)
-				}) {
-					res.Recovered++
-				}
-			}
-			return
 		}
-		for _, c := range sp.Crashes {
-			if d := c.At - time.Since(start); d > 0 {
-				select {
-				case <-time.After(d):
-				case <-interrupt:
-					return
-				}
-			}
-			r.Crash(c.P)
-			select {
-			case <-time.After(c.RestartAfter):
-			case <-interrupt:
-				return
-			}
-			p := c.P
+		restart := func(p rt.ProcID) {
 			if r.Restart(p, func() {
 				tr.Reset(p) // first: resync messages need a working sender
 				tbl.Reset(p)
@@ -260,6 +233,34 @@ func RunLive(spec LiveSpec, interrupt <-chan struct{}) (*LiveResult, error) {
 			}) {
 				res.Recovered++
 			}
+		}
+		if b := sp.Blackout; b != nil {
+			// Whole-system crash: take every process down at once, wait out
+			// the gap, then restart the entire table with fresh protocol
+			// state — the same shape a kill -9'd server presents its clients.
+			if !wait(b.At - time.Since(start)) {
+				return
+			}
+			for _, p := range g.Nodes() {
+				r.Crash(p)
+			}
+			if !wait(b.RestartAfter) {
+				return
+			}
+			for _, p := range g.Nodes() {
+				restart(p)
+			}
+			return
+		}
+		for _, c := range sp.Crashes {
+			if !wait(c.At - time.Since(start)) {
+				return
+			}
+			r.Crash(c.P)
+			if !wait(c.RestartAfter) {
+				return
+			}
+			restart(c.P)
 		}
 	}()
 
@@ -272,8 +273,7 @@ func RunLive(spec LiveSpec, interrupt <-chan struct{}) (*LiveResult, error) {
 	end := r.Now()
 	r.Stop()
 	res.End = end
-	res.Dropped, res.Duped = r.Counter("bus.dropped"), r.Counter("bus.duped")
-	bus.Close()
+	res.Dropped, res.Duped = r.Counter("link.dropped"), r.Counter("link.duped")
 
 	eat := log.Sessions("eating")
 	res.Meals = make([]int, sp.N)

@@ -23,6 +23,12 @@ func TestLiveSpecValidate(t *testing.T) {
 	if id := goodBlackout.ID(); !strings.Contains(id, "blackout@1s+500ms") {
 		t.Errorf("blackout spec ID %q does not name the blackout", id)
 	}
+	// Reorder 200 at the default 500µs tick holds a message up to 100ms.
+	goodReorder := LiveSpec{Topology: "ring", N: 5, Seed: 1, Links: &LinkSpec{Reorder: 200},
+		Crashes: []LiveCrash{{P: 2, At: time.Second, RestartAfter: 101 * time.Millisecond}}}
+	if err := goodReorder.Validate(); err != nil {
+		t.Fatalf("restart gap past the longest hold rejected: %v", err)
+	}
 	bad := []LiveSpec{
 		{Topology: "ring", N: 1},
 		{Topology: "möbius", N: 5},
@@ -42,6 +48,12 @@ func TestLiveSpecValidate(t *testing.T) {
 			Blackout: &LiveBlackout{At: time.Second}},
 		{Topology: "ring", N: 5, // blackout recovering past the half-point
 			Blackout: &LiveBlackout{At: 3 * time.Second, RestartAfter: time.Second}},
+		{Topology: "ring", N: 5, Links: &LinkSpec{Reorder: 200}, // gap = the 100ms hold
+			Crashes: []LiveCrash{{P: 1, At: time.Second, RestartAfter: 100 * time.Millisecond}}},
+		{Topology: "ring", N: 5, Links: &LinkSpec{Dup: 0.1}, // gap within a duplicate's 8-tick lag
+			Crashes: []LiveCrash{{P: 1, At: time.Second, RestartAfter: 3 * time.Millisecond}}},
+		{Topology: "ring", N: 5, Links: &LinkSpec{Reorder: 400, Dup: 0.1}, // blackout gap within the hold
+			Blackout: &LiveBlackout{At: time.Second, RestartAfter: 150 * time.Millisecond}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -160,7 +160,7 @@ func (m *tableMetrics) observeTable(t *Table) {
 		t.sessions.DoneSize)
 }
 
-// runtimeSeries maps the counters the table's runtime and its bus keep
+// runtimeSeries maps the counters the table's runtime keeps
 // (live.Runtime.Counter names) to the series that expose them. They stay
 // gauges, sampled from the runtime's own handles at scrape time: the
 // benchmark reads them from Snapshot.Gauges.
@@ -170,10 +170,6 @@ var runtimeSeries = []struct{ counter, series, help string }{
 	{"msg.sent", "dineserve_rt_msgs_sent", "protocol messages sent"},
 	{"msg.delivered", "dineserve_rt_msgs_delivered", "protocol messages delivered"},
 	{"msg.dropped", "dineserve_rt_msgs_dropped", "protocol messages dropped (crashed destination)"},
-	{"bus.delivered", "dineserve_bus_delivered_total", "messages the bus handed to delivery"},
-	{"bus.dropped", "dineserve_bus_dropped_total", "messages the bus ate"},
-	{"bus.duped", "dineserve_bus_duped_total", "duplicate deliveries a fault plan injected"},
-	{"bus.delayed", "dineserve_bus_delayed_total", "deliveries a fault plan held back"},
 }
 
 // observeRuntime exposes the table runtime's counters.

@@ -345,8 +345,8 @@ func (m *module) retry() {
 // endpoint via the sync/syncack handshake, which decides afresh who holds
 // the edge's fork. Call it from the reboot hook of live.Runtime.Restart; the
 // restart must happen strictly later than any message the dead incarnation
-// had in flight (in practice: the crash->restart gap exceeds the bus's
-// maximum delivery delay), otherwise a stale in-flight fork could coexist
+// had in flight (in practice: the crash->restart gap exceeds the link plan's
+// longest hold on a message), otherwise a stale in-flight fork could coexist
 // with a minted one.
 func (t *Table) Reset(p rt.ProcID) {
 	m, ok := t.mods[p]

@@ -366,7 +366,7 @@ func TestScenarios(t *testing.T) {
 			// per table, and the grant counter is moving.
 			eventually(t, "a first grant", func() bool { return srv.total(t, granted) > 0 })
 			mid := srv.statusz(t)
-			for _, name := range []string{granted, held, "dineserve_grant_latency_seconds", "dineserve_rt_steps", "dineserve_bus_delivered_total", "dineserve_suspect_transitions_total"} {
+			for _, name := range []string{granted, held, "dineserve_grant_latency_seconds", "dineserve_rt_steps", "dineserve_rt_msgs_delivered", "dineserve_suspect_transitions_total"} {
 				if _, n := series(mid, name); n != sc.tables {
 					t.Errorf("mid-load /statusz has %d series of %s, want %d", n, name, sc.tables)
 				}

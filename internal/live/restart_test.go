@@ -1,7 +1,6 @@
 package live
 
 import (
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,8 +9,8 @@ import (
 	"repro/internal/dining"
 	"repro/internal/dining/forks"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/rt"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -67,23 +66,6 @@ func TestRestartMechanics(t *testing.T) {
 	r.Stop()
 }
 
-// gateBus drops 0→1 transport data while closed; everything else passes.
-type gateBus struct {
-	inner  Bus
-	closed atomic.Bool
-}
-
-func (b *gateBus) Bind(deliver func(rt.Message), counter func(string) *metrics.Counter) {
-	b.inner.Bind(deliver, counter)
-}
-func (b *gateBus) Close() error { return b.inner.Close() }
-func (b *gateBus) Send(m rt.Message) {
-	if b.closed.Load() && m.From == 0 && m.Port == "rt/data" {
-		return
-	}
-	b.inner.Send(m)
-}
-
 // TestTransportResetAfterRestart is the regression test for the armed-flag
 // leak: a crash kills a pending retransmission timer but used to leave the
 // sender marked armed, so after a restart no message lost on first copy was
@@ -91,8 +73,19 @@ func (b *gateBus) Send(m rt.Message) {
 // crash/restart, and requires (a) the dead incarnation's window is NOT
 // replayed, and (b) retransmission works again for messages of the new one.
 func TestTransportResetAfterRestart(t *testing.T) {
-	bus := &gateBus{inner: NewChanBus()}
-	r := New(Config{N: 2, Tick: time.Millisecond, Bus: bus})
+	r := New(Config{N: 2, Tick: time.Millisecond})
+	// The gate: a Drop-1 partition window cutting 0 off from 1 in both
+	// directions, installed to close it and removed to open it.
+	gate := func(closed bool) {
+		t.Helper()
+		plan := sim.LinkPlan{Name: "gate"}
+		if closed {
+			plan.Windows = []sim.LossyWindow{{Start: 0, End: 1 << 40, Drop: 1, Side: []sim.ProcID{0}}}
+		}
+		if err := r.SetLinks(plan); err != nil {
+			t.Fatal(err)
+		}
+	}
 	tr := transport.Enable(r, "rt", transport.Config{RTO: 20})
 	got := make(chan string, 16)
 	r.Handle(1, "t", func(m rt.Message) { got <- m.Payload.(string) })
@@ -114,7 +107,7 @@ func TestTransportResetAfterRestart(t *testing.T) {
 	r.Invoke(0, func() { r.Send(0, 1, "t", "a") })
 	recv("a") // baseline: transport delivers
 
-	bus.closed.Store(true)
+	gate(true)
 	r.Invoke(0, func() { r.Send(0, 1, "t", "b") }) // first copy dropped
 	time.Sleep(10 * time.Millisecond)              // armed, timer pending
 	r.Crash(0)                                     // timer killed; armed leaks
@@ -126,7 +119,7 @@ func TestTransportResetAfterRestart(t *testing.T) {
 	// not surface even after the gate opens.
 	r.Invoke(0, func() { r.Send(0, 1, "t", "c") }) // first copy dropped too
 	time.Sleep(10 * time.Millisecond)
-	bus.closed.Store(false)
+	gate(false)
 	recv("c") // only retransmission can deliver this
 	// Sender state is process-serial, so read the window on 0's goroutine.
 	outstanding := func() int {

@@ -1,7 +1,7 @@
 // Package live executes protocol code in real time: each process is a
 // goroutine with its own mailbox, timers are wall-clock, and messages travel
-// over a pluggable Bus (in-process channels, optionally wrapped by a
-// fault-injecting bus such as livechaos.ChaosBus).
+// over in-process channels — through the kernel's link adversary, a
+// sim.LinkPlan installed with SetLinks, when there is one.
 //
 // Runtime implements rt.Runtime — the same interface the discrete-event
 // simulator (internal/sim) implements — so the dining tables, failure
@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/rt"
+	"repro/internal/sim"
 )
 
 // Config shapes a live runtime.
@@ -53,16 +54,14 @@ type Config struct {
 	// timer deliveries, and on a small host manufactures false suspicions
 	// faster than ◇P converges.
 	Tick time.Duration
-	// Seed seeds the runtime's random source (default 1). Unlike the
-	// simulator, seeding does not make runs reproducible — it only makes
-	// the randomness well-defined.
+	// Seed seeds the runtime's random source and the per-direction streams
+	// an installed link plan draws from (default 1). Unlike the simulator,
+	// seeding does not make runs reproducible — it only makes the randomness
+	// well-defined, and a link plan's fault schedule a function of the seed.
 	Seed int64
 	// Tracer receives every emitted record; may be nil. Trace calls are
 	// serialized by the runtime, so a plain *trace.Log works.
 	Tracer rt.Tracer
-	// Bus carries inter-process messages. Nil means the in-process channel
-	// bus.
-	Bus Bus
 }
 
 // process is the runtime-side bookkeeping for one process.
@@ -114,12 +113,20 @@ const stepBudget = 64
 
 // Runtime is the real-time implementation of rt.Runtime (and of
 // rt.TransportRuntime, so internal/transport's retransmission layer can be
-// enabled over an unreliable bus).
+// enabled over lossy links).
 type Runtime struct {
 	cfg   Config
 	tick  time.Duration
 	procs []*process
-	bus   Bus
+
+	// links is the installed link adversary (SetLinks); nil means reliable
+	// channels, and RawSend then takes no lock.
+	links atomic.Pointer[sim.LinkPlan]
+	// linkMu guards linkRng: one random stream per direction (index
+	// from*N+to), made on the direction's first message under a plan (the
+	// table itself on the first such message at all).
+	linkMu  sync.Mutex
+	linkRng []*rand.Rand
 
 	start   time.Time
 	started atomic.Bool
@@ -136,11 +143,12 @@ type Runtime struct {
 
 	rng *rand.Rand // over a locked source: safe for concurrent draws
 
-	// reg is the runtime's one counter table: Counter reads it, the bus and
-	// the transport resolve their handles from it (CounterHandle), and the
+	// reg is the runtime's one counter table: Counter reads it, the
+	// transport resolves its handles from it (CounterHandle), and the
 	// runtime's own hot paths count through the handles below.
 	reg                                     *metrics.Registry
 	steps, sent, delivered, dropped, yields *metrics.Counter
+	linkDropped, droppedLink, linkDuped     *metrics.Counter
 
 	sendHook atomic.Value // of rt.SendHook
 }
@@ -183,18 +191,16 @@ func New(cfg Config) *Runtime {
 	if cfg.Tick <= 0 {
 		cfg.Tick = time.Millisecond
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
 	}
 	r := &Runtime{
 		cfg:    cfg,
 		tick:   cfg.Tick,
-		bus:    cfg.Bus,
 		tracer: cfg.Tracer,
 		stop:   make(chan struct{}),
 		reg:    metrics.New(),
-		rng:    rand.New(&lockedSource{src: rand.NewSource(seed).(rand.Source64)}),
+		rng:    rand.New(&lockedSource{src: rand.NewSource(cfg.Seed).(rand.Source64)}),
 		start:  time.Now(),
 	}
 	r.steps = r.CounterHandle("steps")
@@ -202,9 +208,9 @@ func New(cfg Config) *Runtime {
 	r.delivered = r.CounterHandle("msg.delivered")
 	r.dropped = r.CounterHandle("msg.dropped")
 	r.yields = r.CounterHandle("yields")
-	if r.bus == nil {
-		r.bus = NewChanBus()
-	}
+	r.linkDropped = r.CounterHandle("link.dropped")
+	r.droppedLink = r.CounterHandle("msg.dropped.link")
+	r.linkDuped = r.CounterHandle("link.duped")
 	for i := 0; i < cfg.N; i++ {
 		r.procs = append(r.procs, &process{
 			id:       rt.ProcID(i),
@@ -212,7 +218,6 @@ func New(cfg Config) *Runtime {
 			notify:   make(chan struct{}, 1),
 		})
 	}
-	r.bus.Bind(r.inject, r.CounterHandle)
 	return r
 }
 
@@ -242,7 +247,7 @@ func (r *Runtime) spawn(pr *process) {
 }
 
 // Stop shuts the runtime down: process loops exit after finishing their
-// current step, pending timers become no-ops, and the bus is closed. Stop
+// current step, and pending timers and held messages become no-ops. Stop
 // blocks until every process goroutine has returned. It is idempotent.
 func (r *Runtime) Stop() {
 	if !r.stopped.CompareAndSwap(false, true) {
@@ -253,7 +258,6 @@ func (r *Runtime) Stop() {
 	r.lifeMu.Lock()
 	r.lifeMu.Unlock()
 	r.wg.Wait()
-	r.bus.Close()
 }
 
 // N implements rt.Runtime.
@@ -311,7 +315,7 @@ func (r *Runtime) mustWire(what string) {
 	}
 }
 
-// Send implements rt.Runtime: the message is routed by the bus, unless a
+// Send implements rt.Runtime: the message is shipped by RawSend, unless a
 // transport send hook consumes it first.
 func (r *Runtime) Send(from, to rt.ProcID, port string, payload any) {
 	m := rt.Message{From: from, To: to, Port: port, Payload: payload}
@@ -321,14 +325,87 @@ func (r *Runtime) Send(from, to rt.ProcID, port string, payload any) {
 	r.RawSend(from, to, port, payload)
 }
 
-// RawSend implements rt.TransportRuntime: ship directly on the bus,
-// bypassing any send hook.
+// RawSend implements rt.TransportRuntime: ship the message to its
+// destination's mailbox, through the installed link plan if any, bypassing
+// any send hook.
 func (r *Runtime) RawSend(from, to rt.ProcID, port string, payload any) {
 	if r.stopped.Load() {
 		return
 	}
 	r.sent.Inc()
-	r.bus.Send(rt.Message{From: from, To: to, Port: port, Payload: payload})
+	m := rt.Message{From: from, To: to, Port: port, Payload: payload}
+	if lp := r.links.Load(); lp != nil {
+		r.linkSend(lp, m)
+		return
+	}
+	r.inject(m)
+}
+
+// SetLinks validates plan against N and installs it: from then on every
+// message RawSend ships runs the plan's gauntlet, with the plan's windows
+// read against Now (ticks since Start). Installing a second plan replaces
+// the first; a plan that perturbs nothing restores reliable channels. It is
+// the live mirror of sim.LinkPlan.Apply, and may be called at any time.
+func (r *Runtime) SetLinks(plan sim.LinkPlan) error {
+	if err := plan.Validate(r.N()); err != nil {
+		return err
+	}
+	var lp *sim.LinkPlan
+	if plan.Enabled() {
+		lp = &plan
+	}
+	r.links.Store(lp)
+	return nil
+}
+
+// linkSend runs m through lp in the kernel's order — reorder delay, then
+// lp.Arrive's drop, duplicate and duplicate lag — drawing from the
+// direction's own stream, so one link's traffic volume cannot perturb
+// another link's fault sequence. It counts under the kernel's names: a drop
+// in link.dropped, msg.dropped.link and msg.dropped, a duplicate in
+// link.duped.
+func (r *Runtime) linkSend(lp *sim.LinkPlan, m rt.Message) {
+	r.linkMu.Lock()
+	if r.linkRng == nil {
+		r.linkRng = make([]*rand.Rand, len(r.procs)*len(r.procs))
+	}
+	i := int(m.From)*len(r.procs) + int(m.To)
+	rng := r.linkRng[i]
+	if rng == nil {
+		rng = rand.New(rand.NewSource(r.cfg.Seed + int64(m.From)*1_000_003 + int64(m.To)*7_919))
+		r.linkRng[i] = rng
+	}
+	var extra rt.Time
+	if lp.ReorderMax > 0 {
+		extra = rt.Time(rng.Int63n(int64(lp.ReorderMax) + 1))
+	}
+	drop, dupAfter := lp.Arrive(rng, m.From, m.To, r.Now())
+	r.linkMu.Unlock()
+	if drop {
+		r.linkDropped.Inc()
+		r.droppedLink.Inc()
+		r.dropped.Inc()
+		return
+	}
+	r.injectAfter(m, extra)
+	if dupAfter > 0 {
+		r.linkDuped.Inc()
+		r.injectAfter(m, extra+dupAfter)
+	}
+}
+
+// injectAfter delivers m after d ticks of wall time, unless the runtime
+// has stopped by then.
+func (r *Runtime) injectAfter(m rt.Message, d rt.Time) {
+	if d <= 0 {
+		r.inject(m)
+		return
+	}
+	time.AfterFunc(time.Duration(d)*r.tick, func() {
+		if !r.stopped.Load() {
+			r.inject(m)
+		}
+	})
 }
 
 // SetSendHook implements rt.TransportRuntime.
@@ -341,8 +418,8 @@ func (r *Runtime) SetSendHook(h rt.SendHook) { r.sendHook.Store(h) }
 // execution order a real system has anyway.
 func (r *Runtime) Dispatch(m rt.Message) { r.inject(m) }
 
-// inject is the bus's delivery sink: run the registered handler at the
-// destination as one of its steps.
+// inject delivers m: run the registered handler at the destination as one
+// of its steps.
 func (r *Runtime) inject(m rt.Message) {
 	pr := r.procs[m.To]
 	if pr.crashed.Load() {
@@ -423,11 +500,12 @@ func (r *Runtime) Crash(p rt.ProcID) {
 // runtime is stopped or not yet started.
 //
 // Semantics note: the runtime drops messages addressed to a crashed process,
-// but a fault-injecting bus may still hold pre-crash messages in a delay
-// queue. Protocol-level resynchronization (the forks sync handshake) is
-// correct provided the crash→restart gap exceeds the bus's maximum delay, so
-// the old incarnation's traffic has drained before the new one rejoins —
-// the live analogue of the simulator's bounded-reorder axiom.
+// but an installed link plan may still hold pre-crash messages in flight
+// (ReorderMax ticks, plus up to 8 for a duplicate). Protocol-level
+// resynchronization (the forks sync handshake) is correct provided the
+// crash→restart gap exceeds that longest hold, so the old incarnation's
+// traffic has drained before the new one rejoins — the live analogue of the
+// simulator's bounded-reorder axiom.
 func (r *Runtime) Restart(p rt.ProcID, reboot func()) bool {
 	pr := r.procs[p]
 	if !r.started.Load() || r.stopped.Load() || !pr.crashed.Load() {
@@ -482,9 +560,10 @@ func (r *Runtime) CounterHandle(name string) *metrics.Counter { return r.reg.Cou
 
 // Counter returns a named counter's current value; a name nothing counts
 // under reads 0. The runtime itself maintains "steps" (action steps of both
-// classes), "msg.sent", "msg.delivered", "msg.dropped" and "yields" (step
-// budgets exhausted); its bus adds "bus.*" and an enabled transport
-// "transport.*".
+// classes), "msg.sent", "msg.delivered", "msg.dropped", "yields" (step
+// budgets exhausted) and, under an installed link plan, the kernel's
+// "link.dropped" (= "msg.dropped.link") and "link.duped"; an enabled
+// transport adds "transport.*".
 func (r *Runtime) Counter(name string) int64 { return r.CounterHandle(name).Value() }
 
 // enqueue appends one job to pr's mailbox and nudges its loop. The mailbox

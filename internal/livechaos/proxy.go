@@ -1,3 +1,10 @@
+// Package livechaos is the simulator's link adversary in front of a
+// networked deployment: a fault-injecting TCP proxy driven by the same
+// sim.LinkPlan that drives the deterministic chaos campaigns (in process,
+// live.Runtime.SetLinks applies a plan itself). The *schedule* of faults —
+// partition windows, per-link overrides, drop/dup probabilities — is derived
+// purely from the plan and the seed, so replaying a seed replays the same
+// adversary even though wall-clock interleaving is not reproducible.
 package livechaos
 
 import (
@@ -44,7 +51,7 @@ type ProxyConfig struct {
 // Proxy is a line-aware fault-injecting TCP relay for JSON-lines protocols
 // (lockproto): it drops, duplicates and delays whole lines, never corrupting
 // a frame, and can reset connections. It is the out-of-process counterpart
-// of ChaosBus, usable in front of an unmodified dineserve.
+// of live.Runtime.SetLinks, usable in front of an unmodified dineserve.
 type Proxy struct {
 	cfg   ProxyConfig
 	ln    net.Listener
@@ -166,12 +173,15 @@ func (p *Proxy) pump(wg *sync.WaitGroup, src, dst net.Conn, from, to sim.ProcID,
 				time.Sleep(time.Duration(extra) * p.cfg.Tick)
 			}
 		}
-		if prob := p.cfg.Plan.DropProb(from, to, now); prob > 0 && rng.Float64() < prob {
+		// TCP keeps order, so a duplicate follows its original at once
+		// rather than dupAfter ticks later.
+		drop, dupAfter := p.cfg.Plan.Arrive(rng, from, to, now)
+		if drop {
 			p.dropped.Add(1)
 			continue
 		}
 		copies := 1
-		if prob := p.cfg.Plan.DupProb(from, to); prob > 0 && rng.Float64() < prob {
+		if dupAfter > 0 {
 			p.duped.Add(1)
 			copies = 2
 		}

@@ -13,10 +13,10 @@
 //
 //   - internal/live.Runtime: the real-time runtime. Each process is a
 //     goroutine with its own mailbox, timers are wall-clock, and messages
-//     travel over a pluggable bus (in-process channels, optionally behind a
-//     fault-injecting wrapper). Runs are not reproducible — the scheduler is
-//     the operating system — but the trace vocabulary is identical, so the
-//     same checkers validate live runs.
+//     travel over in-process channels, through the same link adversary as the
+//     kernel's when one is installed. Runs are not reproducible — the
+//     scheduler is the operating system — but the trace vocabulary is
+//     identical, so the same checkers validate live runs.
 //
 // Protocol packages (internal/detector, internal/dining and its tables,
 // internal/core) are written against Runtime only; they cannot tell which

@@ -12,7 +12,7 @@ type SendHook func(Message) bool
 // to interpose on a system's messaging: hooking protocol sends, shipping its
 // own wire envelopes underneath the hook, handing restored messages to the
 // handlers the protocol registered, and accounting. Both runtimes implement
-// it (internal/sim over its simulated links, internal/live over its bus).
+// it (internal/sim and internal/live, each over its own link adversary).
 type TransportRuntime interface {
 	Runtime
 	// SetSendHook installs (or, with nil, removes) a send interceptor: every

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 )
@@ -179,8 +180,7 @@ func (lp LinkPlan) String() string {
 // DropProb returns the effective drop probability for a message on link
 // from->to at the given time: the first matching per-link override (else the
 // baseline), plus any active lossy window, saturating below 1 only for the
-// steady-state part (windows may reach 1). Exported so livechaos can apply
-// the exact same plan semantics to wall-clock buses.
+// steady-state part (windows may reach 1).
 func (lp *LinkPlan) DropProb(from, to ProcID, now Time) float64 {
 	p := lp.Drop
 	for _, f := range lp.Links {
@@ -200,20 +200,6 @@ func (lp *LinkPlan) DropProb(from, to ProcID, now Time) float64 {
 	return p
 }
 
-// InWindow reports whether any lossy window of the plan covers link
-// from->to at the given time — i.e. whether the link is currently inside a
-// transient partition era. Exported so wall-clock consumers (livechaos) can
-// attribute a drop to a partition window for their telemetry, with exactly
-// the window semantics DropProb applies.
-func (lp *LinkPlan) InWindow(from, to ProcID, now Time) bool {
-	for _, w := range lp.Windows {
-		if w.matches(from, to, now) {
-			return true
-		}
-	}
-	return false
-}
-
 // DupProb returns the duplication probability for link from->to.
 func (lp *LinkPlan) DupProb(from, to ProcID) float64 {
 	for _, f := range lp.Links {
@@ -222,6 +208,25 @@ func (lp *LinkPlan) DupProb(from, to ProcID) float64 {
 		}
 	}
 	return lp.Dup
+}
+
+// Arrive is the plan's arrival-time decision for one message on link
+// from->to at time now: drop it, or deliver it and, when dupAfter > 0, a
+// second copy dupAfter ticks (in [1, 8]) later. The draws come from rng in a
+// fixed order — drop (only when DropProb > 0), then duplicate (only for a
+// survivor, and only when DupProb > 0), then the duplicate's lag — so a
+// direction's fault sequence is a function of its stream and its message
+// count. The kernel, live.Runtime and livechaos.Proxy all decide here.
+func (lp *LinkPlan) Arrive(rng *rand.Rand, from, to ProcID, now Time) (drop bool, dupAfter Time) {
+	if p := lp.DropProb(from, to, now); p > 0 && rng.Float64() < p {
+		return true, 0
+	}
+	if p := lp.DupProb(from, to); p > 0 && rng.Float64() < p {
+		// The duplicate is a second, independent delivery of the same wire
+		// message a little later; it is not duplicated again.
+		return false, 1 + Time(rng.Int63n(8))
+	}
+	return false, 0
 }
 
 // reorderExtra draws the adversary's extra in-transit delay for one message.
@@ -242,24 +247,22 @@ func (k *Kernel) linkArrive(e *event) {
 		return
 	}
 	from, to := ProcID(e.from), ProcID(e.to)
-	if p := lp.DropProb(from, to, k.now); p > 0 && k.rng.Float64() < p {
+	drop, dupAfter := lp.Arrive(k.rng, from, to, k.now)
+	if drop {
 		k.inFlight--
 		k.droppedLink++
 		k.Emit(Record{P: to, Kind: KindLink, Peer: from, Inst: portPrefix(k.portName[e.port]), Note: "drop"})
 		return
 	}
-	if p := lp.DupProb(from, to); p > 0 && k.rng.Float64() < p {
-		// The duplicate is a second, independent delivery of the same wire
-		// message a little later; it is not duplicated again.
+	if dupAfter > 0 {
 		k.linkDuped++
 		k.Emit(Record{P: to, Kind: KindLink, Peer: from, Inst: portPrefix(k.portName[e.port]), Note: "dup"})
-		extra := 1 + Time(k.rng.Int63n(8))
 		k.inFlight++
 		// evDeliver (not evArrive): the duplicate must bypass the adversary so
 		// it is not dropped or duplicated again.
 		dup := *e
 		dup.kind = evDeliver
-		k.scheduleEvent(k.now+extra, &dup)
+		k.scheduleEvent(k.now+dupAfter, &dup)
 	}
 	k.deliver(e)
 }

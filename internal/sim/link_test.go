@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -127,6 +128,78 @@ func FuzzLinkPlanValidate(f *testing.F) {
 		sent := k.Counter("msg.sent")
 		if got := k.Counter("msg.delivered") + k.Counter("msg.dropped") - k.Counter("link.duped"); got > sent {
 			t.Fatalf("message accounting: delivered+dropped-duped=%d > sent=%d", got, sent)
+		}
+	})
+}
+
+// countingSource counts the values a rand.Rand draws from it.
+type countingSource struct {
+	rand.Source
+	n int
+}
+
+func (s *countingSource) Int63() int64 {
+	s.n++
+	return s.Source.Int63()
+}
+
+// FuzzLinkArrive pins the arrival draw the kernel, live.Runtime and
+// livechaos.Proxy share. For any plan Validate accepts and any (from, to,
+// now), Arrive never duplicates a dropped message, lags a duplicate by 1..8
+// ticks, always drops inside a Drop-1 window, and consumes exactly the draws
+// the fixed order allows: one for the drop when DropProb > 0, one for the
+// duplicate when the message survived and DupProb > 0, one for the lag of a
+// duplicate. The campaign goldens and the live fault schedules rely on it.
+func FuzzLinkArrive(f *testing.F) {
+	f.Add(int64(1), 0.3, 0.2, int8(0), int8(1), 0.5, 1.0, int64(100), int64(200), 1.0, uint8(1), int64(150), uint8(0), uint8(1))
+	f.Add(int64(7), 0.0, 1.0, int8(-1), int8(2), 0.0, 0.5, int64(0), int64(10), 0.5, uint8(0), int64(3), uint8(2), uint8(3))
+	f.Add(int64(3), 0.9, 0.0, int8(3), int8(-1), 0.1, 0.0, int64(5), int64(6), 0.0, uint8(6), int64(5), uint8(3), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, drop, dup float64, lFrom, lTo int8, lDrop, lDup float64,
+		ws, we int64, wDrop float64, side uint8, now int64, from, to uint8) {
+		const n = 4
+		w := LossyWindow{Start: Time(ws), End: Time(we), Drop: wDrop}
+		for p := 0; p < n; p++ {
+			if side&(1<<p) != 0 {
+				w.Side = append(w.Side, ProcID(p))
+			}
+		}
+		plan := LinkPlan{
+			Name: "fuzz", Drop: drop, Dup: dup,
+			Links:   []LinkFault{{From: ProcID(lFrom), To: ProcID(lTo), Drop: lDrop, Dup: lDup}},
+			Windows: []LossyWindow{w},
+		}
+		if plan.Validate(n) != nil {
+			return
+		}
+		src := &countingSource{Source: rand.NewSource(seed)}
+		rng := rand.New(src)
+		p, q, at := ProcID(from%n), ProcID(to%n), Time(now)
+		for i := 0; i < 8; i++ {
+			before := src.n
+			dropped, dupAfter := plan.Arrive(rng, p, q, at)
+			if dropped && dupAfter != 0 {
+				t.Fatalf("dropped message duplicated %d ticks later", dupAfter)
+			}
+			if dupAfter != 0 && (dupAfter < 1 || dupAfter > 8) {
+				t.Fatalf("duplicate lag %d outside [1, 8]", dupAfter)
+			}
+			if w.Drop == 1 && w.matches(p, q, at) && !dropped {
+				t.Fatalf("message %d->%d at %d survived a Drop-1 window %+v", p, q, at, w)
+			}
+			want := 0
+			if plan.DropProb(p, q, at) > 0 {
+				want++
+			}
+			if !dropped && plan.DupProb(p, q) > 0 {
+				want++
+			}
+			if dupAfter > 0 {
+				want++
+			}
+			if got := src.n - before; got != want {
+				t.Fatalf("Arrive drew %d values, the pinned order allows %d (dropped=%v dupAfter=%d)",
+					got, want, dropped, dupAfter)
+			}
 		}
 	})
 }

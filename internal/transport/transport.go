@@ -1,7 +1,7 @@
 // Package transport restores the paper's reliable-channel axioms on top of
-// the kernel's fair-lossy links (rt.LinkPlan): exactly-once delivery of
-// every protocol message to every correct destination, with no protocol
-// module changing a line.
+// fair-lossy links (a sim.LinkPlan, on either runtime): exactly-once
+// delivery of every protocol message to every correct destination, with no
+// protocol module changing a line.
 //
 // Mechanism — the classic simulation of reliable channels over fair-lossy
 // links (cf. Aspnes's lecture notes; the retransmit-until-ack "stubborn
