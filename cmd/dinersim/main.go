@@ -40,6 +40,7 @@ import (
 	"repro/internal/fairness"
 	"repro/internal/graph"
 	"repro/internal/mutex"
+	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	transportpkg "repro/internal/transport"
@@ -89,8 +90,13 @@ func main() {
 		sim.WithDelay(sim.GSTDelay{GST: sim.Time(*gst), PreMax: 120, PostMax: 8}),
 	)
 
+	// Protocol modules are wired on net: the kernel itself, or the
+	// transport over it.
+	var net rt.Runtime = k
+	var tr *transportpkg.Reliable
 	if useTransport {
-		transportpkg.Enable(k, "rt", transportpkg.Config{})
+		tr = transportpkg.Enable(k, "rt", transportpkg.Config{})
+		net = tr
 	}
 	if lossy {
 		plan := sim.LinkPlan{Name: "cli", Drop: *loss, Dup: *dup, ReorderMax: sim.Time(*reorder)}
@@ -111,22 +117,22 @@ func main() {
 	var tbl dining.Table
 	switch *table {
 	case "forks":
-		oracle := detector.NewHeartbeat(k, "hb", hbCfg)
-		tbl = forks.New(k, g, "dine", oracle, forks.Config{})
+		oracle := detector.NewHeartbeat(net, "hb", hbCfg)
+		tbl = forks.New(net, g, "dine", oracle, forks.Config{})
 	case "token":
-		oracle := detector.NewHeartbeat(k, "hb", hbCfg)
-		tbl = token.New(k, g, "dine", oracle, token.Config{})
+		oracle := detector.NewHeartbeat(net, "hb", hbCfg)
+		tbl = token.New(net, g, "dine", oracle, token.Config{})
 	case "fair":
-		oracle := detector.NewHeartbeat(k, "hb", hbCfg)
-		tbl = fairness.New(k, g, "dine", oracle, fairness.Config{})
+		oracle := detector.NewHeartbeat(net, "hb", hbCfg)
+		tbl = fairness.New(net, g, "dine", oracle, fairness.Config{})
 	case "mutex":
 		// Model-true stand-in for the T+S composition the FTME needs (see
 		// the mutex package comment).
-		tbl = mutex.New(k, g, "dine", detector.Perfect{K: k})
+		tbl = mutex.New(net, g, "dine", detector.Perfect{K: k})
 	case "perfect":
-		tbl = perfect.New(k, g, "dine", sim.ProcID(g.N()))
+		tbl = perfect.New(net, g, "dine", sim.ProcID(g.N()))
 	case "trap":
-		tbl = trap.New(k, g, "dine", sim.ProcID(g.N()), sim.Time(*era))
+		tbl = trap.New(net, g, "dine", sim.ProcID(g.N()), sim.Time(*era))
 	default:
 		fmt.Fprintf(os.Stderr, "dinersim: unknown table %q\n", *table)
 		os.Exit(2)
@@ -239,8 +245,8 @@ func main() {
 		k.Counter("msg.dropped.crash"), k.Counter("msg.dropped.link"), k.Counter("steps"))
 	if useTransport {
 		fmt.Printf("transport sent=%d delivered=%d retransmit=%d dup=%d acks=%d\n",
-			k.Counter("transport.sent"), k.Counter("transport.delivered"),
-			k.Counter("transport.retransmit"), k.Counter("transport.dup"), k.Counter("transport.acks"))
+			tr.Counter("transport.sent"), tr.Counter("transport.delivered"),
+			tr.Counter("transport.retransmit"), tr.Counter("transport.dup"), tr.Counter("transport.acks"))
 	}
 
 	// Eating timeline of the final stretch.

@@ -6,6 +6,7 @@ import (
 	"repro/internal/detector"
 	"repro/internal/dining"
 	"repro/internal/graph"
+	"repro/internal/rt"
 	"repro/internal/sim"
 )
 
@@ -40,7 +41,7 @@ type buggyTable struct {
 	mods map[sim.ProcID]*buggyModule
 }
 
-func newBuggyTable(k *sim.Kernel, g *graph.Graph, name string, oracle detector.Oracle) *buggyTable {
+func newBuggyTable(k rt.Runtime, g *graph.Graph, name string, oracle detector.Oracle) *buggyTable {
 	t := &buggyTable{name: name, g: g, mods: make(map[sim.ProcID]*buggyModule)}
 	for _, p := range g.Nodes() {
 		t.mods[p] = newBuggyModule(k, g, name, p, oracle)
@@ -71,7 +72,7 @@ type buggyFork struct{}
 
 type buggyModule struct {
 	*dining.Core
-	k      *sim.Kernel
+	k      rt.Runtime
 	self   sim.ProcID
 	nbrs   []sim.ProcID
 	edges  map[sim.ProcID]*buggyEdge
@@ -84,7 +85,7 @@ type buggyModule struct {
 
 const buggyRetry = 25
 
-func newBuggyModule(k *sim.Kernel, g *graph.Graph, name string, p sim.ProcID, oracle detector.Oracle) *buggyModule {
+func newBuggyModule(k rt.Runtime, g *graph.Graph, name string, p sim.ProcID, oracle detector.Oracle) *buggyModule {
 	m := &buggyModule{
 		Core:   dining.NewCore(k, p, name),
 		k:      k,

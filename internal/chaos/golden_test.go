@@ -23,8 +23,8 @@ func TestCampaignGolden(t *testing.T) {
 
 // TestLinkCampaignGolden is the same pin for the lossy campaign: the
 // transport's envelopes, the link adversary's drops and duplicates (the
-// kernel's evDeliver events) and the transport's Dispatch to the protocol
-// handler — paths the default campaign never takes.
+// kernel's evDeliver events) and the transport's hand-off of each fresh
+// envelope to its protocol handler — paths the default campaign never takes.
 func TestLinkCampaignGolden(t *testing.T) {
 	checkGolden(t, "testdata/link_campaign.golden", DefaultLinkCampaign(15000))
 }

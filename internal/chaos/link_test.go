@@ -184,6 +184,34 @@ func TestLinkCampaignCompliantBoxesClean(t *testing.T) {
 	}
 }
 
+// TestNoMessageEscapesTransport: the box and its oracle are wired on the
+// transport, so over lossy links the adversary only ever perturbs the
+// transport's envelopes, and every link record names the transport's port
+// namespace. A module wired on the raw kernel instead would send past the
+// transport, and its own port prefix would show up here.
+func TestNoMessageEscapesTransport(t *testing.T) {
+	perturbed := 0
+	seen := make(map[string]bool)
+	for _, spec := range DefaultLinkCampaign(15000).Specs() {
+		if seen[spec.Box] || !spec.Transport {
+			continue
+		}
+		seen[spec.Box] = true
+		for _, r := range Execute(spec).Log.Records {
+			if r.Kind != sim.KindLink {
+				continue
+			}
+			perturbed++
+			if r.Inst != "rt" {
+				t.Fatalf("%s: the link adversary touched a %q message outside the transport: %+v", spec.ID(), r.Inst, r)
+			}
+		}
+	}
+	if len(seen) < 4 || perturbed == 0 {
+		t.Fatalf("ran %d boxes with %d link records; want all four boxes perturbed", len(seen), perturbed)
+	}
+}
+
 // TestShrinkDropsIrrelevantLinkFaults: when a failure does not need the link
 // adversary, the shrinker removes it (and then the transport), so the repro
 // tells the truth about what triggers the bug.

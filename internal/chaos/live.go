@@ -194,10 +194,10 @@ func RunLive(spec LiveSpec, interrupt <-chan struct{}) (*LiveResult, error) {
 	// messages then cost one retransmission timeout, which the heartbeat
 	// suspicion timeout must dominate.
 	tr := transport.Enable(r, "rt", transport.Config{})
-	hb := detector.NewHeartbeat(r, "hb", detector.HeartbeatConfig{
+	hb := detector.NewHeartbeat(tr, "hb", detector.HeartbeatConfig{
 		Interval: 20, Check: 10, Timeout: 600, Bump: 300,
 	})
-	tbl := forks.New(r, g, "dine", hb, forks.Config{})
+	tbl := forks.New(tr, g, "dine", hb, forks.Config{})
 	for _, p := range g.Nodes() {
 		dining.Drive(r, p, tbl.Diner(p), dining.DriverConfig{
 			ThinkMin: 10, ThinkMax: 60, EatMin: 10, EatMax: 30, FirstHunger: 30,

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dining/token"
 	"repro/internal/dining/trap"
 	"repro/internal/graph"
+	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -103,11 +104,12 @@ func execute(spec Spec, log *trace.Log) *Result {
 	)
 	res.Log = log
 
-	// Network model, outermost first: the transport hook (so every protocol
-	// send is wrapped) and then the link adversary underneath it. Both are
-	// armed before the box exists, so no protocol message escapes either.
+	// Network model, outermost first: the transport (the box and its oracle
+	// are wired on it, so every protocol send is wrapped) and then the link
+	// adversary underneath it, armed before the box exists.
+	var net rt.Runtime = k
 	if spec.Transport {
-		transport.Enable(k, "rt", transport.Config{})
+		net = transport.Enable(k, "rt", transport.Config{})
 	}
 	if spec.Links != nil {
 		if err := spec.Links.Plan().Apply(k); err != nil {
@@ -117,7 +119,7 @@ func execute(spec Spec, log *trace.Log) *Result {
 		}
 	}
 
-	tbl, err := buildBox(k, g, spec)
+	tbl, err := buildBox(net, g, spec)
 	if err != nil {
 		res.Category = CatPanic
 		res.Violations = []string{err.Error()}
@@ -187,7 +189,7 @@ func (r *Result) check(g *graph.Graph, log *trace.Log, end sim.Time) {
 
 // buildBox constructs the dining service under test. The heartbeat-driven
 // boxes share the oracle construction of cmd/dinersim.
-func buildBox(k *sim.Kernel, g *graph.Graph, spec Spec) (dining.Table, error) {
+func buildBox(k rt.Runtime, g *graph.Graph, spec Spec) (dining.Table, error) {
 	era := spec.Era
 	if era <= 0 {
 		era = spec.Horizon / 8

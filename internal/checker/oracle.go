@@ -52,11 +52,10 @@ func AllPairs(procs []sim.ProcID) [][2]sim.ProcID {
 }
 
 // oracleHistory assembles per-pair evidence for one oracle instance over the
-// given ordered (monitor, target) pairs. initialSuspect is the module output
-// before the first recorded change.
-func oracleHistory(l *trace.Log, inst string, pairs [][2]sim.ProcID, initialSuspect bool) []PairEvidence {
+// given ordered (monitor, target) pairs, with crash the log's CrashTimes.
+// initialSuspect is the module output before the first recorded change.
+func oracleHistory(l *trace.Log, crash map[sim.ProcID]sim.Time, inst string, pairs [][2]sim.ProcID, initialSuspect bool) []PairEvidence {
 	sus := l.Suspicions()
-	crash := l.CrashTimes()
 	var out []PairEvidence
 	for _, pq := range pairs {
 		p, q := pq[0], pq[1]
@@ -75,9 +74,9 @@ func oracleHistory(l *trace.Log, inst string, pairs [][2]sim.ProcID, initialSusp
 	return out
 }
 
-// correct reports whether p never crashed in the run.
-func correct(l *trace.Log, p sim.ProcID) bool {
-	_, crashed := l.CrashTimes()[p]
+// correct reports whether p never crashed in the run, given its CrashTimes.
+func correct(crash map[sim.ProcID]sim.Time, p sim.ProcID) bool {
+	_, crashed := crash[p]
 	return !crashed
 }
 
@@ -86,9 +85,9 @@ func correct(l *trace.Log, p sim.ProcID) bool {
 // final output is suspect and no trust transition happens after stableBy.
 // It returns the report and the first failing pair, if any.
 func StrongCompleteness(l *trace.Log, inst string, pairs [][2]sim.ProcID, initialSuspect bool, stableBy sim.Time) (OracleReport, error) {
-	rep := newReport(l, inst, pairs, initialSuspect)
+	rep, crash := newReport(l, inst, pairs, initialSuspect)
 	for _, ev := range rep.Pairs {
-		if !correct(l, ev.P) || !ev.QCrashed {
+		if !correct(crash, ev.P) || !ev.QCrashed {
 			continue
 		}
 		if !ev.FinalSuspect {
@@ -108,9 +107,9 @@ func StrongCompleteness(l *trace.Log, inst string, pairs [][2]sim.ProcID, initia
 // target after convergedBy: every correct-correct pair's history has no
 // suspect transition after convergedBy and ends in trust.
 func EventualStrongAccuracy(l *trace.Log, inst string, pairs [][2]sim.ProcID, initialSuspect bool, convergedBy sim.Time) (OracleReport, error) {
-	rep := newReport(l, inst, pairs, initialSuspect)
+	rep, crash := newReport(l, inst, pairs, initialSuspect)
 	for _, ev := range rep.Pairs {
-		if !correct(l, ev.P) || ev.QCrashed {
+		if !correct(crash, ev.P) || ev.QCrashed {
 			continue
 		}
 		if ev.FinalSuspect {
@@ -132,9 +131,9 @@ func EventualStrongAccuracy(l *trace.Log, inst string, pairs [][2]sim.ProcID, in
 // stops trusting a target — a trust-to-suspect transition — the target had
 // already crashed.
 func TrustingAccuracy(l *trace.Log, inst string, pairs [][2]sim.ProcID, initialSuspect bool, convergedBy sim.Time) (OracleReport, error) {
-	rep := newReport(l, inst, pairs, initialSuspect)
+	rep, crash := newReport(l, inst, pairs, initialSuspect)
 	for _, ev := range rep.Pairs {
-		if !correct(l, ev.P) {
+		if !correct(crash, ev.P) {
 			continue
 		}
 		// (b) trust withdrawal implies a prior crash, for every target.
@@ -165,16 +164,18 @@ func TrustingAccuracy(l *trace.Log, inst string, pairs [][2]sim.ProcID, initialS
 }
 
 // newReport builds the aggregate OracleReport (mistakes, convergence time,
-// detection latencies) for one oracle instance.
-func newReport(l *trace.Log, inst string, pairs [][2]sim.ProcID, initialSuspect bool) OracleReport {
+// detection latencies) for one oracle instance, and returns with it the
+// log's CrashTimes, read once for the report and the check over it.
+func newReport(l *trace.Log, inst string, pairs [][2]sim.ProcID, initialSuspect bool) (OracleReport, map[sim.ProcID]sim.Time) {
+	crash := l.CrashTimes()
 	rep := OracleReport{
 		Inst:             inst,
 		Convergence:      sim.Never,
 		DetectionLatency: make(map[sim.ProcID]sim.Time),
 	}
-	rep.Pairs = oracleHistory(l, inst, pairs, initialSuspect)
+	rep.Pairs = oracleHistory(l, crash, inst, pairs, initialSuspect)
 	for _, ev := range rep.Pairs {
-		if !correct(l, ev.P) {
+		if !correct(crash, ev.P) {
 			continue
 		}
 		if !ev.QCrashed {
@@ -208,7 +209,7 @@ func newReport(l *trace.Log, inst string, pairs [][2]sim.ProcID, initialSuspect 
 			}
 		}
 	}
-	return rep
+	return rep, crash
 }
 
 // MistakeCount returns the number of suspect transitions recorded for the

@@ -35,6 +35,18 @@ func (j *journal) onFork(p, q sim.ProcID, hold bool) {
 	}
 }
 
+// sendTap is the kernel with every Send shown to see first: the table is
+// wired on it, so a test observes the table's traffic as it is sent.
+type sendTap struct {
+	*sim.Kernel
+	see func(sim.Message)
+}
+
+func (s sendTap) Send(from, to sim.ProcID, port string, payload any) {
+	s.see(sim.Message{From: from, To: to, Port: port, Payload: payload})
+	s.Kernel.Send(from, to, port, payload)
+}
+
 // TestResetResync resets diners mid-run — one alone, two neighbors in the
 // same tick (both ends of an edge resyncing at once: the lower id mints), and
 // one cut off from everyone for a window right after its reset, so its sync
@@ -65,20 +77,19 @@ func TestResetResync(t *testing.T) {
 					t.Fatal(err)
 				}
 				j := &journal{k: k, hold: make(map[[2]sim.ProcID]bool)}
+				syncs := 0
+				tap := sendTap{k, func(m sim.Message) {
+					if m.Port == "fk/sync" {
+						syncs++
+					}
+				}}
 				var mute detector.Scripted
-				tbl := forks.New(k, g, "fk", &mute, forks.Config{OnFork: j.onFork})
+				tbl := forks.New(tap, g, "fk", &mute, forks.Config{OnFork: j.onFork})
 				for _, p := range g.Nodes() {
 					dining.Drive(k, p, tbl.Diner(p), dining.DriverConfig{
 						ThinkMin: 10, ThinkMax: 60, EatMin: 5, EatMax: 20, Meals: 40,
 					})
 				}
-				syncs := 0
-				k.SetSendHook(func(m sim.Message) bool {
-					if m.Port == "fk/sync" {
-						syncs++
-					}
-					return false
-				})
 				for _, p := range c.resets {
 					k.After(p, at, func() { tbl.Reset(p) })
 				}
@@ -135,19 +146,18 @@ func TestResyncRetriesInNeighborOrder(t *testing.T) {
 	if err := plan.Apply(k); err != nil {
 		t.Fatal(err)
 	}
-	var mute detector.Scripted
-	tbl := forks.New(k, g, "fk", &mute, forks.Config{})
 	var rounds [][]sim.ProcID // sync destinations, one slice per sending tick
 	last := sim.Time(-1)
-	k.SetSendHook(func(m sim.Message) bool {
+	tap := sendTap{k, func(m sim.Message) {
 		if m.Port == "fk/sync" && m.From == p {
 			if k.Now() != last {
 				rounds, last = append(rounds, nil), k.Now()
 			}
 			rounds[len(rounds)-1] = append(rounds[len(rounds)-1], m.To)
 		}
-		return false
-	})
+	}}
+	var mute detector.Scripted
+	tbl := forks.New(tap, g, "fk", &mute, forks.Config{})
 	k.After(p, 10, func() { tbl.Reset(p) })
 	k.Run(1_000_000)
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/dining/forks"
+	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -48,8 +49,13 @@ func E17LossyLinks(seed int64) *Table {
 			sim.WithTracer(log),
 			sim.WithDelay(sim.GSTDelay{GST: gst, PreMax: 120, PostMax: 8}),
 		)
+		// The oracle and the extraction are wired on net: the kernel, or the
+		// transport over it.
+		var net rt.Runtime = k
+		var tr *transport.Reliable
 		if withTransport {
-			transport.Enable(k, "rt", transport.Config{})
+			tr = transport.Enable(k, "rt", transport.Config{})
+			net = tr
 		}
 		hb := detector.HeartbeatConfig{}
 		if drop > 0 {
@@ -61,17 +67,20 @@ func E17LossyLinks(seed int64) *Table {
 				return outcome{err: err}
 			}
 		}
-		native := detector.NewHeartbeat(k, "native", hb)
-		core.NewPairMonitor(k, 0, 1, forks.Factory(native, forks.Config{}), "xp")
+		native := detector.NewHeartbeat(net, "native", hb)
+		core.NewPairMonitor(net, 0, 1, forks.Factory(native, forks.Config{}), "xp")
 		end := k.Run(horizon)
 		rep, err := checker.EventualStrongAccuracy(log, "xp", [][2]sim.ProcID{{0, 1}}, true, end*3/4)
-		return outcome{
+		out := outcome{
 			mistakes: int64(rep.Mistakes),
 			conv:     rep.Convergence,
 			wire:     k.Counter("msg.sent"),
-			retx:     k.Counter("transport.retransmit"),
 			err:      err,
 		}
+		if tr != nil {
+			out.retx = tr.Counter("transport.retransmit")
+		}
+		return out
 	}
 
 	base := run(0, false)

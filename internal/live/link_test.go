@@ -166,11 +166,11 @@ func TestTransportOverLossyLinks(t *testing.T) {
 	if err := r.SetLinks(sim.LinkPlan{Name: "lossy", Drop: 0.25}); err != nil {
 		t.Fatal(err)
 	}
-	transport.Enable(r, "rt", transport.Config{})
+	tr := transport.Enable(r, "rt", transport.Config{})
 	// Over lossy links a dropped heartbeat arrives one retransmission
 	// timeout late; the oracle timeout must dominate that.
-	oracle := detector.NewHeartbeat(r, "hb", detector.HeartbeatConfig{Interval: 20, Check: 10, Timeout: 600, Bump: 300})
-	tbl := forks.New(r, g, "dine", oracle, forks.Config{})
+	oracle := detector.NewHeartbeat(tr, "hb", detector.HeartbeatConfig{Interval: 20, Check: 10, Timeout: 600, Bump: 300})
+	tbl := forks.New(tr, g, "dine", oracle, forks.Config{})
 	for _, p := range g.Nodes() {
 		dining.Drive(r, p, tbl.Diner(p), dining.DriverConfig{
 			ThinkMin: 10, ThinkMax: 60, EatMin: 2, EatMax: 10, FirstHunger: 30,
@@ -194,7 +194,7 @@ func TestTransportOverLossyLinks(t *testing.T) {
 	if _, err := checker.EventualWeakExclusion(log, g, "dine", end/2, end); err != nil {
 		t.Errorf("lossy-link run violates eventual weak exclusion: %v", err)
 	}
-	if r.Counter("transport.retransmit") == 0 {
+	if tr.Counter("transport.retransmit") == 0 {
 		t.Error("transport never retransmitted despite losses")
 	}
 }

@@ -88,7 +88,7 @@ func TestTransportResetAfterRestart(t *testing.T) {
 	}
 	tr := transport.Enable(r, "rt", transport.Config{RTO: 20})
 	got := make(chan string, 16)
-	r.Handle(1, "t", func(m rt.Message) { got <- m.Payload.(string) })
+	tr.Handle(1, "t", func(m rt.Message) { got <- m.Payload.(string) })
 	r.Start()
 	defer r.Stop()
 
@@ -104,20 +104,20 @@ func TestTransportResetAfterRestart(t *testing.T) {
 		}
 	}
 
-	r.Invoke(0, func() { r.Send(0, 1, "t", "a") })
+	r.Invoke(0, func() { tr.Send(0, 1, "t", "a") })
 	recv("a") // baseline: transport delivers
 
 	gate(true)
-	r.Invoke(0, func() { r.Send(0, 1, "t", "b") }) // first copy dropped
-	time.Sleep(10 * time.Millisecond)              // armed, timer pending
-	r.Crash(0)                                     // timer killed; armed leaks
+	r.Invoke(0, func() { tr.Send(0, 1, "t", "b") }) // first copy dropped
+	time.Sleep(10 * time.Millisecond)               // armed, timer pending
+	r.Crash(0)                                      // timer killed; armed leaks
 	time.Sleep(50 * time.Millisecond)
 	if !r.Restart(0, func() { tr.Reset(0) }) {
 		t.Fatal("Restart refused")
 	}
 	// "b" died with the incarnation: its window was discarded, so it must
 	// not surface even after the gate opens.
-	r.Invoke(0, func() { r.Send(0, 1, "t", "c") }) // first copy dropped too
+	r.Invoke(0, func() { tr.Send(0, 1, "t", "c") }) // first copy dropped too
 	time.Sleep(10 * time.Millisecond)
 	gate(false)
 	recv("c") // only retransmission can deliver this

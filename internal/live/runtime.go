@@ -111,16 +111,14 @@ type actionSet struct {
 // in the repository needs a second value.
 const stepBudget = 64
 
-// Runtime is the real-time implementation of rt.Runtime (and of
-// rt.TransportRuntime, so internal/transport's retransmission layer can be
-// enabled over lossy links).
+// Runtime is the real-time implementation of rt.Runtime.
 type Runtime struct {
 	cfg   Config
 	tick  time.Duration
 	procs []*process
 
 	// links is the installed link adversary (SetLinks); nil means reliable
-	// channels, and RawSend then takes no lock.
+	// channels, and Send then takes no lock.
 	links atomic.Pointer[sim.LinkPlan]
 	// linkMu guards linkRng: one random stream per direction (index
 	// from*N+to), made on the direction's first message under a plan (the
@@ -143,20 +141,14 @@ type Runtime struct {
 
 	rng *rand.Rand // over a locked source: safe for concurrent draws
 
-	// reg is the runtime's one counter table: Counter reads it, the
-	// transport resolves its handles from it (CounterHandle), and the
+	// reg is the runtime's one counter table: Counter reads it, and the
 	// runtime's own hot paths count through the handles below.
 	reg                                     *metrics.Registry
 	steps, sent, delivered, dropped, yields *metrics.Counter
 	linkDropped, droppedLink, linkDuped     *metrics.Counter
-
-	sendHook atomic.Value // of rt.SendHook
 }
 
-var (
-	_ rt.Runtime          = (*Runtime)(nil)
-	_ rt.TransportRuntime = (*Runtime)(nil)
-)
+var _ rt.Runtime = (*Runtime)(nil)
 
 // lockedSource is a goroutine-safe rand.Source64.
 type lockedSource struct {
@@ -315,20 +307,9 @@ func (r *Runtime) mustWire(what string) {
 	}
 }
 
-// Send implements rt.Runtime: the message is shipped by RawSend, unless a
-// transport send hook consumes it first.
+// Send implements rt.Runtime: ship the message to its destination's
+// mailbox, through the installed link plan if any.
 func (r *Runtime) Send(from, to rt.ProcID, port string, payload any) {
-	m := rt.Message{From: from, To: to, Port: port, Payload: payload}
-	if h, ok := r.sendHook.Load().(rt.SendHook); ok && h != nil && h(m) {
-		return
-	}
-	r.RawSend(from, to, port, payload)
-}
-
-// RawSend implements rt.TransportRuntime: ship the message to its
-// destination's mailbox, through the installed link plan if any, bypassing
-// any send hook.
-func (r *Runtime) RawSend(from, to rt.ProcID, port string, payload any) {
 	if r.stopped.Load() {
 		return
 	}
@@ -342,7 +323,7 @@ func (r *Runtime) RawSend(from, to rt.ProcID, port string, payload any) {
 }
 
 // SetLinks validates plan against N and installs it: from then on every
-// message RawSend ships runs the plan's gauntlet, with the plan's windows
+// message Send ships runs the plan's gauntlet, with the plan's windows
 // read against Now (ticks since Start). Installing a second plan replaces
 // the first; a plan that perturbs nothing restores reliable channels. It is
 // the live mirror of sim.LinkPlan.Apply, and may be called at any time.
@@ -407,16 +388,6 @@ func (r *Runtime) injectAfter(m rt.Message, d rt.Time) {
 		}
 	})
 }
-
-// SetSendHook implements rt.TransportRuntime.
-func (r *Runtime) SetSendHook(h rt.SendHook) { r.sendHook.Store(h) }
-
-// Dispatch implements rt.TransportRuntime: deliver m to the handler
-// registered for its port at m.To, as that process's own atomic step.
-// Unlike the simulator's synchronous Dispatch, delivery is asynchronous —
-// the handler runs on the destination's goroutine — which is the only
-// execution order a real system has anyway.
-func (r *Runtime) Dispatch(m rt.Message) { r.inject(m) }
 
 // inject delivers m: run the registered handler at the destination as one
 // of its steps.
@@ -554,16 +525,15 @@ func (r *Runtime) Emit(rec rt.Record) {
 	}
 }
 
-// CounterHandle implements rt.TransportRuntime: the handle of a named
-// counter in the runtime's table, created on first use.
+// CounterHandle returns the handle of a named counter in the runtime's
+// table, created on first use.
 func (r *Runtime) CounterHandle(name string) *metrics.Counter { return r.reg.Counter(name, "") }
 
 // Counter returns a named counter's current value; a name nothing counts
 // under reads 0. The runtime itself maintains "steps" (action steps of both
 // classes), "msg.sent", "msg.delivered", "msg.dropped", "yields" (step
 // budgets exhausted) and, under an installed link plan, the kernel's
-// "link.dropped" (= "msg.dropped.link") and "link.duped"; an enabled
-// transport adds "transport.*".
+// "link.dropped" (= "msg.dropped.link") and "link.duped".
 func (r *Runtime) Counter(name string) int64 { return r.CounterHandle(name).Value() }
 
 // enqueue appends one job to pr's mailbox and nudges its loop. The mailbox

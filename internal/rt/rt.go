@@ -18,6 +18,10 @@
 //     scheduler is the operating system — but the trace vocabulary is
 //     identical, so the same checkers validate live runs.
 //
+// A runtime may also sit on another: internal/transport.Reliable embeds
+// either runtime and overrides only Send and Handle, rebuilding reliable
+// channels over its lossy links for the modules wired on it.
+//
 // Protocol packages (internal/detector, internal/dining and its tables,
 // internal/core) are written against Runtime only; they cannot tell which
 // runtime is executing them. That is the point: the code whose properties

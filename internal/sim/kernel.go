@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
-
-	"repro/internal/metrics"
 )
 
 // proc is the kernel-side bookkeeping for one process.
@@ -35,24 +32,20 @@ type Kernel struct {
 	inFlight int
 	stopped  bool
 	links    *LinkPlan // fair-lossy link adversary (nil = reliable channels)
-	sendHook SendHook  // transport interposition (see SetSendHook)
 
 	// The kernel is single-threaded, so it counts its own work in plain
-	// ints; Counter and Counters read them by name. reg holds only what
-	// layered modules count through CounterHandle (the transport), and is
-	// made on first use.
+	// ints; Counter and Counters read them by name.
 	steps        int64
 	sent         int64
 	delivered    int64
 	droppedCrash int64 // receiver dead at delivery time
 	droppedLink  int64 // eaten by the link adversary
 	linkDuped    int64
-	reg          *metrics.Registry
 
 	// Ports are interned: the first Handle or send of a name gives it the
 	// next index, events carry the index, and handlers and send counts are
-	// slices indexed by it. A port name is hashed once per Send or Dispatch
-	// and never on delivery.
+	// slices indexed by it. A port name is hashed once per Send and never on
+	// delivery.
 	portIDs  map[string]int32
 	portName []string // index -> name
 	sentBy   []int64  // index -> messages sent on the port
@@ -175,33 +168,13 @@ func (k *Kernel) handler(pr *proc, id int32) Handler {
 	panic(fmt.Sprintf("sim: no handler for port %q at process %d", k.portName[id], pr.id))
 }
 
-// SetSendHook installs (or, with nil, removes) a send interceptor. It exists
-// for internal/transport: with a hook installed, every Send from protocol
-// code can be transparently wrapped in a reliable-delivery envelope without
-// the protocol modules changing at all. RawSend bypasses the hook, which is
-// how the transport's own envelopes avoid being re-intercepted.
-func (k *Kernel) SetSendHook(h SendHook) { k.sendHook = h }
-
 // Send transmits a message on the simulated network. Over the default
 // reliable non-FIFO channels delivery is scheduled according to the delay
 // policy; under an installed LinkPlan the message may additionally be
 // dropped, duplicated, or further delayed at delivery time. Messages to
 // processes that have crashed by delivery time are dropped (the paper only
-// guarantees delivery to correct processes). If a SendHook is installed and
-// consumes the message, nothing is transmitted here — the hook's transport
-// owns delivery from that point on.
+// guarantees delivery to correct processes).
 func (k *Kernel) Send(from, to ProcID, port string, payload any) {
-	m := Message{From: from, To: to, Port: port, Payload: payload}
-	if k.sendHook != nil && k.sendHook(m) {
-		return
-	}
-	k.RawSend(from, to, port, payload)
-}
-
-// RawSend transmits a message directly on the simulated links, bypassing any
-// installed SendHook. Protocol code should use Send; RawSend exists for the
-// transport layer underneath it.
-func (k *Kernel) RawSend(from, to ProcID, port string, payload any) {
 	k.sent++
 	id := k.portID(port)
 	k.sentBy[id]++
@@ -213,21 +186,6 @@ func (k *Kernel) RawSend(from, to ProcID, port string, payload any) {
 	k.inFlight++
 	e := event{kind: evArrive, port: id, from: int32(from), to: int32(to), payload: payload}
 	k.scheduleEvent(k.now+d, &e)
-}
-
-// Dispatch synchronously invokes the handler registered for m.Port at m.To,
-// as if the message had just been delivered by the network, and wakes the
-// receiving process. Messages to crashed processes are dropped. It exists
-// for the transport layer, which receives wire envelopes on its own port and
-// hands the restored protocol message to the original handler.
-func (k *Kernel) Dispatch(m Message) {
-	pr := k.procs[m.To]
-	if pr.crashed {
-		k.droppedCrash++
-		return
-	}
-	k.handler(pr, k.portID(m.Port))(m)
-	k.wake(m.To)
 }
 
 // After schedules fn to run at process p after d ticks (a local timer). The
@@ -276,24 +234,17 @@ func (k *Kernel) Emit(r Record) {
 }
 
 // Counter returns a named kernel counter (e.g. "msg.sent", "msg.dropped",
-// "steps", "msg.sent:dx") or one a layered module counts under (e.g.
-// "transport.sent"); a name nothing counts under reads 0. "msg.dropped" is
-// the sum of its two causes, "msg.dropped.crash" (receiver dead at delivery
-// time) and "msg.dropped.link" (eaten by the link adversary, also read as
-// "link.dropped").
+// "steps", "msg.sent:dx"); a name nothing counts under reads 0.
+// "msg.dropped" is the sum of its two causes, "msg.dropped.crash" (receiver
+// dead at delivery time) and "msg.dropped.link" (eaten by the link
+// adversary, also read as "link.dropped").
 func (k *Kernel) Counter(name string) int64 {
-	if v, ok := k.ownCounters()[name]; ok {
-		return v
-	}
-	if k.reg == nil {
-		return 0
-	}
-	return k.reg.Counter(name, "").Value()
+	return k.counts()[name]
 }
 
-// ownCounters names the counts the kernel keeps itself.
-func (k *Kernel) ownCounters() map[string]int64 {
-	own := map[string]int64{
+// counts names the kernel's counts.
+func (k *Kernel) counts() map[string]int64 {
+	c := map[string]int64{
 		"steps":             k.steps,
 		"msg.sent":          k.sent,
 		"msg.delivered":     k.delivered,
@@ -304,34 +255,15 @@ func (k *Kernel) ownCounters() map[string]int64 {
 		"link.duped":        k.linkDuped,
 	}
 	for id, n := range k.sentBy {
-		own["msg.sent:"+portPrefix(k.portName[id])] += n
+		c["msg.sent:"+portPrefix(k.portName[id])] += n
 	}
-	return own
-}
-
-// CounterHandle implements rt.TransportRuntime: layered modules (the
-// transport, chiefly) count into a table Counter and Counters also read.
-// The kernel's own counters are not in it: asking for the handle of one is
-// a wiring bug.
-func (k *Kernel) CounterHandle(name string) *metrics.Counter {
-	if _, own := k.ownCounters()[name]; own || strings.HasPrefix(name, "msg.sent:") {
-		panic(fmt.Sprintf("sim: counter %q is the kernel's own; read it with Counter", name))
-	}
-	if k.reg == nil {
-		k.reg = metrics.New()
-	}
-	return k.reg.Counter(name, "")
+	return c
 }
 
 // Counters returns a sorted "name=value" snapshot of every counter that has
 // counted something.
 func (k *Kernel) Counters() []string {
-	all := k.ownCounters()
-	if k.reg != nil {
-		for n, v := range k.reg.Snapshot().Counters {
-			all[n] = v
-		}
-	}
+	all := k.counts()
 	names := make([]string, 0, len(all))
 	for n, v := range all {
 		if v != 0 {

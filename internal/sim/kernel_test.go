@@ -300,21 +300,17 @@ func TestPortPrefixCounter(t *testing.T) {
 }
 
 // TestCountersPin pins what a lossy run with a crash reports by name: the
-// Counters listing, kernel-kept and layered counters alike, and Counter for
-// each listed name and for names nothing counted under. How the kernel keeps
+// Counters listing, and Counter for each listed name and for names nothing
+// counted under. How the kernel keeps
 // its counts may change; none of these values may.
 func TestCountersPin(t *testing.T) {
 	k := NewKernel(3, WithSeed(5))
 	if err := (LinkPlan{Name: "pin", Drop: 0.2, Dup: 0.2}).Apply(k); err != nil {
 		t.Fatal(err)
 	}
-	layer := k.CounterHandle("layer.relayed")
 	for p := ProcID(0); p < 3; p++ {
 		next := (p + 1) % 3
-		k.Handle(p, "dx/a", func(Message) {
-			layer.Inc()
-			k.Send(p, next, "dx/b", nil)
-		})
+		k.Handle(p, "dx/a", func(Message) { k.Send(p, next, "dx/b", nil) })
 		k.Handle(p, "dx/b", func(Message) {})
 		k.Handle(p, "hb", func(Message) {})
 		beats := 0
@@ -327,7 +323,7 @@ func TestCountersPin(t *testing.T) {
 	k.CrashAt(2, 40)
 	k.Run(1000)
 
-	const want = "layer.relayed=58 link.dropped=53 link.duped=23 msg.delivered=154 " +
+	const want = "link.dropped=53 link.duped=23 msg.delivered=154 " +
 		"msg.dropped=87 msg.dropped.crash=34 msg.dropped.link=53 msg.sent=218 " +
 		"msg.sent:dx=138 msg.sent:hb=80 steps=80"
 	got := k.Counters()
@@ -344,27 +340,6 @@ func TestCountersPin(t *testing.T) {
 		if c := k.Counter(name); c != 0 {
 			t.Errorf("Counter(%q) = %d, want 0", name, c)
 		}
-	}
-}
-
-// TestCounterHandleRefusesKernelCounters: the kernel keeps its own counts
-// outside the registry CounterHandle serves, so a handle to one of them
-// would count nothing the kernel reports; asking for one panics.
-func TestCounterHandleRefusesKernelCounters(t *testing.T) {
-	k := NewKernel(1)
-	for _, name := range []string{"steps", "msg.dropped", "link.duped", "msg.sent:dx"} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("CounterHandle(%q) did not panic", name)
-				}
-			}()
-			k.CounterHandle(name)
-		}()
-	}
-	k.CounterHandle("transport.sent").Add(2)
-	if got := k.Counter("transport.sent"); got != 2 {
-		t.Fatalf("transport.sent = %d through its handle, want 2", got)
 	}
 }
 

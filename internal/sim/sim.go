@@ -60,9 +60,6 @@ type Tracer = rt.Tracer
 // Handler processes one delivered message as part of an atomic step.
 type Handler = rt.Handler
 
-// SendHook intercepts protocol-level sends (see Kernel.SetSendHook).
-type SendHook = rt.SendHook
-
 // Action is one guarded command of a process's action system.
 type Action struct {
 	Name  string
@@ -71,8 +68,5 @@ type Action struct {
 }
 
 // The Kernel is the simulation-side implementation of the protocol-facing
-// runtime interfaces.
-var (
-	_ rt.Runtime          = (*Kernel)(nil)
-	_ rt.TransportRuntime = (*Kernel)(nil)
-)
+// runtime interface.
+var _ rt.Runtime = (*Kernel)(nil)

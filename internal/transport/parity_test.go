@@ -12,17 +12,18 @@ import (
 	"repro/internal/transport"
 )
 
-// counted is what the parity test needs of a runtime: the transport's
-// wiring surface plus the by-name read side.
+// counted is what the parity test needs of a runtime: the runtime itself
+// plus the by-name read side.
 type counted interface {
-	rt.TransportRuntime
+	rt.Runtime
 	Counter(name string) int64
 }
 
 // TestCounterParity wires the same system — the reliable transport over a
 // medium that eats 30% of the messages, a ping-pong between two processes
 // driven by one guarded action, then a crash of the ponger — on both
-// runtimes, and requires both to have counted it under the same names.
+// runtimes, and requires both to have counted it under the same names: the
+// runtime's own, and the transport's, read from each side's transport.
 // Names only one runtime keeps are listed here and nowhere else: the
 // simulator splits out msg.dropped's crash share and counts sends per port
 // prefix; the live runtime counts yields.
@@ -30,6 +31,8 @@ func TestCounterParity(t *testing.T) {
 	shared := []string{
 		"steps", "msg.sent", "msg.delivered", "msg.dropped",
 		"msg.dropped.link", "link.dropped",
+	}
+	transported := []string{
 		"transport.sent", "transport.delivered", "transport.acks",
 		"transport.retransmit", "transport.dup",
 	}
@@ -38,28 +41,29 @@ func TestCounterParity(t *testing.T) {
 	plan := sim.LinkPlan{Name: "lossy", Drop: 0.3}
 	const rounds = 40
 
-	// wire installs the system on r and returns the pong count.
-	wire := func(r counted) *atomic.Int64 {
-		transport.Enable(r, "rt", transport.Config{})
+	// wire installs the system on r over the transport and returns the
+	// transport and the pong count.
+	wire := func(r counted) (*transport.Reliable, *atomic.Int64) {
+		tr := transport.Enable(r, "rt", transport.Config{})
 		var pongs atomic.Int64
 		serve := true // process 0's state: its turn to ping
-		r.AddAction(0, "ping", func() bool { return serve }, func() {
+		tr.AddAction(0, "ping", func() bool { return serve }, func() {
 			serve = false
-			r.Send(0, 1, "pp", nil)
+			tr.Send(0, 1, "pp", nil)
 		})
-		r.Handle(1, "pp", func(rt.Message) { r.Send(1, 0, "pp", nil) })
-		r.Handle(0, "pp", func(rt.Message) {
+		tr.Handle(1, "pp", func(rt.Message) { tr.Send(1, 0, "pp", nil) })
+		tr.Handle(0, "pp", func(rt.Message) {
 			pongs.Add(1)
 			serve = true
 		})
-		return &pongs
+		return tr, &pongs
 	}
 
 	k := sim.NewKernel(2, sim.WithSeed(3))
 	if err := plan.Apply(k); err != nil {
 		t.Fatal(err)
 	}
-	simPongs := wire(k)
+	simTr, simPongs := wire(k)
 	k.RunUntil(1_000_000, func() bool { return simPongs.Load() >= rounds })
 	k.CrashAt(1, k.Now()+1)
 	k.Run(k.Now() + 2_000) // process 0 keeps pinging a dead peer
@@ -68,7 +72,7 @@ func TestCounterParity(t *testing.T) {
 	if err := r.SetLinks(plan); err != nil {
 		t.Fatal(err)
 	}
-	livePongs := wire(r)
+	liveTr, livePongs := wire(r)
 	r.Start()
 	defer r.Stop()
 	deadline := time.Now().Add(20 * time.Second)
@@ -90,6 +94,11 @@ func TestCounterParity(t *testing.T) {
 
 	for _, name := range shared {
 		if s, l := k.Counter(name), r.Counter(name); s == 0 || l == 0 {
+			t.Errorf("%s: sim=%d live=%d, want both non-zero", name, s, l)
+		}
+	}
+	for _, name := range transported {
+		if s, l := simTr.Counter(name), liveTr.Counter(name); s == 0 || l == 0 {
 			t.Errorf("%s: sim=%d live=%d, want both non-zero", name, s, l)
 		}
 	}

@@ -5,27 +5,30 @@
 //
 // Mechanism — the classic simulation of reliable channels over fair-lossy
 // links (cf. Aspnes's lecture notes; the retransmit-until-ack "stubborn
-// link" plus sequence-number deduplication): Enable installs a rt.SendHook,
-// so every protocol-level Send is intercepted and wrapped into a sequenced
-// envelope on the transport's own wire port. Per ordered process pair the
-// sender keeps the unacknowledged window and retransmits it with exponential
-// backoff (capped), the receiver suppresses duplicates with a cumulative
-// watermark plus a sparse out-of-order set, acks cumulatively, and hands
-// each fresh payload to the handler the protocol registered for its original
-// port (rt.Kernel.Dispatch). Because fair-lossy links deliver a message
-// sent infinitely often infinitely often, and retransmission stops only on
-// acknowledgement, every wrapped message reaches a correct destination
-// exactly once — the channel contract internal/detector, internal/core and
-// the dining boxes were written against. The transport is quiescent: once
-// everything outstanding is acked, no further wire traffic is generated for
-// it.
+// link" plus sequence-number deduplication): Enable wraps a runtime in a
+// *Reliable, itself an rt.Runtime, and protocol modules are wired on the
+// wrapper. Its Send wraps every message into a sequenced envelope on the
+// transport's own wire port of the runtime underneath; its Handle keeps the
+// protocol's handlers in the transport's own table. Per ordered process pair
+// the sender keeps the unacknowledged window and retransmits it with
+// exponential backoff (capped), the receiver suppresses duplicates with a
+// cumulative watermark plus a sparse out-of-order set, acks cumulatively,
+// and hands each fresh payload to the handler registered for its original
+// port, inside the envelope's own delivery step. Because fair-lossy links
+// deliver a message sent infinitely often infinitely often, and
+// retransmission stops only on acknowledgement, every wrapped message
+// reaches a correct destination exactly once — the channel contract
+// internal/detector, internal/core and the dining boxes were written
+// against. The transport is quiescent: once everything outstanding is
+// acked, no further wire traffic is generated for it.
 //
-// All timing comes from kernel timers and all randomness from the kernel's
-// seeded source (the transport itself uses none), so runs over the transport
-// are exactly as deterministic and replayable as runs without it.
+// All timing comes from the runtime's timers and all randomness from its
+// seeded source (the transport itself uses none), so runs over the
+// transport are exactly as deterministic and replayable as runs without it.
 package transport
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -98,72 +101,91 @@ type receiver struct {
 	above map[int64]bool // delivered seqs beyond the watermark
 }
 
-// Reliable is the transport instance attached to one runtime.
+// Reliable is the transport attached to one runtime, and the rt.Runtime the
+// protocol modules above it are wired on: it embeds the runtime underneath
+// and overrides Send and Handle; everything else is the runtime's own.
 //
 // Concurrency: on the live runtime, sends, retransmission timers and acks
 // for a pair (p → q) all execute as steps of p, and data receipt as steps of
 // q, so each sender/receiver struct is touched by exactly one process's
 // goroutine — the per-pair state needs no locking on either runtime. Only
-// the two top-level maps are shared across processes; mu guards them.
+// the two top-level maps are shared across processes; mu guards them. The
+// handler table is written while wiring, before the runtime starts, and
+// only read after.
 type Reliable struct {
-	k    rt.TransportRuntime
-	name string
-	cfg  Config
-	mu   sync.Mutex
-	out  map[[2]rt.ProcID]*sender
-	in   map[[2]rt.ProcID]*receiver
+	rt.Runtime // the unreliable underlay the envelopes travel on
+	name       string
+	cfg        Config
+	handlers   []map[string]rt.Handler // by process: protocol port -> handler
+	mu         sync.Mutex
+	out        map[[2]rt.ProcID]*sender
+	in         map[[2]rt.ProcID]*receiver
 
-	// Counters in the runtime's table, resolved once by Enable.
-	sent, retransmit, delivered, dup, acks *metrics.Counter
+	sent, retransmit, delivered, dup, acks metrics.Counter
 }
 
 // Enable attaches a reliable transport named name to k: it registers the
-// wire ports name+"/data" and name+"/ack" at every process and installs the
-// send hook. From this call on, every k.Send made by protocol code travels
-// through the transport; the kernel's RawSend remains the unreliable
-// underlay. Counters (all via k.Counter): "transport.sent" (protocol
-// messages accepted), "transport.retransmit" (wire re-sends),
-// "transport.delivered" (exactly-once handoffs), "transport.dup" (duplicate
-// envelopes suppressed), "transport.acks" (acks sent).
-func Enable(k rt.TransportRuntime, name string, cfg Config) *Reliable {
+// wire ports name+"/data" and name+"/ack" at every process of k and returns
+// the runtime protocol modules must be wired on. Every Send made through the
+// returned runtime travels through the transport; k's own Send remains the
+// unreliable underlay. Counters (read with Reliable.Counter):
+// "transport.sent" (protocol messages accepted), "transport.retransmit"
+// (wire re-sends), "transport.delivered" (exactly-once handoffs),
+// "transport.dup" (duplicate envelopes suppressed), "transport.acks" (acks
+// sent).
+func Enable(k rt.Runtime, name string, cfg Config) *Reliable {
 	cfg.defaults()
 	t := &Reliable{
-		k: k, name: name, cfg: cfg,
-		out: make(map[[2]rt.ProcID]*sender),
-		in:  make(map[[2]rt.ProcID]*receiver),
-
-		sent:       k.CounterHandle("transport.sent"),
-		retransmit: k.CounterHandle("transport.retransmit"),
-		delivered:  k.CounterHandle("transport.delivered"),
-		dup:        k.CounterHandle("transport.dup"),
-		acks:       k.CounterHandle("transport.acks"),
+		Runtime: k, name: name, cfg: cfg,
+		handlers: make([]map[string]rt.Handler, k.N()),
+		out:      make(map[[2]rt.ProcID]*sender),
+		in:       make(map[[2]rt.ProcID]*receiver),
 	}
 	data, ack := name+"/data", name+"/ack"
 	for i := 0; i < k.N(); i++ {
 		p := rt.ProcID(i)
+		t.handlers[p] = make(map[string]rt.Handler)
 		k.Handle(p, data, func(m rt.Message) { t.onData(p, m) })
 		k.Handle(p, ack, func(m rt.Message) { t.onAck(p, m) })
 	}
-	k.SetSendHook(func(m rt.Message) bool {
-		t.send(m)
-		return true
-	})
 	return t
 }
 
 // Name returns the transport's port namespace.
 func (t *Reliable) Name() string { return t.name }
 
-// send accepts one protocol message, assigns it a sequence number, ships the
-// first copy, and arms retransmission.
-func (t *Reliable) send(m rt.Message) {
-	key := [2]rt.ProcID{m.From, m.To}
+// Counter returns one of the transport's counts by name; any other name
+// reads 0.
+func (t *Reliable) Counter(name string) int64 {
+	return map[string]*metrics.Counter{
+		"transport.sent":       &t.sent,
+		"transport.retransmit": &t.retransmit,
+		"transport.delivered":  &t.delivered,
+		"transport.dup":        &t.dup,
+		"transport.acks":       &t.acks,
+	}[name].Value()
+}
+
+// Handle implements rt.Runtime: h receives the messages sent to port at p
+// through the transport. Registering twice for the same port is a
+// programming error.
+func (t *Reliable) Handle(p rt.ProcID, port string, h rt.Handler) {
+	if _, dup := t.handlers[p][port]; dup {
+		panic(fmt.Sprintf("transport: duplicate handler for port %q at process %d", port, p))
+	}
+	t.handlers[p][port] = h
+}
+
+// Send implements rt.Runtime: accept one protocol message, assign it a
+// sequence number, ship the first copy, and arm retransmission.
+func (t *Reliable) Send(from, to rt.ProcID, port string, payload any) {
+	key := [2]rt.ProcID{from, to}
 	s := t.sender(key)
 	s.next++
-	env := dataMsg{Seq: s.next, Port: m.Port, Payload: m.Payload}
-	s.unacked[env.Seq] = &flight{env: env, at: t.k.Now()}
+	env := dataMsg{Seq: s.next, Port: port, Payload: payload}
+	s.unacked[env.Seq] = &flight{env: env, at: t.Now()}
 	t.sent.Inc()
-	t.k.RawSend(m.From, m.To, t.name+"/data", env)
+	t.Runtime.Send(from, to, t.name+"/data", env)
 	t.arm(key, s)
 }
 
@@ -174,7 +196,7 @@ func (t *Reliable) arm(key [2]rt.ProcID, s *sender) {
 		return
 	}
 	s.armed = true
-	t.k.After(key[0], s.rto, func() { t.fire(key, s) })
+	t.After(key[0], s.rto, func() { t.fire(key, s) })
 }
 
 // fire is the retransmission timeout: re-send the oldest window of unacked
@@ -191,7 +213,7 @@ func (t *Reliable) fire(key [2]rt.ProcID, s *sender) {
 	// event schedule. Only envelopes whose last transmission is at least one
 	// RTO old are eligible — a message sent the very tick the timer fires
 	// has had no chance to be acked yet.
-	now := t.k.Now()
+	now := t.Now()
 	seqs := make([]int64, 0, len(s.unacked))
 	for seq, f := range s.unacked {
 		if now-f.at >= s.rto {
@@ -206,7 +228,7 @@ func (t *Reliable) fire(key [2]rt.ProcID, s *sender) {
 		f := s.unacked[seq]
 		f.at = now
 		t.retransmit.Inc()
-		t.k.RawSend(key[0], key[1], t.name+"/data", f.env)
+		t.Runtime.Send(key[0], key[1], t.name+"/data", f.env)
 	}
 	if len(seqs) > 0 {
 		if s.rto *= 2; s.rto > t.cfg.RTOMax {
@@ -218,7 +240,7 @@ func (t *Reliable) fire(key [2]rt.ProcID, s *sender) {
 
 // onData handles one wire envelope at the destination: ack it, suppress it
 // if already seen, otherwise advance the watermark and hand the payload to
-// the protocol handler registered for its original port.
+// the protocol handler registered for its original port, in this same step.
 func (t *Reliable) onData(p rt.ProcID, m rt.Message) {
 	env := m.Payload.(dataMsg)
 	key := [2]rt.ProcID{m.From, p}
@@ -235,11 +257,16 @@ func (t *Reliable) onData(p rt.ProcID, m rt.Message) {
 	}
 	// Always ack, even duplicates: the first ack may have been lost.
 	t.acks.Inc()
-	t.k.RawSend(p, m.From, t.name+"/ack", ackMsg{Cum: r.cum, Seq: env.Seq})
-	if fresh {
-		t.delivered.Inc()
-		t.k.Dispatch(rt.Message{From: m.From, To: p, Port: env.Port, Payload: env.Payload})
+	t.Runtime.Send(p, m.From, t.name+"/ack", ackMsg{Cum: r.cum, Seq: env.Seq})
+	if !fresh {
+		return
 	}
+	h, ok := t.handlers[p][env.Port]
+	if !ok {
+		panic(fmt.Sprintf("transport: no handler for port %q at process %d", env.Port, p))
+	}
+	t.delivered.Inc()
+	h(rt.Message{From: m.From, To: p, Port: env.Port, Payload: env.Payload})
 }
 
 // onAck clears acknowledged envelopes from the sender window. Progress
