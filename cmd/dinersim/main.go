@@ -287,26 +287,9 @@ func main() {
 }
 
 func buildGraph(topology string, n int, seed int64) (*graph.Graph, error) {
-	switch topology {
-	case "ring":
-		return graph.Ring(n), nil
-	case "clique":
-		return graph.Clique(n), nil
-	case "path":
-		return graph.Path(n), nil
-	case "star":
-		return graph.Star(n), nil
-	case "pair":
-		return graph.Pair(0, 1), nil
-	case "grid":
-		r := 2
-		for r*r < n {
-			r++
-		}
-		return graph.Grid(r, (n+r-1)/r), nil
-	case "random":
+	if topology == "random" {
 		k := sim.NewKernel(1, sim.WithSeed(seed))
 		return graph.Random(n, 0.4, k.Rand()), nil
 	}
-	return nil, fmt.Errorf("unknown topology %q", topology)
+	return graph.Named(topology, n)
 }

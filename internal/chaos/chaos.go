@@ -176,8 +176,8 @@ func (s Spec) Validate() error {
 	if s.Horizon < 100 {
 		return fmt.Errorf("chaos: horizon %d too short", s.Horizon)
 	}
-	if _, err := buildGraph(s.Topology, s.N); err != nil {
-		return err
+	if _, err := graph.Named(s.Topology, s.N); err != nil {
+		return fmt.Errorf("chaos: %w", err)
 	}
 	if s.Topology == "pair" && s.N != 2 {
 		return fmt.Errorf("chaos: pair topology requires n=2, got %d", s.N)
@@ -250,26 +250,3 @@ func (s Spec) ID() string {
 
 // MarshalIndent renders the spec as the JSON stored in repro artifacts.
 func (s Spec) MarshalIndent() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }
-
-// buildGraph materializes the conflict graph for a topology name.
-func buildGraph(topology string, n int) (*graph.Graph, error) {
-	switch topology {
-	case "ring":
-		return graph.Ring(n), nil
-	case "clique":
-		return graph.Clique(n), nil
-	case "path":
-		return graph.Path(n), nil
-	case "star":
-		return graph.Star(n), nil
-	case "pair":
-		return graph.Pair(0, 1), nil
-	case "grid":
-		r := 2
-		for r*r < n {
-			r++
-		}
-		return graph.Grid(r, (n+r-1)/r), nil
-	}
-	return nil, fmt.Errorf("chaos: unknown topology %q", topology)
-}

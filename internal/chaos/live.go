@@ -9,6 +9,7 @@ import (
 	"repro/internal/detector"
 	"repro/internal/dining"
 	"repro/internal/dining/forks"
+	"repro/internal/graph"
 	"repro/internal/live"
 	"repro/internal/rt"
 	"repro/internal/trace"
@@ -78,8 +79,8 @@ func (s LiveSpec) Validate() error {
 	if sp.N < 2 {
 		return fmt.Errorf("chaos: live spec n=%d, need at least 2 diners", sp.N)
 	}
-	if _, err := buildGraph(sp.Topology, sp.N); err != nil {
-		return err
+	if _, err := graph.Named(sp.Topology, sp.N); err != nil {
+		return fmt.Errorf("chaos: %w", err)
 	}
 	if sp.Links != nil {
 		if err := sp.Links.Plan().Validate(sp.N); err != nil {
@@ -179,7 +180,7 @@ func RunLive(spec LiveSpec, interrupt <-chan struct{}) (*LiveResult, error) {
 	}
 	sp := spec.withDefaults()
 	res := &LiveResult{Spec: spec}
-	g, err := buildGraph(sp.Topology, sp.N)
+	g, err := graph.Named(sp.Topology, sp.N)
 	if err != nil {
 		return nil, err
 	}

@@ -88,7 +88,7 @@ func execute(spec Spec, log *trace.Log) *Result {
 		return res
 	}
 
-	g, _ := buildGraph(spec.Topology, spec.N)
+	g, _ := graph.Named(spec.Topology, spec.N)
 	n := g.N()
 	// Centralized boxes get a reliable coordinator process beyond the graph.
 	extra := 0

@@ -218,10 +218,10 @@ func newTable(svc *Service, idx int, globals []int, pol wal.Policy) (*Table, err
 		}
 		// The extraction is a perpetual-motion machine (witness and subject
 		// threads dine forever), so it and the fork tables its factory
-		// builds are wired through the paced view and keep a tempo; the
-		// served table above is wired on the runtime itself, so its steps
-		// run on the event that enables them and never queue behind these.
-		core.NewExtractor(t.r.Paced(), procs, forks.Factory(t.hb, forks.Config{}), extInst)
+		// builds are wired through rt.Paced and keep a tempo; the served
+		// table above is wired on the runtime itself, so its steps run on the
+		// event that enables them and wait behind at most one of these.
+		core.NewExtractor(rt.Paced(t.r), procs, forks.Factory(t.hb, forks.Config{}), extInst)
 	}
 
 	for _, p := range g.Nodes() {

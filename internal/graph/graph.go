@@ -277,6 +277,32 @@ func Grid(rows, cols int) *Graph {
 	return g
 }
 
+// Named builds the conflict graph a topology name stands for over n
+// processes: ring, clique, path, star, pair (the single edge 0-1, whatever
+// n) or grid (the squarest rows x cols grid with at least n vertices, rows
+// at least 2). n must suit the topology, as its builder requires.
+func Named(topology string, n int) (*Graph, error) {
+	switch topology {
+	case "ring":
+		return Ring(n), nil
+	case "clique":
+		return Clique(n), nil
+	case "path":
+		return Path(n), nil
+	case "star":
+		return Star(n), nil
+	case "pair":
+		return Pair(0, 1), nil
+	case "grid":
+		r := 2
+		for r*r < n {
+			r++
+		}
+		return Grid(r, (n+r-1)/r), nil
+	}
+	return nil, fmt.Errorf("unknown topology %q", topology)
+}
+
 // Random returns a connected Erdős–Rényi-style graph on 0..n-1: a random
 // spanning tree plus each remaining edge independently with probability p.
 func Random(n int, p float64, rng *rand.Rand) *Graph {

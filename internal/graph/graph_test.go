@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -133,5 +134,35 @@ func TestGridShape(t *testing.T) {
 	// Corner, edge, center degrees.
 	if g.Degree(0) != 2 || g.Degree(1) != 3 || g.Degree(4) != 4 {
 		t.Fatalf("grid degrees: %d %d %d", g.Degree(0), g.Degree(1), g.Degree(4))
+	}
+}
+
+// TestNamed: each topology name builds what its builder builds, grid picks
+// the squarest shape covering n, and an unknown name is an error.
+func TestNamed(t *testing.T) {
+	cases := []struct {
+		name string
+		n    int
+		want *Graph
+	}{
+		{"ring", 5, Ring(5)},
+		{"clique", 4, Clique(4)},
+		{"path", 4, Path(4)},
+		{"star", 6, Star(6)},
+		{"pair", 2, Pair(0, 1)},
+		{"grid", 5, Grid(3, 2)},
+		{"grid", 9, Grid(3, 3)},
+	}
+	for _, c := range cases {
+		g, err := Named(c.name, c.n)
+		if err != nil {
+			t.Fatalf("%s n=%d: %v", c.name, c.n, err)
+		}
+		if !reflect.DeepEqual(g.Edges(), c.want.Edges()) {
+			t.Errorf("%s n=%d: built edges %v, want %v", c.name, c.n, g.Edges(), c.want.Edges())
+		}
+	}
+	if _, err := Named("moebius", 4); err == nil {
+		t.Error("unknown topology accepted")
 	}
 }

@@ -82,7 +82,7 @@ func validateExtraction(t *testing.T, which string, l *trace.Log, horizon rt.Tim
 // the simulation kernel and on the in-process live runtime and validates
 // both trace streams with the same (runtime-agnostic) checkers.
 //
-// The live leg wires the extraction through the paced view. Its witness and
+// The live leg wires the extraction through rt.Paced. Its witness and
 // subject threads dine forever, so some guard is always enabled at every
 // process; registered on the runtime itself the cycles run at CPU speed, the
 // timer goroutines that carry heartbeats are starved on a 2-CPU host, and the
@@ -107,7 +107,7 @@ func TestDifferentialExtraction(t *testing.T) {
 	liveLog := &trace.Log{}
 	tick := 500 * time.Microsecond
 	r := New(Config{N: diffProcs, Tick: tick, Tracer: liveLog})
-	buildExtraction(r.Paced(), liveHB)
+	buildExtraction(rt.Paced(r), liveHB)
 	r.Start()
 	time.Sleep(time.Duration(diffCrashAt) * tick)
 	r.Crash(diffCrash)

@@ -16,12 +16,12 @@
 // Execution model. Every process runs an event-driven loop: it sleeps
 // until a message delivery, timer or injected call arrives, runs it, and then
 // runs guarded actions for as long as some guard holds — one action per
-// iteration, chosen by rotating through the action list, the same
-// weak-fairness discipline as the simulator's step scheduler. Actions
-// registered through the Paced view instead share one step per Config.Tick:
-// the tempo a perpetual action cycle needs. All of a process's handlers,
-// timer callbacks, and action bodies execute on its own goroutine, so
-// process-local protocol state needs no locking, exactly as in the simulator.
+// iteration, chosen by the process's rt.Actions rotation, the one the
+// simulator steps its processes by. A perpetual action cycle needs a tempo
+// instead: wire it through rt.Paced, which steps it at most once per tick.
+// All of a process's handlers, timer callbacks, and action bodies execute on
+// its own goroutine, so process-local protocol state needs no locking,
+// exactly as in the simulator.
 package live
 
 import (
@@ -43,16 +43,15 @@ type Config struct {
 	N int
 	// Tick is the wall-clock duration of one rt.Time tick (default 1ms).
 	// Protocol timer constants (heartbeat intervals, retry periods) are in
-	// ticks, so Tick scales the whole system's tempo. One Tick is also the
-	// minimum spacing between consecutive steps of one process's paced
-	// actions — those registered through the Paced view; actions registered
-	// on the Runtime itself, and message and timer handling, are never
-	// paced. Pacing carries the simulator's rule that a step occupies time
-	// into real time, for the protocols that rely on it: a permanently
-	// enabled action cycle — the extraction's witness and subject threads
-	// dine forever — run unpaced spins its goroutine, starves its peers'
-	// timer deliveries, and on a small host manufactures false suspicions
-	// faster than ◇P converges.
+	// ticks, so Tick scales the whole system's tempo — including that of
+	// action cycles wired through rt.Paced, one step per tick at each
+	// process. Actions registered on the Runtime itself, and message and
+	// timer handling, are never paced. Pacing carries the simulator's rule
+	// that a step occupies time into real time, for the protocols that rely
+	// on it: a permanently enabled action cycle — the extraction's witness
+	// and subject threads dine forever — run unpaced spins its goroutine,
+	// starves its peers' timer deliveries, and on a small host manufactures
+	// false suspicions faster than ◇P converges.
 	Tick time.Duration
 	// Seed seeds the runtime's random source and the per-direction streams
 	// an installed link plan draws from (default 1). Unlike the simulator,
@@ -68,11 +67,7 @@ type Config struct {
 type process struct {
 	id       rt.ProcID
 	handlers map[string]rt.Handler
-	// Two action classes, scanned separately so the prompt class never
-	// walks the (much longer) paced list: prompt actions run as soon as
-	// their guard holds, paced ones share one step per tick.
-	prompt actionSet
-	paced  actionSet
+	actions  rt.Actions // touched only by the loop goroutine after Start
 
 	mu      sync.Mutex
 	queue   []func() // pending jobs: deliveries, timers, injected calls
@@ -86,22 +81,6 @@ type process struct {
 	// loopDone is closed when the current incarnation's loop goroutine
 	// returns; Restart waits on it so two loops never share one mailbox.
 	loopDone chan struct{}
-
-	nextStep time.Time // earliest wall time for the next paced step
-}
-
-type action struct {
-	name  string
-	guard func() bool
-	body  func()
-}
-
-// actionSet is one class of a process's guarded actions with its own
-// rotation cursor; only the owning process's goroutine touches it after
-// Start.
-type actionSet struct {
-	actions []action
-	rot     int // rotation cursor for weakly fair action selection
 }
 
 // stepBudget bounds how many consecutive loop iterations a process runs
@@ -266,29 +245,12 @@ func (r *Runtime) Rand() *rand.Rand { return r.rng }
 // with Crash. (A live runtime has no other crash ground truth.)
 func (r *Runtime) Crashed(p rt.ProcID) bool { return r.procs[p].crashed.Load() }
 
-// AddAction implements rt.Runtime: the action is prompt — it runs as soon as
-// a delivery, timer or Invoke leaves its guard true. Must be called before
-// Start.
+// AddAction implements rt.Runtime: the action runs as soon as a delivery,
+// timer or Invoke leaves its guard true and the rotation reaches it. Must be
+// called before Start.
 func (r *Runtime) AddAction(p rt.ProcID, name string, guard func() bool, body func()) {
-	r.addAction(&r.procs[p].prompt, name, guard, body)
-}
-
-func (r *Runtime) addAction(set *actionSet, name string, guard func() bool, body func()) {
 	r.mustWire("AddAction")
-	set.actions = append(set.actions, action{name: name, guard: guard, body: body})
-}
-
-// Paced returns a view of r for wiring protocols whose action cycles never
-// disable themselves: everything is r's own, except that actions registered
-// through the view are paced — at each process they share one step per
-// Config.Tick, under their own weakly fair rotation. Prompt actions and
-// jobs of the same process are not delayed by them.
-func (r *Runtime) Paced() rt.Runtime { return pacedView{r} }
-
-type pacedView struct{ *Runtime }
-
-func (v pacedView) AddAction(p rt.ProcID, name string, guard func() bool, body func()) {
-	v.addAction(&v.procs[p].paced, name, guard, body)
+	r.procs[p].actions.Add(rt.Action{Name: name, Guard: guard, Body: body})
 }
 
 // Handle implements rt.Runtime. Must be called before Start.
@@ -488,7 +450,7 @@ func (r *Runtime) Restart(p rt.ProcID, reboot func()) bool {
 	pr.mu.Lock()
 	pr.queue = nil
 	pr.mu.Unlock()
-	pr.prompt.rot, pr.paced.rot, pr.nextStep = 0, 0, time.Time{}
+	pr.actions.Rewind()
 	r.lifeMu.Lock()
 	defer r.lifeMu.Unlock()
 	if r.stopped.Load() {
@@ -530,10 +492,10 @@ func (r *Runtime) Emit(rec rt.Record) {
 func (r *Runtime) CounterHandle(name string) *metrics.Counter { return r.reg.Counter(name, "") }
 
 // Counter returns a named counter's current value; a name nothing counts
-// under reads 0. The runtime itself maintains "steps" (action steps of both
-// classes), "msg.sent", "msg.delivered", "msg.dropped", "yields" (step
-// budgets exhausted) and, under an installed link plan, the kernel's
-// "link.dropped" (= "msg.dropped.link") and "link.duped".
+// under reads 0. The runtime itself maintains "steps" (action steps),
+// "msg.sent", "msg.delivered", "msg.dropped", "yields" (step budgets
+// exhausted) and, under an installed link plan, the kernel's "link.dropped"
+// (= "msg.dropped.link") and "link.duped".
 func (r *Runtime) Counter(name string) int64 { return r.CounterHandle(name).Value() }
 
 // enqueue appends one job to pr's mailbox and nudges its loop. The mailbox
@@ -567,23 +529,16 @@ func (pr *process) dequeue() func() {
 }
 
 // loop is the per-process scheduler. Each iteration runs at most one mailbox
-// job, one prompt action and — when the step clock allows — one paced action,
-// so no class can starve another: a message flood cannot hold off the action
-// system, a permanently enabled prompt action cannot hold off jobs or a due
-// paced step, and the rotation cursors give weak fairness within each class.
-// With nothing to run the loop blocks until a job arrives or, if a paced
-// action is enabled but not yet due, until the step clock reaches it.
+// job and one action step, so neither starves the other: a message flood
+// cannot hold off the action system, a permanently enabled action cannot
+// hold off jobs, and the rotation gives weak fairness among the actions.
+// With nothing to run the loop blocks until a job arrives.
 //
-// Only paced steps are rationed by time (one per tick). Everything else
-// is bounded by stepBudget: after that many busy iterations in a row the
-// loop yields the processor and carries on — no sleep, so a prompt action
-// never waits out a tick it does not need.
+// Nothing here is rationed by time (rt.Paced rations a cycle through its own
+// one-tick timers). Busy iterations are bounded by stepBudget: after that
+// many in a row the loop yields the processor and carries on — no sleep, so
+// an action never waits out a tick it does not need.
 func (r *Runtime) loop(pr *process) {
-	pacer := time.NewTimer(time.Hour)
-	if !pacer.Stop() {
-		<-pacer.C
-	}
-	defer pacer.Stop()
 	budget := stepBudget
 	for {
 		if r.stopped.Load() || pr.crashed.Load() {
@@ -597,14 +552,9 @@ func (r *Runtime) loop(pr *process) {
 				return
 			}
 		}
-		if r.step(&pr.prompt) {
+		if pr.actions.Step() {
+			r.steps.Inc()
 			ran = true
-		}
-		now := time.Now()
-		due := !now.Before(pr.nextStep)
-		if due && r.step(&pr.paced) {
-			ran = true
-			pr.nextStep = now.Add(r.tick)
 		}
 		if ran {
 			if budget--; budget == 0 {
@@ -615,50 +565,10 @@ func (r *Runtime) loop(pr *process) {
 			continue
 		}
 		budget = stepBudget
-		var paceC <-chan time.Time // nil: only a job can create work
-		if !due && pr.paced.anyEnabled() {
-			pacer.Reset(pr.nextStep.Sub(now))
-			paceC = pacer.C
-		}
 		select {
 		case <-pr.notify:
-			if paceC != nil && !pacer.Stop() {
-				select {
-				case <-pacer.C:
-				default:
-				}
-			}
-		case <-paceC:
 		case <-r.stop:
 			return
 		}
 	}
-}
-
-// anyEnabled reports whether some guard of the set currently holds. Guards
-// are pure, so speculative evaluation is safe.
-func (s *actionSet) anyEnabled() bool {
-	for _, a := range s.actions {
-		if a.guard() {
-			return true
-		}
-	}
-	return false
-}
-
-// step executes at most one enabled action of the set, chosen by rotating
-// through its action list — the same weak-fairness rule as the simulator.
-func (r *Runtime) step(s *actionSet) bool {
-	n := len(s.actions)
-	for i := 0; i < n; i++ {
-		idx := (s.rot + i) % n
-		a := s.actions[idx]
-		if a.guard() {
-			s.rot = idx + 1
-			r.steps.Inc()
-			a.body()
-			return true
-		}
-	}
-	return false
 }

@@ -5,12 +5,16 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/rt"
 )
 
-// The scheduler contract of the event-driven loop, pinned without leaning on
-// host speed: every assertion is either a count the loop's iteration order
-// fixes, an upper bound that pacing guarantees on any host, or "eventually"
-// with a timeout only a starved (hung) class can reach.
+// The scheduler contract of the event-driven loop, with cycles paced through
+// rt.Paced, pinned without leaning on host speed: every assertion is either a
+// count the loop's iteration order fixes, an upper bound that pacing
+// guarantees on any host, or "eventually" with a timeout only a starved
+// (hung) class can reach. Each test wires its paced actions through one view:
+// a second view would be a second tempo.
 
 const schedTimeout = 5 * time.Second
 
@@ -39,16 +43,19 @@ func eventually(t *testing.T, what string, cond func() bool) {
 }
 
 // TestPromptActionSkipsThePacedRotation: eight permanently enabled paced
-// actions own the step clock, and a prompt action enabled by an Invoke still
-// runs in the very iteration that ran the Invoke — no paced step in between,
-// and so well inside one paced slot (a Tick). Under the single shared
-// rotation it waited out up to eight slots.
+// actions stand behind one gate in the process's rotation, and a prompt
+// action enabled by an Invoke still runs in the very iteration that ran the
+// Invoke — no paced step in between (the gate stays shut for the rest of its
+// tick), and so well inside one paced slot (a Tick). In a rotation shared
+// with the eight paced actions themselves it would wait out up to eight
+// slots.
 func TestPromptActionSkipsThePacedRotation(t *testing.T) {
 	const tick = 50 * time.Millisecond
 	r := New(Config{N: 1, Tick: tick})
 	var pacedSteps atomic.Int64
+	paced := rt.Paced(r)
 	for i := 0; i < 8; i++ {
-		r.Paced().AddAction(0, "spin", always, func() { pacedSteps.Add(1) })
+		paced.AddAction(0, "spin", always, func() { pacedSteps.Add(1) })
 	}
 	type stamp struct {
 		at    time.Time
@@ -88,8 +95,9 @@ func TestPacedStepsRespectTheStepClock(t *testing.T) {
 	const tick = 5 * time.Millisecond
 	r := New(Config{N: 1, Tick: tick})
 	var pacedSteps atomic.Int64
+	paced := rt.Paced(r)
 	for i := 0; i < 8; i++ {
-		r.Paced().AddAction(0, "spin", always, func() { pacedSteps.Add(1) })
+		paced.AddAction(0, "spin", always, func() { pacedSteps.Add(1) })
 	}
 	// A prompt action that never disables keeps the loop iterating at full
 	// speed: the step clock, not idleness, must be what rations the class.
@@ -124,7 +132,7 @@ func TestNoClassStarvesAnother(t *testing.T) {
 			r.AddAction(0, "spin", always, func() { prompt[i].Add(1) })
 		}
 		var pacedSteps atomic.Int64
-		r.Paced().AddAction(0, "paced", always, func() { pacedSteps.Add(1) })
+		rt.Paced(r).AddAction(0, "paced", always, func() { pacedSteps.Add(1) })
 		r.Start()
 		defer r.Stop()
 
@@ -146,7 +154,7 @@ func TestNoClassStarvesAnother(t *testing.T) {
 	t.Run("job flood and paced cycle", func(t *testing.T) {
 		r := New(Config{N: 1, Tick: time.Millisecond})
 		var pacedSteps atomic.Int64
-		r.Paced().AddAction(0, "paced", always, func() { pacedSteps.Add(1) })
+		rt.Paced(r).AddAction(0, "paced", always, func() { pacedSteps.Add(1) })
 		armed := false
 		ran := make(chan struct{}, 1)
 		r.AddAction(0, "probe", func() bool { return armed }, func() { armed = false; ran <- struct{}{} })
@@ -165,22 +173,13 @@ func TestNoClassStarvesAnother(t *testing.T) {
 	})
 }
 
-// TestRestartResetsTheScheduler: a new incarnation starts both rotations at
-// the first action and owes the step clock nothing. A Tick is an hour (no
-// timer is armed), so the second incarnation's paced step can only happen if
-// Restart zeroed the clock, and each class reports action 0 again only if its
-// cursor was reset.
+// TestRestartResetsTheScheduler: a new incarnation starts the rotation at
+// the first action. Each incarnation may take one step, so the second reports
+// action 0 again only if Restart rewound the cursor.
 func TestRestartResetsTheScheduler(t *testing.T) {
 	r := New(Config{N: 1, Tick: time.Hour})
 	var mu sync.Mutex
 	var order []string
-	record := func(s string) func() {
-		return func() {
-			mu.Lock()
-			order = append(order, s)
-			mu.Unlock()
-		}
-	}
 	seen := func(n int) func() bool {
 		return func() bool {
 			mu.Lock()
@@ -188,33 +187,31 @@ func TestRestartResetsTheScheduler(t *testing.T) {
 			return len(order) >= n
 		}
 	}
-	for _, name := range []string{"paced0", "paced1"} {
-		r.Paced().AddAction(0, name, always, record(name))
-	}
-	tokens := 0 // process 0's own state: prompt steps still allowed
-	for _, name := range []string{"prompt0", "prompt1"} {
-		rec := record(name)
-		r.AddAction(0, name, func() bool { return tokens > 0 }, func() { tokens--; rec() })
+	tokens := 0 // process 0's own state: steps still allowed
+	for _, name := range []string{"action0", "action1"} {
+		name := name
+		r.AddAction(0, name, func() bool { return tokens > 0 }, func() {
+			tokens--
+			mu.Lock()
+			order = append(order, name)
+			mu.Unlock()
+		})
 	}
 	r.Start()
 	defer r.Stop()
 
-	// First incarnation: one paced step (the clock then closes for an hour)
-	// and one prompt step; both cursors now point at action 1.
+	// First incarnation: one step, after which the cursor points at action 1.
 	r.Invoke(0, func() { tokens = 1 })
-	eventually(t, "the first incarnation's two steps", seen(2))
+	eventually(t, "the first incarnation's step", seen(1))
 	r.Crash(0)
 	if !r.Restart(0, func() { tokens = 1 }) {
 		t.Fatal("Restart refused")
 	}
-	eventually(t, "the second incarnation's two steps", seen(4))
+	eventually(t, "the second incarnation's step", seen(2))
 
 	mu.Lock()
 	defer mu.Unlock()
-	for _, half := range [][]string{order[:2], order[2:4]} {
-		got := map[string]bool{half[0]: true, half[1]: true}
-		if !got["paced0"] || !got["prompt0"] {
-			t.Fatalf("step order %v: every incarnation must start with paced0 and prompt0", order)
-		}
+	if order[0] != "action0" || order[1] != "action0" {
+		t.Fatalf("step order %v: every incarnation must start with action0", order)
 	}
 }

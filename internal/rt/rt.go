@@ -1,7 +1,9 @@
 // Package rt defines the execution-model vocabulary shared by every protocol
 // module in this repository — processes, virtual time, messages, trace
 // records, guarded actions — and the Runtime interface that abstracts over
-// how protocol code is executed.
+// how protocol code is executed. It also holds the one scheduling rule both
+// runtimes share: Actions, the weakly fair rotation each steps a process's
+// guarded actions by.
 //
 // Two runtimes implement the interface:
 //
@@ -20,7 +22,9 @@
 //
 // A runtime may also sit on another: internal/transport.Reliable embeds
 // either runtime and overrides only Send and Handle, rebuilding reliable
-// channels over its lossy links for the modules wired on it.
+// channels over its lossy links for the modules wired on it; Paced embeds
+// either and overrides only AddAction, giving the action cycles wired on it
+// a tempo of one step per tick.
 //
 // Protocol packages (internal/detector, internal/dining and its tables,
 // internal/core) are written against Runtime only; they cannot tell which

@@ -56,24 +56,6 @@ func (g GSTDelay) Delay(rng *rand.Rand, _, _ ProcID, now Time) Time {
 	return uniform(rng, 1, g.PreMax/4+1)
 }
 
-// SkewDelay slows every message into (or out of) one victim process,
-// modeling a process whose links are adversarially slow. Other traffic uses
-// the Base policy.
-type SkewDelay struct {
-	Base   DelayPolicy
-	Victim ProcID
-	Factor Time // multiplier applied to the victim's delays
-}
-
-// Delay implements DelayPolicy.
-func (s SkewDelay) Delay(rng *rand.Rand, from, to ProcID, now Time) Time {
-	d := s.Base.Delay(rng, from, to, now)
-	if from == s.Victim || to == s.Victim {
-		d *= max(1, s.Factor)
-	}
-	return d
-}
-
 func uniform(rng *rand.Rand, lo, hi Time) Time {
 	lo = max(1, lo)
 	hi = max(lo, hi)

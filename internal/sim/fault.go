@@ -90,23 +90,6 @@ func (fp FaultPlan) String() string {
 // NoFaults is the empty plan.
 func NoFaults() FaultPlan { return FaultPlan{Name: "none"} }
 
-// SingleCrash crashes exactly p at t.
-func SingleCrash(p ProcID, t Time) FaultPlan {
-	return FaultPlan{Name: "single", Crashes: []Crash{{P: p, At: t}}}
-}
-
-// StaggeredCrashes crashes the given processes one by one, the first at
-// start and each subsequent one gap ticks later.
-func StaggeredCrashes(ps []ProcID, start, gap Time) FaultPlan {
-	fp := FaultPlan{Name: "staggered"}
-	at := start
-	for _, p := range ps {
-		fp.Crashes = append(fp.Crashes, Crash{P: p, At: at})
-		at += gap
-	}
-	return fp
-}
-
 // MinorityCrashes crashes a random strict minority of 0..n-1 (at least one
 // process if n > 2) at random times in [lo, hi]. Deterministic given rng.
 func MinorityCrashes(n int, lo, hi Time, rng *rand.Rand) FaultPlan {

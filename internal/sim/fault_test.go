@@ -10,14 +10,6 @@ func TestFaultPlanShapes(t *testing.T) {
 	if n := len(NoFaults().Crashes); n != 0 {
 		t.Fatalf("NoFaults has %d crashes", n)
 	}
-	sp := SingleCrash(3, 100)
-	if len(sp.Crashes) != 1 || sp.Crashes[0].P != 3 || sp.Crashes[0].At != 100 {
-		t.Fatalf("SingleCrash: %v", sp)
-	}
-	st := StaggeredCrashes([]ProcID{1, 4}, 100, 50)
-	if st.Crashes[0].At != 100 || st.Crashes[1].At != 150 {
-		t.Fatalf("Staggered: %v", st)
-	}
 	ab := AllButOne(4, 2, 100, 10)
 	if len(ab.Crashes) != 3 {
 		t.Fatalf("AllButOne: %v", ab)
@@ -59,7 +51,8 @@ func TestMinorityCrashesProperty(t *testing.T) {
 
 func TestFaultPlanApply(t *testing.T) {
 	k := NewKernel(3)
-	if err := StaggeredCrashes([]ProcID{0, 2}, 50, 100).Apply(k); err != nil {
+	fp := FaultPlan{Name: "two", Crashes: []Crash{{P: 0, At: 50}, {P: 2, At: 150}}}
+	if err := fp.Apply(k); err != nil {
 		t.Fatal(err)
 	}
 	k.Run(1000)
@@ -120,7 +113,7 @@ func TestFaultPlanString(t *testing.T) {
 	if s := NoFaults().String(); s != "none{}" {
 		t.Fatalf("got %q", s)
 	}
-	if s := SingleCrash(1, 20).String(); s != "single{1@20}" {
+	if s := (FaultPlan{Name: "single", Crashes: []Crash{{P: 1, At: 20}}}).String(); s != "single{1@20}" {
 		t.Fatalf("got %q", s)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+
+	"repro/internal/rt"
 )
 
 // proc is the kernel-side bookkeeping for one process.
@@ -11,8 +13,7 @@ type proc struct {
 	id          ProcID
 	crashed     bool
 	crashedAt   Time
-	actions     []Action
-	rot         int // rotation cursor for weakly fair action selection
+	actions     rt.Actions
 	stepPending bool
 	handlers    []Handler // by port index (Kernel.portIDs); nil = none registered
 }
@@ -124,7 +125,7 @@ func (k *Kernel) Live(p ProcID) bool { return !k.procs[p].crashed }
 // side-effect-free predicates over p's local state; bodies are atomic steps.
 func (k *Kernel) AddAction(p ProcID, name string, guard func() bool, body func()) {
 	pr := k.procs[p]
-	pr.actions = append(pr.actions, Action{Name: name, Guard: guard, Body: body})
+	pr.actions.Add(Action{Name: name, Guard: guard, Body: body})
 	k.wake(p)
 }
 
@@ -397,30 +398,16 @@ func (k *Kernel) wake(p ProcID) {
 	k.scheduleEvent(k.now+gap, &e)
 }
 
-// step executes at most one enabled action of pr, chosen by rotating through
-// the action list (weak fairness), then reschedules if anything ran.
+// step executes at most one enabled action of pr, chosen by the rotation
+// (weak fairness), then reschedules if anything ran. With no action enabled
+// the process goes idle until a delivery, timer, or local change wakes it.
 func (k *Kernel) step(pr *proc) {
 	pr.stepPending = false
-	if pr.crashed || len(pr.actions) == 0 {
+	if pr.crashed || !pr.actions.Step() {
 		return
 	}
-	n := len(pr.actions)
-	idx := pr.rot // in [0, n]: the slot after the last action run
-	for i := 0; i < n; i++ {
-		if idx >= n {
-			idx -= n
-		}
-		if a := &pr.actions[idx]; a.Guard() {
-			pr.rot = idx + 1
-			k.steps++
-			a.Body()
-			k.wake(pr.id)
-			return
-		}
-		idx++
-	}
-	// No action enabled: go idle until a delivery, timer, or local change
-	// wakes the process again.
+	k.steps++
+	k.wake(pr.id)
 }
 
 func portPrefix(port string) string {

@@ -39,7 +39,6 @@ func TestDeliveryIsReliable(t *testing.T) {
 		"fixed":   FixedDelay{D: 3},
 		"uniform": UniformDelay{Min: 1, Max: 50},
 		"gst":     GSTDelay{GST: 500, PreMax: 200, PostMax: 5},
-		"skew":    SkewDelay{Base: UniformDelay{Min: 1, Max: 10}, Victim: 1, Factor: 20},
 	}
 	for name, pol := range policies {
 		t.Run(name, func(t *testing.T) {

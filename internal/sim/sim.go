@@ -61,11 +61,7 @@ type Tracer = rt.Tracer
 type Handler = rt.Handler
 
 // Action is one guarded command of a process's action system.
-type Action struct {
-	Name  string
-	Guard func() bool
-	Body  func()
-}
+type Action = rt.Action
 
 // The Kernel is the simulation-side implementation of the protocol-facing
 // runtime interface.

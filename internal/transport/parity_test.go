@@ -83,6 +83,10 @@ func TestCounterParity(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	r.Crash(1)
+	// Process 0 may be waiting on a pong that died unacked with process 1,
+	// its own ping already acked: then it has nothing left to send. Give it
+	// one message that it retransmits until a copy reaches the dead peer.
+	r.Invoke(0, func() { liveTr.Send(0, 1, "pp", nil) })
 	// Wait for a retransmission to reach the dead peer: a drop beyond the
 	// link's (read second, as a link drop counts there first).
 	for r.Counter("msg.dropped") <= r.Counter("link.dropped") {
