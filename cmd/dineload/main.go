@@ -6,9 +6,11 @@
 // stream over a separate watch connection.
 //
 // Exit status is non-zero if any client saw a protocol error or a double
-// grant (each double grant also counts as an error), or if no session
-// completed at all, so the end-to-end harness (internal/e2e) asserts on it
-// instead of reading the report.
+// grant (each double grant also counts as an error), if no session
+// completed at all, or if the watch connection failed to open or the server
+// ended it before the load did (the stream carries every change or closes,
+// so a cut watcher has missed changes). The end-to-end harness
+// (internal/e2e) asserts on it instead of reading the report.
 package main
 
 import (
@@ -49,8 +51,9 @@ func main() {
 
 	var suspectEvents atomic.Int64
 	watchDone := make(chan struct{})
+	watchErr := make(chan error, 1)
 	if *watch {
-		go watchSuspects(*addr, &suspectEvents, watchDone)
+		go func() { watchErr <- watchSuspects(*addr, &suspectEvents, watchDone) }()
 	}
 
 	// Session ids must be unique per load-generator *process*, not just per
@@ -167,10 +170,15 @@ func main() {
 			}
 		}
 	}
+	failed := errs > 0 || sessions == 0 // a double grant is counted as an error too
 	if *watch {
 		fmt.Printf("dineload: suspect-stream events: %d\n", suspectEvents.Load())
+		if err := <-watchErr; err != nil {
+			fmt.Fprintf(os.Stderr, "dineload: watch: %v\n", err)
+			failed = true
+		}
 	}
-	if errs > 0 || sessions == 0 { // a double grant is counted as an error too
+	if failed {
 		os.Exit(1)
 	}
 }
@@ -219,28 +227,41 @@ func probe(addr string, timeout time.Duration) (int, int, error) {
 	return ev.Diners, tables, nil
 }
 
-// watchSuspects counts suspect-stream events until done closes.
-func watchSuspects(addr string, n *atomic.Int64, done <-chan struct{}) {
+// watchSuspects counts suspect-stream events until done closes. It returns
+// an error if the connection cannot be opened, the watch is refused, or the
+// stream ends before done closes.
+func watchSuspects(addr string, n *atomic.Int64, done <-chan struct{}) error {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
-		return
+		return err
 	}
 	defer c.Close()
 	go func() {
 		<-done
 		c.Close() // unblocks the decoder
 	}()
+	ended := func(err error) error {
+		select {
+		case <-done:
+			return nil
+		default:
+			return err
+		}
+	}
 	if err := lockproto.WriteRequest(c, &lockproto.Request{Op: lockproto.OpWatch}); err != nil {
-		return
+		return ended(err)
 	}
 	er := lockproto.NewEventReader(c)
 	for {
 		var ev lockproto.Event
 		if err := er.Read(&ev); err != nil {
-			return
+			return ended(fmt.Errorf("stream ended before the load: %w", err))
 		}
-		if ev.Ev == lockproto.EvSuspect {
+		switch ev.Ev {
+		case lockproto.EvSuspect:
 			n.Add(1)
+		case lockproto.EvError:
+			return fmt.Errorf("refused: %s", ev.Msg)
 		}
 	}
 }

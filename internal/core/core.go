@@ -157,12 +157,6 @@ func NewPairMonitor(k rt.Runtime, p, q rt.ProcID, factory dining.Factory, inst s
 // Suspect returns the current output of the monitor: does p suspect q?
 func (m *PairMonitor) Suspect() bool { return m.suspect }
 
-// Witness returns the monitoring process p.
-func (m *PairMonitor) Witness() rt.ProcID { return m.p }
-
-// Subject returns the monitored process q.
-func (m *PairMonitor) Subject() rt.ProcID { return m.q }
-
 // Tables returns the two underlying dining instances (for tests that
 // inspect the black box).
 func (m *PairMonitor) Tables() [2]dining.Table { return m.dx }

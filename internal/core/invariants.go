@@ -26,13 +26,6 @@ func (s MessageStats) AcksInFlight(i int) int64 { return s.AcksSent[i] - s.AcksR
 // Stats returns the monitor's message accounting.
 func (m *PairMonitor) Stats() MessageStats { return m.stats }
 
-// WitnessState returns witness thread i's dining state (for experiment
-// instrumentation).
-func (m *PairMonitor) WitnessState(i int) dining.State { return m.wd[i].State() }
-
-// SubjectState returns subject thread i's dining state.
-func (m *PairMonitor) SubjectState(i int) dining.State { return m.sd[i].State() }
-
 // SubjectEating reports whether some subject thread is eating — the body of
 // Lemma 8's suffix invariant (s₀ eating ∨ s₁ eating).
 func (m *PairMonitor) SubjectEating() bool {

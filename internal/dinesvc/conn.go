@@ -83,8 +83,8 @@ func (s *session) notify(ev lockproto.Event) {
 
 // jconn is one client connection's outbound half: a self-clocking flush
 // writer over the socket. Writes from the connection reader, the seats'
-// acks (diner processes, or a durable table's committer), and the watch
-// forwarder serialize on the writer's internal lock and never block on the
+// acks (diner processes, or a durable table's committer), and the suspect
+// feeds serialize on the writer's internal lock and never block on the
 // socket; an event on an idle connection is written at once, and whatever
 // arrives while that Write is in flight (grant acks interleaved with the
 // suspect stream) rides the next one instead of one Write per event.
@@ -126,7 +126,15 @@ func (s *Service) newConn(c net.Conn) *jconn {
 // socket.
 func (s *Service) handleConn(jc *jconn) {
 	c, attached := jc.c, jc.attached
+	watching := false
 	defer func() {
+		if watching {
+			for _, t := range s.tables {
+				if t.feed != nil {
+					t.feed.unsubscribe(jc)
+				}
+			}
+		}
 		s.connMu.Lock()
 		delete(s.conns, c)
 		s.connMu.Unlock()
@@ -143,8 +151,6 @@ func (s *Service) handleConn(jc *jconn) {
 			t.sessions.Detach(k, t.now())
 		}
 	}()
-	gone := make(chan struct{})
-	defer close(gone) // cancels the watch forwarders
 
 	fail := func(req lockproto.Request, msg string) {
 		jc.send(lockproto.Event{Ev: lockproto.EvError, Diner: req.Diner, ID: req.ID, Msg: msg})
@@ -155,7 +161,6 @@ func (s *Service) handleConn(jc *jconn) {
 	// &req escape, so a per-iteration variable is a heap allocation per
 	// request. Nothing keeps req past its iteration; Read wants it zeroed.
 	var req lockproto.Request
-	watching := false
 	for {
 		req = lockproto.Request{}
 		if err := rr.Read(&req); err != nil {
@@ -256,41 +261,20 @@ func (s *Service) handleConn(jc *jconn) {
 			}
 
 		case lockproto.OpWatch:
-			// One watch per connection: a repeat would add a subscription
-			// and a forwarder per table until the socket closes, and send
-			// every change once more.
+			// One watch per connection: a repeat would send every change
+			// once more.
 			if watching {
 				fail(req, "already watching")
 				continue
 			}
 			watching = true
-			// One watch subscribes to every table's feed: the snapshots
-			// arrive first (each internally consistent), then one forwarder
-			// per table streams its changes, all coalescing onto this
-			// connection's writer.
+			// One watch subscribes to every table's feed: each sends its
+			// snapshot (internally consistent), then writes its changes to
+			// this connection as they happen.
 			for _, t := range s.tables {
-				if t.feed == nil {
-					continue
+				if t.feed != nil {
+					t.feed.subscribe(jc)
 				}
-				snapshot, ch, cancel := t.feed.subscribe()
-				for _, ev := range snapshot {
-					jc.send(ev)
-				}
-				go func(ch <-chan lockproto.Event, cancel func()) {
-					defer cancel()
-					for {
-						select {
-						case ev := <-ch:
-							if !jc.send(ev) {
-								return
-							}
-						case <-gone:
-							return
-						case <-s.stop:
-							return
-						}
-					}
-				}(ch, cancel)
 			}
 
 		default:

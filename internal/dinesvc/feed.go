@@ -8,11 +8,17 @@ import (
 	"repro/internal/rt"
 )
 
-// suspectFeed is an rt.Tracer that mirrors the extraction oracle's
-// suspect/trust records into per-subscriber channels, and keeps the current
+// suspectFeed is an rt.Tracer that writes the extraction oracle's
+// suspect/trust records to every watching connection, and keeps the current
 // suspicion matrix so a new watcher starts from a consistent snapshot.
 // Record delivery is already serialized by the runtime's emit lock; the
-// feed's own mutex makes snapshot-plus-subscribe atomic against it.
+// feed's own mutex makes snapshot-plus-subscribe atomic against it, so a
+// watcher sees the snapshot and then every later change, in order.
+//
+// Sending never blocks (jconn.send queues on the connection's flush
+// writer). A send is refused only when the connection is dead or its client
+// has stopped reading; jconn.send then closes the socket, and the feed drops
+// the subscriber: a watcher gets every change or loses its connection.
 //
 // The oracle runs over one table's runtime, whose proc ids are table-local;
 // the feed translates them through globals so the watch stream speaks the
@@ -26,12 +32,10 @@ type suspectFeed struct {
 	// (nil-safe: a feed built outside a table just skips them).
 	suspects *metrics.Counter
 	trusts   *metrics.Counter
-	droppedC *metrics.Counter
 
-	mu     sync.Mutex
-	cur    map[[2]int]bool
-	subs   map[int]chan lockproto.Event
-	nextID int
+	mu   sync.Mutex
+	cur  map[[2]int]bool
+	subs map[*jconn]bool
 }
 
 func newSuspectFeed(inst string, globals []int) *suspectFeed {
@@ -39,7 +43,7 @@ func newSuspectFeed(inst string, globals []int) *suspectFeed {
 		inst:    inst,
 		globals: globals,
 		cur:     make(map[[2]int]bool),
-		subs:    make(map[int]chan lockproto.Event),
+		subs:    make(map[*jconn]bool),
 	}
 }
 
@@ -74,36 +78,31 @@ func (f *suspectFeed) Trace(r rt.Record) {
 	} else {
 		delete(f.cur, [2]int{ev.Of, ev.Peer})
 	}
-	for _, ch := range f.subs {
-		select {
-		case ch <- ev:
-		default:
-			f.droppedC.Inc()
+	for jc := range f.subs {
+		if !jc.send(ev) {
+			delete(f.subs, jc)
 		}
 	}
 }
 
-// subscribe returns the current suspicion matrix as events, a channel that
-// will carry every subsequent change, and a cancel function.
-func (f *suspectFeed) subscribe() ([]lockproto.Event, <-chan lockproto.Event, func()) {
+// subscribe sends jc the current suspicion matrix and registers it for
+// every subsequent change.
+func (f *suspectFeed) subscribe(jc *jconn) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	snapshot := make([]lockproto.Event, 0, len(f.cur))
 	for pq := range f.cur {
-		snapshot = append(snapshot, lockproto.Event{
-			Ev: lockproto.EvSuspect, Of: pq[0], Peer: pq[1], Suspect: true,
-		})
+		if !jc.send(lockproto.Event{Ev: lockproto.EvSuspect, Of: pq[0], Peer: pq[1], Suspect: true}) {
+			return
+		}
 	}
-	id := f.nextID
-	f.nextID++
-	ch := make(chan lockproto.Event, 256)
-	f.subs[id] = ch
-	cancel := func() {
-		f.mu.Lock()
-		delete(f.subs, id)
-		f.mu.Unlock()
-	}
-	return snapshot, ch, cancel
+	f.subs[jc] = true
+}
+
+// unsubscribe stops the changes to jc.
+func (f *suspectFeed) unsubscribe(jc *jconn) {
+	f.mu.Lock()
+	delete(f.subs, jc)
+	f.mu.Unlock()
 }
 
 // multiTracer fans one record stream out to several tracers.

@@ -81,9 +81,8 @@ type tableMetrics struct {
 	violations *metrics.Counter
 
 	// ◇P extraction watch stream (suspect churn: transitions per direction).
-	suspects     *metrics.Counter
-	trusts       *metrics.Counter
-	watchDropped *metrics.Counter
+	suspects *metrics.Counter
+	trusts   *metrics.Counter
 
 	// Durability (WAL + the committer's ack rounds).
 	walRecords    *metrics.Counter
@@ -123,8 +122,6 @@ func newTableMetrics(reg *metrics.Registry, name func(string) string) *tableMetr
 		"trust->suspect transitions on the extraction watch stream")
 	m.trusts = reg.Counter(name("dineserve_trust_transitions_total"),
 		"suspect->trust transitions on the extraction watch stream")
-	m.watchDropped = reg.Counter(name("dineserve_watch_dropped_total"),
-		"watch events not delivered to slow subscribers")
 
 	m.walRecords = reg.Counter(name("dineserve_wal_records_total"),
 		"journal records appended to the WAL")
@@ -162,8 +159,8 @@ func (m *tableMetrics) observeTable(t *Table) {
 
 // runtimeSeries maps the counters the table's runtime keeps
 // (live.Runtime.Counter names) to the series that expose them. They stay
-// gauges, sampled from the runtime's own handles at scrape time: the
-// benchmark reads them from Snapshot.Gauges.
+// gauges, read from the runtime at scrape time: the benchmark reads them
+// from Snapshot.Gauges.
 var runtimeSeries = []struct{ counter, series, help string }{
 	{"steps", "dineserve_rt_steps", "protocol action steps executed"},
 	{"yields", "dineserve_rt_yields_total", "step budgets exhausted: a process stayed busy for a whole budget without blocking (climbing steadily = an action cycle wired unpaced)"},
@@ -175,6 +172,6 @@ var runtimeSeries = []struct{ counter, series, help string }{
 // observeRuntime exposes the table runtime's counters.
 func (m *tableMetrics) observeRuntime(r *live.Runtime) {
 	for _, s := range runtimeSeries {
-		m.reg.GaugeFunc(m.name(s.series), s.help, r.CounterHandle(s.counter).Value)
+		m.reg.GaugeFunc(m.name(s.series), s.help, func() int64 { return r.Counter(s.counter) })
 	}
 }

@@ -179,7 +179,7 @@ func newTable(svc *Service, idx int, globals []int, pol wal.Policy) (*Table, err
 	t.g = g
 	t.ex = checker.NewExclusionMonitor(g, tableInst, t.m.violations)
 	t.feed = newSuspectFeed(extInst, globals)
-	t.feed.suspects, t.feed.trusts, t.feed.droppedC = t.m.suspects, t.m.trusts, t.m.watchDropped
+	t.feed.suspects, t.feed.trusts = t.m.suspects, t.m.trusts
 	t.r = live.New(live.Config{
 		N:      k,
 		Tick:   cfg.Tick,

@@ -18,7 +18,6 @@ package perfect
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dining"
 	"repro/internal/graph"
@@ -189,14 +188,4 @@ func (c *coordinator) grant() {
 	}
 	c.eating[r.p] = r.seq
 	c.k.Send(c.self, r.p, c.eatPort, nil)
-}
-
-// Eaters returns the coordinator's current books, sorted (for tests).
-func (t *Table) Eaters() []rt.ProcID {
-	out := make([]rt.ProcID, 0, len(t.coord.eating))
-	for p := range t.coord.eating {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -18,7 +18,7 @@
 //	  dineload -scrape runs (unasserted)                smoke/*: -scrape, and its server-side latency report
 //	                                                    is logged with a non-zero grant count
 //	  7 key series present (grep ^name)                 mid-load: one series per table of granted, held,
-//	                                                    grant_latency, rt_steps, bus_delivered,
+//	                                                    grant_latency, rt_steps, rt_msgs_delivered,
 //	                                                    suspect_transitions; wire_writes > 0
 //	  granted_total{table="i"} for i in 0..3            the same count, n == tables
 //	  "16 diners over 4 tables" announced               the same count: four labeled series is the announcement

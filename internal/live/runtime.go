@@ -120,11 +120,10 @@ type Runtime struct {
 
 	rng *rand.Rand // over a locked source: safe for concurrent draws
 
-	// reg is the runtime's one counter table: Counter reads it, and the
-	// runtime's own hot paths count through the handles below.
-	reg                                     *metrics.Registry
-	steps, sent, delivered, dropped, yields *metrics.Counter
-	linkDropped, droppedLink, linkDuped     *metrics.Counter
+	// The runtime's counts, read by name through Counter. dropped counts
+	// every lost message, linkDropped the link adversary's share of them.
+	steps, sent, delivered, dropped, yields metrics.Counter
+	linkDropped, linkDuped                  metrics.Counter
 }
 
 var _ rt.Runtime = (*Runtime)(nil)
@@ -170,18 +169,9 @@ func New(cfg Config) *Runtime {
 		tick:   cfg.Tick,
 		tracer: cfg.Tracer,
 		stop:   make(chan struct{}),
-		reg:    metrics.New(),
 		rng:    rand.New(&lockedSource{src: rand.NewSource(cfg.Seed).(rand.Source64)}),
 		start:  time.Now(),
 	}
-	r.steps = r.CounterHandle("steps")
-	r.sent = r.CounterHandle("msg.sent")
-	r.delivered = r.CounterHandle("msg.delivered")
-	r.dropped = r.CounterHandle("msg.dropped")
-	r.yields = r.CounterHandle("yields")
-	r.linkDropped = r.CounterHandle("link.dropped")
-	r.droppedLink = r.CounterHandle("msg.dropped.link")
-	r.linkDuped = r.CounterHandle("link.duped")
 	for i := 0; i < cfg.N; i++ {
 		r.procs = append(r.procs, &process{
 			id:       rt.ProcID(i),
@@ -326,7 +316,6 @@ func (r *Runtime) linkSend(lp *sim.LinkPlan, m rt.Message) {
 	r.linkMu.Unlock()
 	if drop {
 		r.linkDropped.Inc()
-		r.droppedLink.Inc()
 		r.dropped.Inc()
 		return
 	}
@@ -487,16 +476,31 @@ func (r *Runtime) Emit(rec rt.Record) {
 	}
 }
 
-// CounterHandle returns the handle of a named counter in the runtime's
-// table, created on first use.
-func (r *Runtime) CounterHandle(name string) *metrics.Counter { return r.reg.Counter(name, "") }
-
-// Counter returns a named counter's current value; a name nothing counts
-// under reads 0. The runtime itself maintains "steps" (action steps),
-// "msg.sent", "msg.delivered", "msg.dropped", "yields" (step budgets
-// exhausted) and, under an installed link plan, the kernel's "link.dropped"
-// (= "msg.dropped.link") and "link.duped".
-func (r *Runtime) Counter(name string) int64 { return r.CounterHandle(name).Value() }
+// Counter returns a named counter's current value; any other name reads 0.
+// The runtime counts "steps" (action steps), "msg.sent", "msg.delivered",
+// "msg.dropped", "yields" (step budgets exhausted) and, under an installed
+// link plan, the kernel's "link.dropped" (= "msg.dropped.link") and
+// "link.duped".
+func (r *Runtime) Counter(name string) int64 {
+	var c *metrics.Counter
+	switch name {
+	case "steps":
+		c = &r.steps
+	case "msg.sent":
+		c = &r.sent
+	case "msg.delivered":
+		c = &r.delivered
+	case "msg.dropped":
+		c = &r.dropped
+	case "yields":
+		c = &r.yields
+	case "link.dropped", "msg.dropped.link":
+		c = &r.linkDropped
+	case "link.duped":
+		c = &r.linkDuped
+	}
+	return c.Value()
+}
 
 // enqueue appends one job to pr's mailbox and nudges its loop. The mailbox
 // is unbounded: backpressure would let two processes sending to each other

@@ -33,7 +33,7 @@ import (
 // unblocks the stalled Write.
 //
 // Send order is write order: events from the connection reader, the diner
-// processes (or a durable table's committer), and the watch forwarder
+// processes (or a durable table's committer), and the suspect feeds
 // serialize on the internal mutex.
 type FlushWriter struct {
 	w        io.Writer
@@ -83,7 +83,7 @@ func NewFlushWriter(w io.Writer, maxBatch int, _ time.Duration) *FlushWriter {
 
 // Send enqueues one event. It returns false once the writer has failed
 // (a write error, or ErrBacklog) or been closed — the same contract the
-// per-event encoder had, which the watch forwarder uses to stop.
+// per-event encoder had, which a suspect feed uses to drop a watcher.
 func (f *FlushWriter) Send(ev *Event) bool {
 	f.mu.Lock()
 	if f.err == nil && len(f.buf) >= backlogBatches*f.maxBatch {

@@ -188,7 +188,7 @@ func (w *errWriter) Write(p []byte) (int, error) {
 }
 
 // TestFlushWriterErrorStops: after a write error, Send reports failure —
-// the signal the watch forwarder uses to drop its subscription.
+// the signal a suspect feed uses to drop a watcher.
 func TestFlushWriterErrorStops(t *testing.T) {
 	fw := NewFlushWriter(&errWriter{}, 1<<20, 0)
 	fw.Send(&Event{Ev: EvGranted, ID: "a"})

@@ -16,9 +16,11 @@ const (
 	// OpRelease ends a previously granted session (by Diner and ID).
 	OpRelease = "release"
 	// OpWatch subscribes this connection to the extracted ◇P suspect
-	// stream: one EvSuspect per output change, preceded by a snapshot of
-	// the current suspicion matrix. One watch per connection: a repeat is
-	// refused with EvError "already watching".
+	// stream: a snapshot of the current suspicion matrix, then one
+	// EvSuspect per output change. After the snapshot every change
+	// arrives, in order, or the connection is closed: a watcher that stops
+	// reading is cut off, never sent a stream with holes in it. One watch
+	// per connection: a repeat is refused with EvError "already watching".
 	OpWatch = "watch"
 	// OpInfo asks for service parameters (diner count).
 	OpInfo = "info"

@@ -163,18 +163,6 @@ func WriteRequest(w io.Writer, r *Request) error {
 	return err
 }
 
-// WriteEvent encodes e as one newline-terminated JSON line and writes it to
-// w in a single Write call, allocating nothing in the steady state.
-func WriteEvent(w io.Writer, e *Event) error {
-	bp := wireBufs.Get().(*[]byte)
-	buf := AppendEvent((*bp)[:0], e)
-	buf = append(buf, '\n')
-	_, err := w.Write(buf)
-	*bp = buf
-	wireBufs.Put(bp)
-	return err
-}
-
 // errFallback is the fast parser's internal "give up" signal: the input is
 // outside the fast subset (or malformed), so the caller re-parses the same
 // bytes with encoding/json and returns whatever it decides.
