@@ -23,6 +23,7 @@ func TestSpecValidate(t *testing.T) {
 		{"too few diners", func(s *Spec) { s.N = 1 }, "at least 2"},
 		{"short horizon", func(s *Spec) { s.Horizon = 50 }, "too short"},
 		{"unknown topology", func(s *Spec) { s.Topology = "moebius" }, "unknown topology"},
+		{"ring too small", func(s *Spec) { s.N = 2 }, "needs n >= 3"},
 		{"unknown box", func(s *Spec) { s.Box = "imaginary" }, "unknown box"},
 		{"unknown delay", func(s *Spec) { s.Delay = DelaySpec{Kind: "warp"} }, "unknown delay"},
 		{"pair size", func(s *Spec) { s.Topology = "pair"; s.N = 4 }, "requires n=2"},

@@ -32,6 +32,7 @@ func TestLiveSpecValidate(t *testing.T) {
 	bad := []LiveSpec{
 		{Topology: "ring", N: 1},
 		{Topology: "möbius", N: 5},
+		{Topology: "ring", N: 2},
 		{Topology: "ring", N: 5, Crashes: []LiveCrash{{P: 9, RestartAfter: time.Second}}},
 		{Topology: "ring", N: 5, Crashes: []LiveCrash{{P: 1, At: time.Second}}}, // no gap
 		{Topology: "ring", N: 5, Crashes: []LiveCrash{ // recovers after the half-point

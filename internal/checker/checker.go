@@ -38,20 +38,25 @@ type ExclusionReport struct {
 // Exclusion finds every overlap of live neighbors' eating sessions in the
 // given dining instance: it feeds the log through an ExclusionMonitor and
 // returns its report at horizon, the run end (for still-open sessions).
-// A recorded run is in time order; a hand-built log is stable-sorted by T
-// first.
 func Exclusion(l *trace.Log, g *graph.Graph, inst string, horizon sim.Time) ExclusionReport {
-	recs := l.Records
-	byT := func(a, b sim.Record) int { return cmp.Compare(a.T, b.T) }
-	if !slices.IsSortedFunc(recs, byT) {
-		recs = slices.Clone(recs)
-		slices.SortStableFunc(recs, byT)
-	}
 	m := NewExclusionMonitor(g, inst, nil)
-	for _, r := range recs {
+	for _, r := range inTimeOrder(l) {
 		m.Trace(r)
 	}
 	return m.Report(horizon)
+}
+
+// inTimeOrder returns l's records in time order, as the monitors need them:
+// a recorded run's as they are, a hand-built log's stable-sorted by T (a
+// copy).
+func inTimeOrder(l *trace.Log) []sim.Record {
+	byT := func(a, b sim.Record) int { return cmp.Compare(a.T, b.T) }
+	if slices.IsSortedFunc(l.Records, byT) {
+		return l.Records
+	}
+	recs := slices.Clone(l.Records)
+	slices.SortStableFunc(recs, byT)
+	return recs
 }
 
 // EventualWeakExclusion checks ◇WX: finitely many violations, all ending

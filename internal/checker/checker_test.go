@@ -177,6 +177,23 @@ func TestTrustingAccuracyChecker(t *testing.T) {
 	if _, err := TrustingAccuracy(l2, "o", [][2]sim.ProcID{{0, 1}}, true, 100); err != nil {
 		t.Fatal(err)
 	}
+	// A crash in the withdrawal's own tick excuses it, even recorded after
+	// it: the rule compares times, not arrival order.
+	same := &trace.Log{}
+	same.Trace(rec(50, 0, trace.KindTrust, "o", "", 1))
+	same.Trace(rec(80, 0, trace.KindSuspect, "o", "", 1))
+	same.Trace(rec(80, 1, trace.KindCrash, "", "", -1))
+	if _, err := TrustingAccuracy(same, "o", [][2]sim.ProcID{{0, 1}}, true, 100); err != nil {
+		t.Fatal(err)
+	}
+	// One tick later, it does not.
+	late := &trace.Log{}
+	late.Trace(rec(50, 0, trace.KindTrust, "o", "", 1))
+	late.Trace(rec(80, 0, trace.KindSuspect, "o", "", 1))
+	late.Trace(rec(81, 1, trace.KindCrash, "", "", -1))
+	if _, err := TrustingAccuracy(late, "o", [][2]sim.ProcID{{0, 1}}, true, 100); err == nil {
+		t.Fatal("trust withdrawn a tick before the crash accepted")
+	}
 	// Never trusting a correct target is a violation of axiom (a).
 	l3 := &trace.Log{}
 	l3.Trace(rec(10, 0, trace.KindSuspect, "o", "", 1))

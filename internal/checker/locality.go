@@ -15,10 +15,10 @@ type LocalityReport struct {
 	// Starved maps each starved correct process to its hop distance from
 	// the nearest crashed process (-1 if no crash happened).
 	Starved map[sim.ProcID]int
-	// Locality is the largest distance observed among starved processes
-	// (0 means only neighbors of crashed processes starved is FALSE — see
-	// definition: locality d means every starved process is within d hops;
-	// wait-freedom is locality "none starve", reported as -1).
+	// Locality is the largest distance observed among starved processes:
+	// locality d means every starved process is within d hops of a crash
+	// (1: only crashed processes' neighbors starved). -1 means none
+	// starved, which is wait-freedom.
 	Locality int
 }
 

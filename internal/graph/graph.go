@@ -280,8 +280,13 @@ func Grid(rows, cols int) *Graph {
 // Named builds the conflict graph a topology name stands for over n
 // processes: ring, clique, path, star, pair (the single edge 0-1, whatever
 // n) or grid (the squarest rows x cols grid with at least n vertices, rows
-// at least 2). n must suit the topology, as its builder requires.
+// at least 2). n below the shape's minimum (ring 3; clique, path and star
+// 2) is an error.
 func Named(topology string, n int) (*Graph, error) {
+	least := map[string]int{"ring": 3, "clique": 2, "path": 2, "star": 2}[topology]
+	if n < least {
+		return nil, fmt.Errorf("%s topology needs n >= %d, got %d", topology, least, n)
+	}
 	switch topology {
 	case "ring":
 		return Ring(n), nil

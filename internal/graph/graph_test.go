@@ -138,7 +138,8 @@ func TestGridShape(t *testing.T) {
 }
 
 // TestNamed: each topology name builds what its builder builds, grid picks
-// the squarest shape covering n, and an unknown name is an error.
+// the squarest shape covering n, and an unknown name, or n below a shape's
+// minimum, is an error.
 func TestNamed(t *testing.T) {
 	cases := []struct {
 		name string
@@ -164,5 +165,13 @@ func TestNamed(t *testing.T) {
 	}
 	if _, err := Named("moebius", 4); err == nil {
 		t.Error("unknown topology accepted")
+	}
+	for name, least := range map[string]int{"ring": 3, "clique": 2, "path": 2, "star": 2} {
+		if _, err := Named(name, least-1); err == nil {
+			t.Errorf("%s n=%d accepted", name, least-1)
+		}
+		if _, err := Named(name, least); err != nil {
+			t.Errorf("%s n=%d: %v", name, least, err)
+		}
 	}
 }
