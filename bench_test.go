@@ -20,6 +20,7 @@ import (
 	"repro/internal/dining/forks"
 	"repro/internal/experiment"
 	"repro/internal/graph"
+	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -169,10 +170,11 @@ func BenchmarkCampaignParallel(b *testing.B) {
 // ping-ponging a message.
 func BenchmarkKernelEvents(b *testing.B) {
 	k := sim.NewKernel(2, sim.WithDelay(sim.FixedDelay{D: 1}))
+	x := rt.PortOf("x")
 	count := 0
-	k.Handle(0, "x", func(m sim.Message) { count++; k.Send(0, 1, "x", nil) })
-	k.Handle(1, "x", func(m sim.Message) { count++; k.Send(1, 0, "x", nil) })
-	k.Send(0, 1, "x", nil)
+	k.Handle(0, x, func(m sim.Message) { count++; k.Send(0, 1, x, nil) })
+	k.Handle(1, x, func(m sim.Message) { count++; k.Send(1, 0, x, nil) })
+	k.Send(0, 1, x, nil)
 	b.ResetTimer()
 	k.Run(sim.Time(b.N) * 2)
 	b.ReportMetric(float64(count)/float64(b.N), "deliveries/op")

@@ -38,11 +38,11 @@ import (
 type buggyTable struct {
 	name string
 	g    *graph.Graph
-	mods map[sim.ProcID]*buggyModule
+	mods []*buggyModule // by ProcID; nil = not a diner
 }
 
 func newBuggyTable(k rt.Runtime, g *graph.Graph, name string, oracle detector.Oracle) *buggyTable {
-	t := &buggyTable{name: name, g: g, mods: make(map[sim.ProcID]*buggyModule)}
+	t := &buggyTable{name: name, g: g, mods: make([]*buggyModule, g.Bound())}
 	for _, p := range g.Nodes() {
 		t.mods[p] = newBuggyModule(k, g, name, p, oracle)
 	}
@@ -52,11 +52,10 @@ func newBuggyTable(k rt.Runtime, g *graph.Graph, name string, oracle detector.Or
 func (t *buggyTable) Name() string        { return t.name }
 func (t *buggyTable) Graph() *graph.Graph { return t.g }
 func (t *buggyTable) Diner(p sim.ProcID) dining.Diner {
-	m, ok := t.mods[p]
-	if !ok {
+	if p < 0 || int(p) >= len(t.mods) || t.mods[p] == nil {
 		panic(fmt.Sprintf("buggy: %d is not a diner of %s", p, t.name))
 	}
-	return m
+	return t.mods[p]
 }
 
 type buggyEdge struct {
@@ -72,12 +71,13 @@ type buggyFork struct{}
 
 type buggyModule struct {
 	*dining.Core
-	k      rt.Runtime
-	self   sim.ProcID
-	nbrs   []sim.ProcID
-	edges  map[sim.ProcID]*buggyEdge
-	view   detector.View
-	prefix string
+	k     rt.Runtime
+	self  sim.ProcID
+	nbrs  []sim.ProcID
+	edges map[sim.ProcID]*buggyEdge
+	view  detector.View
+	// The ports, made once: name+"/req" and name+"/fork".
+	reqPort, forkPort rt.Port
 
 	clock    int64
 	hungerTS int64
@@ -87,21 +87,22 @@ const buggyRetry = 25
 
 func newBuggyModule(k rt.Runtime, g *graph.Graph, name string, p sim.ProcID, oracle detector.Oracle) *buggyModule {
 	m := &buggyModule{
-		Core:   dining.NewCore(k, p, name),
-		k:      k,
-		self:   p,
-		nbrs:   g.Neighbors(p),
-		edges:  make(map[sim.ProcID]*buggyEdge),
-		view:   detector.View{Oracle: oracle, Self: p},
-		prefix: name,
+		Core:     dining.NewCore(k, p, name),
+		k:        k,
+		self:     p,
+		nbrs:     g.Neighbors(p),
+		edges:    make(map[sim.ProcID]*buggyEdge),
+		view:     detector.View{Oracle: oracle, Self: p},
+		reqPort:  rt.PortOf(name + "/req"),
+		forkPort: rt.PortOf(name + "/fork"),
 	}
 	for _, q := range m.nbrs {
 		m.edges[q] = &buggyEdge{hold: p < q}
 	}
-	k.Handle(p, m.prefix+"/req", m.onReq)
-	k.Handle(p, m.prefix+"/fork", m.onFork)
-	k.AddAction(p, m.prefix+"/eat", m.canEat, m.eat)
-	k.AddAction(p, m.prefix+"/exit-done", func() bool { return m.State() == dining.Exiting }, m.finishExit)
+	k.Handle(p, m.reqPort, m.onReq)
+	k.Handle(p, m.forkPort, m.onFork)
+	k.AddAction(p, name+"/eat", m.canEat, m.eat)
+	k.AddAction(p, name+"/exit-done", func() bool { return m.State() == dining.Exiting }, m.finishExit)
 	return m
 }
 
@@ -184,16 +185,16 @@ func (m *buggyModule) yield(q sim.ProcID) {
 	e := m.edges[q]
 	e.hold = false
 	e.wanted = false
-	m.k.Send(m.self, q, m.prefix+"/fork", buggyFork{})
+	m.k.Send(m.self, q, m.forkPort, buggyFork{})
 	if m.State() == dining.Hungry {
-		m.k.Send(m.self, q, m.prefix+"/req", buggyReq{TS: m.hungerTS})
+		m.k.Send(m.self, q, m.reqPort, buggyReq{TS: m.hungerTS})
 	}
 }
 
 func (m *buggyModule) requestMissing() {
 	for _, q := range m.nbrs {
 		if !m.edges[q].hold {
-			m.k.Send(m.self, q, m.prefix+"/req", buggyReq{TS: m.hungerTS})
+			m.k.Send(m.self, q, m.reqPort, buggyReq{TS: m.hungerTS})
 		}
 	}
 }

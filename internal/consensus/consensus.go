@@ -32,6 +32,7 @@ import (
 	"sort"
 
 	"repro/internal/detector"
+	"repro/internal/rt"
 	"repro/internal/sim"
 )
 
@@ -43,6 +44,9 @@ type Instance struct {
 	name  string
 	procs []sim.ProcID
 	mods  map[sim.ProcID]*module
+
+	// The ports, made once: name+"/est" and so on.
+	estPort, propPort, votePort, decidePort rt.Port
 }
 
 // New creates a consensus instance named name over procs (majority of which
@@ -52,7 +56,9 @@ func New(k *sim.Kernel, procs []sim.ProcID, name string, oracle detector.Oracle)
 	if len(procs) < 2 {
 		panic("consensus: need at least 2 processes")
 	}
-	in := &Instance{name: name, procs: procs, mods: make(map[sim.ProcID]*module)}
+	in := &Instance{name: name, procs: procs, mods: make(map[sim.ProcID]*module),
+		estPort: rt.PortOf(name + "/est"), propPort: rt.PortOf(name + "/prop"),
+		votePort: rt.PortOf(name + "/vote"), decidePort: rt.PortOf(name + "/decide")}
 	for _, p := range procs {
 		in.mods[p] = newModule(k, in, p, oracle)
 	}
@@ -145,10 +151,10 @@ func newModule(k *sim.Kernel, in *Instance, p sim.ProcID, oracle detector.Oracle
 		proposals:   make(map[int64]Value),
 	}
 	n := in.name
-	k.Handle(p, n+"/est", m.onEstimate)
-	k.Handle(p, n+"/prop", m.onPropose)
-	k.Handle(p, n+"/vote", m.onVote)
-	k.Handle(p, n+"/decide", m.onDecideMsg)
+	k.Handle(p, in.estPort, m.onEstimate)
+	k.Handle(p, in.propPort, m.onPropose)
+	k.Handle(p, in.votePort, m.onVote)
+	k.Handle(p, in.decidePort, m.onDecideMsg)
 
 	k.AddAction(p, n+"/send-estimate", m.canSendEstimate, m.sendEstimate)
 	k.AddAction(p, n+"/coord-propose", m.canPropose, m.doPropose)
@@ -192,7 +198,7 @@ func (m *module) canSendEstimate() bool {
 
 func (m *module) sendEstimate() {
 	m.ph = phWait
-	m.k.Send(m.self, m.coord(m.round), m.in.name+"/est",
+	m.k.Send(m.self, m.coord(m.round), m.in.estPort,
 		estimateMsg{Round: m.round, Est: m.est, Stamp: m.stamp})
 }
 
@@ -225,7 +231,7 @@ func (m *module) canSuspectCoord() bool {
 func (m *module) nackCoord() { m.vote(false) }
 
 func (m *module) vote(ack bool) {
-	m.k.Send(m.self, m.coord(m.round), m.in.name+"/vote", voteMsg{Round: m.round, Ack: ack})
+	m.k.Send(m.self, m.coord(m.round), m.in.votePort, voteMsg{Round: m.round, Ack: ack})
 	// Optimistically move on: the coordinator's outcome (a decision) will
 	// reach us via the reliable decide broadcast if the round succeeded.
 	m.round++
@@ -274,7 +280,7 @@ func (m *module) doPropose() {
 	// to change what this round can decide.
 	m.proposedVal[r] = best.Est
 	for _, q := range m.in.procs {
-		m.k.Send(m.self, q, m.in.name+"/prop", proposeMsg{Round: r, Est: best.Est})
+		m.k.Send(m.self, q, m.in.propPort, proposeMsg{Round: r, Est: best.Est})
 	}
 }
 
@@ -330,7 +336,7 @@ func (m *module) resolve() {
 func (m *module) broadcastDecide(v Value) {
 	for _, q := range m.in.procs {
 		if q != m.self {
-			m.k.Send(m.self, q, m.in.name+"/decide", decideMsg{Val: v})
+			m.k.Send(m.self, q, m.in.decidePort, decideMsg{Val: v})
 		}
 	}
 	m.decide(v)
@@ -380,7 +386,7 @@ func (m *module) onDecideMsg(msg sim.Message) {
 		// sender crashed mid-broadcast.
 		for _, q := range m.in.procs {
 			if q != m.self && q != msg.From {
-				m.k.Send(m.self, q, m.in.name+"/decide", d)
+				m.k.Send(m.self, q, m.in.decidePort, d)
 			}
 		}
 	}

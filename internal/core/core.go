@@ -87,6 +87,9 @@ func NewPairMonitor(k rt.Runtime, p, q rt.ProcID, factory dining.Factory, inst s
 
 	for i := 0; i < 2; i++ {
 		i := i
+		// The session's two ports, made once rather than per message.
+		ping := rt.PortOf(fmt.Sprintf("%s/ping%d", base, i))
+		ack := rt.PortOf(fmt.Sprintf("%s/ack%d", base, i))
 		// ---- Witness thread p.wᵢ (Alg. 1) ----
 		// Action W_h: become hungry in DXᵢ when both witnesses think and it
 		// is this witness's turn.
@@ -108,11 +111,11 @@ func NewPairMonitor(k rt.Runtime, p, q rt.ProcID, factory dining.Factory, inst s
 				m.wd[i].Exit()
 			})
 		// Action W_p: acknowledge each ping.
-		k.Handle(p, base+fmt.Sprintf("/ping%d", i), func(msg rt.Message) {
+		k.Handle(p, ping, func(msg rt.Message) {
 			m.stats.PingsRecv[i]++
 			m.havePing[i] = true
 			m.stats.AcksSent[i]++
-			k.Send(p, q, base+fmt.Sprintf("/ack%d", i), nil)
+			k.Send(p, q, ack, nil)
 		})
 
 		// ---- Subject thread q.sᵢ (Alg. 2) ----
@@ -131,10 +134,10 @@ func NewPairMonitor(k rt.Runtime, p, q rt.ProcID, factory dining.Factory, inst s
 			func() {
 				m.ping[i] = false
 				m.stats.PingsSent[i]++
-				k.Send(q, p, base+fmt.Sprintf("/ping%d", i), nil)
+				k.Send(q, p, ping, nil)
 			})
 		// Action S_a: the ack schedules the other subject.
-		k.Handle(q, base+fmt.Sprintf("/ack%d", i), func(rt.Message) {
+		k.Handle(q, ack, func(rt.Message) {
 			m.stats.AcksRecv[i]++
 			m.trigger = 1 - i
 		})

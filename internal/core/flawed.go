@@ -54,10 +54,12 @@ func NewFlawedMonitor(k rt.Runtime, p, q rt.ProcID, factory dining.Factory, inst
 		k.Emit(rt.Record{P: p, Kind: "suspect", Peer: q, Inst: inst})
 	})
 
+	hb := rt.PortOf(base + "/hb")
+
 	// ---- q's side: heartbeats forever, one hunger, never exit. ----
 	var beat func()
 	beat = func() {
-		k.Send(q, p, base+"/hb", nil)
+		k.Send(q, p, hb, nil)
 		k.After(q, m.heartbeat, beat)
 	}
 	k.After(q, 1, beat)
@@ -68,7 +70,7 @@ func NewFlawedMonitor(k rt.Runtime, p, q rt.ProcID, factory dining.Factory, inst
 
 	// ---- p's side. ----
 	wantHungry := false
-	k.Handle(p, base+"/hb", func(rt.Message) {
+	k.Handle(p, hb, func(rt.Message) {
 		m.setSuspect(false) // trust on heartbeat
 		wantHungry = true
 	})

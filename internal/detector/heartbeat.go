@@ -1,8 +1,6 @@
 package detector
 
 import (
-	"fmt"
-
 	"repro/internal/rt"
 )
 
@@ -47,7 +45,7 @@ type hbModule struct {
 	k    rt.Runtime
 	name string
 	cfg  HeartbeatConfig
-	port string
+	port rt.Port
 	self rt.ProcID
 	n    int
 
@@ -71,7 +69,7 @@ func NewHeartbeat(k rt.Runtime, name string, cfg HeartbeatConfig) *Heartbeat {
 			k:    k,
 			name: name,
 			cfg:  cfg,
-			port: fmt.Sprintf("%s/hb", name),
+			port: rt.PortOf(name + "/hb"),
 			self: p,
 			n:    k.N(),
 		}
@@ -201,7 +199,7 @@ func NewTrusting(k rt.Runtime, name string, interval rt.Time) *Trusting {
 				m.suspects[rt.ProcID(j)] = true // initial distrust
 			}
 		}
-		port := fmt.Sprintf("%s/hello", name)
+		port := rt.PortOf(name + "/hello")
 		k.Handle(p, port, func(msg rt.Message) {
 			m.heard[msg.From] = true
 			if m.suspects[msg.From] && !k.Crashed(msg.From) {

@@ -1,8 +1,6 @@
 package detector
 
 import (
-	"fmt"
-
 	"repro/internal/rt"
 )
 
@@ -73,8 +71,8 @@ func NewPingback(k rt.Runtime, name string, cfg PingbackConfig) *Pingback {
 				m.answered[rt.ProcID(j)] = true // nothing outstanding yet
 			}
 		}
-		ping := fmt.Sprintf("%s/ping", name)
-		pong := fmt.Sprintf("%s/pong", name)
+		ping := rt.PortOf(name + "/ping")
+		pong := rt.PortOf(name + "/pong")
 		k.Handle(p, ping, func(msg rt.Message) {
 			// Responder side: echo immediately (pure function of the query).
 			k.Send(p, msg.From, pong, pongMsg{Seq: msg.Payload.(pingMsg).Seq})

@@ -100,19 +100,19 @@ func (c *Core) OnEat(f func()) { c.onEat = append(c.onEat, f) }
 // OnChange registers a transition callback.
 func (c *Core) OnChange(f func(State)) { c.onChange = append(c.onChange, f) }
 
-// legal transitions of the diner state machine.
-var legal = map[[2]State]bool{
-	{Thinking, Hungry}:  true, // client request
-	{Hungry, Eating}:    true, // service grant
-	{Eating, Exiting}:   true, // client release
-	{Exiting, Thinking}: true, // service completes exit
+// next is the one legal successor of each state of the diner state machine.
+var next = [...]State{
+	Thinking: Hungry,   // client request
+	Hungry:   Eating,   // service grant
+	Eating:   Exiting,  // client release
+	Exiting:  Thinking, // service completes exit
 }
 
 // Set performs the transition to s, emitting a trace record and firing
 // callbacks. It panics on an illegal transition: that is always an
 // implementation bug, not a runtime condition.
 func (c *Core) Set(s State) {
-	if !legal[[2]State{c.state, s}] {
+	if s != next[c.state] {
 		panic(fmt.Sprintf("dining: illegal transition %v -> %v at %d (%s)", c.state, s, c.P, c.Inst))
 	}
 	c.state = s
@@ -128,7 +128,7 @@ func (c *Core) Set(s State) {
 }
 
 // Reset forces the diner back to Thinking regardless of its current phase,
-// bypassing the legal-transition check. It models a crash-recovery reboot:
+// bypassing the transition check. It models a crash-recovery reboot:
 // whatever phase the previous incarnation died in, the fresh one starts
 // thinking. A state record is emitted and OnChange callbacks fire (so an
 // attached Drive client re-schedules its next hunger), but OnEat does not.

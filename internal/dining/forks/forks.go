@@ -58,7 +58,7 @@ type Config struct {
 type Table struct {
 	name string
 	g    *graph.Graph
-	mods map[rt.ProcID]*module
+	mods []*module // by ProcID; nil = not a diner
 }
 
 // New builds a WF-◇WX dining instance over g, consulting oracle (expected
@@ -67,7 +67,7 @@ func New(k rt.Runtime, g *graph.Graph, name string, oracle detector.Oracle, cfg 
 	if cfg.Retry <= 0 {
 		cfg.Retry = 25
 	}
-	t := &Table{name: name, g: g, mods: make(map[rt.ProcID]*module)}
+	t := &Table{name: name, g: g, mods: make([]*module, g.Bound())}
 	for _, p := range g.Nodes() {
 		t.mods[p] = newModule(k, g, name, p, oracle, cfg)
 	}
@@ -89,24 +89,25 @@ func (t *Table) Name() string { return t.name }
 func (t *Table) Graph() *graph.Graph { return t.g }
 
 // Diner implements dining.Table.
-func (t *Table) Diner(p rt.ProcID) dining.Diner {
-	m, ok := t.mods[p]
-	if !ok {
+func (t *Table) Diner(p rt.ProcID) dining.Diner { return t.diner(p) }
+
+// diner returns p's module, panicking if p is not a diner of t.
+func (t *Table) diner(p rt.ProcID) *module {
+	if p < 0 || int(p) >= len(t.mods) || t.mods[p] == nil {
 		panic(fmt.Sprintf("forks: %d is not a diner of %s", p, t.name))
 	}
-	return m
+	return t.mods[p]
 }
 
 // HoldsFork reports whether p currently holds the fork of edge (p, q). At
 // most one endpoint holds a given fork at any time (it may also be in
 // transit); tests use this to verify fork conservation.
 func (t *Table) HoldsFork(p, q rt.ProcID) bool {
-	m, ok := t.mods[p]
-	if !ok {
+	if p < 0 || int(p) >= len(t.mods) || t.mods[p] == nil {
 		return false
 	}
-	e, ok := m.edges[q]
-	return ok && e.hold
+	e := t.mods[p].edge(q)
+	return e != nil && e.hold
 }
 
 // edge is per-neighbor fork state at one module.
@@ -143,13 +144,13 @@ type module struct {
 	k     rt.Runtime
 	self  rt.ProcID
 	nbrs  []rt.ProcID
-	edges map[rt.ProcID]*edge
+	edges []*edge // by ProcID; nil = not a neighbor
 	view  detector.View
 	cfg   Config
 
-	// Built once rather than per send and per timer: the port names
+	// Made once rather than per send and per timer: the ports
 	// (name+"/req" and so on) and the bound retry methods.
-	reqPort, forkPort, syncPort, syncAckPort string
+	reqPort, forkPort, syncPort, syncAckPort rt.Port
 	retryFn, syncRetryFn                     func()
 
 	clock    int64 // Lamport clock
@@ -162,14 +163,14 @@ func newModule(k rt.Runtime, g *graph.Graph, name string, p rt.ProcID, oracle de
 		k:     k,
 		self:  p,
 		nbrs:  g.Neighbors(p),
-		edges: make(map[rt.ProcID]*edge),
+		edges: make([]*edge, g.Bound()),
 		view:  detector.View{Oracle: oracle, Self: p},
 		cfg:   cfg,
 
-		reqPort:     name + "/req",
-		forkPort:    name + "/fork",
-		syncPort:    name + "/sync",
-		syncAckPort: name + "/syncack",
+		reqPort:     rt.PortOf(name + "/req"),
+		forkPort:    rt.PortOf(name + "/fork"),
+		syncPort:    rt.PortOf(name + "/sync"),
+		syncAckPort: rt.PortOf(name + "/syncack"),
 	}
 	m.retryFn, m.syncRetryFn = m.retry, m.syncRetry
 	for _, q := range m.nbrs {
@@ -192,6 +193,14 @@ func newModule(k rt.Runtime, g *graph.Graph, name string, p rt.ProcID, oracle de
 	k.AddAction(p, name+"/eat", m.canEat, m.eat)
 	k.AddAction(p, name+"/exit-done", func() bool { return m.State() == dining.Exiting }, m.finishExit)
 	return m
+}
+
+// edge returns the state of the edge to q, or nil if q is not a neighbor.
+func (m *module) edge(q rt.ProcID) *edge {
+	if q < 0 || int(q) >= len(m.edges) {
+		return nil
+	}
+	return m.edges[q]
 }
 
 // Hungry implements dining.Diner: stamp the session and chase forks.
@@ -246,8 +255,8 @@ func older(ts int64, p rt.ProcID, ts2 int64, q rt.ProcID) bool {
 // non-FIFO channels can deliver a request ahead of the fork it chases.
 func (m *module) onReq(msg rt.Message) {
 	q := msg.From
-	e, ok := m.edges[q]
-	if !ok {
+	e := m.edge(q)
+	if e == nil {
 		return
 	}
 	req := msg.Payload.(reqMsg)
@@ -289,8 +298,8 @@ func (m *module) setHold(q rt.ProcID, hold bool) {
 // onFork records fork receipt (accepted in any state) and serves a deferred
 // request if we are no longer competing.
 func (m *module) onFork(msg rt.Message) {
-	e, ok := m.edges[msg.From]
-	if !ok {
+	e := m.edge(msg.From)
+	if e == nil {
 		return
 	}
 	m.setHold(msg.From, true)
@@ -349,10 +358,7 @@ func (m *module) retry() {
 // longest hold on a message), otherwise a stale in-flight fork could coexist
 // with a minted one.
 func (t *Table) Reset(p rt.ProcID) {
-	m, ok := t.mods[p]
-	if !ok {
-		panic(fmt.Sprintf("forks: %d is not a diner of %s", p, t.name))
-	}
+	m := t.diner(p)
 	m.Core.Reset()
 	m.hungerTS = 0
 	for _, q := range m.nbrs {
@@ -372,8 +378,8 @@ func (t *Table) Reset(p rt.ProcID) {
 // lost the tie; the resync guard in onSyncAck discards the mirror-image ack.
 func (m *module) onSync(msg rt.Message) {
 	q := msg.From
-	e, ok := m.edges[q]
-	if !ok {
+	e := m.edge(q)
+	if e == nil {
 		return
 	}
 	e.wanted = false
@@ -391,8 +397,8 @@ func (m *module) onSync(msg rt.Message) {
 // edge's resync bit, so replayed messages cannot mint a second fork.
 func (m *module) onSyncAck(msg rt.Message) {
 	q := msg.From
-	e, ok := m.edges[q]
-	if !ok || !e.resync {
+	e := m.edge(q)
+	if e == nil || !e.resync {
 		return
 	}
 	e.resync = false

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dining"
 	"repro/internal/dining/forks"
 	"repro/internal/graph"
+	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -42,7 +43,7 @@ type sendTap struct {
 	see func(sim.Message)
 }
 
-func (s sendTap) Send(from, to sim.ProcID, port string, payload any) {
+func (s sendTap) Send(from, to sim.ProcID, port rt.Port, payload any) {
 	s.see(sim.Message{From: from, To: to, Port: port, Payload: payload})
 	s.Kernel.Send(from, to, port, payload)
 }
@@ -79,7 +80,7 @@ func TestResetResync(t *testing.T) {
 				j := &journal{k: k, hold: make(map[[2]sim.ProcID]bool)}
 				syncs := 0
 				tap := sendTap{k, func(m sim.Message) {
-					if m.Port == "fk/sync" {
+					if m.Port.String() == "fk/sync" {
 						syncs++
 					}
 				}}
@@ -149,7 +150,7 @@ func TestResyncRetriesInNeighborOrder(t *testing.T) {
 	var rounds [][]sim.ProcID // sync destinations, one slice per sending tick
 	last := sim.Time(-1)
 	tap := sendTap{k, func(m sim.Message) {
-		if m.Port == "fk/sync" && m.From == p {
+		if m.Port.String() == "fk/sync" && m.From == p {
 			if k.Now() != last {
 				rounds, last = append(rounds, nil), k.Now()
 			}

@@ -28,7 +28,7 @@ import (
 type Table struct {
 	name  string
 	g     *graph.Graph
-	mods  map[rt.ProcID]*stub
+	mods  []*stub // by ProcID; nil = not a diner
 	coord *coordinator
 }
 
@@ -39,7 +39,7 @@ func New(k rt.Runtime, g *graph.Graph, name string, coord rt.ProcID) *Table {
 	if g.Has(coord) {
 		panic(fmt.Sprintf("perfect: coordinator %d must not be a diner of %s", coord, name))
 	}
-	t := &Table{name: name, g: g, mods: make(map[rt.ProcID]*stub)}
+	t := &Table{name: name, g: g, mods: make([]*stub, g.Bound())}
 	t.coord = newCoordinator(k, g, name, coord)
 	for _, p := range g.Nodes() {
 		t.mods[p] = newStub(k, name, p, coord)
@@ -66,11 +66,10 @@ func (t *Table) Graph() *graph.Graph { return t.g }
 
 // Diner implements dining.Table.
 func (t *Table) Diner(p rt.ProcID) dining.Diner {
-	m, ok := t.mods[p]
-	if !ok {
+	if p < 0 || int(p) >= len(t.mods) || t.mods[p] == nil {
 		panic(fmt.Sprintf("perfect: %d is not a diner of %s", p, t.name))
 	}
-	return m
+	return t.mods[p]
 }
 
 // stub is the diner-side module: it reflects coordinator grants into the
@@ -82,13 +81,13 @@ type stub struct {
 	coord rt.ProcID
 	seq   int64 // hunger session number; brackets HUNGRY/EXIT pairs
 
-	hungryPort, exitPort string // name+"/hungry", name+"/exit", built once
+	hungryPort, exitPort rt.Port // name+"/hungry", name+"/exit", made once
 }
 
 func newStub(k rt.Runtime, name string, p, coord rt.ProcID) *stub {
 	s := &stub{Core: dining.NewCore(k, p, name), k: k, self: p, coord: coord,
-		hungryPort: name + "/hungry", exitPort: name + "/exit"}
-	k.Handle(p, name+"/eat", func(rt.Message) {
+		hungryPort: rt.PortOf(name + "/hungry"), exitPort: rt.PortOf(name + "/exit")}
+	k.Handle(p, rt.PortOf(name+"/eat"), func(rt.Message) {
 		if s.State() == dining.Hungry {
 			s.Set(dining.Eating)
 		}
@@ -123,17 +122,17 @@ type coordinator struct {
 	k       rt.Runtime
 	g       *graph.Graph
 	self    rt.ProcID
-	eatPort string              // name+"/eat", built once
+	eatPort rt.Port             // name+"/eat", made once
 	hungry  []request           // FIFO arrival order
 	eating  map[rt.ProcID]int64 // eater -> session number of the booking
 }
 
 func newCoordinator(k rt.Runtime, g *graph.Graph, name string, self rt.ProcID) *coordinator {
-	c := &coordinator{k: k, g: g, self: self, eatPort: name + "/eat", eating: make(map[rt.ProcID]int64)}
-	k.Handle(self, name+"/hungry", func(m rt.Message) {
+	c := &coordinator{k: k, g: g, self: self, eatPort: rt.PortOf(name + "/eat"), eating: make(map[rt.ProcID]int64)}
+	k.Handle(self, rt.PortOf(name+"/hungry"), func(m rt.Message) {
 		c.hungry = append(c.hungry, request{p: m.From, seq: m.Payload.(int64)})
 	})
-	k.Handle(self, name+"/exit", func(m rt.Message) {
+	k.Handle(self, rt.PortOf(name+"/exit"), func(m rt.Message) {
 		// A stale EXIT (overtaken by the next HUNGRY of the same diner)
 		// must not unbook a newer session.
 		if c.eating[m.From] == m.Payload.(int64) {

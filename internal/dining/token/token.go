@@ -47,7 +47,7 @@ type Config struct {
 type Table struct {
 	name string
 	g    *graph.Graph
-	mods map[rt.ProcID]*module
+	mods []*module // by ProcID; nil = not a diner
 }
 
 // New builds a token WF-◇WX dining instance over g. oracle (◇P class) is
@@ -59,7 +59,7 @@ func New(k rt.Runtime, g *graph.Graph, name string, oracle detector.Oracle, cfg 
 	if cfg.Check <= 0 {
 		cfg.Check = 50
 	}
-	t := &Table{name: name, g: g, mods: make(map[rt.ProcID]*module)}
+	t := &Table{name: name, g: g, mods: make([]*module, g.Bound())}
 	nodes := g.Nodes()
 	for i, p := range nodes {
 		t.mods[p] = newModule(k, name, p, nodes, i, oracle, cfg)
@@ -82,11 +82,10 @@ func (t *Table) Graph() *graph.Graph { return t.g }
 
 // Diner implements dining.Table.
 func (t *Table) Diner(p rt.ProcID) dining.Diner {
-	m, ok := t.mods[p]
-	if !ok {
+	if p < 0 || int(p) >= len(t.mods) || t.mods[p] == nil {
 		panic(fmt.Sprintf("token: %d is not a diner of %s", p, t.name))
 	}
-	return m
+	return t.mods[p]
 }
 
 // epoch totally orders tokens: (counter, minter id) lexicographically.
@@ -117,7 +116,7 @@ type module struct {
 	idx  int         // our position in ring
 	view detector.View
 	cfg  Config
-	port string // name+"/token", built once
+	port rt.Port // name+"/token", made once
 
 	hasToken  bool
 	cur       epoch   // epoch of the held token
@@ -138,7 +137,7 @@ func newModule(k rt.Runtime, name string, p rt.ProcID, ring []rt.ProcID, idx int
 		idx:     idx,
 		view:    detector.View{Oracle: oracle, Self: p},
 		cfg:     cfg,
-		port:    name + "/token",
+		port:    rt.PortOf(name + "/token"),
 		timeout: cfg.Timeout,
 		// The lowest-id diner starts with the token.
 		hasToken: idx == 0,

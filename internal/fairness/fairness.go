@@ -41,7 +41,7 @@ type Config struct {
 type Table struct {
 	name string
 	g    *graph.Graph
-	mods map[rt.ProcID]*module
+	mods []*module // by ProcID; nil = not a diner
 }
 
 // New builds the fair dining instance over g using oracle (any ◇P — native
@@ -53,7 +53,7 @@ func New(k rt.Runtime, g *graph.Graph, name string, oracle detector.Oracle, cfg 
 	if cfg.K <= 0 {
 		cfg.K = 2
 	}
-	t := &Table{name: name, g: g, mods: make(map[rt.ProcID]*module)}
+	t := &Table{name: name, g: g, mods: make([]*module, g.Bound())}
 	for _, p := range g.Nodes() {
 		t.mods[p] = newModule(k, g, name, p, oracle, cfg)
 	}
@@ -75,11 +75,10 @@ func (t *Table) Graph() *graph.Graph { return t.g }
 
 // Diner implements dining.Table.
 func (t *Table) Diner(p rt.ProcID) dining.Diner {
-	m, ok := t.mods[p]
-	if !ok {
+	if p < 0 || int(p) >= len(t.mods) || t.mods[p] == nil {
 		panic(fmt.Sprintf("fairness: %d is not a diner of %s", p, t.name))
 	}
-	return m
+	return t.mods[p]
 }
 
 type edge struct {
@@ -99,13 +98,14 @@ type ateMsg struct{ TS int64 } // the hunger-session timestamp the meal conclude
 
 type module struct {
 	*dining.Core
-	k      rt.Runtime
-	self   rt.ProcID
-	nbrs   []rt.ProcID
-	edges  map[rt.ProcID]*edge
-	view   detector.View
-	cfg    Config
-	prefix string
+	k     rt.Runtime
+	self  rt.ProcID
+	nbrs  []rt.ProcID
+	edges map[rt.ProcID]*edge
+	view  detector.View
+	cfg   Config
+	// The ports, made once: name+"/req" and so on.
+	reqPort, forkPort, hungerPort, atePort rt.Port
 
 	clock    int64
 	hungerTS int64
@@ -113,22 +113,25 @@ type module struct {
 
 func newModule(k rt.Runtime, g *graph.Graph, name string, p rt.ProcID, oracle detector.Oracle, cfg Config) *module {
 	m := &module{
-		Core:   dining.NewCore(k, p, name),
-		k:      k,
-		self:   p,
-		nbrs:   g.Neighbors(p),
-		edges:  make(map[rt.ProcID]*edge),
-		view:   detector.View{Oracle: oracle, Self: p},
-		cfg:    cfg,
-		prefix: name,
+		Core:       dining.NewCore(k, p, name),
+		k:          k,
+		self:       p,
+		nbrs:       g.Neighbors(p),
+		edges:      make(map[rt.ProcID]*edge),
+		view:       detector.View{Oracle: oracle, Self: p},
+		cfg:        cfg,
+		reqPort:    rt.PortOf(name + "/req"),
+		forkPort:   rt.PortOf(name + "/fork"),
+		hungerPort: rt.PortOf(name + "/hunger"),
+		atePort:    rt.PortOf(name + "/ate"),
 	}
 	for _, q := range m.nbrs {
 		m.edges[q] = &edge{hold: p < q}
 	}
-	k.Handle(p, name+"/req", m.onReq)
-	k.Handle(p, name+"/fork", m.onFork)
-	k.Handle(p, name+"/hunger", m.onHunger)
-	k.Handle(p, name+"/ate", m.onAte)
+	k.Handle(p, m.reqPort, m.onReq)
+	k.Handle(p, m.forkPort, m.onFork)
+	k.Handle(p, m.hungerPort, m.onHunger)
+	k.Handle(p, m.atePort, m.onAte)
 	k.AddAction(p, name+"/eat", m.canEat, m.eat)
 	k.AddAction(p, name+"/exit-done", func() bool { return m.State() == dining.Exiting }, m.finishExit)
 	return m
@@ -140,7 +143,7 @@ func (m *module) Hungry() {
 	m.clock++
 	m.hungerTS = m.clock
 	for _, q := range m.nbrs {
-		m.k.Send(m.self, q, m.prefix+"/hunger", hungerMsg{TS: m.hungerTS})
+		m.k.Send(m.self, q, m.hungerPort, hungerMsg{TS: m.hungerTS})
 	}
 	m.requestMissing()
 	m.scheduleRetry()
@@ -187,7 +190,7 @@ func (m *module) finishExit() {
 		if e.nbrHungry {
 			e.mealsDuring++
 		}
-		m.k.Send(m.self, q, m.prefix+"/ate", ateMsg{TS: m.hungerTS})
+		m.k.Send(m.self, q, m.atePort, ateMsg{TS: m.hungerTS})
 		if e.wanted && e.hold {
 			m.yield(q)
 		}
@@ -268,16 +271,16 @@ func (m *module) yield(q rt.ProcID) {
 	e := m.edges[q]
 	e.hold = false
 	e.wanted = false
-	m.k.Send(m.self, q, m.prefix+"/fork", forkMsg{})
+	m.k.Send(m.self, q, m.forkPort, forkMsg{})
 	if m.State() == dining.Hungry {
-		m.k.Send(m.self, q, m.prefix+"/req", reqMsg{TS: m.hungerTS})
+		m.k.Send(m.self, q, m.reqPort, reqMsg{TS: m.hungerTS})
 	}
 }
 
 func (m *module) requestMissing() {
 	for _, q := range m.nbrs {
 		if !m.edges[q].hold {
-			m.k.Send(m.self, q, m.prefix+"/req", reqMsg{TS: m.hungerTS})
+			m.k.Send(m.self, q, m.reqPort, reqMsg{TS: m.hungerTS})
 		}
 	}
 }
@@ -290,7 +293,7 @@ func (m *module) scheduleRetry() {
 		m.requestMissing()
 		// Re-announce hunger so the throttle state survives message races.
 		for _, q := range m.nbrs {
-			m.k.Send(m.self, q, m.prefix+"/hunger", hungerMsg{TS: m.hungerTS})
+			m.k.Send(m.self, q, m.hungerPort, hungerMsg{TS: m.hungerTS})
 		}
 		m.scheduleRetry()
 	})

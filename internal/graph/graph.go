@@ -16,26 +16,35 @@ import (
 // zero value is an empty graph; use Add/AddEdge or a builder.
 type Graph struct {
 	nodes []rt.ProcID
-	adj   map[rt.ProcID][]rt.ProcID
+	// adj is indexed by vertex id: a vertex's sorted neighbors, non-nil
+	// (possibly empty) exactly for the vertices.
+	adj   [][]rt.ProcID
 	edges [][2]rt.ProcID
 }
 
 // New returns an empty graph.
-func New() *Graph {
-	return &Graph{adj: make(map[rt.ProcID][]rt.ProcID)}
+func New() *Graph { return &Graph{} }
+
+// Add inserts a vertex (idempotent). Vertex ids are process ids, so they
+// must not be negative.
+func (g *Graph) Add(p rt.ProcID) {
+	if p < 0 {
+		panic(fmt.Sprintf("graph: negative vertex %d", p))
+	}
+	if g.Has(p) {
+		return
+	}
+	if int(p) >= len(g.adj) {
+		g.adj = append(g.adj, make([][]rt.ProcID, int(p)+1-len(g.adj))...)
+	}
+	g.adj[p] = []rt.ProcID{}
+	g.nodes = append(g.nodes, p)
+	sort.Slice(g.nodes, func(i, j int) bool { return g.nodes[i] < g.nodes[j] })
 }
 
-// Add inserts a vertex (idempotent).
-func (g *Graph) Add(p rt.ProcID) {
-	if g.adj == nil {
-		g.adj = make(map[rt.ProcID][]rt.ProcID)
-	}
-	if _, ok := g.adj[p]; !ok {
-		g.adj[p] = nil
-		g.nodes = append(g.nodes, p)
-		sort.Slice(g.nodes, func(i, j int) bool { return g.nodes[i] < g.nodes[j] })
-	}
-}
+// Bound returns one more than the largest vertex id (0 for the empty
+// graph): the length of a slice indexed by vertex.
+func (g *Graph) Bound() int { return len(g.adj) }
 
 // AddEdge inserts the undirected edge (u, v), adding the vertices if needed.
 // Self-loops and duplicate edges are rejected.
@@ -67,11 +76,16 @@ func (g *Graph) Edges() [][2]rt.ProcID { return g.edges }
 
 // Neighbors returns u's neighbors in ascending order. The caller must not
 // mutate the returned slice.
-func (g *Graph) Neighbors(u rt.ProcID) []rt.ProcID { return g.adj[u] }
+func (g *Graph) Neighbors(u rt.ProcID) []rt.ProcID {
+	if u < 0 || int(u) >= len(g.adj) {
+		return nil
+	}
+	return g.adj[u]
+}
 
 // HasEdge reports whether (u, v) is an edge.
 func (g *Graph) HasEdge(u, v rt.ProcID) bool {
-	for _, w := range g.adj[u] {
+	for _, w := range g.Neighbors(u) {
 		if w == v {
 			return true
 		}
@@ -81,8 +95,7 @@ func (g *Graph) HasEdge(u, v rt.ProcID) bool {
 
 // Has reports whether u is a vertex.
 func (g *Graph) Has(u rt.ProcID) bool {
-	_, ok := g.adj[u]
-	return ok
+	return g.Neighbors(u) != nil
 }
 
 // N returns the number of vertices.
@@ -92,7 +105,7 @@ func (g *Graph) N() int { return len(g.nodes) }
 func (g *Graph) M() int { return len(g.edges) }
 
 // Degree returns the degree of u.
-func (g *Graph) Degree(u rt.ProcID) int { return len(g.adj[u]) }
+func (g *Graph) Degree(u rt.ProcID) int { return len(g.Neighbors(u)) }
 
 // MaxDegree returns the maximum vertex degree (0 for the empty graph).
 func (g *Graph) MaxDegree() int {

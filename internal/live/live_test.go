@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -107,14 +108,30 @@ func TestInvokeSerializes(t *testing.T) {
 	}
 }
 
-// TestDuplicateHandlerPanics mirrors the simulator's registration contract.
+// TestDuplicateHandlerPanics mirrors the simulator's registration contract:
+// a port registered twice, or sent to where nothing handles it, panics with
+// the port's name, for an interned port as for a literal one.
 func TestDuplicateHandlerPanics(t *testing.T) {
-	r := New(Config{N: 1})
-	r.Handle(0, "x", func(rt.Message) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Handle did not panic")
-		}
-	}()
-	r.Handle(0, "x", func(rt.Message) {})
+	mustPanic := func(want string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if got := fmt.Sprint(recover()); got != want {
+				t.Fatalf("panic %q, want %q", got, want)
+			}
+		}()
+		f()
+	}
+	for _, port := range []rt.Port{"x/literal", rt.PortOf("x/interned")} {
+		mustPanic(fmt.Sprintf("live: duplicate handler for port %q at process 0", port.String()), func() {
+			r := New(Config{N: 1})
+			r.Handle(0, port, func(rt.Message) {})
+			r.Handle(0, port, func(rt.Message) {})
+		})
+		mustPanic(fmt.Sprintf("live: no handler for port %q at process 1", port.String()), func() {
+			r := New(Config{N: 2})
+			r.Handle(0, port, func(rt.Message) {})
+			r.Send(0, 1, port, nil)
+		})
+	}
 }

@@ -66,8 +66,8 @@ type Config struct {
 // process is the runtime-side bookkeeping for one process.
 type process struct {
 	id       rt.ProcID
-	handlers map[string]rt.Handler
-	actions  rt.Actions // touched only by the loop goroutine after Start
+	handlers []rt.Handler // by index in Runtime.ports; nil = none
+	actions  rt.Actions   // touched only by the loop goroutine after Start
 
 	mu      sync.Mutex
 	queue   []func() // pending jobs: deliveries, timers, injected calls
@@ -95,6 +95,9 @@ type Runtime struct {
 	cfg   Config
 	tick  time.Duration
 	procs []*process
+	// ports numbers the ports handled here; like the handler tables it is
+	// written only before Start.
+	ports rt.Ports
 
 	// links is the installed link adversary (SetLinks); nil means reliable
 	// channels, and Send then takes no lock.
@@ -174,9 +177,8 @@ func New(cfg Config) *Runtime {
 	}
 	for i := 0; i < cfg.N; i++ {
 		r.procs = append(r.procs, &process{
-			id:       rt.ProcID(i),
-			handlers: make(map[string]rt.Handler),
-			notify:   make(chan struct{}, 1),
+			id:     rt.ProcID(i),
+			notify: make(chan struct{}, 1),
 		})
 	}
 	return r
@@ -244,13 +246,17 @@ func (r *Runtime) AddAction(p rt.ProcID, name string, guard func() bool, body fu
 }
 
 // Handle implements rt.Runtime. Must be called before Start.
-func (r *Runtime) Handle(p rt.ProcID, port string, h rt.Handler) {
+func (r *Runtime) Handle(p rt.ProcID, port rt.Port, h rt.Handler) {
 	r.mustWire("Handle")
 	pr := r.procs[p]
-	if _, dup := pr.handlers[port]; dup {
+	i := r.ports.Add(port)
+	if i >= len(pr.handlers) {
+		pr.handlers = append(pr.handlers, make([]rt.Handler, i+1-len(pr.handlers))...)
+	}
+	if pr.handlers[i] != nil {
 		panic(fmt.Sprintf("live: duplicate handler for port %q at process %d", port, p))
 	}
-	pr.handlers[port] = h
+	pr.handlers[i] = h
 }
 
 func (r *Runtime) mustWire(what string) {
@@ -261,7 +267,7 @@ func (r *Runtime) mustWire(what string) {
 
 // Send implements rt.Runtime: ship the message to its destination's
 // mailbox, through the installed link plan if any.
-func (r *Runtime) Send(from, to rt.ProcID, port string, payload any) {
+func (r *Runtime) Send(from, to rt.ProcID, port rt.Port, payload any) {
 	if r.stopped.Load() {
 		return
 	}
@@ -348,10 +354,12 @@ func (r *Runtime) inject(m rt.Message) {
 		r.dropped.Inc()
 		return
 	}
-	h, ok := pr.handlers[m.Port]
-	if !ok {
+	i, ok := r.ports.Lookup(m.Port)
+	if !ok || i >= len(pr.handlers) || pr.handlers[i] == nil {
 		panic(fmt.Sprintf("live: no handler for port %q at process %d", m.Port, m.To))
 	}
+	h := pr.handlers[i]
+	m.Port = r.ports.Port(i)
 	r.delivered.Inc()
 	r.enqueue(pr, func() { h(m) })
 }

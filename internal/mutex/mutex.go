@@ -51,14 +51,14 @@ import (
 type Table struct {
 	name string
 	g    *graph.Graph
-	mods map[rt.ProcID]*module
+	mods []*module // by ProcID; nil = not a diner
 }
 
 // New builds an FTME instance over the participants in g (which must be a
 // clique for mutual exclusion proper; any graph is accepted and treated as
 // "ask all neighbors"). oracle is consulted as a trusting detector.
 func New(k rt.Runtime, g *graph.Graph, name string, oracle detector.Oracle) *Table {
-	t := &Table{name: name, g: g, mods: make(map[rt.ProcID]*module)}
+	t := &Table{name: name, g: g, mods: make([]*module, g.Bound())}
 	for _, p := range g.Nodes() {
 		t.mods[p] = newModule(k, g, name, p, oracle)
 	}
@@ -82,11 +82,10 @@ func (t *Table) Graph() *graph.Graph { return t.g }
 
 // Diner implements dining.Table.
 func (t *Table) Diner(p rt.ProcID) dining.Diner {
-	m, ok := t.mods[p]
-	if !ok {
+	if p < 0 || int(p) >= len(t.mods) || t.mods[p] == nil {
 		panic(fmt.Sprintf("mutex: %d is not a participant of %s", p, t.name))
 	}
-	return m
+	return t.mods[p]
 }
 
 type reqMsg struct {
@@ -105,11 +104,12 @@ type peerState struct {
 
 type module struct {
 	*dining.Core
-	k      rt.Runtime
-	self   rt.ProcID
-	nbrs   []rt.ProcID
-	view   detector.View
-	prefix string
+	k    rt.Runtime
+	self rt.ProcID
+	nbrs []rt.ProcID
+	view detector.View
+	// The ports, made once: name+"/req" and name+"/grant".
+	reqPort, grantPort rt.Port
 
 	clock  int64 // Lamport clock
 	reqTS  int64 // timestamp of my current request
@@ -119,19 +119,20 @@ type module struct {
 
 func newModule(k rt.Runtime, g *graph.Graph, name string, p rt.ProcID, oracle detector.Oracle) *module {
 	m := &module{
-		Core:   dining.NewCore(k, p, name),
-		k:      k,
-		self:   p,
-		nbrs:   g.Neighbors(p),
-		view:   detector.View{Oracle: oracle, Self: p},
-		prefix: name,
-		peers:  make(map[rt.ProcID]*peerState),
+		Core:      dining.NewCore(k, p, name),
+		k:         k,
+		self:      p,
+		nbrs:      g.Neighbors(p),
+		view:      detector.View{Oracle: oracle, Self: p},
+		reqPort:   rt.PortOf(name + "/req"),
+		grantPort: rt.PortOf(name + "/grant"),
+		peers:     make(map[rt.ProcID]*peerState),
 	}
 	for _, q := range m.nbrs {
 		m.peers[q] = &peerState{}
 	}
-	k.Handle(p, name+"/req", m.onReq)
-	k.Handle(p, name+"/grant", m.onGrant)
+	k.Handle(p, m.reqPort, m.onReq)
+	k.Handle(p, m.grantPort, m.onGrant)
 	k.AddAction(p, name+"/enter", m.canEnter, m.enter)
 	k.AddAction(p, name+"/exit-done", func() bool { return m.State() == dining.Exiting }, m.finishExit)
 	// Suspicion changes happen at detector timers of other modules; poll so
@@ -150,7 +151,7 @@ func (m *module) Hungry() {
 	m.reqSeq++
 	for _, q := range m.nbrs {
 		m.peers[q].granted = false
-		m.k.Send(m.self, q, m.prefix+"/req", reqMsg{TS: m.reqTS, Seq: m.reqSeq})
+		m.k.Send(m.self, q, m.reqPort, reqMsg{TS: m.reqTS, Seq: m.reqSeq})
 	}
 }
 
@@ -182,7 +183,7 @@ func (m *module) onReq(msg rt.Message) {
 		// My pending request is older: defer.
 		ps.deferred = &req
 	default:
-		m.k.Send(m.self, q, m.prefix+"/grant", grantMsg{Seq: req.Seq})
+		m.k.Send(m.self, q, m.grantPort, grantMsg{Seq: req.Seq})
 	}
 }
 
@@ -213,7 +214,7 @@ func (m *module) finishExit() {
 	for _, q := range m.nbrs {
 		ps := m.peers[q]
 		if ps.deferred != nil {
-			m.k.Send(m.self, q, m.prefix+"/grant", grantMsg{Seq: ps.deferred.Seq})
+			m.k.Send(m.self, q, m.grantPort, grantMsg{Seq: ps.deferred.Seq})
 			ps.deferred = nil
 		}
 	}

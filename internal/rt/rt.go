@@ -1,7 +1,9 @@
 // Package rt defines the execution-model vocabulary shared by every protocol
-// module in this repository — processes, virtual time, messages, trace
-// records, guarded actions — and the Runtime interface that abstracts over
-// how protocol code is executed. It also holds the one scheduling rule both
+// module in this repository — processes, virtual time, messages and the
+// ports they travel on, trace records, guarded actions — and the Runtime
+// interface that abstracts over how protocol code is executed. Ports are
+// interned rt.Port values (PortOf), which every runtime resolves to its
+// handlers by index. It also holds the one scheduling rule both
 // runtimes share: Actions, the weakly fair rotation each steps a process's
 // guarded actions by.
 //
@@ -51,13 +53,13 @@ type ProcID int
 const Never Time = -1
 
 // Message is a single protocol message in transit between two processes.
-// Port routes the message to the handler registered under the same name at
-// the destination; composed protocols namespace their ports (for example
-// "dx/3-1/0/fork").
+// Port routes the message to the handler registered under the same port at
+// the destination; a runtime delivers it as the interned Port (see PortOf),
+// whichever form the sender used.
 type Message struct {
 	From    ProcID
 	To      ProcID
-	Port    string
+	Port    Port
 	Payload any
 }
 
@@ -121,10 +123,10 @@ type Runtime interface {
 	AddAction(p ProcID, name string, guard func() bool, body func())
 	// Handle registers the message handler for the given port at process p.
 	// Registering twice for the same port is a programming error.
-	Handle(p ProcID, port string, h Handler)
+	Handle(p ProcID, port Port, h Handler)
 	// Send transmits a message to process `to`; the handler registered for
 	// port at the destination receives it as an atomic step.
-	Send(from, to ProcID, port string, payload any)
+	Send(from, to ProcID, port Port, payload any)
 	// After schedules fn to run at process p after d ticks (a local timer).
 	// The timer is discarded if p has crashed by then.
 	After(p ProcID, d Time, fn func())

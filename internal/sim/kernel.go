@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"repro/internal/rt"
 )
@@ -15,7 +16,7 @@ type proc struct {
 	crashedAt   Time
 	actions     rt.Actions
 	stepPending bool
-	handlers    []Handler // by port index (Kernel.portIDs); nil = none registered
+	handlers    []Handler // by the kernel's port index (Kernel.ports); nil = none registered
 }
 
 // Kernel is a deterministic discrete-event simulator of an asynchronous
@@ -28,7 +29,8 @@ type Kernel struct {
 	procs    []*proc
 	rng      *rand.Rand
 	delay    DelayPolicy
-	stepMax  Time // next step scheduled within [1, stepMax] ticks
+	stepMax  Time        // next step scheduled within [1, stepMax] ticks
+	stepGap  boundedDraw // draws the gap to the next step minus one: [0, stepMax)
 	tracer   Tracer
 	inFlight int
 	stopped  bool
@@ -43,13 +45,12 @@ type Kernel struct {
 	droppedLink  int64 // eaten by the link adversary
 	linkDuped    int64
 
-	// Ports are interned: the first Handle or send of a name gives it the
-	// next index, events carry the index, and handlers and send counts are
-	// slices indexed by it. A port name is hashed once per Send and never on
-	// delivery.
-	portIDs  map[string]int32
-	portName []string // index -> name
-	sentBy   []int64  // index -> messages sent on the port
+	// The first Handle or send of a port gives it the kernel's next port
+	// index; events carry the index, and handlers and per-port counts are
+	// slices indexed by it. An interned rt.Port is resolved without hashing
+	// its name.
+	ports    rt.Ports
+	portSent []portSent // by port index
 
 	// Robustness hooks (see robust.go).
 	triggers  []*trigger      // armed state-predicate crashes
@@ -59,6 +60,13 @@ type Kernel struct {
 	events    int64           // total events processed
 	tail      []Record        // ring buffer of recent records
 	tailLen   int64           // records ever emitted
+}
+
+// portSent counts the messages sent on one port, under the port's prefix:
+// its name up to the first '/', the namespace "msg.sent:<prefix>" sums over.
+type portSent struct {
+	prefix string
+	n      int64
 }
 
 // Option configures a Kernel at construction time.
@@ -86,7 +94,6 @@ func NewKernel(n int, opts ...Option) *Kernel {
 	k := &Kernel{
 		delay:   UniformDelay{Min: 1, Max: 8},
 		stepMax: 3,
-		portIDs: make(map[string]int32),
 	}
 	for i := 0; i < n; i++ {
 		k.procs = append(k.procs, &proc{id: ProcID(i), crashedAt: Never})
@@ -97,6 +104,7 @@ func NewKernel(n int, opts ...Option) *Kernel {
 	if k.rng == nil {
 		k.rng = rand.New(rand.NewSource(1))
 	}
+	k.stepGap = newBoundedDraw(int64(k.stepMax))
 	return k
 }
 
@@ -131,14 +139,14 @@ func (k *Kernel) AddAction(p ProcID, name string, guard func() bool, body func()
 
 // Handle registers the message handler for the given port at process p.
 // Registering twice for the same port is a programming error.
-func (k *Kernel) Handle(p ProcID, port string, h Handler) {
+func (k *Kernel) Handle(p ProcID, port rt.Port, h Handler) {
 	pr := k.procs[p]
 	id := k.portID(port)
 	if int(id) >= len(pr.handlers) {
 		// Cover every port interned so far, with room to double: a process
 		// serves a handful of ports (detector, dining box, transport), so
 		// this allocates once or twice per process, not once per Handle.
-		grown := make([]Handler, max(len(k.portName), 2*len(pr.handlers), 8))
+		grown := make([]Handler, max(k.ports.Len(), 2*len(pr.handlers), 8))
 		copy(grown, pr.handlers)
 		pr.handlers = grown
 	}
@@ -148,16 +156,13 @@ func (k *Kernel) Handle(p ProcID, port string, h Handler) {
 	pr.handlers[id] = h
 }
 
-// portID returns port's index, interning the name on first use.
-func (k *Kernel) portID(port string) int32 {
-	id, ok := k.portIDs[port]
-	if !ok {
-		id = int32(len(k.portName))
-		k.portIDs[port] = id
-		k.portName = append(k.portName, port)
-		k.sentBy = append(k.sentBy, 0)
+// portID returns port's index, numbering the port on first use.
+func (k *Kernel) portID(port rt.Port) int32 {
+	id := k.ports.Add(port)
+	if id == len(k.portSent) {
+		k.portSent = append(k.portSent, portSent{prefix: portPrefix(port.String())})
 	}
-	return id
+	return int32(id)
 }
 
 // handler returns the handler for port index id at pr, panicking if there is
@@ -166,7 +171,7 @@ func (k *Kernel) handler(pr *proc, id int32) Handler {
 	if int(id) < len(pr.handlers) && pr.handlers[id] != nil {
 		return pr.handlers[id]
 	}
-	panic(fmt.Sprintf("sim: no handler for port %q at process %d", k.portName[id], pr.id))
+	panic(fmt.Sprintf("sim: no handler for port %q at process %d", k.ports.Port(int(id)), pr.id))
 }
 
 // Send transmits a message on the simulated network. Over the default
@@ -175,10 +180,10 @@ func (k *Kernel) handler(pr *proc, id int32) Handler {
 // dropped, duplicated, or further delayed at delivery time. Messages to
 // processes that have crashed by delivery time are dropped (the paper only
 // guarantees delivery to correct processes).
-func (k *Kernel) Send(from, to ProcID, port string, payload any) {
+func (k *Kernel) Send(from, to ProcID, port rt.Port, payload any) {
 	k.sent++
 	id := k.portID(port)
-	k.sentBy[id]++
+	k.portSent[id].n++
 	d := k.delay.Delay(k.rng, from, to, k.now)
 	if d < 1 {
 		d = 1
@@ -240,23 +245,44 @@ func (k *Kernel) Emit(r Record) {
 // dead at delivery time) and "msg.dropped.link" (eaten by the link
 // adversary, also read as "link.dropped").
 func (k *Kernel) Counter(name string) int64 {
-	return k.counts()[name]
+	switch name {
+	case "steps":
+		return k.steps
+	case "msg.sent":
+		return k.sent
+	case "msg.delivered":
+		return k.delivered
+	case "msg.dropped":
+		return k.droppedCrash + k.droppedLink
+	case "msg.dropped.crash":
+		return k.droppedCrash
+	case "msg.dropped.link", "link.dropped":
+		return k.droppedLink
+	case "link.duped":
+		return k.linkDuped
+	}
+	prefix, ok := strings.CutPrefix(name, "msg.sent:")
+	if !ok {
+		return 0
+	}
+	var n int64
+	for _, ps := range k.portSent {
+		if ps.prefix == prefix {
+			n += ps.n
+		}
+	}
+	return n
 }
 
 // counts names the kernel's counts.
 func (k *Kernel) counts() map[string]int64 {
-	c := map[string]int64{
-		"steps":             k.steps,
-		"msg.sent":          k.sent,
-		"msg.delivered":     k.delivered,
-		"msg.dropped":       k.droppedCrash + k.droppedLink,
-		"msg.dropped.crash": k.droppedCrash,
-		"msg.dropped.link":  k.droppedLink,
-		"link.dropped":      k.droppedLink,
-		"link.duped":        k.linkDuped,
+	c := map[string]int64{}
+	for _, name := range []string{"steps", "msg.sent", "msg.delivered", "msg.dropped",
+		"msg.dropped.crash", "msg.dropped.link", "link.dropped", "link.duped"} {
+		c[name] = k.Counter(name)
 	}
-	for id, n := range k.sentBy {
-		c["msg.sent:"+portPrefix(k.portName[id])] += n
+	for _, ps := range k.portSent {
+		c["msg.sent:"+ps.prefix] += ps.n
 	}
 	return c
 }
@@ -379,7 +405,7 @@ func (k *Kernel) deliver(e *event) {
 	}
 	h := k.handler(pr, e.port)
 	k.delivered++
-	h(Message{From: ProcID(e.from), To: pr.id, Port: k.portName[e.port], Payload: e.payload})
+	h(Message{From: ProcID(e.from), To: pr.id, Port: k.ports.Port(int(e.port)), Payload: e.payload})
 	k.wake(pr.id)
 }
 
@@ -392,7 +418,7 @@ func (k *Kernel) wake(p ProcID) {
 	pr.stepPending = true
 	gap := Time(1)
 	if k.stepMax > 1 {
-		gap = 1 + Time(k.rng.Int63n(int64(k.stepMax)))
+		gap += Time(k.stepGap.draw(k.rng))
 	}
 	e := event{kind: evStep, to: int32(pr.id)}
 	k.scheduleEvent(k.now+gap, &e)

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rt"
 )
 
 // collect is a minimal Tracer.
@@ -257,16 +259,35 @@ func TestStop(t *testing.T) {
 	}
 }
 
-// TestDuplicateHandlerPanics: registering a port twice is a bug.
+// TestDuplicateHandlerPanics: registering a port twice is a bug, and so is
+// sending to a port the destination does not handle. Both panics name the
+// port by its name, for an interned port as for a literal one.
 func TestDuplicateHandlerPanics(t *testing.T) {
+	for _, port := range []rt.Port{"x/literal", rt.PortOf("x/interned")} {
+		mustPanic(t, fmt.Sprintf("sim: duplicate handler for port %q at process 0", port.String()), func() {
+			k := NewKernel(1)
+			k.Handle(0, port, func(Message) {})
+			k.Handle(0, port, func(Message) {})
+		})
+		mustPanic(t, fmt.Sprintf("sim: no handler for port %q at process 1", port.String()), func() {
+			k := NewKernel(2)
+			k.Handle(0, port, func(Message) {})
+			k.Send(0, 1, port, nil)
+			k.Run(100)
+		})
+	}
+}
+
+// mustPanic runs f and fails unless it panics with exactly want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on duplicate handler")
+		t.Helper()
+		if got := fmt.Sprint(recover()); got != want {
+			t.Fatalf("panic %q, want %q", got, want)
 		}
 	}()
-	k := NewKernel(1)
-	k.Handle(0, "x", func(Message) {})
-	k.Handle(0, "x", func(Message) {})
+	f()
 }
 
 // TestHorizonStopsRun: the run does not execute events past the horizon.
@@ -343,14 +364,15 @@ func TestCountersPin(t *testing.T) {
 }
 
 // TestKernelCountsAllocFree: a steady-state send, delivery and step counts
-// without allocating.
+// without allocating, and reading a counter by name allocates nothing either.
 func TestKernelCountsAllocFree(t *testing.T) {
 	k := NewKernel(2, WithDelay(FixedDelay{D: 1}), WithStepJitter(1))
+	x := rt.PortOf("x/ping")
 	pending := false
-	k.Handle(1, "x", func(Message) { pending = true })
+	k.Handle(1, x, func(Message) { pending = true })
 	k.AddAction(1, "ack", func() bool { return pending }, func() { pending = false })
 	round := func() {
-		k.Send(0, 1, "x", nil)
+		k.Send(0, 1, x, nil)
 		k.Run(k.Now() + 4)
 	}
 	round()
@@ -359,6 +381,14 @@ func TestKernelCountsAllocFree(t *testing.T) {
 	}
 	if k.Counter("msg.delivered") != 202 || k.Counter("steps") != 202 {
 		t.Fatalf("counters after 202 rounds: %v", k.Counters())
+	}
+	var sent int64
+	read := func() { sent = k.Counter("msg.sent") + k.Counter("msg.sent:x") + k.Counter("no.such") }
+	if allocs := testing.AllocsPerRun(200, read); allocs != 0 {
+		t.Fatalf("Counter allocated %v times, want 0", allocs)
+	}
+	if sent != 2*202 {
+		t.Fatalf("msg.sent + msg.sent:x = %d, want %d", sent, 2*202)
 	}
 }
 

@@ -251,12 +251,12 @@ func (k *Kernel) linkArrive(e *event) {
 	if drop {
 		k.inFlight--
 		k.droppedLink++
-		k.Emit(Record{P: to, Kind: KindLink, Peer: from, Inst: portPrefix(k.portName[e.port]), Note: "drop"})
+		k.Emit(Record{P: to, Kind: KindLink, Peer: from, Inst: k.portSent[e.port].prefix, Note: "drop"})
 		return
 	}
 	if dupAfter > 0 {
 		k.linkDuped++
-		k.Emit(Record{P: to, Kind: KindLink, Peer: from, Inst: portPrefix(k.portName[e.port]), Note: "dup"})
+		k.Emit(Record{P: to, Kind: KindLink, Peer: from, Inst: k.portSent[e.port].prefix, Note: "dup"})
 		k.inFlight++
 		// evDeliver (not evArrive): the duplicate must bypass the adversary so
 		// it is not dropped or duplicated again.

@@ -22,7 +22,7 @@ type event struct {
 	at      Time
 	seq     int64
 	kind    evKind
-	port    int32  // evArrive, evDeliver: index into Kernel.portName
+	port    int32  // evArrive, evDeliver: the kernel's port index (Kernel.ports)
 	from    int32  // evArrive, evDeliver: the sender
 	to      int32  // evArrive, evDeliver: the receiver; evStep, evTimer: the process
 	payload any    // evArrive, evDeliver: the message payload

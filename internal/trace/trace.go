@@ -6,6 +6,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -82,13 +83,27 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// fnvWord digests v's eight little-endian bytes.
+// fnvPow[k] is fnvPrime64^k: FNV-1a digests a zero byte by a bare multiply
+// with the prime, so k zero bytes are one multiply by fnvPow[k].
+var fnvPow = func() (pow [9]uint64) {
+	pow[0] = 1
+	for k := 1; k < len(pow); k++ {
+		pow[k] = pow[k-1] * fnvPrime64
+	}
+	return pow
+}()
+
+// fnvWord digests v's eight little-endian bytes: byte by byte up to the
+// highest non-zero one, then the zero bytes above it in one multiply. Trace
+// words are mostly small (ticks, sequence numbers, process ids), so most of
+// their bytes are zero.
 func fnvWord(h, v uint64) uint64 {
-	for range 8 {
+	n := (bits.Len64(v) + 7) / 8
+	for range n {
 		h = (h ^ v&0xff) * fnvPrime64
 		v >>= 8
 	}
-	return h
+	return h * fnvPow[8-n]
 }
 
 // fnvString digests s's bytes and a terminating zero byte.

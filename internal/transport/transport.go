@@ -70,7 +70,7 @@ func (c *Config) defaults() {
 // dataMsg is the wire envelope of one protocol message.
 type dataMsg struct {
 	Seq     int64
-	Port    string // the protocol port the payload is addressed to
+	Port    rt.Port // the protocol port the payload is addressed to
 	Payload any
 }
 
@@ -110,13 +110,15 @@ type receiver struct {
 // q, so each sender/receiver struct is touched by exactly one process's
 // goroutine — the per-pair state needs no locking on either runtime. Only
 // the two top-level maps are shared across processes; mu guards them. The
-// handler table is written while wiring, before the runtime starts, and
-// only read after.
+// port numbering and the handler tables are written while wiring, before
+// the runtime starts, and only read after.
 type Reliable struct {
 	rt.Runtime // the unreliable underlay the envelopes travel on
 	name       string
+	data, ack  rt.Port // the wire ports on the underlay
 	cfg        Config
-	handlers   []map[string]rt.Handler // by process: protocol port -> handler
+	ports      rt.Ports       // the protocol ports handled through the transport
+	handlers   [][]rt.Handler // by process, then by index in ports; nil = none
 	mu         sync.Mutex
 	out        map[[2]rt.ProcID]*sender
 	in         map[[2]rt.ProcID]*receiver
@@ -137,16 +139,16 @@ func Enable(k rt.Runtime, name string, cfg Config) *Reliable {
 	cfg.defaults()
 	t := &Reliable{
 		Runtime: k, name: name, cfg: cfg,
-		handlers: make([]map[string]rt.Handler, k.N()),
+		data:     rt.PortOf(name + "/data"),
+		ack:      rt.PortOf(name + "/ack"),
+		handlers: make([][]rt.Handler, k.N()),
 		out:      make(map[[2]rt.ProcID]*sender),
 		in:       make(map[[2]rt.ProcID]*receiver),
 	}
-	data, ack := name+"/data", name+"/ack"
 	for i := 0; i < k.N(); i++ {
 		p := rt.ProcID(i)
-		t.handlers[p] = make(map[string]rt.Handler)
-		k.Handle(p, data, func(m rt.Message) { t.onData(p, m) })
-		k.Handle(p, ack, func(m rt.Message) { t.onAck(p, m) })
+		k.Handle(p, t.data, func(m rt.Message) { t.onData(p, m) })
+		k.Handle(p, t.ack, func(m rt.Message) { t.onAck(p, m) })
 	}
 	return t
 }
@@ -169,23 +171,27 @@ func (t *Reliable) Counter(name string) int64 {
 // Handle implements rt.Runtime: h receives the messages sent to port at p
 // through the transport. Registering twice for the same port is a
 // programming error.
-func (t *Reliable) Handle(p rt.ProcID, port string, h rt.Handler) {
-	if _, dup := t.handlers[p][port]; dup {
+func (t *Reliable) Handle(p rt.ProcID, port rt.Port, h rt.Handler) {
+	i := t.ports.Add(port)
+	if i >= len(t.handlers[p]) {
+		t.handlers[p] = append(t.handlers[p], make([]rt.Handler, i+1-len(t.handlers[p]))...)
+	}
+	if t.handlers[p][i] != nil {
 		panic(fmt.Sprintf("transport: duplicate handler for port %q at process %d", port, p))
 	}
-	t.handlers[p][port] = h
+	t.handlers[p][i] = h
 }
 
 // Send implements rt.Runtime: accept one protocol message, assign it a
 // sequence number, ship the first copy, and arm retransmission.
-func (t *Reliable) Send(from, to rt.ProcID, port string, payload any) {
+func (t *Reliable) Send(from, to rt.ProcID, port rt.Port, payload any) {
 	key := [2]rt.ProcID{from, to}
 	s := t.sender(key)
 	s.next++
 	env := dataMsg{Seq: s.next, Port: port, Payload: payload}
 	s.unacked[env.Seq] = &flight{env: env, at: t.Now()}
 	t.sent.Inc()
-	t.Runtime.Send(from, to, t.name+"/data", env)
+	t.Runtime.Send(from, to, t.data, env)
 	t.arm(key, s)
 }
 
@@ -228,7 +234,7 @@ func (t *Reliable) fire(key [2]rt.ProcID, s *sender) {
 		f := s.unacked[seq]
 		f.at = now
 		t.retransmit.Inc()
-		t.Runtime.Send(key[0], key[1], t.name+"/data", f.env)
+		t.Runtime.Send(key[0], key[1], t.data, f.env)
 	}
 	if len(seqs) > 0 {
 		if s.rto *= 2; s.rto > t.cfg.RTOMax {
@@ -257,16 +263,16 @@ func (t *Reliable) onData(p rt.ProcID, m rt.Message) {
 	}
 	// Always ack, even duplicates: the first ack may have been lost.
 	t.acks.Inc()
-	t.Runtime.Send(p, m.From, t.name+"/ack", ackMsg{Cum: r.cum, Seq: env.Seq})
+	t.Runtime.Send(p, m.From, t.ack, ackMsg{Cum: r.cum, Seq: env.Seq})
 	if !fresh {
 		return
 	}
-	h, ok := t.handlers[p][env.Port]
-	if !ok {
+	i, ok := t.ports.Lookup(env.Port)
+	if !ok || i >= len(t.handlers[p]) || t.handlers[p][i] == nil {
 		panic(fmt.Sprintf("transport: no handler for port %q at process %d", env.Port, p))
 	}
 	t.delivered.Inc()
-	h(rt.Message{From: m.From, To: p, Port: env.Port, Payload: env.Payload})
+	t.handlers[p][i](rt.Message{From: m.From, To: p, Port: t.ports.Port(i), Payload: env.Payload})
 }
 
 // onAck clears acknowledged envelopes from the sender window. Progress

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
@@ -194,19 +195,21 @@ func TestHandlerRegistration(t *testing.T) {
 		}()
 		f()
 	}
+	// Both forms of a port: the panics name it by its name either way.
+	app := rt.PortOf("app")
 	t.Run("duplicate", func(t *testing.T) {
 		tr := transport.Enable(sim.NewKernel(2), "rt", transport.Config{})
 		tr.Handle(1, "app", func(sim.Message) {})
-		tr.Handle(0, "app", func(sim.Message) {}) // another process: fine
+		tr.Handle(0, app, func(sim.Message) {}) // another process: fine
 		mustPanic(t, `duplicate handler for port "app" at process 1`, func() {
-			tr.Handle(1, "app", func(sim.Message) {})
+			tr.Handle(1, app, func(sim.Message) {})
 		})
 	})
 	t.Run("unhandled", func(t *testing.T) {
 		k := sim.NewKernel(2)
 		tr := transport.Enable(k, "rt", transport.Config{})
 		tr.Handle(0, "app", func(sim.Message) {})
-		tr.Send(0, 1, "app", nil)
+		tr.Send(0, 1, app, nil)
 		mustPanic(t, `no handler for port "app" at process 1`, func() { k.Run(100) })
 	})
 }

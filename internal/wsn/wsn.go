@@ -25,6 +25,7 @@ import (
 	"repro/internal/detector"
 	"repro/internal/dining"
 	"repro/internal/graph"
+	"repro/internal/rt"
 	"repro/internal/sim"
 )
 
@@ -117,10 +118,10 @@ type Sensor struct {
 	d       dining.Diner
 	view    detector.View
 	nbrs    []sim.ProcID
+	dutyTo  []rt.Port // by index in nbrs: the neighbor's duty port
 	nbrOn   map[sim.ProcID]bool
 	battery sim.Time
 	cfg     SensorConfig
-	name    string
 }
 
 // NewSensor attaches the duty-cycle logic for sensor p to diner d. oracle
@@ -142,9 +143,11 @@ func NewSensor(k *sim.Kernel, f *Field, g *graph.Graph, p sim.ProcID, d dining.D
 		nbrOn:   make(map[sim.ProcID]bool),
 		battery: cfg.Battery,
 		cfg:     cfg,
-		name:    name,
 	}
-	k.Handle(p, name+fmt.Sprintf("/duty/%d", p), s.onDutyMsg)
+	for _, q := range s.nbrs {
+		s.dutyTo = append(s.dutyTo, dutyPort(name, q))
+	}
+	k.Handle(p, dutyPort(name, p), s.onDutyMsg)
 	d.OnChange(func(st dining.State) {
 		on := st == dining.Eating
 		if st == dining.Eating || st == dining.Exiting {
@@ -167,9 +170,15 @@ func NewSensor(k *sim.Kernel, f *Field, g *graph.Graph, p sim.ProcID, d dining.D
 func (s *Sensor) Battery() sim.Time { return s.battery }
 
 func (s *Sensor) broadcast(on bool) {
-	for _, q := range s.nbrs {
-		s.k.Send(s.self, q, s.name+fmt.Sprintf("/duty/%d", q), on)
+	for i, q := range s.nbrs {
+		s.k.Send(s.self, q, s.dutyTo[i], on)
 	}
+}
+
+// dutyPort is the port sensor p of the instance named name hears its
+// neighbors' duty changes on.
+func dutyPort(name string, p sim.ProcID) rt.Port {
+	return rt.PortOf(fmt.Sprintf("%s/duty/%d", name, p))
 }
 
 func (s *Sensor) onDutyMsg(m sim.Message) {
