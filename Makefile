@@ -78,7 +78,7 @@ bench:
 # its group commit (BenchmarkStore*; "interval" is held at 0 allocs/op by
 # bench2json's rule) and dinesvc's in-process loopback service benchmarks, in
 # BENCH_serve.json. End-to-end figures are bench-e2e's.
-SERVE_BENCH := BenchmarkWire|BenchmarkFlushWriter|BenchmarkRecAppend|BenchmarkSessions|BenchmarkStore|BenchmarkServeGrant|BenchmarkServeChurn
+SERVE_BENCH := BenchmarkWire|BenchmarkFlushWriter|BenchmarkRecAppend|BenchmarkSessions|BenchmarkStore|BenchmarkServeGrant|BenchmarkServeChurn|BenchmarkServeBoot
 
 bench-serve:
 	$(GO) test -run '^$$' -bench '$(SERVE_BENCH)' -benchmem ./internal/lockproto ./internal/wal ./internal/dinesvc \

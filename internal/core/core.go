@@ -29,7 +29,7 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/dining"
 	"repro/internal/graph"
@@ -73,10 +73,12 @@ func NewPairMonitor(k rt.Runtime, p, q rt.ProcID, factory dining.Factory, inst s
 		suspect: true,                // initially suspect q (Alg. 1)
 		ping:    [2]bool{true, true}, // initially enabled (Alg. 2)
 	}
-	base := fmt.Sprintf("%s/%d-%d", inst, p, q)
+	base := inst + "/" + strconv.Itoa(int(p)) + "-" + strconv.Itoa(int(q))
+	// Both instances run over the same conflict graph K₂(p, q); a table
+	// only reads its graph, so they share one.
+	g := graph.Pair(p, q)
 	for i := 0; i < 2; i++ {
-		g := graph.Pair(p, q)
-		m.dx[i] = factory(k, g, fmt.Sprintf("%s/%d", base, i))
+		m.dx[i] = factory(k, g, base+"/"+strconv.Itoa(i))
 		m.wd[i] = m.dx[i].Diner(p)
 		m.sd[i] = m.dx[i].Diner(q)
 	}
@@ -88,12 +90,12 @@ func NewPairMonitor(k rt.Runtime, p, q rt.ProcID, factory dining.Factory, inst s
 	for i := 0; i < 2; i++ {
 		i := i
 		// The session's two ports, made once rather than per message.
-		ping := rt.PortOf(fmt.Sprintf("%s/ping%d", base, i))
-		ack := rt.PortOf(fmt.Sprintf("%s/ack%d", base, i))
+		ping := rt.PortOf(base + "/ping" + strconv.Itoa(i))
+		ack := rt.PortOf(base + "/ack" + strconv.Itoa(i))
 		// ---- Witness thread p.wᵢ (Alg. 1) ----
 		// Action W_h: become hungry in DXᵢ when both witnesses think and it
 		// is this witness's turn.
-		k.AddAction(p, base+fmt.Sprintf("/W%d_h", i),
+		k.AddAction(p, "W_h",
 			func() bool {
 				return m.wd[i].State() == dining.Thinking &&
 					m.wd[1-i].State() == dining.Thinking &&
@@ -102,7 +104,7 @@ func NewPairMonitor(k rt.Runtime, p, q rt.ProcID, factory dining.Factory, inst s
 			func() { m.wd[i].Hungry() })
 		// Action W_x: upon eating, judge q by the ping bit, flip the turn,
 		// and exit.
-		k.AddAction(p, base+fmt.Sprintf("/W%d_x", i),
+		k.AddAction(p, "W_x",
 			func() bool { return m.wd[i].State() == dining.Eating },
 			func() {
 				m.setSuspect(!m.havePing[i])
@@ -120,12 +122,12 @@ func NewPairMonitor(k rt.Runtime, p, q rt.ProcID, factory dining.Factory, inst s
 
 		// ---- Subject thread q.sᵢ (Alg. 2) ----
 		// Action S_h: become hungry in DXᵢ when triggered.
-		k.AddAction(q, base+fmt.Sprintf("/S%d_h", i),
+		k.AddAction(q, "S_h",
 			func() bool { return m.sd[i].State() == dining.Thinking && m.trigger == i },
 			func() { m.sd[i].Hungry() })
 		// Action S_p: while eating alone, send the single ping of this
 		// session.
-		k.AddAction(q, base+fmt.Sprintf("/S%d_p", i),
+		k.AddAction(q, "S_p",
 			func() bool {
 				return m.sd[i].State() == dining.Eating &&
 					m.sd[1-i].State() != dining.Eating &&
@@ -143,7 +145,7 @@ func NewPairMonitor(k rt.Runtime, p, q rt.ProcID, factory dining.Factory, inst s
 		})
 		// Action S_x: exit only after the peer subject has started eating
 		// (the hand-off that keeps some subject always eating).
-		k.AddAction(q, base+fmt.Sprintf("/S%d_x", i),
+		k.AddAction(q, "S_x",
 			func() bool {
 				return m.sd[i].State() == dining.Eating &&
 					m.sd[1-i].State() == dining.Eating &&

@@ -141,3 +141,24 @@ func BenchmarkServeChurn(b *testing.B) {
 	})
 	b.StopTimer()
 }
+
+// BenchmarkServeBoot measures what it costs to boot a served table beside
+// the ◇P extraction: an 8-ring with Extract on and no WAL, so nearly all of
+// New is wiring the 56 pair monitors and their 112 two-diner fork tables.
+// Drain runs outside the timer.
+func BenchmarkServeBoot(b *testing.B) {
+	cfg := Config{
+		N: 8, Tables: 1, Topology: "ring", Extract: true,
+		Tick: 200 * time.Microsecond, HBTimeout: 2000,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		svc, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		svc.Drain(5 * time.Second)
+		b.StartTimer()
+	}
+}

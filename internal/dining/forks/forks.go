@@ -28,6 +28,9 @@
 // never eat together again (eventual weak exclusion) and crashed fork
 // holders never block anyone (wait-freedom). Overrides never transfer fork
 // ownership, so the one-fork-per-edge invariant survives every mistake.
+//
+// Wiring: a module handles one port, named after its table, and routes each
+// message by its payload type (request, fork, sync, sync ack).
 package forks
 
 import (
@@ -148,10 +151,10 @@ type module struct {
 	view  detector.View
 	cfg   Config
 
-	// Made once rather than per send and per timer: the ports
-	// (name+"/req" and so on) and the bound retry methods.
-	reqPort, forkPort, syncPort, syncAckPort rt.Port
-	retryFn, syncRetryFn                     func()
+	// Made once rather than per send and per timer: the module's one port,
+	// named after its table, and the bound retry methods.
+	port                 rt.Port
+	retryFn, syncRetryFn func()
 
 	clock    int64 // Lamport clock
 	hungerTS int64 // timestamp of the current hunger session
@@ -167,10 +170,7 @@ func newModule(k rt.Runtime, g *graph.Graph, name string, p rt.ProcID, oracle de
 		view:  detector.View{Oracle: oracle, Self: p},
 		cfg:   cfg,
 
-		reqPort:     rt.PortOf(name + "/req"),
-		forkPort:    rt.PortOf(name + "/fork"),
-		syncPort:    rt.PortOf(name + "/sync"),
-		syncAckPort: rt.PortOf(name + "/syncack"),
+		port: rt.PortOf(name),
 	}
 	m.retryFn, m.syncRetryFn = m.retry, m.syncRetry
 	for _, q := range m.nbrs {
@@ -186,13 +186,26 @@ func newModule(k rt.Runtime, g *graph.Graph, name string, p rt.ProcID, oracle de
 			m.setHold(q, true)
 		}
 	}
-	k.Handle(p, m.reqPort, m.onReq)
-	k.Handle(p, m.forkPort, m.onFork)
-	k.Handle(p, m.syncPort, m.onSync)
-	k.Handle(p, m.syncAckPort, m.onSyncAck)
-	k.AddAction(p, name+"/eat", m.canEat, m.eat)
-	k.AddAction(p, name+"/exit-done", func() bool { return m.State() == dining.Exiting }, m.finishExit)
+	k.Handle(p, m.port, m.onMsg)
+	k.AddAction(p, "eat", m.canEat, m.eat)
+	k.AddAction(p, "exit-done", func() bool { return m.State() == dining.Exiting }, m.finishExit)
 	return m
+}
+
+// onMsg routes a message on the module's port by its payload type.
+func (m *module) onMsg(msg rt.Message) {
+	switch pl := msg.Payload.(type) {
+	case reqMsg:
+		m.onReq(msg.From, pl)
+	case forkMsg:
+		m.onFork(msg.From)
+	case syncMsg:
+		m.onSync(msg.From)
+	case syncAckMsg:
+		m.onSyncAck(msg.From, pl)
+	default:
+		panic(fmt.Sprintf("forks: unexpected payload %T at %d", msg.Payload, m.self))
+	}
 }
 
 // edge returns the state of the edge to q, or nil if q is not a neighbor.
@@ -253,13 +266,11 @@ func older(ts int64, p rt.ProcID, ts2 int64, q rt.ProcID) bool {
 // onReq decides a fork request: yield unless we are eating, or hungry with
 // the older claim. A request for a fork we do not hold is remembered too:
 // non-FIFO channels can deliver a request ahead of the fork it chases.
-func (m *module) onReq(msg rt.Message) {
-	q := msg.From
+func (m *module) onReq(q rt.ProcID, req reqMsg) {
 	e := m.edge(q)
 	if e == nil {
 		return
 	}
-	req := msg.Payload.(reqMsg)
 	if req.TS > m.clock {
 		m.clock = req.TS
 	}
@@ -297,16 +308,16 @@ func (m *module) setHold(q rt.ProcID, hold bool) {
 
 // onFork records fork receipt (accepted in any state) and serves a deferred
 // request if we are no longer competing.
-func (m *module) onFork(msg rt.Message) {
-	e := m.edge(msg.From)
+func (m *module) onFork(q rt.ProcID) {
+	e := m.edge(q)
 	if e == nil {
 		return
 	}
-	m.setHold(msg.From, true)
+	m.setHold(q, true)
 	// A real fork settles a pending resync of its edge: no need to mint.
 	e.resync = false
 	if e.wanted && m.State() == dining.Thinking {
-		m.yield(msg.From)
+		m.yield(q)
 	}
 }
 
@@ -315,10 +326,10 @@ func (m *module) yield(q rt.ProcID) {
 	e := m.edges[q]
 	m.setHold(q, false)
 	e.wanted = false
-	m.k.Send(m.self, q, m.forkPort, forkMsg{})
+	m.k.Send(m.self, q, m.port, forkMsg{})
 	if m.State() == dining.Hungry {
 		// We still compete: chase the fork we just gave up.
-		m.k.Send(m.self, q, m.reqPort, reqMsg{TS: m.hungerTS})
+		m.k.Send(m.self, q, m.port, reqMsg{TS: m.hungerTS})
 	}
 }
 
@@ -331,7 +342,7 @@ func (m *module) requestMissing() {
 			if req == nil {
 				req = reqMsg{TS: m.hungerTS}
 			}
-			m.k.Send(m.self, q, m.reqPort, req)
+			m.k.Send(m.self, q, m.port, req)
 		}
 	}
 }
@@ -366,7 +377,7 @@ func (t *Table) Reset(p rt.ProcID) {
 		m.setHold(q, false)
 		e.wanted = false
 		e.resync = true
-		m.k.Send(m.self, q, m.syncPort, syncMsg{})
+		m.k.Send(m.self, q, m.port, syncMsg{})
 	}
 	m.scheduleSyncRetry()
 }
@@ -376,8 +387,7 @@ func (t *Table) Reset(p rt.ProcID) {
 // both endpoints are resyncing the same edge at once (both restarted), the
 // lower id mints the fork immediately and the ack tells the higher id it
 // lost the tie; the resync guard in onSyncAck discards the mirror-image ack.
-func (m *module) onSync(msg rt.Message) {
-	q := msg.From
+func (m *module) onSync(q rt.ProcID) {
 	e := m.edge(q)
 	if e == nil {
 		return
@@ -389,20 +399,19 @@ func (m *module) onSync(msg rt.Message) {
 			m.setHold(q, true)
 		}
 	}
-	m.k.Send(m.self, q, m.syncAckPort, syncAckMsg{Hold: e.hold})
+	m.k.Send(m.self, q, m.port, syncAckMsg{Hold: e.hold})
 }
 
 // onSyncAck resolves one pending edge of a resync: mint the fork iff the
 // neighbor does not hold it. Duplicate or stale acks are ignored via the
 // edge's resync bit, so replayed messages cannot mint a second fork.
-func (m *module) onSyncAck(msg rt.Message) {
-	q := msg.From
+func (m *module) onSyncAck(q rt.ProcID, ack syncAckMsg) {
 	e := m.edge(q)
 	if e == nil || !e.resync {
 		return
 	}
 	e.resync = false
-	if !msg.Payload.(syncAckMsg).Hold {
+	if !ack.Hold {
 		m.setHold(q, true)
 		if e.wanted && m.State() == dining.Thinking {
 			m.yield(q)
@@ -420,7 +429,7 @@ func (m *module) syncRetry() {
 	for _, q := range m.nbrs {
 		if m.edges[q].resync {
 			pending = true
-			m.k.Send(m.self, q, m.syncPort, syncMsg{})
+			m.k.Send(m.self, q, m.port, syncMsg{})
 		}
 	}
 	if pending {

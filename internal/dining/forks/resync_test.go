@@ -80,7 +80,7 @@ func TestResetResync(t *testing.T) {
 				j := &journal{k: k, hold: make(map[[2]sim.ProcID]bool)}
 				syncs := 0
 				tap := sendTap{k, func(m sim.Message) {
-					if m.Port.String() == "fk/sync" {
+					if forks.IsSync(m.Payload) {
 						syncs++
 					}
 				}}
@@ -150,7 +150,7 @@ func TestResyncRetriesInNeighborOrder(t *testing.T) {
 	var rounds [][]sim.ProcID // sync destinations, one slice per sending tick
 	last := sim.Time(-1)
 	tap := sendTap{k, func(m sim.Message) {
-		if m.Port.String() == "fk/sync" && m.From == p {
+		if forks.IsSync(m.Payload) && m.From == p {
 			if k.Now() != last {
 				rounds, last = append(rounds, nil), k.Now()
 			}

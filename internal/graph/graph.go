@@ -38,8 +38,7 @@ func (g *Graph) Add(p rt.ProcID) {
 		g.adj = append(g.adj, make([][]rt.ProcID, int(p)+1-len(g.adj))...)
 	}
 	g.adj[p] = []rt.ProcID{}
-	g.nodes = append(g.nodes, p)
-	sort.Slice(g.nodes, func(i, j int) bool { return g.nodes[i] < g.nodes[j] })
+	g.nodes = insertSorted(g.nodes, p)
 }
 
 // Bound returns one more than the largest vertex id (0 for the empty

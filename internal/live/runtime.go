@@ -250,8 +250,15 @@ func (r *Runtime) Handle(p rt.ProcID, port rt.Port, h rt.Handler) {
 	r.mustWire("Handle")
 	pr := r.procs[p]
 	i := r.ports.Add(port)
-	if i >= len(pr.handlers) {
-		pr.handlers = append(pr.handlers, make([]rt.Handler, i+1-len(pr.handlers))...)
+	if i >= cap(pr.handlers) {
+		// Double rather than fit: the index is runtime-wide, so a process's
+		// next port is often far past its last one, and a fitted table would
+		// be reallocated on almost every Handle.
+		grown := make([]rt.Handler, i+1, max(i+1, 2*cap(pr.handlers), 8))
+		copy(grown, pr.handlers)
+		pr.handlers = grown
+	} else if i >= len(pr.handlers) {
+		pr.handlers = pr.handlers[:i+1] // the table only grows: the tail is nil
 	}
 	if pr.handlers[i] != nil {
 		panic(fmt.Sprintf("live: duplicate handler for port %q at process %d", port, p))

@@ -4,7 +4,9 @@ import "sync"
 
 // Port names a message port: the handler registered under a port at a
 // process receives the messages sent to that port there. Composed protocols
-// namespace their ports (for example "dx/3-1/0/fork").
+// namespace their ports: the extraction's pair (3, 1) pings on "dx/3-1/ping0",
+// and each of its fork tables routes every message on one port named after
+// the table, "dx/3-1/0".
 //
 // Ports are interned. PortOf gives each name an index in one append-only,
 // process-wide table, and the Port it returns carries that index ahead of

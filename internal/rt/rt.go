@@ -119,7 +119,8 @@ type Runtime interface {
 	// Crashed reports whether p has crashed (ground truth; only
 	// fault-schedule-aware oracles may consult this).
 	Crashed(p ProcID) bool
-	// AddAction registers a guarded action at process p.
+	// AddAction registers a guarded action at process p. name is a label
+	// (Action.Name) that no runtime reads.
 	AddAction(p ProcID, name string, guard func() bool, body func())
 	// Handle registers the message handler for the given port at process p.
 	// Registering twice for the same port is a programming error.

@@ -2,6 +2,8 @@ package rt
 
 // Action is one guarded command of a process's action system.
 type Action struct {
+	// Name is a label for whoever reads a process's action list; no
+	// runtime reads it, so a module may pass a constant.
 	Name  string
 	Guard func() bool
 	Body  func()
