@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDoneIndex -fuzztime=$(FUZZTIME) ./internal/lockproto
 	$(GO) test -run=^$$ -fuzz=FuzzRecEncodeMatchesStdlib -fuzztime=$(FUZZTIME) ./internal/lockproto
 	$(GO) test -run=^$$ -fuzz=FuzzWireCodecEquivalence -fuzztime=$(FUZZTIME) ./internal/lockproto
+	$(GO) test -run=^$$ -fuzz=FuzzWireStreamReader -fuzztime=$(FUZZTIME) ./internal/lockproto
 	$(GO) test -run=^$$ -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run=^$$ -fuzz=FuzzExclusionMonitor -fuzztime=$(FUZZTIME) ./internal/checker
 	$(GO) test -run=^$$ -fuzz=FuzzOracleMonitor -fuzztime=$(FUZZTIME) ./internal/checker
@@ -76,8 +77,9 @@ bench:
 # encoding/json baselines; BenchmarkSessionsSnapshot is one checkpoint of a
 # registry with 200 000 finished sessions), the WAL's append+sync round and
 # its group commit (BenchmarkStore*; "interval" is held at 0 allocs/op by
-# bench2json's rule) and dinesvc's in-process loopback service benchmarks, in
-# BENCH_serve.json. End-to-end figures are bench-e2e's.
+# bench2json's rule) and dinesvc's in-process loopback service benchmarks
+# (BenchmarkServeGrant* includes BenchmarkServeGrantContended, ring_extract's
+# shape), in BENCH_serve.json. End-to-end figures are bench-e2e's.
 SERVE_BENCH := BenchmarkWire|BenchmarkFlushWriter|BenchmarkRecAppend|BenchmarkSessions|BenchmarkStore|BenchmarkServeGrant|BenchmarkServeChurn|BenchmarkServeBoot
 
 bench-serve:

@@ -3,6 +3,7 @@ package dinesvc
 import (
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,10 +29,16 @@ import (
 // measure.
 func benchServer(b testing.TB, n, tables int) (string, func()) {
 	b.Helper()
-	svc, err := New(Config{
+	return serveOn(b, Config{
 		N: n, Tables: tables, Topology: "ring",
 		Tick: 200 * time.Microsecond, HBTimeout: 2000,
 	})
+}
+
+// serveOn boots cfg on an ephemeral loopback port.
+func serveOn(b testing.TB, cfg Config) (string, func()) {
+	b.Helper()
+	svc, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -140,6 +147,92 @@ func BenchmarkServeChurn(b *testing.B) {
 		}
 	})
 	b.StopTimer()
+}
+
+// BenchmarkServeGrantContended is the repository benchmark's ring_extract
+// shape in process: an 8-ring beside the ◇P extraction (the benchmark's
+// 1 ms tick and 3 s heartbeat timeout), two connections each driving two
+// non-adjacent diners — {0, 4} and {2, 6} — in a closed loop, where a
+// diner's next acquire follows its release ack. One op is one completed
+// session, whichever diner ran it. Grants here contend with the
+// extraction's steps and with each other for the same diner processes.
+func BenchmarkServeGrantContended(b *testing.B) {
+	addr, stop := serveOn(b, Config{
+		N: 8, Tables: 1, Topology: "ring", Extract: true,
+		Tick: time.Millisecond, HBTimeout: 3000,
+	})
+	defer stop()
+	var left atomic.Int64
+	run := func(phase string, sessions int) {
+		left.Store(int64(sessions))
+		var wg sync.WaitGroup
+		for c, diners := range [][]int{{0, 4}, {2, 6}} {
+			wg.Add(1)
+			go func(c int, diners []int) {
+				defer wg.Done()
+				if err := contend(addr, fmt.Sprint(phase, c), diners, &left); err != nil {
+					b.Error(err)
+				}
+			}(c, diners)
+		}
+		wg.Wait()
+	}
+	run("warm", 200) // first meals and the detector's first rounds, untimed
+	b.ReportAllocs()
+	b.ResetTimer()
+	run("c", b.N)
+	b.StopTimer()
+}
+
+// contend runs one connection's closed loop over its diners until the
+// shared session budget left is spent and its own sessions are done. Its
+// session ids start with tag.
+func contend(addr, tag string, diners []int, left *atomic.Int64) error {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	er := lockproto.NewEventReader(conn)
+	seq := 0
+	ids := make(map[int]string) // diner → its session in flight
+	acquire := func(diner int) error {
+		if left.Add(-1) < 0 {
+			return nil
+		}
+		seq++
+		id := fmt.Sprintf("%s-%d-%d", tag, diner, seq)
+		ids[diner] = id
+		return lockproto.WriteRequest(conn, &lockproto.Request{Op: lockproto.OpAcquire, Diner: diner, ID: id})
+	}
+	for _, d := range diners {
+		if err := acquire(d); err != nil {
+			return err
+		}
+	}
+	for len(ids) > 0 {
+		var e lockproto.Event
+		if err := er.Read(&e); err != nil {
+			return err
+		}
+		if e.Ev == lockproto.EvError {
+			return fmt.Errorf("server error for %s: %s", e.ID, e.Msg)
+		}
+		if ids[e.Diner] != e.ID {
+			continue
+		}
+		switch e.Ev {
+		case lockproto.EvGranted:
+			err = lockproto.WriteRequest(conn, &lockproto.Request{Op: lockproto.OpRelease, Diner: e.Diner, ID: e.ID})
+		case lockproto.EvReleased:
+			delete(ids, e.Diner)
+			err = acquire(e.Diner)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // BenchmarkServeBoot measures what it costs to boot a served table beside

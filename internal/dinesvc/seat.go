@@ -50,9 +50,9 @@ const (
 func newSeat(t *Table, p rt.ProcID, d dining.Diner) *seat {
 	st := &seat{t: t, p: p, d: d, byID: make(map[string]*session)}
 	st.step = st.advance
-	// Registered before Start; fires on p's goroutine, inside the dining
-	// layer's own step, so the reaction is queued as the next step instead
-	// of re-entering the diner. forks.Table.Reset fires Thinking as well: a
+	// Registered before Start; fires inside the dining layer's own step at
+	// p, so the reaction is queued as the next step instead of re-entering
+	// the diner. forks.Table.Reset fires Thinking as well: a
 	// chaos restart re-requests, or finishes a released session, through
 	// this same hook.
 	d.OnChange(func(s dining.State) {

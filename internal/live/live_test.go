@@ -79,8 +79,10 @@ func TestForksDiningLive(t *testing.T) {
 	}
 }
 
-// TestInvokeSerializes checks that Invoke runs on the target's goroutine,
-// serialized with its steps, and is refused after a crash.
+// TestInvokeSerializes checks that Invoke runs fn as one of the target's
+// steps — on the caller's goroutine when the target is idle, on its loop
+// otherwise — serialized with its other steps and in order per caller, and
+// is refused after a crash.
 func TestInvokeSerializes(t *testing.T) {
 	r := New(Config{N: 2, Tick: time.Millisecond})
 	sum := 0

@@ -16,12 +16,18 @@
 // Execution model. Every process runs an event-driven loop: it sleeps
 // until a message delivery, timer or injected call arrives, runs it, and then
 // runs guarded actions for as long as some guard holds — one action per
-// iteration, chosen by the process's rt.Actions rotation, the one the
-// simulator steps its processes by. A perpetual action cycle needs a tempo
-// instead: wire it through rt.Paced, which steps it at most once per tick.
-// All of a process's handlers, timer callbacks, and action bodies execute on
-// its own goroutine, so process-local protocol state needs no locking,
-// exactly as in the simulator.
+// round, chosen by the process's rt.Actions rotation, the one the simulator
+// steps its processes by. A perpetual action cycle needs a tempo instead:
+// wire it through rt.Paced, which steps it at most once per tick.
+//
+// A process's steps are serialized by its step lock, not by its goroutine.
+// The loop holds the lock while it runs a burst of steps; an Invoke at an
+// idle process — started, alive, nothing in its mailbox — takes the lock
+// itself and runs the call, and whatever that call made runnable, on the
+// caller's goroutine, sparing the hand-off to the process's loop. Either way
+// one step runs at a time at each process and each runs to completion, so
+// process-local protocol state needs no locking, exactly as in the
+// simulator.
 package live
 
 import (
@@ -67,7 +73,14 @@ type Config struct {
 type process struct {
 	id       rt.ProcID
 	handlers []rt.Handler // by index in Runtime.ports; nil = none
-	actions  rt.Actions   // touched only by the loop goroutine after Start
+	actions  rt.Actions   // touched only under step after Start
+
+	// step is the step lock: whoever runs the process's steps holds it — the
+	// loop for one burst, an inline Invoke for its call and what follows, or
+	// Restart while it rewinds the process. running is true while a burst
+	// holds it, so enqueue can leave the wake-up to the burst's runner.
+	step    sync.Mutex
+	running atomic.Bool
 
 	mu      sync.Mutex
 	queue   []func() // pending jobs: deliveries, timers, injected calls
@@ -82,13 +95,6 @@ type process struct {
 	// returns; Restart waits on it so two loops never share one mailbox.
 	loopDone chan struct{}
 }
-
-// stepBudget bounds how many consecutive loop iterations a process runs
-// without blocking before it yields the CPU, so a process that always has
-// work — a message flood, an action cycle wired unpaced — shares its core
-// instead of monopolizing it. It is deliberately not a Config field: nothing
-// in the repository needs a second value.
-const stepBudget = 64
 
 // Runtime is the real-time implementation of rt.Runtime.
 type Runtime struct {
@@ -211,7 +217,9 @@ func (r *Runtime) spawn(pr *process) {
 
 // Stop shuts the runtime down: process loops exit after finishing their
 // current step, and pending timers and held messages become no-ops. Stop
-// blocks until every process goroutine has returned. It is idempotent.
+// blocks until every process goroutine has returned and no step runs
+// anywhere: a step an Invoke caller was running inline finishes first, and
+// none starts afterwards. It is idempotent.
 func (r *Runtime) Stop() {
 	if !r.stopped.CompareAndSwap(false, true) {
 		return
@@ -221,6 +229,10 @@ func (r *Runtime) Stop() {
 	r.lifeMu.Lock()
 	r.lifeMu.Unlock()
 	r.wg.Wait()
+	for _, pr := range r.procs {
+		pr.step.Lock()
+		pr.step.Unlock()
+	}
 }
 
 // N implements rt.Runtime.
@@ -367,8 +379,11 @@ func (r *Runtime) inject(m rt.Message) {
 	}
 	h := pr.handlers[i]
 	m.Port = r.ports.Port(i)
+	if !r.enqueue(pr, func() { h(m) }, pr.gen.Load()) {
+		r.dropped.Inc()
+		return
+	}
 	r.delivered.Inc()
-	r.enqueue(pr, func() { h(m) })
 }
 
 // After implements rt.Runtime: fn runs at process p after d ticks of wall
@@ -383,22 +398,54 @@ func (r *Runtime) After(p rt.ProcID, d rt.Time, fn func()) {
 	}
 	gen := pr.gen.Load()
 	time.AfterFunc(time.Duration(d)*r.tick, func() {
-		if r.stopped.Load() || pr.crashed.Load() || pr.gen.Load() != gen {
-			return
+		if !r.stopped.Load() {
+			r.enqueue(pr, fn, gen)
 		}
-		r.enqueue(pr, fn)
 	})
 }
 
 // Invoke runs fn at process p as one of its atomic steps — the bridge for
 // external callers (servers, tests) into the process's serialized world. It
 // reports whether the call was accepted (false: crashed or stopped).
+//
+// When p is idle — the runtime started, p alive, its mailbox empty and its
+// step lock free — fn runs before Invoke returns, on the caller's
+// goroutine, followed by what it made runnable at p (jobs it queued there,
+// actions it enabled) up to rt.StepBudget rounds; work left beyond that
+// goes to p's loop. Otherwise fn joins p's mailbox behind everything
+// already there, as a delivery would: an inline step never overtakes a
+// queued one. A step that Invokes another process runs it inline too when
+// that process is idle; one that Invokes its own process, or a busy one,
+// queues the call. Since fn may run before Invoke returns, the caller must
+// not hold a lock that fn, or a step it makes runnable, takes.
 func (r *Runtime) Invoke(p rt.ProcID, fn func()) bool {
 	pr := r.procs[p]
 	if pr.crashed.Load() || r.stopped.Load() {
 		return false
 	}
-	r.enqueue(pr, fn)
+	gen := pr.gen.Load()
+	if r.started.Load() && pr.step.TryLock() {
+		if !pr.pending() {
+			return r.runInline(pr, fn, gen)
+		}
+		pr.step.Unlock()
+	}
+	return r.enqueue(pr, fn, gen)
+}
+
+// runInline runs fn and the burst it starts with pr's step lock held, which
+// the caller took, and releases it. The incarnation and stopped are read
+// again under the lock: a Crash or Stop that landed since Invoke's first
+// look refuses the call, and Restart, which takes the lock, finds no step of
+// the dead incarnation still running.
+func (r *Runtime) runInline(pr *process, fn func(), gen int64) bool {
+	if pr.crashed.Load() || pr.gen.Load() != gen || r.stopped.Load() {
+		pr.step.Unlock()
+		return false
+	}
+	if r.burst(pr, fn) {
+		wake(pr) // the loop takes over what is left
+	}
 	return true
 }
 
@@ -451,22 +498,29 @@ func (r *Runtime) Restart(p rt.ProcID, reboot func()) bool {
 	// The old loop exits promptly after Crash (it rechecks crashed between
 	// jobs); wait so two incarnations never consume one mailbox.
 	<-pr.loopDone
-	pr.mu.Lock()
-	pr.queue = nil
-	pr.mu.Unlock()
+	// An Invoke caller may still be inside a step of the dead incarnation:
+	// the step lock waits it out, so none runs after Restart returns, and
+	// keeps the new loop from stepping before reboot is queued.
+	pr.step.Lock()
+	defer pr.step.Unlock()
 	pr.actions.Rewind()
 	r.lifeMu.Lock()
 	defer r.lifeMu.Unlock()
 	if r.stopped.Load() {
 		return false
 	}
-	// Enqueue reboot before clearing the crashed flag: deliveries are dropped
-	// while crashed, so reboot is guaranteed to be the new incarnation's first
-	// job — no message ever reaches the stale pre-reset protocol state.
+	// Discard the mailbox, queue reboot and clear the crashed flag in one
+	// critical section of mu, the one enqueue checks the incarnation in: a
+	// job accepted before the crash sits in the discarded mailbox, one
+	// refused during it never lands, and one accepted after it queues behind
+	// reboot — so no job ever reaches the stale pre-reset protocol state.
+	pr.mu.Lock()
+	pr.queue = nil
 	if reboot != nil {
-		r.enqueue(pr, reboot)
+		pr.queue = append(pr.queue, reboot)
 	}
 	pr.crashed.Store(false)
+	pr.mu.Unlock()
 	r.Emit(rt.Record{P: p, Kind: "recover", Peer: -1})
 	r.spawn(pr)
 	// Oracles and guards may consult Crashed: let everyone re-examine.
@@ -517,15 +571,35 @@ func (r *Runtime) Counter(name string) int64 {
 	return c.Value()
 }
 
-// enqueue appends one job to pr's mailbox and nudges its loop. The mailbox
-// is unbounded: backpressure would let two processes sending to each other
-// deadlock, and protocol traffic here is self-limiting (request/grant
-// cycles, periodic heartbeats).
-func (r *Runtime) enqueue(pr *process, job func()) {
+// enqueue appends one job to pr's mailbox, unless pr has crashed or moved
+// past incarnation gen since the job was accepted, and reports whether it
+// did. It wakes pr's loop only if the job may otherwise go unseen: on the
+// mailbox's empty → non-empty edge, and only while no burst runs there. The
+// mailbox is unbounded: backpressure would let two processes sending to
+// each other deadlock, and protocol traffic here is self-limiting
+// (request/grant cycles, periodic heartbeats).
+//
+// No wake-up is lost. A job appended to a non-empty mailbox sits behind one
+// whose own append was covered, and whoever dequeues that one keeps going
+// (burst) until the mailbox is empty or hands on what is left. A job whose
+// append saw a burst running is covered by the burst's runner: enqueue
+// appends under mu and then loads running, while burst stores running =
+// false and then reads the mailbox under mu. Either enqueue's load follows
+// the store and it sends the wake itself, or the runner's read follows the
+// append and it finds the job.
+func (r *Runtime) enqueue(pr *process, job func(), gen int64) bool {
 	pr.mu.Lock()
+	if pr.crashed.Load() || pr.gen.Load() != gen {
+		pr.mu.Unlock()
+		return false
+	}
+	edge := len(pr.queue) == 0
 	pr.queue = append(pr.queue, job)
 	pr.mu.Unlock()
-	wake(pr)
+	if edge && !pr.running.Load() {
+		wake(pr)
+	}
+	return true
 }
 
 func wake(pr *process) {
@@ -547,43 +621,78 @@ func (pr *process) dequeue() func() {
 	return job
 }
 
-// loop is the per-process scheduler. Each iteration runs at most one mailbox
-// job and one action step, so neither starves the other: a message flood
-// cannot hold off the action system, a permanently enabled action cannot
-// hold off jobs, and the rotation gives weak fairness among the actions.
-// With nothing to run the loop blocks until a job arrives.
+// pending reports whether pr's mailbox holds a job.
+func (pr *process) pending() bool {
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	return len(pr.queue) > 0
+}
+
+// burst runs pr's steps with its step lock held, which the caller took,
+// and releases the lock. It runs rounds of at most one job — job first, if
+// given, then the mailbox's head — and one action step, so neither starves
+// the other: a message flood cannot hold off the action system, a
+// permanently enabled action cannot hold off jobs, and the rotation gives
+// weak fairness among the actions. It stops at a round that runs nothing,
+// at a crash or Stop, or after rt.StepBudget rounds, and reports whether
+// the budget ran out with work possibly left.
 //
-// Nothing here is rationed by time (rt.Paced rations a cycle through its own
-// one-tick timers). Busy iterations are bounded by stepBudget: after that
-// many in a row the loop yields the processor and carries on — no sleep, so
-// an action never waits out a tick it does not need.
-func (r *Runtime) loop(pr *process) {
-	budget := stepBudget
-	for {
-		if r.stopped.Load() || pr.crashed.Load() {
-			return
+// running is set for the burst's length. Letting go, burst clears it, drops
+// the lock and then reads the mailbox, waking the loop for any job that
+// arrived meanwhile — the read enqueue's ordering argument relies on.
+func (r *Runtime) burst(pr *process, job func()) (more bool) {
+	pr.running.Store(true)
+	for n := 0; ; n++ {
+		if n == rt.StepBudget {
+			r.yields.Inc()
+			more = true
+			break
 		}
-		ran := false
-		if job := pr.dequeue(); job != nil {
+		if r.stopped.Load() || pr.crashed.Load() {
+			break
+		}
+		if job == nil {
+			job = pr.dequeue()
+		}
+		ran := job != nil
+		if ran {
 			job()
-			ran = true
+			job = nil
 			if pr.crashed.Load() {
-				return
+				break
 			}
 		}
 		if pr.actions.Step() {
 			r.steps.Inc()
 			ran = true
 		}
-		if ran {
-			if budget--; budget == 0 {
-				r.yields.Inc()
-				runtime.Gosched()
-				budget = stepBudget
-			}
+		if !ran {
+			break
+		}
+	}
+	pr.running.Store(false)
+	pr.step.Unlock()
+	if pr.pending() {
+		wake(pr)
+	}
+	return more
+}
+
+// loop is the per-process scheduler: a burst whenever there is work, then
+// sleep until a job arrives. Nothing here is rationed by time (rt.Paced
+// rations a cycle through its own one-tick timers). A burst that exhausts
+// rt.StepBudget yields the processor and carries on — no sleep, so an action
+// never waits out a tick it does not need.
+func (r *Runtime) loop(pr *process) {
+	for {
+		if r.stopped.Load() || pr.crashed.Load() {
+			return
+		}
+		pr.step.Lock()
+		if r.burst(pr, nil) {
+			runtime.Gosched()
 			continue
 		}
-		budget = stepBudget
 		select {
 		case <-pr.notify:
 		case <-r.stop:

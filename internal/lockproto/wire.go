@@ -224,13 +224,14 @@ func fastInt(data []byte, i int) (v int64, next int, err error) {
 	if i < len(data) && data[i] == '-' {
 		i++
 	}
-	digits := 0
+	first := i
 	for i < len(data) && data[i] >= '0' && data[i] <= '9' {
 		i++
-		digits++
 	}
-	if digits == 0 || digits > 18 {
+	if digits := i - first; digits == 0 || digits > 18 {
 		return 0, 0, errFallback // not a plain int, or near the int64 edge
+	} else if digits > 1 && data[first] == '0' {
+		return 0, 0, errFallback // a leading zero, which JSON forbids
 	}
 	if i < len(data) && (data[i] == '.' || data[i] == 'e' || data[i] == 'E') {
 		return 0, 0, errFallback
@@ -410,11 +411,12 @@ func decodeEventFast(data []byte, ev *Event) error {
 	})
 }
 
-// valueReader pulls one JSON value at a time off a byte stream into a
-// reusable scratch buffer — the streaming half of the codec, replacing
-// json.Decoder on connections. Like json.Decoder it does not require
-// newline framing: it scans one balanced value (string-aware for objects)
-// and leaves the rest of the stream untouched.
+// valueReader pulls one JSON value at a time off a byte stream — the
+// streaming half of the codec, replacing json.Decoder on connections. Like
+// json.Decoder it does not require newline framing: it scans one balanced
+// value (string-aware for objects) and leaves the rest of the stream
+// untouched. It scans the bufio window in place; only a value that spans a
+// refill is assembled in the reusable scratch buffer.
 type valueReader struct {
 	br      *bufio.Reader
 	scratch []byte
@@ -424,88 +426,147 @@ func newValueReader(r io.Reader) *valueReader {
 	return &valueReader{br: bufio.NewReaderSize(r, 4096)}
 }
 
-// next reads the next JSON value into the scratch buffer. The returned
-// slice is valid until the following call.
+// next reads the next JSON value. The returned slice — the buffered bytes
+// themselves, or the scratch buffer — is valid until the following call.
 func (vr *valueReader) next() ([]byte, error) {
-	// Skip inter-value whitespace.
-	var b byte
-	var err error
-	for {
-		b, err = vr.br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		if !isJSONSpace(b) {
-			break
-		}
+	win, err := vr.skipSpace()
+	if err != nil {
+		return nil, err
 	}
-	buf := vr.scratch[:0]
-	buf = append(buf, b)
-	switch b {
-	case '{', '[':
-		depth := 1
-		inStr, esc := false, false
-		for depth > 0 {
-			c, err := vr.br.ReadByte()
-			if err != nil {
-				vr.scratch = buf
-				return nil, unexpectedEOF(err)
+	var sc valueScan
+	sc.open(win[0])
+	n, done := sc.scan(win, 1)
+	if done {
+		vr.br.Discard(n)
+		return win[:n:n], nil
+	}
+	buf := append(vr.scratch[:0], win[:n]...)
+	vr.br.Discard(n)
+	for !done {
+		if win, err = vr.window(); err != nil {
+			vr.scratch = buf
+			if sc.scalar && err == io.EOF {
+				return buf, nil // a number or literal may end the stream
 			}
-			buf = append(buf, c)
-			switch {
-			case esc:
-				esc = false
-			case inStr:
-				if c == '\\' {
-					esc = true
-				} else if c == '"' {
-					inStr = false
-				}
-			case c == '"':
-				inStr = true
-			case c == '{' || c == '[':
-				depth++
-			case c == '}' || c == ']':
-				depth--
-			}
+			return nil, unexpectedEOF(err)
 		}
-	case '"':
-		esc := false
-		for {
-			c, err := vr.br.ReadByte()
-			if err != nil {
-				vr.scratch = buf
-				return nil, unexpectedEOF(err)
-			}
-			buf = append(buf, c)
-			if esc {
-				esc = false
-			} else if c == '\\' {
-				esc = true
-			} else if c == '"' {
-				break
-			}
-		}
-	default:
-		// Number or literal: read until a structural delimiter or space.
-		for {
-			c, err := vr.br.ReadByte()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				vr.scratch = buf
-				return nil, err
-			}
-			if isJSONSpace(c) || c == ',' || c == '}' || c == ']' {
-				vr.br.UnreadByte()
-				break
-			}
-			buf = append(buf, c)
-		}
+		n, done = sc.scan(win, 0)
+		buf = append(buf, win[:n]...)
+		vr.br.Discard(n)
 	}
 	vr.scratch = buf
 	return buf, nil
+}
+
+// window returns every buffered byte, reading from the stream first when
+// none is buffered.
+func (vr *valueReader) window() ([]byte, error) {
+	if vr.br.Buffered() == 0 {
+		if _, err := vr.br.Peek(1); err != nil {
+			return nil, err
+		}
+	}
+	return vr.br.Peek(vr.br.Buffered())
+}
+
+// skipSpace discards inter-value whitespace and returns the window from the
+// value's first byte on.
+func (vr *valueReader) skipSpace() ([]byte, error) {
+	for {
+		win, err := vr.window()
+		if err != nil {
+			return nil, err
+		}
+		i := 0
+		for i < len(win) && isJSONSpace(win[i]) {
+			i++
+		}
+		vr.br.Discard(i)
+		if i < len(win) {
+			return win[i:], nil
+		}
+	}
+}
+
+// valueScan is the framing state of one value as its bytes go by: the
+// bracket depth, whether the scan is inside a string or just past a
+// backslash in one, and whether the value is a scalar — a number or a
+// literal, which has no closing byte.
+type valueScan struct {
+	depth              int
+	inStr, esc, scalar bool
+	lit                string // what is left to match of null, true or false
+}
+
+// open sets the state from the value's first byte.
+func (sc *valueScan) open(b byte) {
+	switch b {
+	case '{', '[':
+		sc.depth = 1
+	case '"':
+		sc.inStr = true
+	case 'n':
+		sc.scalar, sc.lit = true, "ull"
+	case 't':
+		sc.scalar, sc.lit = true, "rue"
+	case 'f':
+		sc.scalar, sc.lit = true, "alse"
+	default:
+		sc.scalar = true
+	}
+}
+
+// scan advances over win from i and returns how many of win's bytes belong
+// to the value, and whether the value ended within them.
+func (sc *valueScan) scan(win []byte, i int) (int, bool) {
+	if sc.lit != "" {
+		// A literal ends after its last letter, where json.Decoder ends it
+		// (`null{…}` is two values), or before the first byte that breaks
+		// it, leaving a prefix no decoder accepts.
+		for ; i < len(win); i++ {
+			if win[i] != sc.lit[0] {
+				return i, true
+			}
+			if sc.lit = sc.lit[1:]; sc.lit == "" {
+				return i + 1, true
+			}
+		}
+		return i, false
+	}
+	if sc.scalar {
+		// Any other scalar fails to decode into a message, whatever its
+		// extent: run it to a delimiter.
+		for ; i < len(win); i++ {
+			if c := win[i]; isJSONSpace(c) || c == ',' || c == '}' || c == ']' {
+				return i, true
+			}
+		}
+		return i, false
+	}
+	for ; i < len(win); i++ {
+		c := win[i]
+		switch {
+		case sc.esc:
+			sc.esc = false
+		case sc.inStr:
+			if c == '\\' {
+				sc.esc = true
+			} else if c == '"' {
+				if sc.inStr = false; sc.depth == 0 {
+					return i + 1, true
+				}
+			}
+		case c == '"':
+			sc.inStr = true
+		case c == '{' || c == '[':
+			sc.depth++
+		case c == '}' || c == ']':
+			if sc.depth--; sc.depth == 0 {
+				return i + 1, true
+			}
+		}
+	}
+	return i, false
 }
 
 func unexpectedEOF(err error) error {

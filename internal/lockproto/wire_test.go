@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // The codec's contract is byte-compatibility: AppendRequest/AppendEvent
@@ -193,6 +194,7 @@ func FuzzWireCodecEquivalence(f *testing.F) {
 	f.Add([]byte(`{"ev":"suspect","of":1,"peer":2,"suspect":true}`), "", 0, "", "", int64(0), "")
 	f.Add([]byte(`{"OP":"x","bogus":[{"a":1}],"diner":2e3}`), "a\x00b", -1, "\xff", "<&>", int64(-5), "\u2028")
 	f.Add([]byte(" {\"op\"\n:\t\"a\" , \"id\" : null } "), "", 1<<30, "dup", "e", int64(1)<<62, "")
+	f.Add([]byte(`{"op":"a","diner":-01}`), "", 0, "", "", int64(0), "")
 	f.Fuzz(func(t *testing.T, raw []byte, op string, diner int, id string, evs string, tt int64, msg string) {
 		req := Request{Op: op, Diner: diner, ID: id}
 		want, err := json.Marshal(req)
@@ -231,6 +233,79 @@ func FuzzWireCodecEquivalence(f *testing.F) {
 			t.Fatalf("decode event %q: fast %+v, stdlib %+v", raw, fastEv, stdEv)
 		}
 	})
+}
+
+// FuzzWireStreamReader holds the streaming readers to json.Decoder on the
+// same byte stream, delivered whole, one byte per Read and half a Read at a
+// time, so values are framed both inside one buffered window and across
+// refills. Value by value the two must agree on success and on the decoded
+// message, and end together: both at a clean io.EOF, or both with an error
+// at the same value.
+func FuzzWireStreamReader(f *testing.F) {
+	var seed bytes.Buffer
+	enc := json.NewEncoder(&seed)
+	for _, v := range []any{
+		Request{Op: OpAcquire, Diner: 3, ID: "s-1"},
+		Event{Ev: EvGranted, Diner: 3, ID: "s-1", T: 88},
+		Request{Op: OpRelease, ID: `quote"back\slash}{][`},
+		Event{Ev: EvSuspect, Of: 1, Peer: 2, Suspect: true},
+		Request{Op: OpInfo, ID: strings.Repeat("x", 5000)}, // spans the 4096-byte buffer
+	} {
+		if err := enc.Encode(v); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte(`{"op":"info"}{"op":"watch"}  {"ev":"released","t":-1}` + "\n\t null {}"))
+	f.Add([]byte(`{"op":"a","x":[{"y":"]"}]} {"op":"b"}12`))
+	f.Add([]byte(`{"op":"a"} "s" {"op":"b"}`))
+	f.Add([]byte(`{"op":"a"}}`))
+	f.Add([]byte(`{"id":"\u00e9\"\\"}` + " \r\n tru"))
+	f.Add([]byte(`null{"op":"a"}`))
+	f.Add([]byte(` {"op":"unterminated`))
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		wrappers := []struct {
+			name string
+			wrap func(io.Reader) io.Reader
+		}{
+			{"whole", func(r io.Reader) io.Reader { return r }},
+			{"one-byte", iotest.OneByteReader},
+			{"half", iotest.HalfReader},
+		}
+		for _, w := range wrappers {
+			rr := NewRequestReader(w.wrap(bytes.NewReader(stream)))
+			er := NewEventReader(w.wrap(bytes.NewReader(stream)))
+			matchDecoder(t, w.name, stream, func(req *Request) error { return rr.Read(req) })
+			matchDecoder(t, w.name, stream, func(ev *Event) error { return er.Read(ev) })
+		}
+	})
+}
+
+// matchDecoder reads stream to its end through read and through a
+// json.Decoder, value by value, and fails on the first disagreement.
+func matchDecoder[T comparable](t *testing.T, how string, stream []byte, read func(*T) error) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(stream))
+	for i := 0; ; i++ {
+		var got, want T
+		err := read(&got)
+		werr := dec.Decode(&want)
+		if werr == io.EOF || err == io.EOF {
+			if err != werr {
+				t.Fatalf("%s: %T %d of %q: err %v, json.Decoder err %v", how, got, i, stream, err, werr)
+			}
+			return
+		}
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("%s: %T %d of %q: err %v, json.Decoder err %v", how, got, i, stream, err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if got != want {
+			t.Fatalf("%s: %T %d of %q: got %+v, json.Decoder %+v", how, got, i, stream, got, want)
+		}
+	}
 }
 
 // Benchmark pairs: the hand-rolled codec vs the encoding/json baseline on

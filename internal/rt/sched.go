@@ -57,6 +57,13 @@ func (s *Actions) Step() bool {
 // starts.
 func (s *Actions) Rewind() { s.rot = 0 }
 
+// StepBudget bounds how many consecutive rounds — one queued job and one
+// Step each — a real-time runtime runs at one process before it lets go of
+// the processor, so a process that always has work (a message flood, an
+// action cycle wired unpaced) shares its core instead of monopolizing it.
+// The simulator needs no such bound: its steps occupy simulated time.
+const StepBudget = 64
+
 // Paced returns a view of k for wiring protocols whose action cycles never
 // disable themselves — the extraction's witness and subject threads dine
 // forever. Everything is k's own except AddAction: the actions registered

@@ -299,7 +299,7 @@ func (t *Reliable) onAck(p rt.ProcID, m rt.Message) {
 // Reset reinstalls p's outbound transport state after a crash-restart. Call
 // it from the reboot hook of a live-runtime Restart, before any protocol
 // module's reset (their resync messages must go out through a working
-// sender), on p's own goroutine.
+// sender), as a step of p.
 //
 // Two things need repair. The dead incarnation's unacked windows are
 // discarded: those messages are volatile state that died with the process,
