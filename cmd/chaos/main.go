@@ -26,8 +26,8 @@
 // channels to fair-lossy links; the reliable transport is enabled
 // automatically whenever link faults are present (override with -transport).
 //
-// Boxes: forks|token|perfect|trap plus "buggy", a planted-bug forks mutant
-// that sweeps are expected to catch (its failures do not affect the exit
+// Boxes: forks|token|perfect|trap plus "buggy", the planted bug (forks
+// without the ◇P override) that sweeps are expected to catch (its failures do not affect the exit
 // status; failing to catch is what -expect-caught turns into an error).
 package main
 

@@ -9,8 +9,9 @@
 // The engine treats every box as a black box, in the spirit of the paper's
 // quantification over *any* WF-◇WX service: a run is described entirely by
 // a declarative Spec (no code, no closures), so a failing Spec is a complete,
-// shareable counterexample. The planted-bug box ("buggy", a forks mutant
-// whose crash-tolerance override was dropped) keeps the engine honest:
+// shareable counterexample. The planted-bug box ("buggy", forks over a
+// detector that never suspects, so its crash-tolerance override never
+// fires) keeps the engine honest:
 // campaigns over it must catch and shrink a real wait-freedom violation,
 // proving the pipeline can find what it claims to find.
 package chaos
@@ -161,7 +162,8 @@ type BudgetSpec struct {
 }
 
 // Boxes lists the dining boxes the engine can build. The first four are the
-// repository's real services; "buggy" is the planted-bug forks mutant.
+// repository's real services; "buggy" is the planted bug: forks without
+// the ◇P override.
 func Boxes() []string { return []string{"forks", "token", "perfect", "trap", "buggy"} }
 
 // Topologies lists the conflict-graph shapes the engine can build.

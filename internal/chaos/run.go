@@ -215,8 +215,13 @@ func buildBox(k rt.Runtime, g *graph.Graph, spec Spec) (dining.Table, error) {
 	case "trap":
 		return trap.New(k, g, "dine", sim.ProcID(g.N()), era), nil
 	case "buggy":
-		oracle := detector.NewHeartbeat(k, "hb", detector.HeartbeatConfig{})
-		return newBuggyTable(k, g, "dine", oracle), nil
+		// The planted bug: forks without the ◇P override, i.e. forks
+		// reading a detector that never suspects. It is latent — crash-free
+		// runs cannot tell it from the real box — and shows only when a
+		// crash strikes a fork holder: its correct hungry neighbors starve.
+		// The campaign still runs and judges the heartbeat detector.
+		detector.NewHeartbeat(k, "hb", detector.HeartbeatConfig{})
+		return forks.New(k, g, "dine", &detector.Scripted{}, forks.Config{}), nil
 	}
 	return nil, fmt.Errorf("chaos: unknown box %q", spec.Box)
 }

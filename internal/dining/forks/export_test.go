@@ -5,3 +5,9 @@ func IsSync(payload any) bool {
 	_, ok := payload.(syncMsg)
 	return ok
 }
+
+// IsFork reports whether payload is a fork.
+func IsFork(payload any) bool {
+	_, ok := payload.(forkMsg)
+	return ok
+}

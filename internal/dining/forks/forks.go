@@ -10,9 +10,11 @@
 // Priority: fork requests are ordered by the requester's current hunger
 // session, stamped with a Lamport clock — the total order on (timestamp,
 // id) decides every conflict. A holder yields a requested fork unless it is
-// eating or it is hungry with the older claim; deferred requests are
-// granted on exit. Requests are retransmitted while hungry, which makes the
-// protocol insensitive to channel reordering. Because priority is derived
+// eating or it is hungry with the older claim. Channels are reliable (on
+// lossy links the transport makes them so), so each request is sent once:
+// the holder keeps it with its claim and decides it whenever it holds the
+// fork — on arrival, or when a fork the request overtook arrives; a
+// deferred request is granted on exit. Because priority is derived
 // from logical time rather than from persistent per-edge state, scheduling
 // mistakes cannot corrupt it: the classical argument applies in every
 // reachable configuration — the globally oldest hungry diner gets all its
@@ -44,8 +46,6 @@ import (
 
 // Config tunes the algorithm.
 type Config struct {
-	// Retry is the request retransmission period while hungry (default 25).
-	Retry rt.Time
 	// Seed overrides the initial fork placement: it reports whether p holds
 	// the fork of edge {p, q} at module construction (nil: the lower id
 	// holds). A durable server uses it to rebuild persisted ownership after
@@ -67,9 +67,6 @@ type Table struct {
 // New builds a WF-◇WX dining instance over g, consulting oracle (expected
 // to satisfy the ◇P axioms) for the suspicion override.
 func New(k rt.Runtime, g *graph.Graph, name string, oracle detector.Oracle, cfg Config) *Table {
-	if cfg.Retry <= 0 {
-		cfg.Retry = 25
-	}
 	t := &Table{name: name, g: g, mods: make([]*module, g.Bound())}
 	for _, p := range g.Nodes() {
 		t.mods[p] = newModule(k, g, name, p, oracle, cfg)
@@ -115,31 +112,57 @@ func (t *Table) HoldsFork(p, q rt.ProcID) bool {
 
 // edge is per-neighbor fork state at one module.
 type edge struct {
-	hold   bool // we hold the fork of this edge
-	wanted bool // the neighbor requested it while we could not yield
+	hold bool // we hold the fork of this edge
+	// wantTS is the claim of the neighbor's pending request for the fork
+	// (its newest hunger-session timestamp; 0 = none): a request we could
+	// not grant yet, or one that arrived ahead of the fork it chases.
+	wantTS int64
 	// resync: we still await the neighbor's syncAck after a Reset. While it
 	// is set the edge's fork is neither held nor mintable; the suspicion
 	// override still applies, so a dead neighbor cannot wedge the restarted
 	// diner.
 	resync bool
+	// epoch counts the edge's resyncs: a Reset at either end starts a new
+	// one, and each end adopts the larger count it hears of.
+	epoch int64
+}
+
+// current reports whether a message stamped with epoch is not stale,
+// adopting a newer epoch.
+func (e *edge) current(epoch int64) bool {
+	if epoch < e.epoch {
+		return false
+	}
+	e.epoch = epoch
+	return true
 }
 
 type reqMsg struct {
 	TS int64 // requester's hunger-session Lamport timestamp
 }
 
-type forkMsg struct{}
+// forkMsg is the fork itself. One from an older epoch was sent before a
+// sync reached its sender, whose ack counted it as gone: it is dropped.
+type forkMsg struct {
+	Epoch int64
+}
 
 // syncMsg is sent by a restarted diner to every neighbor: "my fork state is
-// gone — do you hold the fork of our edge?" It is retransmitted until acked.
-type syncMsg struct{}
+// gone — do you hold the fork of our edge?" It is sent once per edge and
+// reset: the neighbor answers it on arrival, and a neighbor that was down
+// answers with its own Reset's sync, which the tie rule in onSync settles.
+type syncMsg struct {
+	Epoch int64
+}
 
 // syncAckMsg answers a syncMsg with the responder's holding bit. The
 // restarted diner mints a fresh fork for the edge iff Hold is false, which
-// restores the one-fork-per-edge invariant (the old token either reached the
-// neighbor before the restart or was dropped at the crashed process).
+// restores the one-fork-per-edge invariant: the old token either reached the
+// neighbor before its sync did, was lost with the crashed process, or is
+// still in flight from an older epoch and will be dropped.
 type syncAckMsg struct {
-	Hold bool
+	Hold  bool
+	Epoch int64
 }
 
 type module struct {
@@ -151,10 +174,7 @@ type module struct {
 	view  detector.View
 	cfg   Config
 
-	// Made once rather than per send and per timer: the module's one port,
-	// named after its table, and the bound retry methods.
-	port                 rt.Port
-	retryFn, syncRetryFn func()
+	port rt.Port // the module's one port, named after its table; made once
 
 	clock    int64 // Lamport clock
 	hungerTS int64 // timestamp of the current hunger session
@@ -172,7 +192,6 @@ func newModule(k rt.Runtime, g *graph.Graph, name string, p rt.ProcID, oracle de
 
 		port: rt.PortOf(name),
 	}
-	m.retryFn, m.syncRetryFn = m.retry, m.syncRetry
 	for _, q := range m.nbrs {
 		// Initial fork placement: the lower id holds (any assignment works;
 		// priority comes from timestamps, not from placement) unless a Seed
@@ -198,9 +217,9 @@ func (m *module) onMsg(msg rt.Message) {
 	case reqMsg:
 		m.onReq(msg.From, pl)
 	case forkMsg:
-		m.onFork(msg.From)
+		m.onFork(msg.From, pl)
 	case syncMsg:
-		m.onSync(msg.From)
+		m.onSync(msg.From, pl)
 	case syncAckMsg:
 		m.onSyncAck(msg.From, pl)
 	default:
@@ -222,7 +241,6 @@ func (m *module) Hungry() {
 	m.clock++
 	m.hungerTS = m.clock
 	m.requestMissing()
-	m.scheduleRetry()
 }
 
 // Exit implements dining.Diner.
@@ -247,7 +265,7 @@ func (m *module) eat() { m.Set(dining.Eating) }
 // finishExit grants every deferred request and returns to thinking.
 func (m *module) finishExit() {
 	for _, q := range m.nbrs {
-		if e := m.edges[q]; e.wanted && e.hold {
+		if e := m.edges[q]; e.wantTS != 0 && e.hold {
 			m.yield(q)
 		}
 	}
@@ -263,9 +281,8 @@ func older(ts int64, p rt.ProcID, ts2 int64, q rt.ProcID) bool {
 	return p < q
 }
 
-// onReq decides a fork request: yield unless we are eating, or hungry with
-// the older claim. A request for a fork we do not hold is remembered too:
-// non-FIFO channels can deliver a request ahead of the fork it chases.
+// onReq keeps a fork request's claim and decides it if we hold the fork;
+// otherwise the fork's arrival decides it.
 func (m *module) onReq(q rt.ProcID, req reqMsg) {
 	e := m.edge(q)
 	if e == nil {
@@ -274,22 +291,24 @@ func (m *module) onReq(q rt.ProcID, req reqMsg) {
 	if req.TS > m.clock {
 		m.clock = req.TS
 	}
-	if !e.hold {
-		e.wanted = true
-		return
+	if req.TS > e.wantTS {
+		e.wantTS = req.TS
 	}
-	switch m.State() {
-	case dining.Eating, dining.Exiting:
-		e.wanted = true
-	case dining.Hungry:
-		if older(m.hungerTS, m.self, req.TS, q) {
-			e.wanted = true // our claim is older: they wait
-		} else {
-			m.yield(q)
-		}
-	default: // thinking: not competing, always yield
-		m.yield(q)
+	if e.hold {
+		m.serve(q)
 	}
+}
+
+// serve decides q's pending request, if any, for the fork we hold: yield
+// unless we are eating, or hungry with the older claim. A request it does
+// not grant stays on the edge and is granted on exit.
+func (m *module) serve(q rt.ProcID) {
+	want, st := m.edges[q].wantTS, m.State()
+	if want == 0 || st == dining.Eating || st == dining.Exiting ||
+		st == dining.Hungry && older(m.hungerTS, m.self, want, q) {
+		return // nothing pending, or deferred until we exit
+	}
+	m.yield(q)
 }
 
 // setHold flips one edge's hold bit, notifying the OnFork observer on every
@@ -306,27 +325,25 @@ func (m *module) setHold(q rt.ProcID, hold bool) {
 	}
 }
 
-// onFork records fork receipt (accepted in any state) and serves a deferred
-// request if we are no longer competing.
-func (m *module) onFork(q rt.ProcID) {
+// onFork records fork receipt (accepted in any state) and decides the
+// neighbor's pending request, if any.
+func (m *module) onFork(q rt.ProcID, f forkMsg) {
 	e := m.edge(q)
-	if e == nil {
+	if e == nil || !e.current(f.Epoch) {
 		return
 	}
 	m.setHold(q, true)
 	// A real fork settles a pending resync of its edge: no need to mint.
 	e.resync = false
-	if e.wanted && m.State() == dining.Thinking {
-		m.yield(q)
-	}
+	m.serve(q)
 }
 
 // yield transfers the fork to q.
 func (m *module) yield(q rt.ProcID) {
 	e := m.edges[q]
 	m.setHold(q, false)
-	e.wanted = false
-	m.k.Send(m.self, q, m.port, forkMsg{})
+	e.wantTS = 0
+	m.k.Send(m.self, q, m.port, forkMsg{Epoch: e.epoch})
 	if m.State() == dining.Hungry {
 		// We still compete: chase the fork we just gave up.
 		m.k.Send(m.self, q, m.port, reqMsg{TS: m.hungerTS})
@@ -334,11 +351,12 @@ func (m *module) yield(q rt.ProcID) {
 }
 
 // requestMissing asks for every fork we lack, with one boxed request for
-// all of them.
+// all of them. An edge still resyncing is skipped: a request could overtake
+// our sync and be forgotten by it, so onSyncAck asks instead.
 func (m *module) requestMissing() {
 	var req any
 	for _, q := range m.nbrs {
-		if !m.edges[q].hold {
+		if e := m.edges[q]; !e.hold && !e.resync {
 			if req == nil {
 				req = reqMsg{TS: m.hungerTS}
 			}
@@ -347,27 +365,12 @@ func (m *module) requestMissing() {
 	}
 }
 
-// scheduleRetry retransmits requests periodically while hungry, making the
-// protocol robust to reorderings; retries to crashed holders are dropped by
-// the network (the suspicion override unblocks us instead).
-func (m *module) scheduleRetry() { m.k.After(m.self, m.cfg.Retry, m.retryFn) }
-
-func (m *module) retry() {
-	if m.State() != dining.Hungry {
-		return
-	}
-	m.requestMissing()
-	m.scheduleRetry()
-}
-
 // Reset reinstalls p's module state after a crash-restart: the diner returns
 // to Thinking and every incident edge is resynchronized with its other
 // endpoint via the sync/syncack handshake, which decides afresh who holds
-// the edge's fork. Call it from the reboot hook of live.Runtime.Restart; the
-// restart must happen strictly later than any message the dead incarnation
-// had in flight (in practice: the crash->restart gap exceeds the link plan's
-// longest hold on a message), otherwise a stale in-flight fork could coexist
-// with a minted one.
+// the edge's fork. Call it from the reboot hook of live.Runtime.Restart. The
+// sync opens a new epoch on each edge, so a fork still in flight from before
+// the reset, in either direction, cannot coexist with a minted one.
 func (t *Table) Reset(p rt.ProcID) {
 	m := t.diner(p)
 	m.Core.Reset()
@@ -375,64 +378,52 @@ func (t *Table) Reset(p rt.ProcID) {
 	for _, q := range m.nbrs {
 		e := m.edges[q]
 		m.setHold(q, false)
-		e.wanted = false
+		e.wantTS = 0
 		e.resync = true
-		m.k.Send(m.self, q, m.port, syncMsg{})
+		e.epoch++
+		m.k.Send(m.self, q, m.port, syncMsg{Epoch: e.epoch})
 	}
-	m.scheduleSyncRetry()
 }
 
-// onSync answers a restarted neighbor's state query. Any deferred-request
-// memory for that neighbor is dropped — its hunger session died with it. If
-// both endpoints are resyncing the same edge at once (both restarted), the
-// lower id mints the fork immediately and the ack tells the higher id it
-// lost the tie; the resync guard in onSyncAck discards the mirror-image ack.
-func (m *module) onSync(q rt.ProcID) {
+// onSync answers a restarted neighbor's state query, unless a later one
+// has been answered. The neighbor's pending request died with it, and so
+// did ours there: if we are hungry without the fork, we ask again after
+// the ack. If both ends are resyncing (both restarted), the lower id mints
+// at once and the ack tells the higher id it lost the tie; onSyncAck's
+// resync guard discards the mirror-image ack.
+func (m *module) onSync(q rt.ProcID, s syncMsg) {
 	e := m.edge(q)
-	if e == nil {
+	if e == nil || !e.current(s.Epoch) {
 		return
 	}
-	e.wanted = false
+	e.wantTS = 0
 	if e.resync {
 		e.resync = false
 		if m.self < q {
 			m.setHold(q, true)
 		}
 	}
-	m.k.Send(m.self, q, m.port, syncAckMsg{Hold: e.hold})
+	m.k.Send(m.self, q, m.port, syncAckMsg{Hold: e.hold, Epoch: e.epoch})
+	if !e.hold && m.State() == dining.Hungry {
+		m.k.Send(m.self, q, m.port, reqMsg{TS: m.hungerTS})
+	}
 }
 
-// onSyncAck resolves one pending edge of a resync: mint the fork iff the
-// neighbor does not hold it. Duplicate or stale acks are ignored via the
-// edge's resync bit, so replayed messages cannot mint a second fork.
+// onSyncAck settles one edge of a resync: mint the fork iff the neighbor
+// does not hold it and decide its pending request, or, if it holds it and
+// we are hungry, ask for it (Hungry skipped the edge). The resync bit and
+// the epoch ignore duplicate and stale acks: no second fork is minted.
 func (m *module) onSyncAck(q rt.ProcID, ack syncAckMsg) {
 	e := m.edge(q)
-	if e == nil || !e.resync {
+	if e == nil || !e.resync || !e.current(ack.Epoch) {
 		return
 	}
 	e.resync = false
-	if !ack.Hold {
+	switch {
+	case !ack.Hold:
 		m.setHold(q, true)
-		if e.wanted && m.State() == dining.Thinking {
-			m.yield(q)
-		}
-	}
-}
-
-// scheduleSyncRetry retransmits outstanding sync queries, in neighbor order,
-// until every edge is settled, so a resync survives message loss and a
-// neighbor that is itself down for a while.
-func (m *module) scheduleSyncRetry() { m.k.After(m.self, m.cfg.Retry, m.syncRetryFn) }
-
-func (m *module) syncRetry() {
-	pending := false
-	for _, q := range m.nbrs {
-		if m.edges[q].resync {
-			pending = true
-			m.k.Send(m.self, q, m.port, syncMsg{})
-		}
-	}
-	if pending {
-		m.scheduleSyncRetry()
+		m.serve(q)
+	case m.State() == dining.Hungry:
+		m.k.Send(m.self, q, m.port, reqMsg{TS: m.hungerTS})
 	}
 }

@@ -11,15 +11,17 @@ import (
 	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/transport"
 )
 
 // The crash-restart handshake (Table.Reset and the sync/syncack exchange) on
 // the deterministic kernel. A simulated process never comes back from a
 // crash, so a reset here is a timer at the diner: the one step the live
-// runtime's reboot hook runs. Channels have a fixed delay, hence FIFO, which
-// gives Reset's precondition by construction — nothing the old incarnation
-// sent can overtake its sync queries. The oracle never suspects, so every
-// meal is earned with real forks and fork ownership alone decides safety.
+// runtime's reboot hook runs. Channels have a fixed delay, hence FIFO.
+// Forks assume reliable channels, so a lossy run wires the table over the
+// transport, which delivers out of order and which the reset clears first,
+// as the reboot hook does. The oracle never suspects, so every meal is
+// earned with real forks and fork ownership alone decides safety.
 
 // journal replays OnFork into per-edge hold bits and keeps the first moment
 // both ends of an edge held its fork.
@@ -36,24 +38,26 @@ func (j *journal) onFork(p, q sim.ProcID, hold bool) {
 	}
 }
 
-// sendTap is the kernel with every Send shown to see first: the table is
+// sendTap is a runtime with every Send shown to see first: the table is
 // wired on it, so a test observes the table's traffic as it is sent.
 type sendTap struct {
-	*sim.Kernel
+	rt.Runtime
 	see func(sim.Message)
 }
 
 func (s sendTap) Send(from, to sim.ProcID, port rt.Port, payload any) {
 	s.see(sim.Message{From: from, To: to, Port: port, Payload: payload})
-	s.Kernel.Send(from, to, port, payload)
+	s.Runtime.Send(from, to, port, payload)
 }
 
 // TestResetResync resets diners mid-run — one alone, two neighbors in the
-// same tick (both ends of an edge resyncing at once: the lower id mints), and
-// one cut off from everyone for a window right after its reset, so its sync
-// queries and their acks are lost and retried — and checks from the OnFork
-// journal that no edge ever has both ends holding, that at quiescence
-// exactly one end holds each edge, and that a reset diner eats again.
+// same tick (both ends of an edge resyncing at once: the lower id mints),
+// one cut off from everyone for a window right after its reset, so the
+// transport must re-send its sync queries and their acks, and one whose
+// inbound links lose 95 % of all messages for good — and checks from the
+// OnFork journal that no edge ever has both ends holding, that at
+// quiescence exactly one end holds each edge, that a reset diner eats
+// again, and that a reset sends exactly one sync per edge.
 func TestResetResync(t *testing.T) {
 	const at = sim.Time(1000)
 	cases := []struct {
@@ -65,6 +69,9 @@ func TestResetResync(t *testing.T) {
 		{"adjacent-same-tick", []sim.ProcID{1, 2}, sim.NoLinkFaults()},
 		{"acks-dropped", []sim.ProcID{2}, sim.LinkPlan{Name: "cut-off", Windows: []sim.LossyWindow{
 			{Start: at, End: at + 300, Drop: 1, Side: []sim.ProcID{2}},
+		}}},
+		{"inbound-lossy", []sim.ProcID{2}, sim.LinkPlan{Name: "lose-toward-2", Links: []sim.LinkFault{
+			{From: -1, To: 2, Drop: 0.95},
 		}}},
 	}
 	g := graph.Clique(4)
@@ -78,8 +85,14 @@ func TestResetResync(t *testing.T) {
 					t.Fatal(err)
 				}
 				j := &journal{k: k, hold: make(map[[2]sim.ProcID]bool)}
+				var under rt.Runtime = k
+				var tr *transport.Reliable
+				if len(c.plan.Windows)+len(c.plan.Links) > 0 {
+					tr = transport.Enable(k, "rt", transport.Config{})
+					under = tr
+				}
 				syncs := 0
-				tap := sendTap{k, func(m sim.Message) {
+				tap := sendTap{under, func(m sim.Message) {
 					if forks.IsSync(m.Payload) {
 						syncs++
 					}
@@ -92,9 +105,14 @@ func TestResetResync(t *testing.T) {
 					})
 				}
 				for _, p := range c.resets {
-					k.After(p, at, func() { tbl.Reset(p) })
+					k.After(p, at, func() {
+						if tr != nil {
+							tr.Reset(p)
+						}
+						tbl.Reset(p)
+					})
 				}
-				const horizon = 1_000_000
+				const horizon = 10_000_000
 				if end := k.Run(horizon); end >= horizon {
 					t.Fatalf("no quiescence by t=%d", horizon)
 				}
@@ -124,67 +142,48 @@ func TestResetResync(t *testing.T) {
 						t.Errorf("diner %d never ate after its reset", p)
 					}
 				}
-				// Reset queries each neighbor once; lost acks must cause more.
-				if first := len(c.resets) * (g.N() - 1); len(c.plan.Windows) > 0 && syncs <= first {
-					t.Errorf("%d sync queries in a run whose acks were lost: want retries beyond Reset's %d", syncs, first)
+				// Reset queries each neighbor once; recovering lost queries
+				// and acks is the transport's job, not the table's.
+				if want := len(c.resets) * (g.N() - 1); syncs != want {
+					t.Errorf("%d sync queries, want exactly one per edge per reset: %d", syncs, want)
 				}
 			})
 		}
 	}
 }
 
-// TestResyncRetriesInNeighborOrder: a reset diner whose syncacks keep getting
-// lost retransmits its sync queries round after round, and every round goes
-// out in g.Neighbors order — the order Reset itself sends in — so a run's
-// message sequence is a function of its seed.
-func TestResyncRetriesInNeighborOrder(t *testing.T) {
-	g := graph.Clique(4)
-	const p = sim.ProcID(1)
-	k := sim.NewKernel(g.N(), sim.WithSeed(5))
-	// Idle diners exchange nothing but the handshake, so every message to p
-	// is a syncack.
-	plan := sim.LinkPlan{Name: "lose-acks", Links: []sim.LinkFault{{From: -1, To: p, Drop: 0.95}}}
+// TestHungryDuringResync: a diner that turns hungry while its resync is
+// pending must not lose its request to the sync. Here the sync is dropped
+// once and re-sent by the transport, so anything sent after it can arrive
+// first; the neighbor, eating, would defer that request and then drop it on
+// the sync. The reset diner asks once the ack says where the fork is.
+func TestHungryDuringResync(t *testing.T) {
+	g := graph.Pair(0, 1)
+	log := &trace.Log{}
+	k := sim.NewKernel(2, sim.WithSeed(1), sim.WithTracer(log), sim.WithDelay(sim.FixedDelay{D: 3}))
+	const at = sim.Time(10)
+	// Links decide at arrival: the sync Reset sends at t=at lands at at+3.
+	plan := sim.LinkPlan{Name: "lose-the-sync", Windows: []sim.LossyWindow{{Start: at + 3, End: at + 4, Drop: 1}}}
 	if err := plan.Apply(k); err != nil {
 		t.Fatal(err)
 	}
-	var rounds [][]sim.ProcID // sync destinations, one slice per sending tick
-	last := sim.Time(-1)
-	tap := sendTap{k, func(m sim.Message) {
-		if forks.IsSync(m.Payload) && m.From == p {
-			if k.Now() != last {
-				rounds, last = append(rounds, nil), k.Now()
-			}
-			rounds[len(rounds)-1] = append(rounds[len(rounds)-1], m.To)
-		}
-	}}
+	tr := transport.Enable(k, "rt", transport.Config{})
 	var mute detector.Scripted
-	tbl := forks.New(tap, g, "fk", &mute, forks.Config{})
-	k.After(p, 10, func() { tbl.Reset(p) })
-	k.Run(1_000_000)
-
-	nbrs := g.Neighbors(p)
-	multi := 0
-	for i, got := range rounds {
-		next := 0 // index into nbrs the next destination may not precede
-		for _, q := range got {
-			for next < len(nbrs) && nbrs[next] != q {
-				next++
-			}
-			if next == len(nbrs) {
-				t.Fatalf("round %d sent syncs to %v, want a subsequence of %v", i, got, nbrs)
-			}
-			next++
-		}
-		if len(got) > 1 {
-			multi++
-		}
+	tbl := forks.New(tr, g, "fk", &mute, forks.Config{})
+	d0, d1 := tbl.Diner(0), tbl.Diner(1)
+	d0.OnEat(func() { k.After(0, 100, d0.Exit) }) // 0 holds the fork and eats through the resync
+	d1.OnEat(func() { k.After(1, 5, d1.Exit) })
+	k.After(0, 5, d0.Hungry)
+	k.After(1, at, func() {
+		tr.Reset(1)
+		tbl.Reset(1)
+	})
+	k.After(1, at+2, d1.Hungry)
+	const horizon = 100_000
+	if end := k.Run(horizon); end >= horizon {
+		t.Fatalf("no quiescence by t=%d", horizon)
 	}
-	if multi < 10 {
-		t.Fatalf("only %d of %d rounds retried more than one edge; the check needs at least 10", multi, len(rounds))
-	}
-	for _, q := range nbrs {
-		if tbl.HoldsFork(p, q) == tbl.HoldsFork(q, p) {
-			t.Errorf("edge %d-%d unsettled after the handshake", p, q)
-		}
+	if meals := log.Sessions("eating")[trace.SessionKey{Inst: "fk", P: 1}]; len(meals) != 1 {
+		t.Fatalf("diner 1 ate %d times after its reset, want 1", len(meals))
 	}
 }

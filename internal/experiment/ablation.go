@@ -16,8 +16,8 @@ import (
 
 // E13Ablations sweeps the design choices DESIGN.md calls out:
 //
-//	(a) the forks box's request retransmission period — liveness insurance
-//	    priced in messages;
+//	(a) the forks box's message cost: each fork request is sent once and
+//	    answered once, so meals and fork messages are one row pair;
 //	(b) the fairness layer's overtaking bound K — the service property the
 //	    paper's secondary result fixes at 2;
 //	(c) the native ◇P style feeding the black box (push heartbeats vs. pull
@@ -25,18 +25,18 @@ import (
 func E13Ablations(seed int64) *Table {
 	t := &Table{
 		ID:      "E13",
-		Title:   "Ablations — retry period, fairness bound K, native oracle style",
+		Title:   "Ablations — forks message cost, fairness bound K, native oracle style",
 		Columns: []string{"ablation", "setting", "metric", "value", "verdict"},
 	}
 
-	// ---- (a) retry period of the forks box ----
-	for _, retry := range []sim.Time{10, 25, 100} {
+	// ---- (a) message cost of the forks box ----
+	{
 		log := &trace.Log{}
 		g := graph.Ring(5)
 		k := sim.NewKernel(5, sim.WithSeed(seed), sim.WithTracer(log),
 			sim.WithDelay(sim.GSTDelay{GST: 600, PreMax: 80, PostMax: 8}))
 		oracle := detector.NewHeartbeat(k, "hb", detector.HeartbeatConfig{})
-		tbl := forks.New(k, g, "fk", oracle, forks.Config{Retry: retry})
+		tbl := forks.New(k, g, "fk", oracle, forks.Config{})
 		for _, p := range g.Nodes() {
 			dining.Drive(k, p, tbl.Diner(p), dining.DriverConfig{
 				ThinkMin: 10, ThinkMax: 60, EatMin: 5, EatMax: 20,
@@ -54,11 +54,11 @@ func E13Ablations(seed int64) *Table {
 		verdict := "ok"
 		if len(starved) > 0 {
 			verdict = "starvation"
-			t.Failures = append(t.Failures, fmt.Sprintf("retry=%d: %v", retry, starved))
+			t.Failures = append(t.Failures, fmt.Sprintf("forks: %v", starved))
 		}
 		t.Rows = append(t.Rows,
-			[]string{"retry", itoa(int64(retry)), "meals", itoa(int64(meals)), verdict},
-			[]string{"retry", itoa(int64(retry)), "fork msgs", itoa(k.Counter("msg.sent:fk")), verdict},
+			[]string{"forks", "ring5, crash 2@6000", "meals", itoa(int64(meals)), verdict},
+			[]string{"forks", "ring5, crash 2@6000", "fork msgs", itoa(k.Counter("msg.sent:fk")), verdict},
 		)
 	}
 
@@ -120,7 +120,7 @@ func E13Ablations(seed int64) *Table {
 		)
 	}
 	t.Notes = append(t.Notes,
-		"(a) slower retries save messages, never liveness (retransmission is insurance, suspicion does the unblocking)",
+		"(a) no retransmission: a request is remembered with its claim and decided when the fork is held, and suspicion does the unblocking",
 		"(b) K trades greedy throughput for the fairness bound; K=2 is the paper's secondary-result setting",
 		"(c) the reduction is indifferent to how the black box's own ◇P is built")
 	return t
