@@ -4,6 +4,9 @@
 
 GO ?= go
 FUZZTIME ?= 10s
+# Runs per benchmark in `bench` and `bench-serve`; bench2json keeps each
+# metric's median.
+BENCH_COUNT ?= 5
 
 .PHONY: check fmt vet build test race fuzz bench-smoke bench bench-serve bench-e2e chaos e2e
 
@@ -56,10 +59,12 @@ bench-smoke:
 	$(GO) test -C bench
 
 # Performance trajectory: run the substrate micro-benchmarks and the E*
-# experiment benches, and convert each set to a JSON artifact via
-# cmd/bench2json. The previously committed artifact is embedded as the
-# baseline, so every BENCH_*.json carries its own before/after deltas
-# (ns/op, allocs/op, deliveries/op, campaign wall-clock + speedup). CI
+# experiment benches BENCH_COUNT times each, and convert each set to a JSON
+# artifact of per-metric medians via cmd/bench2json. The artifact as
+# committed at HEAD is embedded as the baseline (so a second run compares
+# against the same parent numbers), and every BENCH_*.json carries its own
+# before/after deltas (ns/op, allocs/op, deliveries/op, campaign wall-clock
+# + speedup). CI
 # archives both files per commit. bench2json exits 1, after writing the
 # artifact, if a benchmark's allocs/op rose against its baseline: from 0 to
 # anything, or by more than 5 % and more than 8 allocations.
@@ -67,9 +72,9 @@ KERNEL_BENCH := BenchmarkKernel|BenchmarkForksTable|BenchmarkPairMonitor|Benchma
 EXPERIMENT_BENCH := BenchmarkE[0-9]|BenchmarkCampaignParallel
 
 bench:
-	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchmem . \
+	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchmem -count=$(BENCH_COUNT) . \
 		| $(GO) run ./cmd/bench2json -baseline BENCH_kernel.json -o BENCH_kernel.json
-	$(GO) test -run '^$$' -bench '$(EXPERIMENT_BENCH)' -benchtime 1x -benchmem . \
+	$(GO) test -run '^$$' -bench '$(EXPERIMENT_BENCH)' -benchtime 1x -benchmem -count=$(BENCH_COUNT) . \
 		| $(GO) run ./cmd/bench2json -baseline BENCH_experiments.json -o BENCH_experiments.json
 
 # Service-path trajectory, shaped like `bench`: lockproto's codec, flush
@@ -83,7 +88,7 @@ bench:
 SERVE_BENCH := BenchmarkWire|BenchmarkFlushWriter|BenchmarkRecAppend|BenchmarkSessions|BenchmarkStore|BenchmarkServeGrant|BenchmarkServeChurn|BenchmarkServeBoot
 
 bench-serve:
-	$(GO) test -run '^$$' -bench '$(SERVE_BENCH)' -benchmem ./internal/lockproto ./internal/wal ./internal/dinesvc \
+	$(GO) test -run '^$$' -bench '$(SERVE_BENCH)' -benchmem -count=$(BENCH_COUNT) ./internal/lockproto ./internal/wal ./internal/dinesvc \
 		| $(GO) run ./cmd/bench2json -baseline BENCH_serve.json -o BENCH_serve.json
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): its four

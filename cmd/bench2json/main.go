@@ -2,16 +2,22 @@
 // machine-readable JSON document, the unit of the repo's performance
 // trajectory: `make bench` regenerates BENCH_kernel.json and
 // BENCH_experiments.json, CI archives them per commit, and each fresh run
-// embeds the previously committed file (via -baseline) so every artifact
-// carries its own before/after deltas. ns/op deltas are informational — the
-// hosts that run this vary — but allocation counts are exact: after writing
-// the artifact, bench2json exits 1 if a benchmark's allocs/op rose against
-// the baseline (see allocRegressions for the tolerance), so `make bench` and
-// `make bench-serve` fail in the change that causes it.
+// embeds the committed file (via -baseline) so every artifact carries its
+// own before/after deltas. A benchmark run more than once (`-count`) is
+// reduced to the median of each metric. ns/op deltas are informational —
+// the hosts that run this vary — but allocation counts are exact: after
+// writing the artifact, bench2json exits 1 if a benchmark's allocs/op rose
+// against the baseline (see allocRegressions for the tolerance), so `make
+// bench` and `make bench-serve` fail in the change that causes it.
+//
+// The baseline is the -baseline file as committed at git's HEAD, and the
+// working file only outside a checkout or before its first commit, so
+// regenerating an artifact twice compares against the parent both times
+// instead of against the first regeneration.
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem | bench2json -o BENCH.json -baseline BENCH.json
+//	go test -run '^$' -bench . -benchmem -count 5 | bench2json -o BENCH.json -baseline BENCH.json
 package main
 
 import (
@@ -19,7 +25,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/exec"
+	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -60,7 +70,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *baseline != "" {
-		if raw, err := os.ReadFile(*baseline); err == nil {
+		if raw, err := readBaseline(*baseline); err == nil {
 			var base Doc
 			if err := json.Unmarshal(raw, &base); err != nil {
 				fmt.Fprintln(os.Stderr, "bench2json: baseline:", err)
@@ -125,14 +135,30 @@ func allocRegressions(cur, base *Doc) []string {
 	return out
 }
 
+// readBaseline returns path as committed at HEAD of the checkout holding
+// it, or, when git cannot show it, the file on disk.
+func readBaseline(path string) ([]byte, error) {
+	dir, file := filepath.Split(path)
+	if dir == "" {
+		dir = "."
+	}
+	if raw, err := exec.Command("git", "-C", dir, "show", "HEAD:./"+file).Output(); err == nil {
+		return raw, nil
+	}
+	return os.ReadFile(path)
+}
+
 // parse reads `go test -bench` text: header lines (goos/goarch/cpu/pkg) and
 // benchmark result lines of the form
 //
 //	BenchmarkName-8   123456   78.9 ns/op   2.0 deliveries/op   0 B/op   0 allocs/op
 //
-// Unrecognized lines (PASS, ok, test log output) are skipped.
-func parse(r *os.File) (*Doc, error) {
+// Unrecognized lines (PASS, ok, test log output) are skipped. Lines of one
+// benchmark repeated by -count become one entry, at its first line's place,
+// holding the median of each metric and of the iteration counts.
+func parse(r io.Reader) (*Doc, error) {
 	doc := &Doc{}
+	runs := make(map[string][]Benchmark)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -173,7 +199,10 @@ func parse(r *os.File) (*Doc, error) {
 			}
 			b.Metrics[fields[i+1]] = v
 		}
-		doc.Benchmarks = append(doc.Benchmarks, b)
+		if runs[b.Name] == nil {
+			doc.Benchmarks = append(doc.Benchmarks, Benchmark{Name: b.Name})
+		}
+		runs[b.Name] = append(runs[b.Name], b)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -181,7 +210,39 @@ func parse(r *os.File) (*Doc, error) {
 	if len(doc.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark lines on stdin")
 	}
+	for i := range doc.Benchmarks {
+		doc.Benchmarks[i] = medianOf(runs[doc.Benchmarks[i].Name])
+	}
 	return doc, nil
+}
+
+// medianOf reduces repeated runs of one benchmark to one: the median of the
+// iteration counts and of each metric, over the runs that report it.
+func medianOf(runs []Benchmark) Benchmark {
+	vals := make(map[string][]float64)
+	iters := make([]float64, len(runs))
+	for i, r := range runs {
+		iters[i] = float64(r.Iterations)
+		for m, v := range r.Metrics {
+			vals[m] = append(vals[m], v)
+		}
+	}
+	out := Benchmark{Name: runs[0].Name, Iterations: int64(median(iters)), Metrics: make(map[string]float64, len(vals))}
+	for m, vs := range vals {
+		out.Metrics[m] = median(vs)
+	}
+	return out
+}
+
+// median sorts vs and returns its middle value, or the mean of the middle
+// two.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // trimName strips the Benchmark prefix and the -GOMAXPROCS suffix.

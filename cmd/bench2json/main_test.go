@@ -1,7 +1,11 @@
 package main
 
 import (
+	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -47,5 +51,78 @@ func TestAllocRegressions(t *testing.T) {
 		if got := allocRegressions(doc(tc.cur), doc(tc.base)); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: got %q, want %q", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestParseMedian: the lines of one benchmark repeated by -count become one
+// entry, in first-appearance order, holding each metric's median — the
+// middle value of an odd count, the mean of the middle two of an even one —
+// while a benchmark run once passes through as it was read.
+func TestParseMedian(t *testing.T) {
+	in := `goos: linux
+pkg: repro
+BenchmarkA-2   	     100	       300 ns/op	      16 B/op	       2 allocs/op
+BenchmarkB-2   	      10	      7000 ns/op
+BenchmarkA-2   	     300	       100 ns/op	      16 B/op	       2 allocs/op
+BenchmarkA-2   	     200	       900 ns/op	      24 B/op	       3 allocs/op
+BenchmarkC-2   	       1	        50 ns/op	         4.0 deliveries/op
+BenchmarkC-2   	       3	        70 ns/op	         6.0 deliveries/op
+PASS
+`
+	doc, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Benchmark{
+		{Name: "A", Iterations: 200, Metrics: map[string]float64{"ns/op": 300, "B/op": 16, "allocs/op": 2}},
+		{Name: "B", Iterations: 10, Metrics: map[string]float64{"ns/op": 7000}},
+		{Name: "C", Iterations: 2, Metrics: map[string]float64{"ns/op": 60, "deliveries/op": 5}},
+	}
+	if !reflect.DeepEqual(doc.Benchmarks, want) {
+		t.Fatalf("got %+v\nwant %+v", doc.Benchmarks, want)
+	}
+}
+
+// TestBaselineIsCommitted: the baseline is the artifact as committed, not
+// the working file a first regeneration already overwrote — so a second
+// run does not rebase onto the first. Outside a checkout it is the file.
+func TestBaselineIsCommitted(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("no git")
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH.json")
+	write := func(s string) {
+		if err := os.WriteFile(path, []byte(s), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func() string {
+		raw, err := readBaseline(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	write("outside")
+	if got := read(); got != "outside" {
+		t.Fatalf("outside a checkout: baseline %q, want the file", got)
+	}
+	git := func(args ...string) {
+		cmd := exec.Command("git", append([]string{"-C", dir, "-c", "user.name=b", "-c", "user.email=b@b", "-c", "commit.gpgsign=false"}, args...)...)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
+		}
+	}
+	git("init", "-q")
+	if got := read(); got != "outside" {
+		t.Fatalf("before the first commit: baseline %q, want the file", got)
+	}
+	write("committed")
+	git("add", "BENCH.json")
+	git("commit", "-q", "-m", "artifact")
+	write("first regeneration")
+	if got := read(); got != "committed" {
+		t.Fatalf("after a regeneration: baseline %q, want the committed artifact", got)
 	}
 }

@@ -82,12 +82,16 @@ func (s *session) notify(ev lockproto.Event) {
 }
 
 // jconn is one client connection's outbound half: a self-clocking flush
-// writer over the socket. Writes from the connection reader, the seats'
+// writer over the socket. Events from the connection reader, the seats'
 // acks (diner processes, or a durable table's committer), and the suspect
-// feeds serialize on the writer's internal lock and never block on the
-// socket; an event on an idle connection is written at once, and whatever
-// arrives while that Write is in flight (grant acks interleaved with the
-// suspect stream) rides the next one instead of one Write per event.
+// feeds serialize on the writer's internal lock, and none of them writes
+// when it sends. Two goroutines write: the request loop, which after each
+// request it handled makes one non-blocking write of what is pending when
+// its client awaits nothing else (so a grant its inline step produced
+// leaves with no goroutine hand-off), and the writer's flusher, the only
+// one that blocks on the socket, for everything else — events sent while
+// the reader waits, a pipelining or multiplexing client's replies, and
+// whatever the socket refused.
 type jconn struct {
 	c  net.Conn
 	fw *lockproto.FlushWriter
@@ -161,10 +165,26 @@ func (s *Service) handleConn(jc *jconn) {
 	// &req escape, so a per-iteration variable is a heap allocation per
 	// request. Nothing keeps req past its iteration; Read wants it zeroed.
 	var req lockproto.Request
+	// own: this goroutine holds the writer for the request's replies.
+	// multiplexed: the connection has carried two sessions at once.
+	own, multiplexed := false, false
 	for {
+		if own {
+			jc.fw.Flush()
+		}
 		req = lockproto.Request{}
 		if err := rr.Read(&req); err != nil {
 			return
+		}
+		// The reader writes this request's replies itself unless more is
+		// coming for the client that could share the write: a further
+		// request already buffered (the client pipelines), or another
+		// session's grant or ack due from its diner's process (the client
+		// multiplexes sessions on this connection). Those are left to the
+		// flusher, which writes while this goroutine reads on.
+		multiplexed = multiplexed || len(attached) > 1
+		if own = !multiplexed && !rr.Pending(); own {
+			jc.fw.Hold()
 		}
 		switch req.Op {
 		case lockproto.OpInfo:

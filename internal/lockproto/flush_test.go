@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -272,6 +274,210 @@ func TestFlushWriterBacklogBound(t *testing.T) {
 	close(w.closed) // what the connection's owner does when Send reports false
 	if err := fw.Close(); err != ErrBacklog {
 		t.Fatalf("Close = %v, want ErrBacklog", err)
+	}
+}
+
+// tcpPair returns both ends of a loopback TCP connection, closed at the
+// end of the test.
+func tcpPair(t *testing.T) (srv, cli net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	cli, err = net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err = ln.Accept()
+	if err != nil {
+		cli.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close(); cli.Close() })
+	return srv, cli
+}
+
+// readN reads exactly n bytes from c, failing the test if they do not come.
+func readN(t *testing.T, c net.Conn, n int) []byte {
+	t.Helper()
+	c.SetReadDeadline(time.Now().Add(testTimeout))
+	got := make([]byte, n)
+	if _, err := io.ReadFull(c, got); err != nil {
+		t.Fatalf("reading %d bytes: %v", n, err)
+	}
+	return got
+}
+
+// TestFlushWriterOwnerWritesInline: on an idle socket, an event sent under
+// Hold is written by Flush itself — all of it, before Flush returns —
+// and the flusher is never woken.
+func TestFlushWriterOwnerWritesInline(t *testing.T) {
+	srv, cli := tcpPair(t)
+	fw := NewFlushWriter(srv, 0, 0)
+	fw.Writes, fw.Events, fw.Bytes = new(metrics.Counter), new(metrics.Counter), new(metrics.Counter)
+	defer fw.Close()
+
+	ev := Event{Ev: EvGranted, Diner: 1, ID: "inline"}
+	want := append(AppendEvent(nil, &ev), '\n')
+	fw.Hold()
+	if !fw.Send(&ev) {
+		t.Fatal("send refused")
+	}
+	fw.Flush()
+	if k := fw.Kicks(); k != 0 {
+		t.Fatalf("flusher woken %d times for an event the owner could write", k)
+	}
+	if w, e, b := fw.Writes.Value(), fw.Events.Value(), fw.Bytes.Value(); w != 1 || e != 1 || b != int64(len(want)) {
+		t.Fatalf("after Flush: %d writes, %d events, %d bytes; want 1, 1, %d", w, e, b, len(want))
+	}
+	if got := readN(t, cli, len(want)); !bytes.Equal(got, want) {
+		t.Fatalf("wire %q, want %q", got, want)
+	}
+	if k := fw.Kicks(); k != 0 {
+		t.Fatalf("flusher woken %d times", k)
+	}
+}
+
+// TestFlushWriterNoInlineWithoutSocket: over a writer that is not a
+// syscall.Conn, Flush only wakes the flusher. The recorder holds its
+// Write on the gate, so an inline write would keep Flush from returning.
+func TestFlushWriterNoInlineWithoutSocket(t *testing.T) {
+	rec := newGatedRecorder()
+	fw := NewFlushWriter(rec, 1<<20, 0)
+	fw.Hold()
+	if !fw.Send(&Event{Ev: EvGranted, Diner: 1, ID: "queued"}) {
+		t.Fatal("send refused")
+	}
+	if k := fw.Kicks(); k != 0 {
+		t.Fatalf("Send under Hold woke the flusher %d times", k)
+	}
+	flushed := make(chan struct{})
+	go func() { fw.Flush(); close(flushed) }()
+	await(t, flushed, "Flush to return with the Write still gated")
+	if k := fw.Kicks(); k != 1 {
+		t.Fatalf("Flush woke the flusher %d times, want 1", k)
+	}
+	await(t, rec.entered, "the flusher's Write")
+	close(rec.gate)
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.joined(); !bytes.Contains(got, []byte(`"queued"`)) {
+		t.Fatalf("flushed bytes %q missing the event", got)
+	}
+}
+
+// TestFlushWriterRefusedTailLeads: while the peer does not read, the
+// owner's try-writes fill the socket until one is refused, in part or
+// whole; the refused tail goes to the head of the buffer for the flusher,
+// ahead of the event sent during that try-write and of every event after
+// it. Once the peer reads, the stream is byte for byte the events in Send
+// order.
+func TestFlushWriterRefusedTailLeads(t *testing.T) {
+	srv, cli := tcpPair(t)
+	srv.(*net.TCPConn).SetWriteBuffer(4 << 10)
+	fw := NewFlushWriter(srv, 0, 0)
+	defer fw.Close()
+
+	var want bytes.Buffer
+	msg := strings.Repeat("m", 1500)
+	seq := 0
+	send := func() {
+		ev := Event{Ev: EvInfo, T: int64(seq), Msg: msg}
+		seq++
+		if !fw.Send(&ev) {
+			t.Fatal("send refused")
+		}
+		want.Write(AppendEvent(nil, &ev))
+		want.WriteByte('\n')
+	}
+	// Each try-write has an event sent while its batch is out.
+	try := fw.tryFn
+	fw.tryFn = func(fd uintptr) bool {
+		send()
+		return try(fd)
+	}
+	// Three events per request, so that a batch can straddle the socket's
+	// free space and be written in part.
+	for fw.Kicks() == 0 {
+		if want.Len() > 64<<20 {
+			t.Fatal("the socket never refused a write")
+		}
+		fw.Hold()
+		send()
+		send()
+		send()
+		fw.Flush()
+	}
+	for i := 0; i < 20; i++ {
+		fw.Hold()
+		send()
+		fw.Flush()
+	}
+	if got := readN(t, cli, want.Len()); !bytes.Equal(got, want.Bytes()) {
+		i := 0
+		for i < len(got) && got[i] == want.Bytes()[i] {
+			i++
+		}
+		t.Fatalf("%d events, %d bytes: the stream departs from Send order at byte %d", seq, want.Len(), i)
+	}
+}
+
+// TestFlushWriterOwnerAndSenders: four senders against an owner looping
+// Hold and Flush over a socket, and then against no owner at all.
+// Every event arrives exactly once and in its sender's order, with no
+// Flush or Close after the last Send to push it out. Run under -race.
+func TestFlushWriterOwnerAndSenders(t *testing.T) {
+	srv, cli := tcpPair(t)
+	fw := NewFlushWriter(srv, 0, 0)
+	defer fw.Close()
+
+	const senders, each = 4, 2000
+	half := make(chan struct{})
+	var halfway sync.WaitGroup
+	halfway.Add(senders)
+	go func() { halfway.Wait(); close(half) }()
+	for s := 0; s < senders; s++ {
+		go func() {
+			for i := 0; i < each; i++ {
+				if i == each/2 {
+					halfway.Done()
+				}
+				if !fw.Send(&Event{Ev: EvSuspect, Of: s, Peer: i}) {
+					t.Error("send refused")
+					return
+				}
+			}
+		}()
+	}
+	// The owner stops once every sender is half done.
+	for owning := true; owning; {
+		select {
+		case <-half:
+			owning = false
+		default:
+			fw.Hold()
+			fw.Flush()
+		}
+	}
+
+	cli.SetReadDeadline(time.Now().Add(testTimeout))
+	er := NewEventReader(cli)
+	next := make([]int, senders)
+	for n := 0; n < senders*each; n++ {
+		var ev Event
+		if err := er.Read(&ev); err != nil {
+			t.Fatalf("after %d of %d events: %v", n, senders*each, err)
+		}
+		if ev.Of < 0 || ev.Of >= senders {
+			t.Fatalf("event %d: from no sender: %+v", n, ev)
+		}
+		if ev.Peer != next[ev.Of] {
+			t.Fatalf("event %d: sender %d's #%d, want #%d", n, ev.Of, ev.Peer, next[ev.Of])
+		}
+		next[ev.Of]++
 	}
 }
 

@@ -488,6 +488,20 @@ func (vr *valueReader) skipSpace() ([]byte, error) {
 	}
 }
 
+// pending reports whether anything but whitespace is buffered, without
+// reading from the stream; the whitespace it passes over is discarded. The
+// value just read leaves its framing newline in the window, so a buffered
+// byte count is never zero after a newline-framed value.
+func (vr *valueReader) pending() bool {
+	win, _ := vr.br.Peek(vr.br.Buffered())
+	i := 0
+	for i < len(win) && isJSONSpace(win[i]) {
+		i++
+	}
+	vr.br.Discard(i)
+	return i < len(win)
+}
+
 // valueScan is the framing state of one value as its bytes go by: the
 // bracket depth, whether the scan is inside a string or just past a
 // backslash in one, and whether the value is a scalar — a number or a
@@ -595,6 +609,11 @@ func (rr *RequestReader) Read(req *Request) error {
 	}
 	return DecodeRequest(data, req)
 }
+
+// Pending reports whether a further request is already buffered: anything
+// but whitespace. It never reads from the stream, so a false answer means
+// the next Read must.
+func (rr *RequestReader) Pending() bool { return rr.vr.pending() }
 
 // EventReader decodes a stream of server events, replacing json.Decoder on
 // the client's read side.

@@ -240,7 +240,9 @@ func FuzzWireCodecEquivalence(f *testing.F) {
 // time, so values are framed both inside one buffered window and across
 // refills. Value by value the two must agree on success and on the decoded
 // message, and end together: both at a clean io.EOF, or both with an error
-// at the same value.
+// at the same value. After every request read, RequestReader.Pending must
+// agree with the buffered window — and the whitespace it discards must not
+// change what is decoded next.
 func FuzzWireStreamReader(f *testing.F) {
 	var seed bytes.Buffer
 	enc := json.NewEncoder(&seed)
@@ -275,10 +277,25 @@ func FuzzWireStreamReader(f *testing.F) {
 		for _, w := range wrappers {
 			rr := NewRequestReader(w.wrap(bytes.NewReader(stream)))
 			er := NewEventReader(w.wrap(bytes.NewReader(stream)))
-			matchDecoder(t, w.name, stream, func(req *Request) error { return rr.Read(req) })
+			matchDecoder(t, w.name, stream, func(req *Request) error {
+				err := rr.Read(req)
+				checkPending(t, w.name, rr)
+				return err
+			})
 			matchDecoder(t, w.name, stream, func(ev *Event) error { return er.Read(ev) })
 		}
 	})
+}
+
+// checkPending holds RequestReader.Pending to the buffered window: true
+// exactly when a byte other than JSON whitespace is buffered.
+func checkPending(t *testing.T, how string, rr *RequestReader) {
+	t.Helper()
+	win, _ := rr.vr.br.Peek(rr.vr.br.Buffered())
+	want := len(bytes.TrimLeft(win, " \t\r\n")) > 0
+	if got := rr.Pending(); got != want {
+		t.Fatalf("%s: Pending() = %v over the buffered window %q", how, got, win)
+	}
 }
 
 // matchDecoder reads stream to its end through read and through a
