@@ -4,9 +4,6 @@
 
 GO ?= go
 FUZZTIME ?= 10s
-# Runs per benchmark in `bench` and `bench-serve`; bench2json keeps each
-# metric's median.
-BENCH_COUNT ?= 5
 
 .PHONY: check fmt vet build test race fuzz bench-smoke bench bench-serve bench-e2e chaos e2e
 
@@ -59,7 +56,7 @@ bench-smoke:
 	$(GO) test -C bench
 
 # Performance trajectory: run the substrate micro-benchmarks and the E*
-# experiment benches BENCH_COUNT times each, and convert each set to a JSON
+# experiment benches five times each, and convert each set to a JSON
 # artifact of per-metric medians via cmd/bench2json. The artifact as
 # committed at HEAD is embedded as the baseline (so a second run compares
 # against the same parent numbers), and every BENCH_*.json carries its own
@@ -72,9 +69,9 @@ KERNEL_BENCH := BenchmarkKernel|BenchmarkForksTable|BenchmarkPairMonitor|Benchma
 EXPERIMENT_BENCH := BenchmarkE[0-9]|BenchmarkCampaignParallel
 
 bench:
-	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchmem -count=$(BENCH_COUNT) . \
+	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchmem -count=5 . \
 		| $(GO) run ./cmd/bench2json -baseline BENCH_kernel.json -o BENCH_kernel.json
-	$(GO) test -run '^$$' -bench '$(EXPERIMENT_BENCH)' -benchtime 1x -benchmem -count=$(BENCH_COUNT) . \
+	$(GO) test -run '^$$' -bench '$(EXPERIMENT_BENCH)' -benchtime 1x -benchmem -count=5 . \
 		| $(GO) run ./cmd/bench2json -baseline BENCH_experiments.json -o BENCH_experiments.json
 
 # Service-path trajectory, shaped like `bench`: lockproto's codec, flush
@@ -88,7 +85,7 @@ bench:
 SERVE_BENCH := BenchmarkWire|BenchmarkFlushWriter|BenchmarkRecAppend|BenchmarkSessions|BenchmarkStore|BenchmarkServeGrant|BenchmarkServeChurn|BenchmarkServeBoot
 
 bench-serve:
-	$(GO) test -run '^$$' -bench '$(SERVE_BENCH)' -benchmem -count=$(BENCH_COUNT) ./internal/lockproto ./internal/wal ./internal/dinesvc \
+	$(GO) test -run '^$$' -bench '$(SERVE_BENCH)' -benchmem -count=5 ./internal/lockproto ./internal/wal ./internal/dinesvc \
 		| $(GO) run ./cmd/bench2json -baseline BENCH_serve.json -o BENCH_serve.json
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): its four

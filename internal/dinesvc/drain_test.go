@@ -135,6 +135,25 @@ func TestDrainWaitsForJanitor(t *testing.T) {
 // reply, and the server must drop the connection — after which the client's
 // granted session is detached, expires on its lease and the table drains.
 func TestStalledClientIsCutOff(t *testing.T) {
+	stallAndExpectCutOff(t, bytes.Repeat([]byte(`{"op":"info"}`+"\n"), 4096))
+}
+
+// TestStalledIdleClientIsCutOff is TestStalledClientIsCutOff on the
+// reader's own write path: the client sends one request per Write, so the
+// server's reader often finds its window empty after a request and writes
+// the reply itself. That write must never block on the full socket.
+func TestStalledIdleClientIsCutOff(t *testing.T) {
+	stallAndExpectCutOff(t, []byte(`{"op":"info"}`+"\n"))
+}
+
+// stallAndExpectCutOff takes a grant, stops reading and writes payload, a
+// run of info requests, until the server hangs up; then the client's
+// session must expire on its lease. Every info request costs the server one
+// queued reply: socket buffers absorb the first few MiB, the flush writer
+// the next 8. A server that stops reading without hanging up shows as a
+// write that times out.
+func stallAndExpectCutOff(t *testing.T, payload []byte) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("boots a full server; skipped in -short")
 	}
@@ -159,78 +178,18 @@ func TestStalledClientIsCutOff(t *testing.T) {
 	}
 	cl.await(t, lockproto.EvGranted, "stall")
 
-	// Stop reading; every info request costs the server one queued reply.
-	// Socket buffers absorb the first few MiB, the flush writer the next 8.
-	batch := bytes.Repeat([]byte(`{"op":"info"}`+"\n"), 4096)
 	cl.c.SetWriteDeadline(time.Now().Add(30 * time.Second))
 	sent := 0
 	for {
-		n, err := cl.c.Write(batch)
+		n, err := cl.c.Write(payload)
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("server stopped reading after %d bytes of requests but never hung up", sent+n)
+		}
 		if sent += n; err != nil {
 			break // the server hung up on us
 		}
 		if sent > 256<<20 {
 			t.Fatalf("server still accepting requests after %d MiB of unread replies", sent>>20)
-		}
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for svc.inFlightTotal() > 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if left := svc.inFlightTotal(); left != 0 {
-		t.Fatalf("cut-off client's session never expired: %d in flight", left)
-	}
-	if tbl := svc.tableFor(0); tbl.m.expired.Value() != 1 {
-		t.Fatalf("expired=%d, want the stalled client's one session", tbl.m.expired.Value())
-	}
-}
-
-// TestStalledIdleClientIsCutOff is TestStalledClientIsCutOff on the
-// reader's own write path: the client never reads and sends one request per
-// Write, so the server's reader often finds its window empty after a
-// request and writes the reply itself. That write must never block on the
-// full socket: the server must still reach the backlog bound, hang up, and
-// let the client's session expire.
-func TestStalledIdleClientIsCutOff(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots a full server; skipped in -short")
-	}
-	svc, err := New(Config{
-		N: 3, Topology: "ring",
-		Tick: time.Millisecond, HBTimeout: 2000,
-		Lease: 100 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := svc.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Drain(2 * time.Second)
-
-	cl := dialBench(t, ln.Addr().String())
-	defer cl.c.Close()
-	if err := lockproto.WriteRequest(cl.c, &lockproto.Request{Op: lockproto.OpAcquire, Diner: 0, ID: "stall"}); err != nil {
-		t.Fatal(err)
-	}
-	cl.await(t, lockproto.EvGranted, "stall")
-
-	// A server that stops reading without hanging up shows as a write that
-	// times out.
-	info := []byte(`{"op":"info"}` + "\n")
-	cl.c.SetWriteDeadline(time.Now().Add(20 * time.Second))
-	for sent := 0; ; sent++ {
-		_, err := cl.c.Write(info)
-		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			t.Fatalf("server stopped reading after %d requests but never hung up", sent)
-		}
-		if err != nil {
-			break // the server hung up on us
-		}
-		if sent > 8<<20 {
-			t.Fatalf("server still accepting requests after %d unread replies", sent)
 		}
 	}
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -61,7 +60,6 @@ type FlushWriter struct {
 	writing bool          // a batch is out, in the flusher's Write or the owner's try-write
 	kick    chan struct{} // wakes the flusher
 	done    chan struct{} // flusher exited
-	kicks   atomic.Int64  // wake-ups sent, for tests
 
 	pendingEvents int64
 
@@ -233,7 +231,6 @@ func (f *FlushWriter) take() ([]byte, int64) {
 
 // wake nudges the flusher; a token already waiting serves as well.
 func (f *FlushWriter) wake() {
-	f.kicks.Add(1)
 	select {
 	case f.kick <- struct{}{}:
 	default:

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -310,14 +311,27 @@ func readN(t *testing.T, c net.Conn, n int) []byte {
 	return got
 }
 
+// flusherCounted is a TCP connection whose Write, the flusher's only way
+// to the socket, is counted. Its SyscallConn is the connection's own, so
+// the owner's try-write passes the count by.
+type flusherCounted struct {
+	*net.TCPConn
+	writes atomic.Int64
+}
+
+func (c *flusherCounted) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.TCPConn.Write(p)
+}
+
 // TestFlushWriterOwnerWritesInline: on an idle socket, an event sent under
 // Hold is written by Flush itself — all of it, before Flush returns —
-// and the flusher is never woken.
+// and the flusher never writes.
 func TestFlushWriterOwnerWritesInline(t *testing.T) {
 	srv, cli := tcpPair(t)
-	fw := NewFlushWriter(srv, 0, 0)
+	conn := &flusherCounted{TCPConn: srv.(*net.TCPConn)}
+	fw := NewFlushWriter(conn, 0, 0)
 	fw.Writes, fw.Events, fw.Bytes = new(metrics.Counter), new(metrics.Counter), new(metrics.Counter)
-	defer fw.Close()
 
 	ev := Event{Ev: EvGranted, Diner: 1, ID: "inline"}
 	want := append(AppendEvent(nil, &ev), '\n')
@@ -326,17 +340,17 @@ func TestFlushWriterOwnerWritesInline(t *testing.T) {
 		t.Fatal("send refused")
 	}
 	fw.Flush()
-	if k := fw.Kicks(); k != 0 {
-		t.Fatalf("flusher woken %d times for an event the owner could write", k)
-	}
 	if w, e, b := fw.Writes.Value(), fw.Events.Value(), fw.Bytes.Value(); w != 1 || e != 1 || b != int64(len(want)) {
 		t.Fatalf("after Flush: %d writes, %d events, %d bytes; want 1, 1, %d", w, e, b, len(want))
 	}
 	if got := readN(t, cli, len(want)); !bytes.Equal(got, want) {
 		t.Fatalf("wire %q, want %q", got, want)
 	}
-	if k := fw.Kicks(); k != 0 {
-		t.Fatalf("flusher woken %d times", k)
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := conn.writes.Load(); n != 0 {
+		t.Fatalf("the flusher wrote %d times for an event the owner wrote", n)
 	}
 }
 
@@ -350,15 +364,9 @@ func TestFlushWriterNoInlineWithoutSocket(t *testing.T) {
 	if !fw.Send(&Event{Ev: EvGranted, Diner: 1, ID: "queued"}) {
 		t.Fatal("send refused")
 	}
-	if k := fw.Kicks(); k != 0 {
-		t.Fatalf("Send under Hold woke the flusher %d times", k)
-	}
 	flushed := make(chan struct{})
 	go func() { fw.Flush(); close(flushed) }()
 	await(t, flushed, "Flush to return with the Write still gated")
-	if k := fw.Kicks(); k != 1 {
-		t.Fatalf("Flush woke the flusher %d times, want 1", k)
-	}
 	await(t, rec.entered, "the flusher's Write")
 	close(rec.gate)
 	if err := fw.Close(); err != nil {
@@ -393,15 +401,19 @@ func TestFlushWriterRefusedTailLeads(t *testing.T) {
 		want.Write(AppendEvent(nil, &ev))
 		want.WriteByte('\n')
 	}
-	// Each try-write has an event sent while its batch is out.
+	// Each try-write has an event sent while its batch is out, and notes
+	// when the socket took less than the whole batch.
+	refused := false
 	try := fw.tryFn
 	fw.tryFn = func(fd uintptr) bool {
 		send()
-		return try(fd)
+		ok := try(fd)
+		refused = refused || fw.tryN < len(fw.try)
+		return ok
 	}
 	// Three events per request, so that a batch can straddle the socket's
 	// free space and be written in part.
-	for fw.Kicks() == 0 {
+	for !refused {
 		if want.Len() > 64<<20 {
 			t.Fatal("the socket never refused a write")
 		}
