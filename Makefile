@@ -1,13 +1,14 @@
 # Standard verification pipeline. `make check` is the everything gate:
-# gofmt, vet, build, race-enabled tests, short passes over every fuzz
-# target, and the benchmark module's vet + smoke.
+# gofmt, vet, build, the plain tests (tier-1: the allocation pins skip
+# themselves under -race, so only this pass runs them), race-enabled tests,
+# short passes over every fuzz target, and the benchmark module's vet + smoke.
 
 GO ?= go
 FUZZTIME ?= 10s
 
 .PHONY: check fmt vet build test race fuzz bench-smoke bench bench-serve bench-e2e chaos e2e
 
-check: fmt vet build race fuzz bench-smoke
+check: fmt vet build test race fuzz bench-smoke
 
 # Fails when any file needs gofmt. The walk ignores module boundaries, so
 # bench/ is checked too.

@@ -245,8 +245,7 @@ func (t *Table) logPrefix() string {
 // grant without a second registry transition (and without a second grant
 // journal record). Must run before the listener accepts traffic, so a
 // reconnecting client always finds its session already queued.
-func (t *Table) resume(live []lockproto.RecoveredSession) int {
-	granted := 0
+func (t *Table) resume(live []lockproto.RecoveredSession) {
 	for _, rs := range live {
 		st := t.seatOf(rs.Key.Diner)
 		if st == nil {
@@ -259,9 +258,6 @@ func (t *Table) resume(live []lockproto.RecoveredSession) int {
 		}
 		ses := newSession(rs.Key)
 		ses.regrant = rs.Granted
-		if rs.Granted {
-			granted++
-		}
 		t.inFlight.Add(1)
 		if !st.enqueue(ses) {
 			// A queue this full can only come from a corrupt ledger; shed
@@ -270,7 +266,6 @@ func (t *Table) resume(live []lockproto.RecoveredSession) int {
 			t.sessions.Abort(rs.Key)
 		}
 	}
-	return granted
 }
 
 // janitor periodically expires detached sessions whose lease ran out. A

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/rt"
+	"repro/internal/rt/rttest"
 )
 
 // The hand-off tests: when Invoke runs its call on the caller's goroutine,
@@ -26,28 +27,6 @@ func woken(r *Runtime, p rt.ProcID) bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// stepGuard counts the steps running at each process and fails the test
-// when a second step starts at a process while one is running there.
-type stepGuard struct {
-	t  *testing.T
-	in []atomic.Int32
-}
-
-func newStepGuard(t *testing.T, n int) *stepGuard {
-	return &stepGuard{t: t, in: make([]atomic.Int32, n)}
-}
-
-// wrap returns fn as a step at p, counted while it runs.
-func (g *stepGuard) wrap(p rt.ProcID, fn func()) func() {
-	return func() {
-		if k := g.in[p].Add(1); k > 1 {
-			g.t.Errorf("%d steps running at process %d at once", k, p)
-		}
-		fn()
-		g.in[p].Add(-1)
 	}
 }
 
@@ -138,11 +117,11 @@ func TestInlineStepDrainsWhatItQueues(t *testing.T) {
 func TestCrossInvokeNeitherDeadlocksNorOverlaps(t *testing.T) {
 	const callers, rounds = 4, 500
 	r := New(Config{N: 2, Tick: time.Hour})
-	g := newStepGuard(t, 2)
+	g := rttest.NewGuard(t, 2)
 	var steps atomic.Int64
-	leaf := g.wrap(0, func() { steps.Add(1) })
-	atQ := g.wrap(1, func() { steps.Add(1); r.Invoke(0, leaf) })
-	atP := g.wrap(0, func() { steps.Add(1); r.Invoke(1, atQ) })
+	leaf := g.Wrap(0, func() { steps.Add(1) })
+	atQ := g.Wrap(1, func() { steps.Add(1); r.Invoke(0, leaf) })
+	atP := g.Wrap(0, func() { steps.Add(1); r.Invoke(1, atQ) })
 	r.Start()
 	defer r.Stop()
 
@@ -196,11 +175,11 @@ func TestNoLostWakeUp(t *testing.T) {
 func TestRestartUnderInvokeFlood(t *testing.T) {
 	const callers, cycles = 3, 40
 	r := New(Config{N: 1, Tick: time.Hour})
-	g := newStepGuard(t, 1)
+	g := rttest.NewGuard(t, 1)
 	inc := int64(0)             // process 0's own state: the incarnation reboot set
 	var restarts atomic.Int64   // Restart calls that have returned
 	var sinceStart atomic.Int64 // steps since the last restart
-	step := g.wrap(0, func() {
+	step := g.Wrap(0, func() {
 		if k := restarts.Load(); inc < k {
 			t.Errorf("a step of incarnation %d ran after restart %d returned", inc, k)
 		}
@@ -236,7 +215,7 @@ func TestRestartUnderInvokeFlood(t *testing.T) {
 		eventually(t, "steps in the new incarnation", func() bool { return sinceStart.Load() > 10 })
 		r.Crash(0)
 		k := k
-		if !r.Restart(0, g.wrap(0, func() { inc = k })) {
+		if !r.Restart(0, g.Wrap(0, func() { inc = k })) {
 			t.Fatalf("restart %d refused", k)
 		}
 		sinceStart.Store(0)
@@ -249,4 +228,31 @@ func TestRestartUnderInvokeFlood(t *testing.T) {
 	if got := await(t, done, "a last step"); got != cycles {
 		t.Fatalf("the last incarnation is %d, want %d: a reboot did not run", got, cycles)
 	}
+}
+
+// TestInvokeRacingStart: an Invoke that sees the runtime started may run its
+// call inline before the process's loop has run at all, so Start must have
+// set the clock the call reads by then (a data race under -race otherwise).
+// A second Start still panics.
+func TestInvokeRacingStart(t *testing.T) {
+	var r *Runtime
+	for i := 0; i < 20; i++ {
+		r = New(Config{N: 1, Tick: time.Hour})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for !r.started.Load() {
+			}
+			r.Invoke(0, func() { _ = r.Now() })
+		}()
+		r.Start()
+		<-done
+		r.Stop()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a second Start did not panic")
+		}
+	}()
+	r.Start()
 }

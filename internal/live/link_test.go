@@ -17,18 +17,6 @@ import (
 	"repro/internal/transport"
 )
 
-// waitFor polls cond until it holds, failing the test after a few seconds.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestSetLinksDeterministicDrops sends the same per-direction message
 // sequence through two runtimes with the same seed and plan: the surviving
 // subsequences each receiver's handler sees must be identical — the fault
@@ -59,7 +47,7 @@ func TestSetLinksDeterministicDrops(t *testing.T) {
 			defer mu.Unlock()
 			return int64(len(got[0]) + len(got[1]))
 		}
-		waitFor(t, "every message delivered or dropped", func() bool {
+		eventually(t, "every message delivered or dropped", func() bool {
 			d := r.Counter("msg.delivered")
 			return d+r.Counter("link.dropped") == sends && handled() == d
 		})
@@ -144,7 +132,7 @@ func TestSetLinksDupAndDelay(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Send(0, 1, "x", i)
 	}
-	waitFor(t, "20 copies of 10 messages", func() bool { return n.Load() == 20 })
+	eventually(t, "20 copies of 10 messages", func() bool { return n.Load() == 20 })
 	if d := r.Counter("link.duped"); d != 10 {
 		t.Fatalf("link.duped=%d, want 10", d)
 	}

@@ -1,7 +1,6 @@
 package live
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -76,64 +75,5 @@ func TestForksDiningLive(t *testing.T) {
 	}
 	if r.Counter("msg.delivered") == 0 {
 		t.Error("no messages delivered")
-	}
-}
-
-// TestInvokeSerializes checks that Invoke runs fn as one of the target's
-// steps — on the caller's goroutine when the target is idle, on its loop
-// otherwise — serialized with its other steps and in order per caller, and
-// is refused after a crash.
-func TestInvokeSerializes(t *testing.T) {
-	r := New(Config{N: 2, Tick: time.Millisecond})
-	sum := 0
-	r.AddAction(0, "noop", func() bool { return false }, func() {})
-	r.Start()
-	done := make(chan struct{})
-	for i := 0; i < 100; i++ {
-		r.Invoke(0, func() { sum++ })
-	}
-	r.Invoke(0, func() { close(done) })
-	<-done
-	if sum != 100 {
-		t.Fatalf("sum = %d, want 100 (jobs lost or reordered)", sum)
-	}
-	r.Crash(1)
-	if r.Invoke(1, func() {}) {
-		t.Error("Invoke accepted at a crashed process")
-	}
-	if !r.Crashed(1) || r.Crashed(0) {
-		t.Error("Crashed() ground truth wrong")
-	}
-	r.Stop()
-	if r.Invoke(0, func() {}) {
-		t.Error("Invoke accepted after Stop")
-	}
-}
-
-// TestDuplicateHandlerPanics mirrors the simulator's registration contract:
-// a port registered twice, or sent to where nothing handles it, panics with
-// the port's name, for an interned port as for a literal one.
-func TestDuplicateHandlerPanics(t *testing.T) {
-	mustPanic := func(want string, f func()) {
-		t.Helper()
-		defer func() {
-			t.Helper()
-			if got := fmt.Sprint(recover()); got != want {
-				t.Fatalf("panic %q, want %q", got, want)
-			}
-		}()
-		f()
-	}
-	for _, port := range []rt.Port{"x/literal", rt.PortOf("x/interned")} {
-		mustPanic(fmt.Sprintf("live: duplicate handler for port %q at process 0", port.String()), func() {
-			r := New(Config{N: 1})
-			r.Handle(0, port, func(rt.Message) {})
-			r.Handle(0, port, func(rt.Message) {})
-		})
-		mustPanic(fmt.Sprintf("live: no handler for port %q at process 1", port.String()), func() {
-			r := New(Config{N: 2})
-			r.Handle(0, port, func(rt.Message) {})
-			r.Send(0, 1, port, nil)
-		})
 	}
 }

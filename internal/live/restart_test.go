@@ -47,15 +47,9 @@ func TestRestartMechanics(t *testing.T) {
 		r.After(0, 5, func() { events <- "fresh-timer" })
 	})
 
-	want := []string{"reboot", "post-restart", "fresh-timer"}
-	for _, w := range want {
-		select {
-		case got := <-events:
-			if got != w {
-				t.Fatalf("event %q, want %q", got, w)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("timed out waiting for %q", w)
+	for _, w := range []string{"reboot", "post-restart", "fresh-timer"} {
+		if got := await(t, events, w); got != w {
+			t.Fatalf("event %q, want %q", got, w)
 		}
 	}
 	select {
@@ -94,13 +88,8 @@ func TestTransportResetAfterRestart(t *testing.T) {
 
 	recv := func(want string) {
 		t.Helper()
-		select {
-		case g := <-got:
-			if g != want {
-				t.Fatalf("received %q, want %q", g, want)
-			}
-		case <-time.After(3 * time.Second):
-			t.Fatalf("timed out waiting for %q", want)
+		if g := await(t, got, want); g != want {
+			t.Fatalf("received %q, want %q", g, want)
 		}
 	}
 
@@ -125,13 +114,7 @@ func TestTransportResetAfterRestart(t *testing.T) {
 	outstanding := func() int {
 		ch := make(chan int, 1)
 		r.Invoke(0, func() { ch <- tr.Outstanding(0, 1) })
-		select {
-		case n := <-ch:
-			return n
-		case <-time.After(3 * time.Second):
-			t.Fatal("timed out reading the outstanding window")
-			return -1
-		}
+		return await(t, ch, "the outstanding window")
 	}
 	if n := outstanding(); n != 0 {
 		// c acked; b's flight is gone. Give the ack a moment if needed.
@@ -175,11 +158,7 @@ func TestCrashRestartDining(t *testing.T) {
 
 	// Crash 2 the moment it reports a critical section: the crash lands
 	// mid-eating (or at worst just after), the hardest spot for safety.
-	select {
-	case <-eating2:
-	case <-time.After(5 * time.Second):
-		t.Fatal("diner 2 never entered the critical section")
-	}
+	await(t, eating2, "diner 2 in the critical section")
 	r.Crash(2)
 	time.Sleep(400 * time.Millisecond)
 	if !r.Restart(2, func() {

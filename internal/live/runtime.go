@@ -191,12 +191,15 @@ func New(cfg Config) *Runtime {
 }
 
 // Start launches one goroutine per process. Registration (Handle/AddAction)
-// must be complete before Start.
+// must be complete before Start. The clock is set before started is: an
+// Invoke that sees started may run a step inline at once, and its Now reads
+// the clock.
 func (r *Runtime) Start() {
-	if !r.started.CompareAndSwap(false, true) {
+	if r.started.Load() {
 		panic("live: Start called twice")
 	}
 	r.start = time.Now()
+	r.started.Store(true)
 	for _, pr := range r.procs {
 		r.spawn(pr)
 	}

@@ -9,16 +9,11 @@ import (
 	"repro/internal/rt"
 )
 
-// The scheduler contract of the event-driven loop, with cycles paced through
-// rt.Paced, pinned without leaning on host speed: every assertion is either a
-// count the loop's iteration order fixes, an upper bound that pacing
-// guarantees on any host, or "eventually" with a timeout only a starved
-// (hung) class can reach. Each test wires its paced actions through one view:
-// a second view would be a second tempo.
+// What the loop adds to the contract rttest checks, pinned without leaning
+// on host speed: counts the loop's iteration order fixes, and "eventually"
+// with a timeout only a hung run reaches.
 
 const schedTimeout = 5 * time.Second
-
-func always() bool { return true }
 
 // await fails the test unless ch delivers within schedTimeout.
 func await[T any](t *testing.T, ch <-chan T, what string) T {
@@ -55,7 +50,7 @@ func TestPromptActionSkipsThePacedRotation(t *testing.T) {
 	var pacedSteps atomic.Int64
 	paced := rt.Paced(r)
 	for i := 0; i < 8; i++ {
-		paced.AddAction(0, "spin", always, func() { pacedSteps.Add(1) })
+		paced.AddAction(0, "spin", func() bool { return true }, func() { pacedSteps.Add(1) })
 	}
 	type stamp struct {
 		at    time.Time
@@ -85,92 +80,6 @@ func TestPromptActionSkipsThePacedRotation(t *testing.T) {
 			t.Errorf("round %d: prompt action ran %v after the Invoke, want under Tick = %v", i, d, tick)
 		}
 	}
-}
-
-// TestPacedStepsRespectTheStepClock: however busy the process is with jobs
-// and prompt steps, its paced class takes at most one step per Tick — the
-// k-th step is at least (k-1)·Tick after the first, so the count over any
-// interval is bounded by elapsed/Tick + 1 on any host.
-func TestPacedStepsRespectTheStepClock(t *testing.T) {
-	const tick = 5 * time.Millisecond
-	r := New(Config{N: 1, Tick: tick})
-	var pacedSteps atomic.Int64
-	paced := rt.Paced(r)
-	for i := 0; i < 8; i++ {
-		paced.AddAction(0, "spin", always, func() { pacedSteps.Add(1) })
-	}
-	// A prompt action that never disables keeps the loop iterating at full
-	// speed: the step clock, not idleness, must be what rations the class.
-	r.AddAction(0, "busy", always, func() {})
-	t0 := time.Now()
-	r.Start()
-	time.Sleep(200 * time.Millisecond)
-	steps := pacedSteps.Load()
-	bound := int64(time.Since(t0)/tick) + 1
-	r.Stop()
-	if steps > bound {
-		t.Errorf("%d paced steps in an interval that allows at most %d", steps, bound)
-	}
-	if steps == 0 {
-		t.Error("the paced class never stepped")
-	}
-	if r.Counter("yields") == 0 {
-		t.Error("a permanently enabled prompt action never exhausted the step budget")
-	}
-}
-
-// TestNoClassStarvesAnother re-pins weak fairness per class: a permanently
-// enabled prompt action holds off neither jobs, nor a due paced step, nor
-// its fellow prompt actions; and a job flood beside a permanently enabled
-// paced action holds off neither a prompt action nor the paced class.
-func TestNoClassStarvesAnother(t *testing.T) {
-	t.Run("prompt cycle", func(t *testing.T) {
-		r := New(Config{N: 1, Tick: time.Millisecond})
-		var prompt [3]atomic.Int64
-		for i := range prompt {
-			i := i
-			r.AddAction(0, "spin", always, func() { prompt[i].Add(1) })
-		}
-		var pacedSteps atomic.Int64
-		rt.Paced(r).AddAction(0, "paced", always, func() { pacedSteps.Add(1) })
-		r.Start()
-		defer r.Stop()
-
-		eventually(t, "every prompt action to run", func() bool {
-			return prompt[0].Load() > 0 && prompt[1].Load() > 0 && prompt[2].Load() > 0
-		})
-		done := make(chan struct{})
-		for i := 0; i < 100; i++ {
-			r.Invoke(0, func() {})
-		}
-		r.Invoke(0, func() { close(done) })
-		await(t, done, "jobs behind a permanently enabled prompt action")
-		base := pacedSteps.Load()
-		eventually(t, "paced steps behind a permanently enabled prompt action", func() bool {
-			return pacedSteps.Load() >= base+3
-		})
-	})
-
-	t.Run("job flood and paced cycle", func(t *testing.T) {
-		r := New(Config{N: 1, Tick: time.Millisecond})
-		var pacedSteps atomic.Int64
-		rt.Paced(r).AddAction(0, "paced", always, func() { pacedSteps.Add(1) })
-		armed := false
-		ran := make(chan struct{}, 1)
-		r.AddAction(0, "probe", func() bool { return armed }, func() { armed = false; ran <- struct{}{} })
-		var flood func()
-		flood = func() { r.Invoke(0, flood) } // the mailbox is never empty again
-		r.Start()
-		defer r.Stop()
-		r.Invoke(0, flood)
-
-		r.Invoke(0, func() { armed = true })
-		await(t, ran, "a prompt action behind a job flood")
-		base := pacedSteps.Load()
-		eventually(t, "paced steps behind a job flood", func() bool {
-			return pacedSteps.Load() >= base+3
-		})
-	})
 }
 
 // TestRestartResetsTheScheduler: a new incarnation starts the rotation at

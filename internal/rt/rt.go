@@ -106,6 +106,10 @@ type Handler func(Message)
 //     state; bodies are atomic steps that may send messages.
 //   - Channels are reliable but non-FIFO: every message sent to a correct
 //     process is eventually delivered, possibly out of order.
+//
+// internal/rt/rttest checks this contract, each clause written once, on the
+// kernel, the live runtime, and transport.Reliable and Paced over each; a
+// new runtime, or a shared core under these, must pass it.
 type Runtime interface {
 	// N returns the number of processes.
 	N() int

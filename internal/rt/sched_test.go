@@ -6,10 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/rt"
-	"repro/internal/sim"
 )
-
-func always() bool { return true }
 
 // recorder returns a set of n actions whose guards read enabled and whose
 // bodies append their index to *ran.
@@ -162,83 +159,4 @@ func FuzzActionsStep(f *testing.F) {
 			}
 		}
 	})
-}
-
-// pacedRun wires eight perpetually enabled paced actions at process 0 of a
-// kernel through one rt.Paced view, runs it to horizon, and returns the tick
-// and index of every paced step in order.
-func pacedRun(t *testing.T, k *sim.Kernel, horizon rt.Time) (ticks []rt.Time, order []int) {
-	t.Helper()
-	paced := rt.Paced(k)
-	for i := 0; i < 8; i++ {
-		i := i
-		paced.AddAction(0, fmt.Sprint("spin", i), always, func() {
-			ticks = append(ticks, k.Now())
-			order = append(order, i)
-		})
-	}
-	k.Run(horizon)
-	if len(order) < 100 {
-		t.Fatalf("only %d paced steps by tick %d", len(order), horizon)
-	}
-	return ticks, order
-}
-
-// TestPacedStepsAtIncreasingTicks: paced steps of one process land at
-// strictly increasing ticks, so at most one per tick — with the default step
-// jitter and with the tightest, where the process could step every tick.
-func TestPacedStepsAtIncreasingTicks(t *testing.T) {
-	for _, jitter := range []rt.Time{1, 3} {
-		ticks, _ := pacedRun(t, sim.NewKernel(1, sim.WithStepJitter(jitter)), 2000)
-		for i := 1; i < len(ticks); i++ {
-			if ticks[i] <= ticks[i-1] {
-				t.Fatalf("jitter %d: paced step %d at tick %d, after one at tick %d", jitter, i, ticks[i], ticks[i-1])
-			}
-		}
-	}
-}
-
-// TestPacedRotationIsFair: each of eight perpetually enabled paced actions
-// runs within any eight consecutive paced steps.
-func TestPacedRotationIsFair(t *testing.T) {
-	_, order := pacedRun(t, sim.NewKernel(1), 2000)
-	for i := 0; i+8 <= len(order); i++ {
-		seen := map[int]bool{}
-		for _, a := range order[i : i+8] {
-			seen[a] = true
-		}
-		if len(seen) != 8 {
-			t.Fatalf("paced steps %d..%d ran %v: not every action", i, i+7, order[i:i+8])
-		}
-	}
-}
-
-// TestPacedPromptWaitsBehindOnePacedStep: a prompt action at a process whose
-// paced cycle never disables runs with at most one paced step between the
-// event that enables it and its own step.
-func TestPacedPromptWaitsBehindOnePacedStep(t *testing.T) {
-	k := sim.NewKernel(1)
-	paced := rt.Paced(k)
-	pacedSteps := 0
-	for i := 0; i < 8; i++ {
-		paced.AddAction(0, fmt.Sprint("spin", i), always, func() { pacedSteps++ })
-	}
-	armed, before, probes := false, 0, 0
-	k.AddAction(0, "probe", func() bool { return armed }, func() {
-		armed = false
-		probes++
-		if between := pacedSteps - before; between > 1 {
-			t.Errorf("probe %d: %d paced steps ran before it, want at most 1", probes, between)
-		}
-	})
-	var arm func()
-	arm = func() {
-		armed, before = true, pacedSteps
-		k.After(0, 7, arm)
-	}
-	k.After(0, 5, arm)
-	k.Run(3000)
-	if probes < 100 || pacedSteps < 100 {
-		t.Fatalf("%d probes and %d paced steps: the run never exercised the bound", probes, pacedSteps)
-	}
 }

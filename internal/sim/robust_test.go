@@ -151,36 +151,6 @@ func TestRunProtectedRecoversPanic(t *testing.T) {
 	}
 }
 
-// TestCrashDropsInFlight pins the DESIGN.md crash semantics: a message in
-// flight to a process that crashes before delivery is dropped, counted, and
-// its handler never runs.
-func TestCrashDropsInFlight(t *testing.T) {
-	k := NewKernel(2, WithDelay(FixedDelay{D: 10}))
-	delivered := 0
-	k.Handle(1, "ping", func(Message) { delivered++ })
-	k.After(0, 1, func() { k.Send(0, 1, "ping", nil) })
-	k.CrashAt(1, 5) // after the send (t=1), before delivery (t=11)
-	k.Run(1000)
-	if delivered != 0 {
-		t.Fatal("handler ran at a crashed process")
-	}
-	if got := k.Counter("msg.dropped"); got != 1 {
-		t.Fatalf("msg.dropped=%d, want 1", got)
-	}
-	if got := k.Counter("msg.delivered"); got != 0 {
-		t.Fatalf("msg.delivered=%d, want 0", got)
-	}
-	// A timer pending at the crashed process is discarded too.
-	fired := false
-	k2 := NewKernel(1)
-	k2.After(0, 50, func() { fired = true })
-	k2.CrashAt(0, 10)
-	k2.Run(1000)
-	if fired {
-		t.Fatal("timer fired at a crashed process")
-	}
-}
-
 // TestTailRingBuffer: the diagnostic tail keeps the most recent records in
 // order, capped at its capacity, even with no tracer attached.
 func TestTailRingBuffer(t *testing.T) {

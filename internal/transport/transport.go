@@ -105,13 +105,14 @@ type receiver struct {
 // protocol modules above it are wired on: it embeds the runtime underneath
 // and overrides Send and Handle; everything else is the runtime's own.
 //
-// Concurrency: on the live runtime, sends, retransmission timers and acks
-// for a pair (p → q) all execute as steps of p, and data receipt as steps of
-// q, so each sender/receiver struct is touched by exactly one process's
-// goroutine — the per-pair state needs no locking on either runtime. Only
-// the two top-level maps are shared across processes; mu guards them. The
-// port numbering and the handler tables are written while wiring, before
-// the runtime starts, and only read after.
+// Concurrency: sends, retransmission timers and acks for a pair (p → q) all
+// execute as steps of p, and data receipt as steps of q. On the live runtime
+// a step runs on whichever goroutine holds its process's step lock, but that
+// lock serializes the process's steps, so each sender/receiver struct is
+// touched by one step at a time and the per-pair state needs no locking on
+// either runtime. Only the two top-level maps are shared across processes;
+// mu guards them. The port numbering and the handler tables are written
+// while wiring, before the runtime starts, and only read after.
 type Reliable struct {
 	rt.Runtime // the unreliable underlay the envelopes travel on
 	name       string
