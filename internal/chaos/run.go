@@ -33,6 +33,7 @@ type Result struct {
 	Spec       Spec
 	End        sim.Time        // virtual time the run stopped at
 	Events     int64           // kernel events the run processed
+	Queued     int64           // of those, the ones that went through the kernel's queue
 	TraceHash  uint64          // deterministic digest of the full trace
 	Category   string          // "" if the run satisfied every property
 	Violations []string        // human-readable findings, worst first
@@ -138,6 +139,7 @@ func execute(spec Spec, log *trace.Log) *Result {
 	end, fail := k.RunProtected(spec.Horizon)
 	res.End = end
 	res.Events = k.Events()
+	res.Queued = k.Queued()
 	res.TraceHash = log.Hash()
 	if fail != nil {
 		res.Failure = fail

@@ -173,6 +173,8 @@ func (c *coordinator) nextGrantable() int {
 	return -1
 }
 
+// canGrant reads Crashed, on whose every change the kernel re-judges guards
+// (rt.Runtime's guard clause).
 func (c *coordinator) canGrant() bool { return c.nextGrantable() >= 0 }
 
 func (c *coordinator) grant() {

@@ -192,6 +192,8 @@ func (c *coordinator) nextGrantable() int {
 	return -1
 }
 
+// canGrant reads Crashed and the clock, which only turns it false: the era's
+// end adds blocking (rt.Runtime's guard clause).
 func (c *coordinator) canGrant() bool { return c.nextGrantable() >= 0 }
 
 func (c *coordinator) grant() {

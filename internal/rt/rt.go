@@ -43,7 +43,8 @@ import (
 // Time is discrete time in ticks. In the simulator ticks are virtual and
 // advanced by the event loop; in the live runtime one tick is a configured
 // wall-clock duration. Protocol code must not branch on absolute times
-// except via explicit timers (e.g. heartbeat intervals).
+// except via explicit timers (e.g. heartbeat intervals), or in a guard that
+// time can only turn false (Runtime's guard clause).
 type Time int64
 
 // ProcID identifies a process. Processes are numbered 0..N-1.
@@ -102,8 +103,16 @@ type Handler func(Message)
 //     process-local state needs no locking.
 //   - Weak fairness: an action whose guard is continuously enabled at a
 //     live process is eventually executed.
-//   - Guards must be side-effect-free predicates over the process's local
-//     state; bodies are atomic steps that may send messages.
+//   - Guards must be side-effect-free predicates, and a runtime may judge
+//     them at any moment: the kernel judges a process's guards at each
+//     wake-up of the process and queues a step only if one holds. So a
+//     guard reads only what cannot turn it true unseen: its process's
+//     state, which changes only in that process's own handlers, timers and
+//     actions; the crash ground truth (Crashed), on whose every change the
+//     kernel re-judges every process; and the clock (Now) only where a
+//     timer at the process marks when the guard can turn true (Paced's
+//     gate) or where time can only turn it false (the trap box's mistake
+//     era). Bodies are atomic steps that may send messages.
 //   - Channels are reliable but non-FIFO: every message sent to a correct
 //     process is eventually delivered, possibly out of order.
 //

@@ -126,8 +126,10 @@ func AllButOne(n int, survivor ProcID, start, gap Time) FaultPlan {
 }
 
 // RunUntil executes the simulation until cond returns true (checked after
-// every event), the horizon passes, or the event queue drains. It returns
-// the stop time and whether cond was met.
+// every event that runs, so a cond over protocol state stops where it
+// would after every event: a step the kernel lets lapse unqueued runs
+// nothing; see wake), the horizon passes, or the event queue drains. It
+// returns the stop time and whether cond was met.
 func (k *Kernel) RunUntil(horizon Time, cond func() bool) (Time, bool) {
 	return k.runLoop(horizon, cond)
 }

@@ -16,8 +16,18 @@ type proc struct {
 	crashedAt   Time
 	actions     rt.Actions
 	stepPending bool
-	handlers    []Handler // by the kernel's port index (Kernel.ports); nil = none registered
+	// A recorded step (see Kernel.wake): drawn like any step, with no
+	// guard holding, so it waits here instead of in the queue. dueSeq 0 =
+	// none.
+	dueAt    Time
+	dueSeq   int64
+	handlers []Handler // by the kernel's port index (Kernel.ports); nil = none registered
 }
+
+// elideIdleSteps is what NewKernel sets Kernel.elision to. It is on in
+// every build; the exactness tests turn it off to run the same program with
+// every step queued (SetElision, export_test.go).
+var elideIdleSteps = true
 
 // Kernel is a deterministic discrete-event simulator of an asynchronous
 // message-passing system. It is single-threaded: protocol code runs inside
@@ -35,6 +45,18 @@ type Kernel struct {
 	inFlight int
 	stopped  bool
 	links    *LinkPlan // fair-lossy link adversary (nil = reliable channels)
+
+	// Idle-step elision (see wake). While recording — inside the runs of a
+	// kernel with elision — a wake that finds no guard holding records its
+	// step at the process instead of queueing it. curSeq is the seq of the
+	// event firing, so (now, curSeq) is where the run stands in the queue's
+	// order; idleSteps counts the processes holding a recorded step; lapsed
+	// counts the recorded steps that fell due without ever being queued.
+	elision   bool
+	recording bool
+	curSeq    int64
+	idleSteps int
+	lapsed    int64
 
 	// The kernel is single-threaded, so it counts its own work in plain
 	// ints; Counter and Counters read them by name.
@@ -94,6 +116,7 @@ func NewKernel(n int, opts ...Option) *Kernel {
 	k := &Kernel{
 		delay:   UniformDelay{Min: 1, Max: 8},
 		stepMax: 3,
+		elision: elideIdleSteps,
 	}
 	for i := 0; i < n; i++ {
 		k.procs = append(k.procs, &proc{id: ProcID(i), crashedAt: Never})
@@ -131,6 +154,13 @@ func (k *Kernel) Live(p ProcID) bool { return !k.procs[p].crashed }
 
 // AddAction registers a guarded action at process p. Guards must be
 // side-effect-free predicates over p's local state; bodies are atomic steps.
+// The kernel judges p's guards at every wake-up of p, and queues a step
+// only if one holds (see wake), so a guard may read only what cannot turn
+// it true unseen: p's own state, which changes only in p's handlers, timers
+// and actions, each of which ends in a wake-up of p; the crash ground truth,
+// on whose every change the kernel re-judges all processes; and the clock,
+// only where a timer at p marks when the guard can turn true, or where time
+// can only turn it false.
 func (k *Kernel) AddAction(p ProcID, name string, guard func() bool, body func()) {
 	pr := k.procs[p]
 	pr.actions.Add(Action{Name: name, Guard: guard, Body: body})
@@ -220,6 +250,8 @@ func (k *Kernel) crashNow(p ProcID, why string) {
 	pr.crashed = true
 	pr.crashedAt = k.now
 	k.Emit(Record{P: p, Kind: "crash", Peer: -1, Note: why})
+	// A guard may read the crash ground truth (rt.Runtime's contract).
+	k.rejudge()
 }
 
 // Emit records a trace event, stamping it with the current time and a fresh
@@ -312,36 +344,49 @@ func (k *Kernel) Run(horizon Time) Time {
 }
 
 // runLoop is the shared event loop behind Run and RunUntil. After every
-// event it runs the robustness hooks: armed crash triggers and, when a limit
-// may have been exceeded, the budget watchdog (see checkBudget). cond (may
-// be nil) is the RunUntil early-exit predicate.
+// event that runs — every event but the recorded steps that lapse unqueued
+// (see wake), which run nothing — it runs the robustness hooks: armed crash
+// triggers and, when a limit may have been exceeded, the budget watchdog
+// (see checkBudget). cond (may be nil) is the RunUntil early-exit
+// predicate. The recorded steps count where they would have fired: each
+// limit is compared with the count plus every step still recorded, and
+// settle and lapseDue retire those the run has passed as it returns.
 func (k *Kernel) runLoop(horizon Time, cond func() bool) (Time, bool) {
 	if cond != nil && cond() {
 		return k.now, true
 	}
+	k.recording = k.elision
+	defer func() { k.recording = false }()
+	if k.stopped {
+		// A stopped kernel runs one event per Run, and an idle step is one.
+		k.unelide()
+	} else {
+		k.rejudge() // the caller may have changed state since the last run
+	}
 	var e event
 	for {
 		if !k.queue.pop(horizon, &e) {
-			if k.queue.Len() > 0 {
-				k.now = horizon
+			if k.settle(horizon) {
 				return k.now, false
 			}
 			break
 		}
-		k.now = e.at
+		k.now, k.curSeq = e.at, e.seq
 		k.fire(&e)
 		k.events++
 		if len(k.triggers) > 0 {
 			k.fireTriggers()
 		}
-		if k.exhausted == nil && (k.events >= k.budgetAt ||
-			k.budget.MaxQueue > 0 && k.queue.Len() > k.budget.MaxQueue) {
+		if k.exhausted == nil && (k.events+int64(k.idleSteps) >= k.budgetAt ||
+			k.budget.MaxQueue > 0 && k.queue.Len()+k.idleSteps > k.budget.MaxQueue) {
 			k.checkBudget()
 		}
 		if cond != nil && cond() {
+			k.lapseDue()
 			return k.now, true
 		}
 		if k.stopped {
+			k.lapseDue()
 			break
 		}
 	}
@@ -377,7 +422,9 @@ func (k *Kernel) fire(e *event) {
 	}
 }
 
-// schedule enqueues fn at absolute time t (clamped to be after now).
+// schedule enqueues fn at absolute time t (clamped to be after now). fn
+// must change nothing a guard reads except through crashNow, which
+// re-judges the recorded steps (see wake).
 func (k *Kernel) schedule(t Time, fn func()) {
 	e := event{kind: evFunc, fn: fn}
 	k.scheduleEvent(t, &e)
@@ -409,19 +456,132 @@ func (k *Kernel) deliver(e *event) {
 	k.wake(pr.id)
 }
 
-// wake ensures a step event is pending for p, so its guards are re-examined.
+// wake ensures a step is pending for p, so its guards are re-examined. The
+// step's gap is drawn and its seq taken here, as for every step. Inside a
+// run, if no guard of p holds, the step is recorded at p instead of queued
+// (dueAt, dueSeq), and it is re-judged wherever a guard of p can turn true
+// (AddAction's contract): at every later wake of p — each of p's handlers,
+// timers and actions ends in one — and at every crash (crashNow). The first
+// re-judge that finds a guard holding queues the step at its own (at, seq);
+// a recorded step that falls due unqueued lapses, as the step that would
+// have run nothing. So the queue carries no idle step, and a run is the one
+// it would be with every step queued: the same draws, seqs, trace and
+// counts (the exactness tests in elide_test.go run both). Wiring-time wakes,
+// outside a run, queue their step as before.
 func (k *Kernel) wake(p ProcID) {
 	pr := k.procs[p]
-	if pr.crashed || pr.stepPending {
+	if pr.crashed {
 		return
+	}
+	if pr.stepPending {
+		if pr.dueSeq == 0 || !k.recording {
+			return
+		}
+		if !k.due(pr) {
+			if pr.actions.Enabled() {
+				k.queueDue(pr)
+			}
+			return
+		}
+		k.lapse(pr)
 	}
 	pr.stepPending = true
 	gap := Time(1)
 	if k.stepMax > 1 {
 		gap += Time(k.stepGap.draw(k.rng))
 	}
+	if k.recording && !pr.actions.Enabled() {
+		k.seq++
+		pr.dueAt, pr.dueSeq = k.now+gap, k.seq
+		k.idleSteps++
+		return
+	}
 	e := event{kind: evStep, to: int32(pr.id)}
 	k.scheduleEvent(k.now+gap, &e)
+}
+
+// due reports whether pr's recorded step has fallen due: whether it comes
+// before the event firing in the queue's (at, seq) order, so that it would
+// have fired already.
+func (k *Kernel) due(pr *proc) bool {
+	return pr.dueAt < k.now || pr.dueAt == k.now && pr.dueSeq < k.curSeq
+}
+
+// lapse retires pr's recorded step, counting it as the event it would have
+// been: a step that found no guard holding.
+func (k *Kernel) lapse(pr *proc) {
+	pr.dueSeq, pr.stepPending = 0, false
+	k.idleSteps--
+	k.events++
+	k.lapsed++
+}
+
+// queueDue files pr's recorded step in the queue at its own (at, seq).
+func (k *Kernel) queueDue(pr *proc) {
+	e := event{at: pr.dueAt, seq: pr.dueSeq, kind: evStep, to: int32(pr.id)}
+	k.queue.insert(&e)
+	pr.dueSeq = 0
+	k.idleSteps--
+}
+
+// sweep visits every recorded step: one that has fallen due lapses, one
+// that queue picks is queued, and the rest stay recorded.
+func (k *Kernel) sweep(queue func(*proc) bool) {
+	if k.idleSteps == 0 {
+		return
+	}
+	for _, pr := range k.procs {
+		switch {
+		case pr.dueSeq == 0:
+		case k.due(pr):
+			k.lapse(pr)
+		case queue(pr):
+			k.queueDue(pr)
+		}
+	}
+}
+
+// rejudge queues every recorded step whose process now has a guard
+// holding: after a crash, whose ground truth guards may read, and as a run
+// starts, after whatever its caller did since the last one.
+func (k *Kernel) rejudge() {
+	k.sweep(func(pr *proc) bool { return !pr.crashed && pr.actions.Enabled() })
+}
+
+// lapseDue retires the recorded steps a stopping run has passed.
+func (k *Kernel) lapseDue() { k.sweep(func(*proc) bool { return false }) }
+
+// unelide queues every recorded step and stops recording for the rest of
+// the run, so that from here on the queue and the event count are exact
+// (see checkBudget).
+func (k *Kernel) unelide() {
+	k.sweep(func(*proc) bool { return true })
+	k.recording = false
+}
+
+// settle ends a run whose queue holds nothing at or before horizon. The
+// recorded steps at or before horizon lapse where they fall due, so on a
+// quiescent run the last of them sets the end time, as its firing would
+// have. It reports whether anything is left past the horizon, queued or
+// recorded; then the clock parks on the horizon.
+func (k *Kernel) settle(horizon Time) bool {
+	later := k.queue.Len() > 0
+	if k.idleSteps > 0 {
+		for _, pr := range k.procs {
+			switch {
+			case pr.dueSeq == 0:
+			case pr.dueAt > horizon:
+				later = true
+			default:
+				k.now = max(k.now, pr.dueAt)
+				k.lapse(pr)
+			}
+		}
+	}
+	if later {
+		k.now = horizon
+	}
+	return later
 }
 
 // step executes at most one enabled action of pr, chosen by the rotation

@@ -257,3 +257,67 @@ func TestPartitionDelay(t *testing.T) {
 		t.Fatal("cross-partition message lost: channels must stay reliable")
 	}
 }
+
+// TestRecordedStepRunsAtItsSeq: a timer wakes p with no guard of p holding,
+// so the kernel records p's step instead of queueing it; a delivery before
+// the recorded tick enables the guard and files the step in the queue; the
+// action then runs at the recorded (at, seq) — as it does with every step
+// queued, where the step sat in the queue all along.
+func TestRecordedStepRunsAtItsSeq(t *testing.T) {
+	type result struct {
+		due, ran [2]int64 // (at, seq)
+		trace    []Record
+	}
+	run := func(seed int64) result {
+		var r result
+		log := &collect{}
+		k := NewKernel(2, WithSeed(seed), WithTracer(log), WithDelay(FixedDelay{D: 1}), WithStepJitter(50))
+		ready := false
+		k.AddAction(0, "go", func() bool { return ready }, func() {
+			ready = false
+			r.ran = [2]int64{int64(k.now), k.curSeq}
+			k.Emit(Record{P: 0, Kind: "mark", Peer: -1, Note: "ran"})
+		})
+		k.Handle(0, "x", func(Message) { ready = true })
+		// Past every wiring step (gap <= 50): p0 is idle when its timer
+		// fires at 60; p1's message reaches it at 61.
+		k.After(0, 60, func() {})
+		k.After(1, 60, func() { k.Send(1, 0, "x", nil) })
+		k.Run(60)
+		pr := k.procs[0]
+		if k.elision {
+			if pr.dueSeq == 0 {
+				t.Fatalf("seed %d: the timer's wake left no recorded step", seed)
+			}
+			r.due = [2]int64{int64(pr.dueAt), pr.dueSeq}
+			if n := k.queue.Len(); n != 1 {
+				t.Fatalf("seed %d: %d events queued after t=60, want the message alone", seed, n)
+			}
+		}
+		k.Run(61)
+		if k.elision && pr.dueSeq != 0 && r.due[0] > 61 {
+			t.Fatalf("seed %d: the delivery that enabled the guard left the step recorded", seed)
+		}
+		k.Run(1000)
+		r.trace = log.recs
+		return r
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		off, on := func() result {
+			defer SetElision(false)()
+			return run(seed)
+		}(), run(seed)
+		if on.due[0] <= 61 {
+			continue // the step fell due before the delivery: it lapsed
+		}
+		if on.ran != on.due {
+			t.Fatalf("seed %d: the action ran at (t=%d, seq %d), the step was recorded at (t=%d, seq %d)",
+				seed, on.ran[0], on.ran[1], on.due[0], on.due[1])
+		}
+		if off.ran != on.ran || fmt.Sprint(off.trace) != fmt.Sprint(on.trace) {
+			t.Fatalf("seed %d: with every step queued the action ran at %v, with the elision at %v", seed, off.ran, on.ran)
+		}
+		return
+	}
+	t.Fatal("no seed in 1..20 drew a step gap past the delivery")
+}

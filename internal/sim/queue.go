@@ -61,9 +61,11 @@ const (
 //     the first pop). push panics on an event that is.
 //
 // Under that contract the events of one tick arrive already in seq order,
-// so a tick is a FIFO and needs no comparisons. The ring holds one FIFO per
-// tick of [base, base+wheelSize), indexed by at mod wheelSize, with an
-// occupancy bitmap to find the next non-empty tick; FIFO nodes live in one
+// so a tick is a FIFO and needs no comparisons. (insert, for an event whose
+// seq was taken earlier, is the exception: it walks its tick's FIFO to file
+// the event in seq order.) The ring holds one FIFO per tick of
+// [base, base+wheelSize), indexed by at mod wheelSize, with an occupancy
+// bitmap to find the next non-empty tick; FIFO nodes live in one
 // slab, linked by index, with the vacated ones on a free list — after
 // warm-up push and pop allocate nothing and the slab is as long as the ring
 // ever was. Events at or beyond base+wheelSize wait in overflow, sorted by
@@ -99,26 +101,68 @@ func (q *eventQueue) Len() int { return q.n }
 
 // push inserts a copy of *e. See the contract on eventQueue.
 func (q *eventQueue) push(e *event) {
-	if e.at < q.base {
-		panic(fmt.Sprintf("sim: event queue: push at t=%d behind the last popped tick %d", e.at, q.base))
-	}
-	q.n++
+	q.admit(e)
 	if e.at-q.base < wheelSize {
 		q.link(e)
 		return
 	}
-	// Beyond the window. A later push at the same tick has the larger seq,
-	// so inserting after every event of that tick keeps (at, seq) order.
+	q.spill(e)
+}
+
+// insert files a copy of *e, whose seq may be older than that of events
+// already queued at its tick, in (at, seq) order: the kernel's recorded
+// steps (see Kernel.wake) take their seq when they are drawn and reach the
+// queue only later, if at all. e must still come after the last popped
+// event in (at, seq) order; at before base panics, as for push.
+func (q *eventQueue) insert(e *event) {
+	q.admit(e)
+	if e.at-q.base >= wheelSize {
+		q.spill(e)
+		return
+	}
+	tick := int(e.at) & wheelMask
+	b := &q.buckets[tick]
+	if b.head == 0 || q.slab[b.tail].ev.seq < e.seq {
+		q.link(e)
+		return
+	}
+	// A tick holds a handful of events: walk its FIFO to the first later seq.
+	i := q.node(e)
+	prev, cur := int32(0), b.head
+	for q.slab[cur].ev.seq < e.seq {
+		prev, cur = cur, q.slab[cur].next
+	}
+	q.slab[i].next = cur
+	if prev == 0 {
+		b.head = i
+	} else {
+		q.slab[prev].next = i
+	}
+}
+
+// admit counts e in, refusing a tick before base.
+func (q *eventQueue) admit(e *event) {
+	if e.at < q.base {
+		panic(fmt.Sprintf("sim: event queue: push at t=%d behind the last popped tick %d", e.at, q.base))
+	}
+	q.n++
+}
+
+// spill files e, which is beyond the window, in the overflow in (at, seq)
+// order.
+func (q *eventQueue) spill(e *event) {
 	ov := q.overflow
-	i := sort.Search(len(ov), func(i int) bool { return ov[i].at > e.at })
+	i := sort.Search(len(ov), func(i int) bool {
+		return ov[i].at > e.at || ov[i].at == e.at && ov[i].seq > e.seq
+	})
 	ov = append(ov, event{})
 	copy(ov[i+1:], ov[i:])
 	ov[i] = *e
 	q.overflow = ov
 }
 
-// link appends e to the FIFO of its tick, which must be inside the window.
-func (q *eventQueue) link(e *event) {
+// node copies e into a free slab node and returns its index.
+func (q *eventQueue) node(e *event) int32 {
 	i := q.free
 	if i != 0 {
 		q.free = q.slab[i].next
@@ -132,6 +176,12 @@ func (q *eventQueue) link(e *event) {
 	nd := &q.slab[i]
 	nd.ev = *e
 	nd.next = 0
+	return i
+}
+
+// link appends e to the FIFO of its tick, which must be inside the window.
+func (q *eventQueue) link(e *event) {
+	i := q.node(e)
 	tick := int(e.at) & wheelMask
 	b := &q.buckets[tick]
 	if b.head == 0 {

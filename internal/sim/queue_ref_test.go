@@ -95,23 +95,30 @@ func (q *refHeap) peekAt() (at Time, ok bool) {
 
 // qop is one step of a differential schedule, in the kernel's vocabulary.
 type qop struct {
-	op  byte // 'p': push at now+arg; 'o': pop; 'r': Run(now+arg)
+	// 'p': push at now+arg; 'o': pop; 'r': Run(now+arg); 'd': draw a
+	// step at now+arg, holding it aside as the kernel records an idle
+	// step; 'i': insert held step number arg (mod the number held).
+	op  byte
 	arg Time
 }
 
 // diffQueues drives eventQueue and refHeap through the same schedule the way
-// the kernel would — every push stamped with the next seq at now+arg, now
-// following the popped events, 'r' calling pop(horizon) until it refuses and
-// parking now on the horizon when later events remain — and compares every
-// popped (at, seq) and every refusal with the reference. After every step
-// Len must agree, and a pop with the horizon one tick before the reference's
-// minimum must refuse and leave the queue as it was. Then it drains both.
+// the kernel would — every push and draw stamped with the next seq at
+// now+arg, now following the popped events, 'r' calling pop(horizon) until
+// it refuses and parking now on the horizon when later events remain, 'i'
+// inserting a held step into both if it still comes after the last popped
+// event and dropping it, as lapsed, if not — and compares every popped
+// (at, seq) and every refusal with the reference. After every step Len must
+// agree, and a pop with the horizon one tick before the reference's minimum
+// must refuse and leave the queue as it was. Then it drains both.
 func diffQueues(t testing.TB, ops []qop) {
 	t.Helper()
 	var q eventQueue
 	var ref refHeap
 	var now Time
 	var seq int64
+	var held []event
+	var last event // the last popped
 	// pop pops up to horizon from both; it reports whether they popped.
 	pop := func(step int, horizon Time) bool {
 		var got event
@@ -127,7 +134,7 @@ func diffQueues(t testing.TB, ops []qop) {
 		if got.at != want.at || got.seq != want.seq {
 			t.Fatalf("step %d: popped (at=%d seq=%d), reference (at=%d seq=%d)", step, got.at, got.seq, want.at, want.seq)
 		}
-		now = got.at
+		now, last = got.at, got
 		return true
 	}
 	agree := func(step int) {
@@ -148,6 +155,21 @@ func diffQueues(t testing.TB, ops []qop) {
 			seq++
 			e := event{at: now + o.arg, seq: seq}
 			q.push(&e)
+			ref.push(e)
+		case 'd':
+			seq++
+			held = append(held, event{at: now + o.arg, seq: seq})
+		case 'i':
+			if len(held) == 0 {
+				break
+			}
+			j := int(o.arg) % len(held)
+			e := held[j]
+			held = append(held[:j], held[j+1:]...)
+			if !less(&last, &e) {
+				break // lapsed: it would have popped before the last pop
+			}
+			q.insert(&e)
 			ref.push(e)
 		case 'o':
 			pop(i, forever)
@@ -171,6 +193,22 @@ func pushes(deltas ...Time) []qop {
 	ops := make([]qop, len(deltas))
 	for i, d := range deltas {
 		ops[i] = qop{'p', d}
+	}
+	return ops
+}
+
+func draws(deltas ...Time) []qop {
+	ops := pushes(deltas...)
+	for i := range ops {
+		ops[i].op = 'd'
+	}
+	return ops
+}
+
+func inserts(idx ...Time) []qop {
+	ops := make([]qop, len(idx))
+	for i, j := range idx {
+		ops[i] = qop{'i', j}
 	}
 	return ops
 }
@@ -227,6 +265,19 @@ func TestQueueDifferential(t *testing.T) {
 		// base (a later push near now would then be behind it).
 		{"horizon with an empty ring", script(
 			pushes(900, 2000), []qop{{'r', 500}}, pushes(1, 300), pops(1), []qop{{'r', 300}}, pushes(0, 400), []qop{{'r', 1000}, {'r', 1000}})},
+		// Inserts: an older seq filed into a tick that already holds later
+		// ones — at its head, in its middle, behind its tail — in the ring
+		// and in the overflow, and one whose tick was popped past (lapsed).
+		{"older seq ahead of a tick's FIFO", script(draws(5), pushes(5, 5, 5), inserts(0), pops(4))},
+		{"older seq inside a tick's FIFO", script(
+			pushes(4), draws(4, 4), pushes(4, 4), inserts(1), pushes(4), inserts(0), pops(6))},
+		{"older seq behind a tick's FIFO", script(pushes(6, 6), draws(6), inserts(0), pushes(6), pops(4))},
+		{"older seq into the overflow", script(
+			draws(300, 300), pushes(300, 300, 2), inserts(1, 0), pops(1), pushes(299), pops(5))},
+		{"older seq into an overflow tick the window reaches", script(
+			draws(300), pushes(300, 50), pops(1), inserts(0), pops(2))},
+		{"lapsed: its tick was popped past", script(draws(5, 9), pushes(5, 5), pops(2), inserts(0, 0), pops(1))},
+		{"insert at the tick being popped", script(pushes(3, 3), pops(1), draws(0), pushes(3), inserts(0), pops(3))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { diffQueues(t, tc.ops) })
@@ -246,6 +297,12 @@ func TestQueueDifferential(t *testing.T) {
 			case inFlight > 0 && (r < 50 || inFlight > 40):
 				ops = append(ops, qop{op: 'o'})
 				inFlight--
+			case r < 65:
+				// An idle step: mostly lapses, sometimes inserted later.
+				ops = append(ops, qop{'d', Time(1 + rng.Intn(3))})
+				if rng.Intn(8) == 0 {
+					ops = append(ops, qop{'i', Time(rng.Intn(4))})
+				}
 			default:
 				d := Time(rng.Intn(9))
 				switch rng.Intn(50) {
@@ -266,16 +323,17 @@ func TestQueueDifferential(t *testing.T) {
 
 // FuzzEventQueue decodes the input into a schedule (two bytes per step) and
 // runs the same differential. The delta encoding over-samples the window's
-// edge.
+// edge; draws and inserts interleave with pushes and pops.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 0x85, 0, 0x86, 0, 0x87, 4, 0, 0, 0x86, 7, 200, 0, 1, 4, 0, 4, 0})
 	f.Add([]byte{0, 0xff, 0, 0xc8, 4, 0, 0, 0x86, 0, 0, 7, 255, 0, 3, 0, 0xc1, 7, 255})
+	f.Add([]byte{8, 2, 0, 2, 0, 2, 9, 0, 4, 0, 4, 0, 8, 249, 0, 0xc5, 9, 0, 7, 255})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ops []qop
 		for i := 0; i+1 < len(data); i += 2 {
 			v := Time(data[i+1])
-			switch data[i] % 8 {
+			switch data[i] % 10 {
 			case 0, 1, 2, 3:
 				var d Time
 				switch v >> 6 {
@@ -289,8 +347,12 @@ func FuzzEventQueue(f *testing.F) {
 				ops = append(ops, qop{'p', d})
 			case 4, 5, 6:
 				ops = append(ops, qop{op: 'o'})
-			default:
+			case 7:
 				ops = append(ops, qop{'r', v * 3})
+			case 8:
+				ops = append(ops, qop{'d', v % 4 * (v/4%2*120 + 1)}) // 0..3 ticks, or up to 363: overflow
+			default:
+				ops = append(ops, qop{'i', v})
 			}
 		}
 		diffQueues(t, ops)

@@ -145,9 +145,9 @@ func TestQueueMixedWorkload(t *testing.T) {
 	}
 }
 
-// TestQueueNoSteadyStateAllocs: after warm-up, a push/pop cycle within the
-// queue's high-water mark must not allocate — popped nodes go on the slab's
-// free list and the next push takes them back.
+// TestQueueNoSteadyStateAllocs: after warm-up, a push/insert/pop cycle
+// within the queue's high-water mark must not allocate — popped nodes go on
+// the slab's free list and the next push or insert takes them back.
 func TestQueueNoSteadyStateAllocs(t *testing.T) {
 	var q eventQueue
 	seq := int64(0)
@@ -159,8 +159,11 @@ func TestQueueNoSteadyStateAllocs(t *testing.T) {
 		popAny(t, &q)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		seq++
-		q.push(&event{at: q.base + Time(seq%97), seq: seq})
+		seq += 2
+		at := q.base + Time(seq%97)
+		q.push(&event{at: at, seq: seq})
+		q.insert(&event{at: at, seq: seq - 1}) // the older seq: ahead of the push
+		q.pop(forever, new(event))
 		q.pop(forever, new(event))
 	})
 	if allocs != 0 {

@@ -25,7 +25,8 @@ type trigger struct {
 	pred func() bool
 }
 
-// CrashWhen arms a state-triggered crash: after every subsequent event, pred
+// CrashWhen arms a state-triggered crash: after every subsequent event that
+// runs (a step the kernel lets lapse unqueued runs nothing; see wake), pred
 // is evaluated, and the first time it returns true process p crashes on the
 // spot (same semantics as CrashAt: no further steps, deliveries, or timers).
 // pred must be a side-effect-free predicate over observable protocol state;
@@ -77,8 +78,24 @@ func (k *Kernel) SetBudget(b Budget) {
 }
 
 // Events returns the number of events processed so far — deliveries, timers
-// and steps — the count MaxEvents bounds.
-func (k *Kernel) Events() int64 { return k.events }
+// and steps — the count MaxEvents bounds. A step the kernel recorded
+// instead of queueing (see wake) counts once it falls due, whether it ran
+// an action or lapsed.
+func (k *Kernel) Events() int64 {
+	n := k.events
+	if k.idleSteps > 0 {
+		for _, pr := range k.procs {
+			if pr.dueSeq != 0 && k.due(pr) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// Queued returns how many of the events counted by Events went through the
+// event queue: all but the recorded steps that lapsed unqueued.
+func (k *Kernel) Queued() int64 { return k.events - k.lapsed }
 
 // Exhausted returns the watchdog diagnostic if the budget was exceeded, else
 // nil.
@@ -121,8 +138,19 @@ func (b *BudgetExceeded) Diagnostic() string {
 // action), so with steps ≤ MaxSteps now, steps cannot pass MaxSteps before
 // events has grown by MaxSteps+1−steps, nor events pass MaxEvents before it
 // reaches MaxEvents+1.
+//
+// Recorded steps (see wake) are not in the queue or the count until they
+// fall due, so the loop compares both limits with the count plus every step
+// still recorded, an upper bound of either, and when a limit may be at hand
+// checkBudget first unelides: the recorded steps lapse or join the queue,
+// and every later step of the run is queued, so the checks are exact.
 func (k *Kernel) checkBudget() {
 	b, steps := k.budget, k.steps
+	if k.idleSteps > 0 && (b.MaxSteps > 0 && steps > b.MaxSteps ||
+		b.MaxEvents > 0 && k.events+int64(k.idleSteps) > b.MaxEvents ||
+		b.MaxQueue > 0 && k.queue.Len()+k.idleSteps > b.MaxQueue) {
+		k.unelide()
+	}
 	var reason string
 	switch {
 	case b.MaxSteps > 0 && steps > b.MaxSteps:

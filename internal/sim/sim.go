@@ -32,7 +32,8 @@ import "repro/internal/rt"
 
 // Time is discrete virtual time in ticks. The global clock is a modeling
 // device only; protocol code must not branch on absolute times except via
-// explicit timers (e.g. heartbeat intervals).
+// explicit timers (e.g. heartbeat intervals), or in a guard that time can
+// only turn false (rt.Runtime's guard clause).
 type Time = rt.Time
 
 // ProcID identifies a process. Processes are numbered 0..N-1.
