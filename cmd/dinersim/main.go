@@ -33,10 +33,9 @@ import (
 	"repro/internal/checker"
 	"repro/internal/detector"
 	"repro/internal/dining"
+	"repro/internal/dining/central"
 	"repro/internal/dining/forks"
-	"repro/internal/dining/perfect"
 	"repro/internal/dining/token"
-	"repro/internal/dining/trap"
 	"repro/internal/fairness"
 	"repro/internal/graph"
 	"repro/internal/mutex"
@@ -130,9 +129,9 @@ func main() {
 		// the mutex package comment).
 		tbl = mutex.New(net, g, "dine", detector.Perfect{K: k})
 	case "perfect":
-		tbl = perfect.New(net, g, "dine", sim.ProcID(g.N()))
+		tbl = central.New(net, g, "dine", sim.ProcID(g.N()), 0)
 	case "trap":
-		tbl = trap.New(net, g, "dine", sim.ProcID(g.N()), sim.Time(*era))
+		tbl = central.New(net, g, "dine", sim.ProcID(g.N()), sim.Time(*era))
 	default:
 		fmt.Fprintf(os.Stderr, "dinersim: unknown table %q\n", *table)
 		os.Exit(2)

@@ -24,8 +24,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/dining"
+	"repro/internal/dining/central"
 	"repro/internal/dining/forks"
-	"repro/internal/dining/perfect"
 	"repro/internal/explore"
 	"repro/internal/graph"
 	"repro/internal/mutex"
@@ -96,7 +96,7 @@ func buildScenario(name string) (explore.Scenario, error) {
 			log := &trace.Log{}
 			g := graph.Pair(0, 1)
 			k := sim.NewKernel(3, sim.WithSeed(1), sim.WithTracer(log), sim.WithDelay(pol))
-			tbl := perfect.New(k, g, "px", 2)
+			tbl := central.New(k, g, "px", 2, 0)
 			for _, p := range g.Nodes() {
 				dining.Drive(k, p, tbl.Diner(p), dining.DriverConfig{
 					FirstHunger: 2, ThinkMin: 2, ThinkMax: 4, EatMin: 2, EatMax: 5,

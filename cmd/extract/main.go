@@ -23,9 +23,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/dining"
+	"repro/internal/dining/central"
 	"repro/internal/dining/forks"
-	"repro/internal/dining/perfect"
-	"repro/internal/dining/trap"
 	"repro/internal/mutex"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -70,13 +69,13 @@ func main() {
 		oracle := detector.NewHeartbeat(k, "native", detector.HeartbeatConfig{})
 		factory = forks.Factory(oracle, forks.Config{})
 	case "trap":
-		factory = trap.Factory(coords, sim.Time(*era))
+		factory = central.Factory(coords, sim.Time(*era))
 	case "mutex":
 		// Model-true stand-in for the T+S composition the FTME needs.
 		factory = mutex.Factory(detector.Perfect{K: k})
 		class = "T"
 	case "central":
-		factory = perfect.Factory(coords)
+		factory = central.Factory(coords, 0)
 		class = "T"
 	default:
 		fmt.Fprintf(os.Stderr, "extract: unknown box %q\n", *box)

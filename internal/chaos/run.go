@@ -7,10 +7,9 @@ import (
 	"repro/internal/checker"
 	"repro/internal/detector"
 	"repro/internal/dining"
+	"repro/internal/dining/central"
 	"repro/internal/dining/forks"
-	"repro/internal/dining/perfect"
 	"repro/internal/dining/token"
-	"repro/internal/dining/trap"
 	"repro/internal/graph"
 	"repro/internal/rt"
 	"repro/internal/sim"
@@ -213,9 +212,9 @@ func buildBox(k rt.Runtime, g *graph.Graph, spec Spec) (dining.Table, error) {
 		oracle := detector.NewHeartbeat(k, "hb", hb)
 		return token.New(k, g, "dine", oracle, token.Config{}), nil
 	case "perfect":
-		return perfect.New(k, g, "dine", sim.ProcID(g.N())), nil
+		return central.New(k, g, "dine", sim.ProcID(g.N()), 0), nil
 	case "trap":
-		return trap.New(k, g, "dine", sim.ProcID(g.N()), era), nil
+		return central.New(k, g, "dine", sim.ProcID(g.N()), era), nil
 	case "buggy":
 		// The planted bug: forks without the ◇P override, i.e. forks
 		// reading a detector that never suspects. It is latent — crash-free

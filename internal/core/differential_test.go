@@ -8,10 +8,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/dining"
+	"repro/internal/dining/central"
 	"repro/internal/dining/forks"
-	"repro/internal/dining/perfect"
 	"repro/internal/dining/token"
-	"repro/internal/dining/trap"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -26,8 +25,8 @@ func boxes(k *sim.Kernel, nProcs int) map[string]dining.Factory {
 	return map[string]dining.Factory{
 		"forks":   forks.Factory(native, forks.Config{}),
 		"token":   token.Factory(native, token.Config{}),
-		"trap":    trap.Factory(coords, 2500),
-		"central": perfect.Factory(coords),
+		"trap":    central.Factory(coords, 2500),
+		"central": central.Factory(coords, 0),
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/dining"
+	"repro/internal/dining/central"
 	"repro/internal/dining/forks"
-	"repro/internal/dining/trap"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -21,7 +21,7 @@ func trapRig(seed int64) (*sim.Kernel, *trace.Log, dining.Factory) {
 	log := &trace.Log{}
 	k := sim.NewKernel(4, sim.WithSeed(seed), sim.WithTracer(log),
 		sim.WithDelay(sim.UniformDelay{Min: 1, Max: 12}))
-	factory := trap.Factory([]sim.ProcID{2, 3}, era)
+	factory := central.Factory([]sim.ProcID{2, 3}, era)
 	return k, log, factory
 }
 

@@ -7,7 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/dining"
-	"repro/internal/dining/perfect"
+	"repro/internal/dining/central"
 	"repro/internal/mutex"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -27,7 +27,7 @@ func pwxRig(seed int64, flavor string) (*sim.Kernel, *trace.Log, dining.Factory)
 		// the mutex package comment).
 		factory = mutex.Factory(detector.Perfect{K: k})
 	case "central":
-		factory = perfect.Factory([]sim.ProcID{2, 3})
+		factory = central.Factory([]sim.ProcID{2, 3}, 0)
 	default:
 		panic(flavor)
 	}

@@ -7,10 +7,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/dining"
+	"repro/internal/dining/central"
 	"repro/internal/dining/forks"
-	"repro/internal/dining/perfect"
 	"repro/internal/dining/token"
-	"repro/internal/dining/trap"
 	"repro/internal/fairness"
 	"repro/internal/graph"
 	"repro/internal/mutex"
@@ -33,7 +32,7 @@ func E6Flawed(seed int64, horizons []sim.Time) *Table {
 		log := &trace.Log{}
 		k := sim.NewKernel(6, sim.WithSeed(seed),
 			sim.WithTracer(log), sim.WithDelay(sim.UniformDelay{Min: 1, Max: 12}))
-		factory := trap.Factory([]sim.ProcID{2, 3, 4, 5}, era)
+		factory := central.Factory([]sim.ProcID{2, 3, 4, 5}, era)
 		core.NewFlawedMonitor(k, 0, 1, factory, "flawed", 25)
 		m := core.NewPairMonitor(k, 0, 1, factory, "xp")
 		k.Run(h)
@@ -166,7 +165,7 @@ func E8Trusting(seeds []int64) *Table {
 			return mutex.Factory(detector.Perfect{K: k})
 		}},
 		{"central", func(k *sim.Kernel) dining.Factory {
-			return perfect.Factory([]sim.ProcID{2, 3})
+			return central.Factory([]sim.ProcID{2, 3}, 0)
 		}},
 	}
 	for _, fl := range flavors {

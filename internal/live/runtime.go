@@ -57,7 +57,10 @@ type Config struct {
 	// on it: a permanently enabled action cycle — the extraction's witness
 	// and subject threads dine forever — run unpaced spins its goroutine,
 	// starves its peers' timer deliveries, and on a small host manufactures
-	// false suspicions faster than ◇P converges.
+	// false suspicions faster than ◇P converges. After and delayed link
+	// deliveries are time.AfterFunc timers, which on a 2-vCPU host fire no
+	// sooner than ≈ 1.1 ms whatever Tick is: a Tick below 1ms speeds up
+	// neither timers nor rt.Paced's cycle, capped at ≈ 900 steps/s.
 	Tick time.Duration
 	// Seed seeds the runtime's random source and the per-direction streams
 	// an installed link plan draws from (default 1). Unlike the simulator,

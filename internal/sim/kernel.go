@@ -397,7 +397,8 @@ func (k *Kernel) runLoop(horizon Time, cond func() bool) (Time, bool) {
 }
 
 // Stop aborts the run at the end of the current event (used by monitors that
-// detected a terminal condition).
+// detected a terminal condition). The stop is permanent: every later Run or
+// RunUntil fires one event and returns.
 func (k *Kernel) Stop() { k.stopped = true }
 
 // fire executes one popped event according to its kind. The typed variants

@@ -128,6 +128,12 @@ func TestStop(t *testing.T) {
 	if n != 5 {
 		t.Fatalf("ran %d actions after Stop, want exactly 5", n)
 	}
+	// The stop is sticky: each later Run fires one event.
+	k.Run(100000)
+	k.Run(100000)
+	if n != 7 {
+		t.Fatalf("two Runs after Stop ran to n=%d, want 7", n)
+	}
 }
 
 // TestHorizonStopsRun: the run does not execute events past the horizon.
