@@ -26,9 +26,11 @@
 // channels to fair-lossy links; the reliable transport is enabled
 // automatically whenever link faults are present (override with -transport).
 //
-// Boxes: forks|token|perfect|trap plus "buggy", the planted bug (forks
-// without the ◇P override) that sweeps are expected to catch (its failures do not affect the exit
-// status; failing to catch is what -expect-caught turns into an error).
+// Boxes: forks|token|perfect|trap|fair plus "buggy", the planted bug (forks
+// without the ◇P override) that sweeps are expected to catch (its failures
+// do not affect the exit status; failing to catch is what -expect-caught
+// turns into an error). "fair" (forks with the eventual 2-fairness throttle)
+// is not in the default campaign.
 package main
 
 import (
@@ -50,7 +52,7 @@ import (
 
 func main() {
 	var (
-		boxes    = flag.String("boxes", "forks,token,perfect,trap", "comma list of dining boxes (add: buggy)")
+		boxes    = flag.String("boxes", "forks,token,perfect,trap", "comma list of dining boxes (add: fair, buggy)")
 		topos    = flag.String("topologies", "ring,clique,star", "comma list of conflict-graph shapes")
 		sizes    = flag.String("sizes", "4,6", "comma list of diner counts")
 		seeds    = flag.String("seeds", "1,2", "comma list of kernel seeds")

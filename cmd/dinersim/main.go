@@ -8,9 +8,9 @@
 //	dinersim -table token -loss 0.3 -dup 0.1 -reorder 16
 //
 // Tables: forks (WF-◇WX, heartbeat-◇P driven), token (WF-◇WX, circulating
-// token), fair (eventually 2-fair), mutex (wait-free ℙWX with the
-// model-true T+S stand-in), perfect (centralized ℙWX), trap (adversarial
-// WF-◇WX with a mistake era).
+// token), fair (forks with Fair: 2, eventually 2-fair), mutex (wait-free
+// ℙWX with the model-true T+S stand-in), perfect (centralized ℙWX), trap
+// (adversarial WF-◇WX with a mistake era).
 //
 // -loss/-dup/-reorder weaken the channels to fair-lossy links; when any of
 // them is non-zero the reliable transport (internal/transport) is enabled
@@ -36,7 +36,6 @@ import (
 	"repro/internal/dining/central"
 	"repro/internal/dining/forks"
 	"repro/internal/dining/token"
-	"repro/internal/fairness"
 	"repro/internal/graph"
 	"repro/internal/mutex"
 	"repro/internal/rt"
@@ -123,7 +122,7 @@ func main() {
 		tbl = token.New(net, g, "dine", oracle, token.Config{})
 	case "fair":
 		oracle := detector.NewHeartbeat(net, "hb", hbCfg)
-		tbl = fairness.New(net, g, "dine", oracle, fairness.Config{})
+		tbl = forks.New(net, g, "dine", oracle, forks.Config{Fair: 2})
 	case "mutex":
 		// Model-true stand-in for the T+S composition the FTME needs (see
 		// the mutex package comment).

@@ -1,12 +1,12 @@
 // Fair dining pipeline — the paper's secondary result as a running system:
 //
-//	black-box WF-◇WX dining  --reduction-->  ◇P  --[13] layer-->  eventually
-//	                                                             2-fair dining
+//	black-box WF-◇WX dining  --reduction-->  ◇P  --[13]-->  eventually
+//	                                                       2-fair dining
 //
 // A greedy diner shares an edge with a patient one. The plain black box
-// never promises fairness (the greedy one may overtake arbitrarily); the
-// fair layer, driven by the oracle *extracted from that very box*, bounds
-// suffix overtaking by 2.
+// never promises fairness (the greedy one may overtake arbitrarily); a forks
+// table with Fair: 2 — the [13]-style overtaking throttle — driven by the
+// oracle *extracted from that very box* bounds suffix overtaking by 2.
 //
 //	go run ./examples/fairdining
 package main
@@ -19,7 +19,6 @@ import (
 	"repro/internal/detector"
 	"repro/internal/dining"
 	"repro/internal/dining/forks"
-	"repro/internal/fairness"
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -53,8 +52,8 @@ func main() {
 			sim.WithDelay(sim.GSTDelay{GST: 600, PreMax: 80, PostMax: 8}))
 		native := detector.NewHeartbeat(k, "native", detector.HeartbeatConfig{})
 		blackbox := forks.Factory(native, forks.Config{})
-		extracted := core.NewExtractor(k, g.Nodes(), blackbox, "xp")    // step 1: reduction
-		tbl := fairness.New(k, g, "fair", extracted, fairness.Config{}) // step 2: [13] layer
+		extracted := core.NewExtractor(k, g.Nodes(), blackbox, "xp")     // step 1: reduction
+		tbl := forks.New(k, g, "fair", extracted, forks.Config{Fair: 2}) // step 2: [13]
 		drive(k, tbl)
 		end := k.Run(horizon)
 		report(log, g, "fair", "pipeline (extracted ◇P -> fair layer)", end)

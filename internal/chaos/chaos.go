@@ -30,7 +30,7 @@ import (
 type Spec struct {
 	Topology string      `json:"topology"`          // ring|clique|path|star|pair|grid
 	N        int         `json:"n"`                 // number of diners (≥ 2)
-	Box      string      `json:"box"`               // forks|token|perfect|trap|buggy
+	Box      string      `json:"box"`               // forks|token|perfect|trap|fair|buggy
 	Seed     int64       `json:"seed"`              // kernel seed
 	Horizon  sim.Time    `json:"horizon"`           // virtual-time bound
 	Delay    DelaySpec   `json:"delay"`             // message-delay policy
@@ -161,10 +161,10 @@ type BudgetSpec struct {
 	MaxQueue  int   `json:"max_queue,omitempty"`
 }
 
-// Boxes lists the dining boxes the engine can build. The first four are the
-// repository's real services; "buggy" is the planted bug: forks without
-// the ◇P override.
-func Boxes() []string { return []string{"forks", "token", "perfect", "trap", "buggy"} }
+// Boxes lists the dining boxes the engine can build. The first five are the
+// repository's real services ("fair" is forks with the eventual 2-fairness
+// throttle); "buggy" is the planted bug: forks without the ◇P override.
+func Boxes() []string { return []string{"forks", "token", "perfect", "trap", "fair", "buggy"} }
 
 // Topologies lists the conflict-graph shapes the engine can build.
 func Topologies() []string { return []string{"ring", "clique", "path", "star", "pair", "grid"} }

@@ -215,6 +215,9 @@ func buildBox(k rt.Runtime, g *graph.Graph, spec Spec) (dining.Table, error) {
 		return central.New(k, g, "dine", sim.ProcID(g.N()), 0), nil
 	case "trap":
 		return central.New(k, g, "dine", sim.ProcID(g.N()), era), nil
+	case "fair":
+		oracle := detector.NewHeartbeat(k, "hb", hb)
+		return forks.New(k, g, "dine", oracle, forks.Config{Fair: 2}), nil
 	case "buggy":
 		// The planted bug: forks without the ◇P override, i.e. forks
 		// reading a detector that never suspects. It is latent — crash-free

@@ -65,11 +65,16 @@ func FuzzPairMonitorSchedules(f *testing.F) {
 
 // FuzzForksSchedules checks the dining black box alone under fuzzer-chosen
 // schedules: fork conservation, no illegal state transitions (the state
-// machine panics on them), and exclusion between trusting live diners.
+// machine panics on them), exclusion between trusting live diners, and
+// wait-freedom, where a deference deadlock of the fairness throttle would
+// show as starvation. crashSel picks the crash victim (crashSel%3 != 0)
+// and the overtaking bound Fair = crashSel/3%3.
 func FuzzForksSchedules(f *testing.F) {
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6}, uint8(0))
 	f.Add([]byte{0}, uint8(1))
 	f.Add([]byte{200, 100, 50, 25, 12, 6, 3, 1}, uint8(2))
+	f.Add([]byte{7, 1, 30, 2, 18, 5}, uint8(3))
+	f.Add([]byte{31, 0, 16, 8, 24, 4, 12}, uint8(7))
 	f.Fuzz(func(t *testing.T, pattern []byte, crashSel uint8) {
 		if len(pattern) > 4096 {
 			t.Skip()
@@ -82,7 +87,7 @@ func FuzzForksSchedules(f *testing.F) {
 			sim.WithDelay(&sim.BytesDelay{Pattern: pattern, Max: 32}),
 		)
 		oracle := detector.Perfect{K: k}
-		tbl := forks.New(k, g, "fk", oracle, forks.Config{})
+		tbl := forks.New(k, g, "fk", oracle, forks.Config{Fair: int(crashSel / 3 % 3)})
 		for _, p := range g.Nodes() {
 			dining.Drive(k, p, tbl.Diner(p), dining.DriverConfig{
 				ThinkMin: 3, ThinkMax: 20, EatMin: 2, EatMax: 8,
@@ -101,6 +106,9 @@ func FuzzForksSchedules(f *testing.F) {
 		// must be perpetually exclusive.
 		if rep, err := checker.PerpetualWeakExclusion(log, g, "fk", end); err != nil {
 			t.Fatalf("exclusion violated with a perfect oracle: %v", rep.Violations)
+		}
+		if starved := checker.WaitFreedom(log, "fk", end-3000, end); len(starved) > 0 {
+			t.Fatalf("starvation under schedule %v: %v", pattern, starved)
 		}
 	})
 }

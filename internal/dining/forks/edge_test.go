@@ -1,4 +1,4 @@
-package fairness_test
+package forks_test
 
 import (
 	"testing"
@@ -6,7 +6,7 @@ import (
 	"repro/internal/checker"
 	"repro/internal/detector"
 	"repro/internal/dining"
-	"repro/internal/fairness"
+	"repro/internal/dining/forks"
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -21,7 +21,7 @@ func TestThrottleReleasedByCrash(t *testing.T) {
 	k := sim.NewKernel(2, sim.WithSeed(11), sim.WithTracer(log),
 		sim.WithDelay(sim.GSTDelay{GST: 400, PreMax: 50, PostMax: 6}))
 	oracle := detector.NewHeartbeat(k, "hb", detector.HeartbeatConfig{})
-	tbl := fairness.New(k, g, "fair", oracle, fairness.Config{})
+	tbl := forks.New(k, g, "fair", oracle, forks.Config{Fair: 2})
 	// 1 gets hungry first (older claim) and then crashes while hungry;
 	// 0 is greedy and would be throttled behind 1 forever without the
 	// suspicion exemption.
@@ -44,29 +44,6 @@ func TestThrottleReleasedByCrash(t *testing.T) {
 	}
 }
 
-// TestFairLayerDeterminism: identical seeds give identical traces through
-// the throttle bookkeeping.
-func TestFairLayerDeterminism(t *testing.T) {
-	run := func() int {
-		log := &trace.Log{}
-		g := graph.Ring(4)
-		k := sim.NewKernel(4, sim.WithSeed(5), sim.WithTracer(log),
-			sim.WithDelay(sim.GSTDelay{GST: 400, PreMax: 50, PostMax: 6}))
-		oracle := detector.NewHeartbeat(k, "hb", detector.HeartbeatConfig{})
-		tbl := fairness.New(k, g, "fair", oracle, fairness.Config{})
-		for _, p := range g.Nodes() {
-			dining.Drive(k, p, tbl.Diner(p), dining.DriverConfig{
-				ThinkMin: 5, ThinkMax: 40, EatMin: 3, EatMax: 12,
-			})
-		}
-		k.Run(20000)
-		return log.Len()
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("nondeterministic fair layer: %d vs %d records", a, b)
-	}
-}
-
 // TestFairnessOnStar: the throttle composes with high-degree hubs — the
 // center of a star with greedy leaves still eats (no deference deadlock).
 func TestFairnessOnStar(t *testing.T) {
@@ -75,7 +52,7 @@ func TestFairnessOnStar(t *testing.T) {
 	k := sim.NewKernel(5, sim.WithSeed(6), sim.WithTracer(log),
 		sim.WithDelay(sim.GSTDelay{GST: 400, PreMax: 50, PostMax: 6}))
 	oracle := detector.NewHeartbeat(k, "hb", detector.HeartbeatConfig{})
-	tbl := fairness.New(k, g, "fair", oracle, fairness.Config{})
+	tbl := forks.New(k, g, "fair", oracle, forks.Config{Fair: 2})
 	for _, p := range g.Nodes() {
 		dining.Drive(k, p, tbl.Diner(p), dining.DriverConfig{
 			ThinkMin: 1, ThinkMax: 5, EatMin: 3, EatMax: 10,

@@ -11,3 +11,9 @@ func IsFork(payload any) bool {
 	_, ok := payload.(forkMsg)
 	return ok
 }
+
+// IsHunger reports whether payload is a fair table's hunger announcement.
+func IsHunger(payload any) bool {
+	_, ok := payload.(hungerMsg)
+	return ok
+}

@@ -1,4 +1,4 @@
-package fairness_test
+package forks_test
 
 import (
 	"testing"
@@ -8,18 +8,17 @@ import (
 	"repro/internal/detector"
 	"repro/internal/dining"
 	"repro/internal/dining/forks"
-	"repro/internal/fairness"
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-func run(t testing.TB, g *graph.Graph, seed int64, oracle func(*sim.Kernel) detector.Oracle, crashes map[sim.ProcID]sim.Time, horizon sim.Time, greedy bool) (*trace.Log, sim.Time) {
+func runFair(t testing.TB, g *graph.Graph, seed int64, oracle func(*sim.Kernel) detector.Oracle, crashes map[sim.ProcID]sim.Time, horizon sim.Time, greedy bool) (*trace.Log, sim.Time) {
 	t.Helper()
 	log := &trace.Log{}
 	k := sim.NewKernel(g.N(), sim.WithSeed(seed), sim.WithTracer(log),
 		sim.WithDelay(sim.GSTDelay{GST: 600, PreMax: 80, PostMax: 8}))
-	tbl := fairness.New(k, g, "fair", oracle(k), fairness.Config{})
+	tbl := forks.New(k, g, "fair", oracle(k), forks.Config{Fair: 2})
 	for _, p := range g.Nodes() {
 		cfg := dining.DriverConfig{ThinkMin: 10, ThinkMax: 100, EatMin: 5, EatMax: 30}
 		if greedy && p == 0 {
@@ -39,15 +38,15 @@ func native(k *sim.Kernel) detector.Oracle {
 	return detector.NewHeartbeat(k, "native", detector.HeartbeatConfig{})
 }
 
-// TestStillWaitFreeAndEventuallyExclusive: the fairness layer must not lose
-// the base dining guarantees.
+// TestStillWaitFreeAndEventuallyExclusive: the fairness throttle must not
+// lose the base dining guarantees.
 func TestStillWaitFreeAndEventuallyExclusive(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		for name, g := range map[string]*graph.Graph{
 			"ring5":   graph.Ring(5),
 			"clique4": graph.Clique(4),
 		} {
-			log, end := run(t, g, seed, native, map[sim.ProcID]sim.Time{1: 6000}, 40000, false)
+			log, end := runFair(t, g, seed, native, map[sim.ProcID]sim.Time{1: 6000}, 40000, false)
 			if _, err := checker.EventualWeakExclusion(log, g, "fair", end*2/3, end); err != nil {
 				t.Errorf("%s seed %d: %v", name, seed, err)
 			}
@@ -63,7 +62,7 @@ func TestStillWaitFreeAndEventuallyExclusive(t *testing.T) {
 func TestEventual2Fairness(t *testing.T) {
 	for _, seed := range []int64{3, 4, 5} {
 		g := graph.Clique(3)
-		log, end := run(t, g, seed, native, nil, 50000, true)
+		log, end := runFair(t, g, seed, native, nil, 50000, true)
 		if over := checker.KFairness(log, g, "fair", 2, end/2, end); len(over) > 0 {
 			t.Errorf("seed %d: overtaking beyond 2 in the suffix: %v", seed, over)
 		}
@@ -76,7 +75,7 @@ func TestEventual2Fairness(t *testing.T) {
 // TestPipelineExtractedOracle is experiment E7, the paper's secondary
 // result as a two-step construction: a black-box WF-◇WX solution (forks,
 // powered by a native heartbeat ◇P) feeds the reduction; the *extracted*
-// ◇P — not the native one — powers the eventually 2-fair dining layer.
+// ◇P — not the native one — powers an eventually 2-fair forks table.
 func TestPipelineExtractedOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline test is long")
@@ -88,7 +87,7 @@ func TestPipelineExtractedOracle(t *testing.T) {
 	nat := detector.NewHeartbeat(k, "native", detector.HeartbeatConfig{})
 	blackbox := forks.Factory(nat, forks.Config{})
 	ext := core.NewExtractor(k, g.Nodes(), blackbox, "xp")
-	tbl := fairness.New(k, g, "fair", ext, fairness.Config{})
+	tbl := forks.New(k, g, "fair", ext, forks.Config{Fair: 2})
 	for _, p := range g.Nodes() {
 		cfg := dining.DriverConfig{ThinkMin: 10, ThinkMax: 80, EatMin: 5, EatMax: 25}
 		if p == 0 {
@@ -109,7 +108,7 @@ func TestPipelineExtractedOracle(t *testing.T) {
 }
 
 // TestPipelineSurvivesCrash: the full pipeline with a crash — the extracted
-// oracle must unblock the fair layer.
+// oracle must unblock the fair table.
 func TestPipelineSurvivesCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline test is long")
@@ -120,7 +119,7 @@ func TestPipelineSurvivesCrash(t *testing.T) {
 		sim.WithDelay(sim.GSTDelay{GST: 600, PreMax: 80, PostMax: 8}))
 	nat := detector.NewHeartbeat(k, "native", detector.HeartbeatConfig{})
 	ext := core.NewExtractor(k, g.Nodes(), forks.Factory(nat, forks.Config{}), "xp")
-	tbl := fairness.New(k, g, "fair", ext, fairness.Config{})
+	tbl := forks.New(k, g, "fair", ext, forks.Config{Fair: 2})
 	for _, p := range g.Nodes() {
 		dining.Drive(k, p, tbl.Diner(p), dining.DriverConfig{
 			ThinkMin: 10, ThinkMax: 60, EatMin: 5, EatMax: 20,

@@ -31,8 +31,28 @@
 // holders never block anyone (wait-freedom). Overrides never transfer fork
 // ownership, so the one-fork-per-edge invariant survives every mistake.
 //
+// Eventual k-fairness: with Config.Fair = K > 0 the table is also eventually
+// K-fair, the construction the paper cites as [13] (Song and Pike) fed any
+// ◇P: for every run there is a time after which no diner eats more than K
+// times while a correct neighbor stays hungry. The paper's secondary result
+// takes K = 2 and feeds it the ◇P extracted from a black-box WF-◇WX
+// solution (experiment E7, examples/fairdining). Each diner announces its
+// hunger session (stamped with its hunger timestamp) and the end of each
+// meal to its neighbors, and a hungry diner defers to a live neighbor q —
+// refuses to start its (K+1)-th meal during q's announced hunger — when q's
+// claim is older than its own. Deference follows the same (timestamp, id)
+// order as fork priority, so it is acyclic and cannot deadlock: a hungry
+// diner waits only on an eater or on an older claim, whether for a fork or
+// under the throttle, so the oldest hungry diner waits on no one. (Were the
+// orders different, a throttled fork holder and the requester it defers to
+// could wait on each other.) Suspected neighbors are exempt, so a crash
+// cannot wedge the throttle. Before the oracle and the announcements settle
+// the throttle can err both ways, which is fine: ◇WX and eventual
+// K-fairness both promise only a suffix.
+//
 // Wiring: a module handles one port, named after its table, and routes each
-// message by its payload type (request, fork, sync, sync ack).
+// message by its payload type (request, fork, sync, sync ack, and with Fair
+// > 0 hunger and meal announcements).
 package forks
 
 import (
@@ -55,6 +75,10 @@ type Config struct {
 	// including the initial placement. It runs on protocol goroutines and
 	// must be fast and safe to call concurrently from different processes.
 	OnFork func(p, q rt.ProcID, hold bool)
+	// Fair is the overtaking bound K (see the package comment): 0 is the
+	// plain box, with no fairness promise and no announcements; the paper's
+	// secondary result uses 2.
+	Fair int
 }
 
 // Table is a fork-algorithm dining instance.
@@ -125,7 +149,17 @@ type edge struct {
 	// epoch counts the edge's resyncs: a Reset at either end starts a new
 	// one, and each end adopts the larger count it hears of.
 	epoch int64
+
+	// The neighbor's announced hunger, for the Fair throttle.
+	nbrHungerTS int64 // timestamp of its current hunger session (0 = none)
+	endedTS     int64 // newest of its hunger sessions known to have ended
+	mealsDuring int   // our meals completed during that hunger
 }
+
+// forgetHunger drops the neighbor's announced hunger. endedTS stays: the
+// neighbor's session timestamps only grow, so it still screens stale
+// announcements.
+func (e *edge) forgetHunger() { e.nbrHungerTS, e.mealsDuring = 0, 0 }
 
 // current reports whether a message stamped with epoch is not stale,
 // adopting a newer epoch.
@@ -163,6 +197,20 @@ type syncMsg struct {
 type syncAckMsg struct {
 	Hold  bool
 	Epoch int64
+}
+
+// hungerMsg announces the sender's new hunger session (Fair > 0 only). One
+// from an older epoch was overtaken by its sender's sync, which ended that
+// hunger: it is dropped.
+type hungerMsg struct {
+	TS    int64
+	Epoch int64
+}
+
+// ateMsg announces a meal that ended the sender's hunger session TS (Fair >
+// 0 only).
+type ateMsg struct {
+	TS int64
 }
 
 type module struct {
@@ -222,6 +270,10 @@ func (m *module) onMsg(msg rt.Message) {
 		m.onSync(msg.From, pl)
 	case syncAckMsg:
 		m.onSyncAck(msg.From, pl)
+	case hungerMsg:
+		m.onHunger(msg.From, pl)
+	case ateMsg:
+		m.onAte(msg.From, pl)
 	default:
 		panic(fmt.Sprintf("forks: unexpected payload %T at %d", msg.Payload, m.self))
 	}
@@ -235,11 +287,17 @@ func (m *module) edge(q rt.ProcID) *edge {
 	return m.edges[q]
 }
 
-// Hungry implements dining.Diner: stamp the session and chase forks.
+// Hungry implements dining.Diner: stamp the session, announce it if the
+// table is fair, and chase forks.
 func (m *module) Hungry() {
 	m.Set(dining.Hungry)
 	m.clock++
 	m.hungerTS = m.clock
+	if m.cfg.Fair > 0 {
+		for _, q := range m.nbrs {
+			m.k.Send(m.self, q, m.port, hungerMsg{TS: m.hungerTS, Epoch: m.edges[q].epoch})
+		}
+	}
 	m.requestMissing()
 }
 
@@ -247,29 +305,79 @@ func (m *module) Hungry() {
 func (m *module) Exit() { m.Set(dining.Exiting) }
 
 // canEat: hungry, and every fork is either held or excused by suspicion of
-// its holder's process.
+// its holder's process, and no live neighbor throttles us. The oracle is
+// consulted only for a missing fork or a throttling neighbor.
 func (m *module) canEat() bool {
 	if m.State() != dining.Hungry {
 		return false
 	}
 	for _, q := range m.nbrs {
-		if !m.edges[q].hold && !m.view.Suspected(q) {
+		if e := m.edges[q]; (!e.hold || m.throttledBy(q, e)) && !m.view.Suspected(q) {
 			return false
 		}
 	}
 	return true
 }
 
+// throttledBy reports whether q's announced hunger holds the claim older
+// than ours and we have already eaten Fair times during it.
+func (m *module) throttledBy(q rt.ProcID, e *edge) bool {
+	return e.nbrHungerTS != 0 && e.mealsDuring >= m.cfg.Fair &&
+		older(e.nbrHungerTS, q, m.hungerTS, m.self)
+}
+
 func (m *module) eat() { m.Set(dining.Eating) }
 
-// finishExit grants every deferred request and returns to thinking.
+// finishExit grants every deferred request and returns to thinking. A fair
+// table counts the meal against every neighbor hungry throughout it and
+// announces that it ended our hunger session.
 func (m *module) finishExit() {
 	for _, q := range m.nbrs {
-		if e := m.edges[q]; e.wantTS != 0 && e.hold {
+		e := m.edges[q]
+		if m.cfg.Fair > 0 {
+			if e.nbrHungerTS != 0 {
+				e.mealsDuring++
+			}
+			m.k.Send(m.self, q, m.port, ateMsg{TS: m.hungerTS})
+		}
+		if e.wantTS != 0 && e.hold {
 			m.yield(q)
 		}
 	}
 	m.Set(dining.Thinking)
+}
+
+// onHunger records a neighbor's announced hunger session, unless that
+// session is known to have ended or a restart of the neighbor overtook it.
+func (m *module) onHunger(q rt.ProcID, h hungerMsg) {
+	e := m.edge(q)
+	if e == nil || h.Epoch < e.epoch {
+		return
+	}
+	if h.TS > m.clock {
+		m.clock = h.TS
+	}
+	if h.TS > e.endedTS && h.TS > e.nbrHungerTS {
+		e.nbrHungerTS, e.mealsDuring = h.TS, 0
+	}
+}
+
+// onAte records that a neighbor's meal ended its hunger session a.TS (it
+// announces any new one).
+func (m *module) onAte(q rt.ProcID, a ateMsg) {
+	e := m.edge(q)
+	if e == nil {
+		return
+	}
+	if a.TS > m.clock {
+		m.clock = a.TS
+	}
+	if a.TS > e.endedTS {
+		e.endedTS = a.TS
+	}
+	if e.nbrHungerTS <= a.TS {
+		e.forgetHunger()
+	}
 }
 
 // older reports whether claim (ts, p) precedes claim (ts2, q) in the global
@@ -379,6 +487,7 @@ func (t *Table) Reset(p rt.ProcID) {
 		e := m.edges[q]
 		m.setHold(q, false)
 		e.wantTS = 0
+		e.forgetHunger()
 		e.resync = true
 		e.epoch++
 		m.k.Send(m.self, q, m.port, syncMsg{Epoch: e.epoch})
@@ -386,17 +495,18 @@ func (t *Table) Reset(p rt.ProcID) {
 }
 
 // onSync answers a restarted neighbor's state query, unless a later one
-// has been answered. The neighbor's pending request died with it, and so
-// did ours there: if we are hungry without the fork, we ask again after
-// the ack. If both ends are resyncing (both restarted), the lower id mints
-// at once and the ack tells the higher id it lost the tie; onSyncAck's
-// resync guard discards the mirror-image ack.
+// has been answered. The neighbor's pending request and announced hunger
+// died with it, and so did our request there: if we are hungry without the
+// fork, we ask again after the ack. If both ends are resyncing (both
+// restarted), the lower id mints at once and the ack tells the higher id it
+// lost the tie; onSyncAck's resync guard discards the mirror-image ack.
 func (m *module) onSync(q rt.ProcID, s syncMsg) {
 	e := m.edge(q)
 	if e == nil || !e.current(s.Epoch) {
 		return
 	}
 	e.wantTS = 0
+	e.forgetHunger()
 	if e.resync {
 		e.resync = false
 		if m.self < q {

@@ -1,4 +1,4 @@
-package fairness_test
+package forks_test
 
 import (
 	"testing"
@@ -6,7 +6,7 @@ import (
 	"repro/internal/checker"
 	"repro/internal/detector"
 	"repro/internal/dining"
-	"repro/internal/fairness"
+	"repro/internal/dining/forks"
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -25,7 +25,7 @@ func TestEventualLockStep(t *testing.T) {
 		k := sim.NewKernel(n, sim.WithSeed(seed), sim.WithTracer(log),
 			sim.WithDelay(sim.GSTDelay{GST: 500, PreMax: 60, PostMax: 6}))
 		oracle := detector.NewHeartbeat(k, "hb", detector.HeartbeatConfig{})
-		tbl := fairness.New(k, g, "fair", oracle, fairness.Config{K: 1})
+		tbl := forks.New(k, g, "fair", oracle, forks.Config{Fair: 1})
 		for _, p := range g.Nodes() {
 			// Perpetual contention: think for a single tick.
 			dining.Drive(k, p, tbl.Diner(p), dining.DriverConfig{

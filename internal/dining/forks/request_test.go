@@ -1,6 +1,7 @@
 package forks_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/detector"
@@ -24,44 +25,51 @@ func (a afterCount) After(p rt.ProcID, d rt.Time, fn func()) {
 }
 
 // TestNoTimers: the table runs on messages alone. Over a driven,
-// crash-free run it schedules no timer — every request is answered once,
-// so nothing needs re-sending. The drivers' own timers go to the kernel
-// directly and are not counted.
+// crash-free run it schedules no timer, on a plain or a fair table: every
+// request is answered once, so nothing needs re-sending. The drivers' own
+// timers go to the kernel directly and are not counted.
 func TestNoTimers(t *testing.T) {
-	g := graph.Clique(4)
-	k := sim.NewKernel(g.N(), sim.WithSeed(1), sim.WithDelay(sim.UniformDelay{Min: 1, Max: 10}))
-	timers := 0
-	var mute detector.Scripted
-	tbl := forks.New(afterCount{k, &timers}, g, "fk", &mute, forks.Config{})
-	meals := 0
-	for _, p := range g.Nodes() {
-		tbl.Diner(p).OnEat(func() { meals++ })
-		dining.Drive(k, p, tbl.Diner(p), dining.DriverConfig{
-			ThinkMin: 10, ThinkMax: 60, EatMin: 5, EatMax: 20, Meals: 30,
+	for _, fair := range []int{0, 2} {
+		t.Run(fmt.Sprintf("fair%d", fair), func(t *testing.T) {
+			g := graph.Clique(4)
+			k := sim.NewKernel(g.N(), sim.WithSeed(1), sim.WithDelay(sim.UniformDelay{Min: 1, Max: 10}))
+			timers := 0
+			var mute detector.Scripted
+			tbl := forks.New(afterCount{k, &timers}, g, "fk", &mute, forks.Config{Fair: fair})
+			meals := 0
+			for _, p := range g.Nodes() {
+				tbl.Diner(p).OnEat(func() { meals++ })
+				dining.Drive(k, p, tbl.Diner(p), dining.DriverConfig{
+					ThinkMin: 10, ThinkMax: 60, EatMin: 5, EatMax: 20, Meals: 30,
+				})
+			}
+			const horizon = 1_000_000
+			if end := k.Run(horizon); end >= horizon {
+				t.Fatalf("no quiescence by t=%d", horizon)
+			}
+			if want := 30 * g.N(); meals != want {
+				t.Fatalf("%d meals, want %d", meals, want)
+			}
+			if timers != 0 {
+				t.Fatalf("the table scheduled %d timers, want none", timers)
+			}
 		})
-	}
-	const horizon = 1_000_000
-	if end := k.Run(horizon); end >= horizon {
-		t.Fatalf("no quiescence by t=%d", horizon)
-	}
-	if want := 30 * g.N(); meals != want {
-		t.Fatalf("%d meals, want %d", meals, want)
-	}
-	if timers != 0 {
-		t.Fatalf("the table scheduled %d timers, want none", timers)
 	}
 }
 
-// slowFirstFork is the kernel with the first fork sent held back 19 ticks.
-type slowFirstFork struct {
+// slowFirst is the kernel with the first message that `is` matches held
+// back `by` ticks.
+type slowFirst struct {
 	*sim.Kernel
+	is     func(from sim.ProcID, payload any) bool
+	by     sim.Time
 	slowed bool
 }
 
-func (s *slowFirstFork) Send(from, to sim.ProcID, port rt.Port, payload any) {
-	if forks.IsFork(payload) && !s.slowed {
+func (s *slowFirst) Send(from, to sim.ProcID, port rt.Port, payload any) {
+	if !s.slowed && s.is(from, payload) {
 		s.slowed = true
-		s.Kernel.After(from, 19, func() { s.Kernel.Send(from, to, port, payload) })
+		s.Kernel.After(from, s.by, func() { s.Kernel.Send(from, to, port, payload) })
 		return
 	}
 	s.Kernel.Send(from, to, port, payload)
@@ -85,7 +93,7 @@ func TestOlderRequestAheadOfFork(t *testing.T) {
 	var oracle detector.Scripted
 	oracle.Set(1, 0, true)
 	var moves []sim.Time // ticks at which 1 gains or loses the fork
-	tbl := forks.New(&slowFirstFork{Kernel: k}, g, "fk", &oracle, forks.Config{
+	tbl := forks.New(&slowFirst{Kernel: k, is: func(_ sim.ProcID, p any) bool { return forks.IsFork(p) }, by: 19}, g, "fk", &oracle, forks.Config{
 		OnFork: func(p, q rt.ProcID, hold bool) {
 			if p == 1 {
 				moves = append(moves, k.Now())

@@ -57,7 +57,8 @@ func (s sendTap) Send(from, to sim.ProcID, port rt.Port, payload any) {
 // inbound links lose 95 % of all messages for good — and checks from the
 // OnFork journal that no edge ever has both ends holding, that at
 // quiescence exactly one end holds each edge, that a reset diner eats
-// again, and that a reset sends exactly one sync per edge.
+// again, and that a reset sends exactly one sync per edge, on plain and on
+// fair tables.
 func TestResetResync(t *testing.T) {
 	const at = sim.Time(1000)
 	cases := []struct {
@@ -76,78 +77,84 @@ func TestResetResync(t *testing.T) {
 	}
 	g := graph.Clique(4)
 	for _, c := range cases {
-		for _, seed := range []int64{1, 2, 3} {
-			t.Run(fmt.Sprintf("%s/seed%d", c.name, seed), func(t *testing.T) {
-				log := &trace.Log{}
-				k := sim.NewKernel(g.N(), sim.WithSeed(seed), sim.WithTracer(log),
-					sim.WithDelay(sim.FixedDelay{D: 3}))
-				if err := c.plan.Apply(k); err != nil {
-					t.Fatal(err)
+		for _, fair := range []int{0, 2} {
+			for _, seed := range []int64{1, 2, 3} {
+				name := fmt.Sprintf("%s/seed%d", c.name, seed)
+				if fair > 0 {
+					name = fmt.Sprintf("fair%d/%s", fair, name)
 				}
-				j := &journal{k: k, hold: make(map[[2]sim.ProcID]bool)}
-				var under rt.Runtime = k
-				var tr *transport.Reliable
-				if len(c.plan.Windows)+len(c.plan.Links) > 0 {
-					tr = transport.Enable(k, "rt", transport.Config{})
-					under = tr
-				}
-				syncs := 0
-				tap := sendTap{under, func(m sim.Message) {
-					if forks.IsSync(m.Payload) {
-						syncs++
+				t.Run(name, func(t *testing.T) {
+					log := &trace.Log{}
+					k := sim.NewKernel(g.N(), sim.WithSeed(seed), sim.WithTracer(log),
+						sim.WithDelay(sim.FixedDelay{D: 3}))
+					if err := c.plan.Apply(k); err != nil {
+						t.Fatal(err)
 					}
-				}}
-				var mute detector.Scripted
-				tbl := forks.New(tap, g, "fk", &mute, forks.Config{OnFork: j.onFork})
-				for _, p := range g.Nodes() {
-					dining.Drive(k, p, tbl.Diner(p), dining.DriverConfig{
-						ThinkMin: 10, ThinkMax: 60, EatMin: 5, EatMax: 20, Meals: 40,
-					})
-				}
-				for _, p := range c.resets {
-					k.After(p, at, func() {
-						if tr != nil {
-							tr.Reset(p)
+					j := &journal{k: k, hold: make(map[[2]sim.ProcID]bool)}
+					var under rt.Runtime = k
+					var tr *transport.Reliable
+					if len(c.plan.Windows)+len(c.plan.Links) > 0 {
+						tr = transport.Enable(k, "rt", transport.Config{})
+						under = tr
+					}
+					syncs := 0
+					tap := sendTap{under, func(m sim.Message) {
+						if forks.IsSync(m.Payload) {
+							syncs++
 						}
-						tbl.Reset(p)
-					})
-				}
-				const horizon = 10_000_000
-				if end := k.Run(horizon); end >= horizon {
-					t.Fatalf("no quiescence by t=%d", horizon)
-				}
+					}}
+					var mute detector.Scripted
+					tbl := forks.New(tap, g, "fk", &mute, forks.Config{OnFork: j.onFork, Fair: fair})
+					for _, p := range g.Nodes() {
+						dining.Drive(k, p, tbl.Diner(p), dining.DriverConfig{
+							ThinkMin: 10, ThinkMax: 60, EatMin: 5, EatMax: 20, Meals: 40,
+						})
+					}
+					for _, p := range c.resets {
+						k.After(p, at, func() {
+							if tr != nil {
+								tr.Reset(p)
+							}
+							tbl.Reset(p)
+						})
+					}
+					const horizon = 10_000_000
+					if end := k.Run(horizon); end >= horizon {
+						t.Fatalf("no quiescence by t=%d", horizon)
+					}
 
-				if j.dup != "" {
-					t.Fatal(j.dup)
-				}
-				for _, e := range g.Edges() {
-					p, q := e[0], e[1]
-					hp, hq := j.hold[[2]sim.ProcID{p, q}], j.hold[[2]sim.ProcID{q, p}]
-					if hp == hq {
-						t.Errorf("edge %d-%d at quiescence: %d holds=%v, %d holds=%v, want exactly one", p, q, p, hp, q, hq)
+					if j.dup != "" {
+						t.Fatal(j.dup)
 					}
-					if hp != tbl.HoldsFork(p, q) || hq != tbl.HoldsFork(q, p) {
-						t.Errorf("edge %d-%d: the OnFork journal disagrees with HoldsFork", p, q)
-					}
-				}
-				eats := log.Sessions("eating")
-				for _, p := range c.resets {
-					late := 0
-					for _, iv := range eats[trace.SessionKey{Inst: "fk", P: p}] {
-						if iv.Start > at {
-							late++
+					for _, e := range g.Edges() {
+						p, q := e[0], e[1]
+						hp, hq := j.hold[[2]sim.ProcID{p, q}], j.hold[[2]sim.ProcID{q, p}]
+						if hp == hq {
+							t.Errorf("edge %d-%d at quiescence: %d holds=%v, %d holds=%v, want exactly one", p, q, p, hp, q, hq)
+						}
+						if hp != tbl.HoldsFork(p, q) || hq != tbl.HoldsFork(q, p) {
+							t.Errorf("edge %d-%d: the OnFork journal disagrees with HoldsFork", p, q)
 						}
 					}
-					if late == 0 {
-						t.Errorf("diner %d never ate after its reset", p)
+					eats := log.Sessions("eating")
+					for _, p := range c.resets {
+						late := 0
+						for _, iv := range eats[trace.SessionKey{Inst: "fk", P: p}] {
+							if iv.Start > at {
+								late++
+							}
+						}
+						if late == 0 {
+							t.Errorf("diner %d never ate after its reset", p)
+						}
 					}
-				}
-				// Reset queries each neighbor once; recovering lost queries
-				// and acks is the transport's job, not the table's.
-				if want := len(c.resets) * (g.N() - 1); syncs != want {
-					t.Errorf("%d sync queries, want exactly one per edge per reset: %d", syncs, want)
-				}
-			})
+					// Reset queries each neighbor once; recovering lost queries
+					// and acks is the transport's job, not the table's.
+					if want := len(c.resets) * (g.N() - 1); syncs != want {
+						t.Errorf("%d sync queries, want exactly one per edge per reset: %d", syncs, want)
+					}
+				})
+			}
 		}
 	}
 }
@@ -185,5 +192,40 @@ func TestHungryDuringResync(t *testing.T) {
 	}
 	if meals := log.Sessions("eating")[trace.SessionKey{Inst: "fk", P: 1}]; len(meals) != 1 {
 		t.Fatalf("diner 1 ate %d times after its reset, want 1", len(meals))
+	}
+}
+
+// TestResetForgetsHunger: a restarted neighbor's announced hunger dies with
+// it, as its fork request does. Diner 1 turns hungry while diner 0 eats,
+// then restarts and never turns hungry again; diner 0, throttled after one
+// meal behind the older claim, must not wait on that hunger forever. The
+// oracle never suspects, so nothing else would release the throttle. In the
+// second case the announcement is held back until after the restart's sync
+// has arrived: its epoch marks it stale.
+func TestResetForgetsHunger(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		hold sim.Time // hold diner 1's hunger announcement back this long
+	}{{"in-order", 0}, {"hunger-after-sync", 30}} {
+		t.Run(c.name, func(t *testing.T) {
+			g := graph.Pair(0, 1)
+			log := &trace.Log{}
+			k := sim.NewKernel(2, sim.WithSeed(1), sim.WithTracer(log), sim.WithDelay(sim.FixedDelay{D: 3}))
+			var net rt.Runtime = k
+			if c.hold > 0 {
+				net = &slowFirst{Kernel: k, by: c.hold, is: func(from sim.ProcID, p any) bool {
+					return from == 1 && forks.IsHunger(p)
+				}}
+			}
+			var mute detector.Scripted
+			tbl := forks.New(net, g, "fk", &mute, forks.Config{Fair: 1})
+			dining.Drive(k, 0, tbl.Diner(0), dining.DriverConfig{FirstHunger: 1, EatMin: 50, EatMax: 50})
+			k.After(1, 5, tbl.Diner(1).Hungry)
+			k.After(1, 20, func() { tbl.Reset(1) })
+			k.Run(20_000)
+			if meals := len(log.Sessions("eating")[trace.SessionKey{Inst: "fk", P: 0}]); meals < 10 {
+				t.Fatalf("diner 0 ate %d times, want at least 10: throttled behind a reset neighbor's hunger", meals)
+			}
+		})
 	}
 }

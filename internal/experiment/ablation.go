@@ -8,7 +8,6 @@ import (
 	"repro/internal/detector"
 	"repro/internal/dining"
 	"repro/internal/dining/forks"
-	"repro/internal/fairness"
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -18,8 +17,8 @@ import (
 //
 //	(a) the forks box's message cost: each fork request is sent once and
 //	    answered once, so meals and fork messages are one row pair;
-//	(b) the fairness layer's overtaking bound K — the service property the
-//	    paper's secondary result fixes at 2;
+//	(b) the overtaking bound K of forks' fairness throttle (Config.Fair) —
+//	    the service property the paper's secondary result fixes at 2;
 //	(c) the native ◇P style feeding the black box (push heartbeats vs. pull
 //	    pingbacks) — the reduction must be indifferent, at different costs.
 func E13Ablations(seed int64) *Table {
@@ -69,7 +68,7 @@ func E13Ablations(seed int64) *Table {
 		kk := sim.NewKernel(2, sim.WithSeed(seed), sim.WithTracer(log),
 			sim.WithDelay(sim.GSTDelay{GST: 600, PreMax: 80, PostMax: 8}))
 		oracle := detector.NewHeartbeat(kk, "hb", detector.HeartbeatConfig{})
-		tbl := fairness.New(kk, g, "fair", oracle, fairness.Config{K: kBound})
+		tbl := forks.New(kk, g, "fair", oracle, forks.Config{Fair: kBound})
 		dining.Drive(kk, 0, tbl.Diner(0), dining.DriverConfig{ThinkMin: 1, ThinkMax: 3, EatMin: 5, EatMax: 15})
 		dining.Drive(kk, 1, tbl.Diner(1), dining.DriverConfig{ThinkMin: 10, ThinkMax: 80, EatMin: 5, EatMax: 25})
 		end := kk.Run(40000)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/dining/central"
 	"repro/internal/dining/forks"
 	"repro/internal/dining/token"
-	"repro/internal/fairness"
 	"repro/internal/graph"
 	"repro/internal/mutex"
 	"repro/internal/sim"
@@ -97,8 +96,9 @@ func E6Flawed(seed int64, horizons []sim.Time) *Table {
 }
 
 // E7Fairness compares overtaking in the converged suffix: the plain forks
-// box (no fairness guarantee) vs. the fairness layer driven by an oracle
-// *extracted* from that same box — the paper's two-step secondary result.
+// box (no fairness guarantee) vs. forks with the Fair: 2 throttle driven by
+// an oracle *extracted* from that same box — the paper's two-step secondary
+// result.
 func E7Fairness(seeds []int64) *Table {
 	t := &Table{
 		ID:      "E7",
@@ -122,10 +122,10 @@ func E7Fairness(seeds []int64) *Table {
 		overPlain := len(checker.KFairness(r.Log, g, "plain", 2, end/2, end))
 		c.addRow(itoa(seed), "plain forks", itoa(int64(overPlain)), "0", "no bound promised")
 
-		// Pipeline: black box -> extractor -> fair layer.
+		// Pipeline: black box -> extractor -> eventually 2-fair forks.
 		r2 := NewRig(2, seed, 600)
 		ext := core.NewExtractor(r2.K, g.Nodes(), r2.Factory, "xp")
-		fair := fairness.New(r2.K, g, "fair", ext, fairness.Config{})
+		fair := forks.New(r2.K, g, "fair", ext, forks.Config{Fair: 2})
 		drive(r2.K, fair)
 		end2 := r2.K.Run(50000)
 		overFair := len(checker.KFairness(r2.Log, g, "fair", 2, end2/2, end2))

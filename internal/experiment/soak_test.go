@@ -7,9 +7,9 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/dining"
+	"repro/internal/dining/forks"
 	"repro/internal/election"
 	"repro/internal/experiment"
-	"repro/internal/fairness"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -36,7 +36,7 @@ func TestSoakFullStack(t *testing.T) {
 
 		// Layer 3: fair dining on a clique, driven by the extracted oracle.
 		g := graph.Clique(n)
-		fair := fairness.New(r.K, g, "fair", ext, fairness.Config{})
+		fair := forks.New(r.K, g, "fair", ext, forks.Config{Fair: 2})
 		for _, p := range ps {
 			dining.Drive(r.K, p, fair.Diner(p), dining.DriverConfig{
 				ThinkMin: 10, ThinkMax: 120, EatMin: 5, EatMax: 40,
