@@ -448,11 +448,11 @@ func (s *Service) Summary() {
 		granted, regranted, released, expired, shed, steps, msgs)
 	if ev := s.m.wireEvents.Value(); ev > 0 {
 		s.logf("wire events=%d writes=%d (%.1f events/write)",
-			ev, s.m.wireWrites.Value(), float64(ev)/float64(max64(s.m.wireWrites.Value(), 1)))
+			ev, s.m.wireWrites.Value(), float64(ev)/float64(max(s.m.wireWrites.Value(), 1)))
 	}
 	if barriers > 0 {
 		s.logf("durability barriers=%d fsync-rounds=%d (%.1f barriers/fsync)",
-			barriers, rounds, float64(barriers)/float64(max64(rounds, 1)))
+			barriers, rounds, float64(barriers)/float64(max(rounds, 1)))
 	}
 }
 
@@ -480,11 +480,4 @@ func (s *Service) Verdict() error {
 			t.logPrefix(), len(rep.Violations), t.end/2, t.end)
 	}
 	return firstErr
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,9 @@
 package dinesvc
 
 import (
+	"bytes"
 	"fmt"
+	"net"
 	"reflect"
 	"runtime"
 	"strings"
@@ -370,4 +372,44 @@ func TestChaosCrashEndsWithDrain(t *testing.T) {
 	if err := svc.Verdict(); err != nil {
 		t.Fatalf("verdict: %v", err)
 	}
+}
+
+// TestHostileLineClosesOnlyItsConnection: a client that sends a request line
+// and never ends it costs the server one bounded buffer, not its memory. The
+// server closes that connection once the line passes the wire's bound, while
+// a second client is served as usual, and the dead connection leaves no
+// goroutine and nothing in flight behind.
+func TestHostileLineClosesOnlyItsConnection(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a full server; skipped in -short")
+	}
+	svc, addr, _ := seatServer(t, Config{})
+	floor := standingGoroutines()
+
+	hostile, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hostile.Close()
+	line := append([]byte(`{"op":"acquire","diner":0,"id":"`), bytes.Repeat([]byte("x"), 100<<10)...)
+	go hostile.Write(line) // fails once the server hangs up; that is the point
+
+	good := dialBench(t, addr)
+	good.session(t, 0, "ok")
+
+	hostile.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := hostile.Read(make([]byte, 1)); err == nil {
+		t.Fatal("the server answered an unterminated line")
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("the server still holds a connection past the line bound")
+	}
+
+	good.c.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for standingGoroutines() > floor {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines above the idle floor after both clients left", standingGoroutines()-floor)
+		}
+	}
+	drainConserved(t, svc, 1, 0)
 }

@@ -62,9 +62,6 @@ type Table struct {
 	end rt.Time
 }
 
-// Index reports the table's position in the service's shard array.
-func (t *Table) Index() int { return t.idx }
-
 // Diners lists the global diner ids this table hosts, in local proc order.
 func (t *Table) Diners() []int { return append([]int(nil), t.globals...) }
 

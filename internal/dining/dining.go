@@ -49,10 +49,8 @@ type Diner interface {
 	Exit()
 	// State returns the diner's current phase.
 	State() State
-	// OnEat registers a callback fired atomically when the diner transitions
-	// to Eating. Multiple callbacks fire in registration order.
-	OnEat(func())
-	// OnChange registers a callback fired on every state transition.
+	// OnChange registers a callback fired atomically on every state
+	// transition. Multiple callbacks fire in registration order.
 	OnChange(func(State))
 }
 
@@ -82,7 +80,6 @@ type Core struct {
 	P        rt.ProcID
 	Inst     string
 	state    State
-	onEat    []func()
 	onChange []func(State)
 }
 
@@ -93,9 +90,6 @@ func NewCore(k rt.Runtime, p rt.ProcID, inst string) *Core {
 
 // State returns the current phase.
 func (c *Core) State() State { return c.state }
-
-// OnEat registers an eating callback.
-func (c *Core) OnEat(f func()) { c.onEat = append(c.onEat, f) }
 
 // OnChange registers a transition callback.
 func (c *Core) OnChange(f func(State)) { c.onChange = append(c.onChange, f) }
@@ -120,18 +114,13 @@ func (c *Core) Set(s State) {
 	for _, f := range c.onChange {
 		f(s)
 	}
-	if s == Eating {
-		for _, f := range c.onEat {
-			f()
-		}
-	}
 }
 
 // Reset forces the diner back to Thinking regardless of its current phase,
 // bypassing the transition check. It models a crash-recovery reboot:
 // whatever phase the previous incarnation died in, the fresh one starts
 // thinking. A state record is emitted and OnChange callbacks fire (so an
-// attached Drive client re-schedules its next hunger), but OnEat does not.
+// attached Drive client re-schedules its next hunger).
 func (c *Core) Reset() {
 	c.state = Thinking
 	c.K.Emit(rt.Record{P: c.P, Kind: "state", Peer: -1, Inst: c.Inst, Note: Thinking.String()})

@@ -38,7 +38,11 @@ func TestNoTimers(t *testing.T) {
 			tbl := forks.New(afterCount{k, &timers}, g, "fk", &mute, forks.Config{Fair: fair})
 			meals := 0
 			for _, p := range g.Nodes() {
-				tbl.Diner(p).OnEat(func() { meals++ })
+				tbl.Diner(p).OnChange(func(s dining.State) {
+					if s == dining.Eating {
+						meals++
+					}
+				})
 				dining.Drive(k, p, tbl.Diner(p), dining.DriverConfig{
 					ThinkMin: 10, ThinkMax: 60, EatMin: 5, EatMax: 20, Meals: 30,
 				})
@@ -102,7 +106,11 @@ func TestOlderRequestAheadOfFork(t *testing.T) {
 	})
 	for _, p := range g.Nodes() {
 		d := tbl.Diner(p)
-		d.OnEat(func() { k.After(p, 2, d.Exit) })
+		d.OnChange(func(s dining.State) {
+			if s == dining.Eating {
+				k.After(p, 2, d.Exit)
+			}
+		})
 	}
 	k.After(1, 10, tbl.Diner(1).Hungry)
 	k.After(1, 15, func() { oracle.Set(1, 0, false) })

@@ -178,8 +178,16 @@ func TestHungryDuringResync(t *testing.T) {
 	var mute detector.Scripted
 	tbl := forks.New(tr, g, "fk", &mute, forks.Config{})
 	d0, d1 := tbl.Diner(0), tbl.Diner(1)
-	d0.OnEat(func() { k.After(0, 100, d0.Exit) }) // 0 holds the fork and eats through the resync
-	d1.OnEat(func() { k.After(1, 5, d1.Exit) })
+	d0.OnChange(func(s dining.State) { // 0 holds the fork and eats through the resync
+		if s == dining.Eating {
+			k.After(0, 100, d0.Exit)
+		}
+	})
+	d1.OnChange(func(s dining.State) {
+		if s == dining.Eating {
+			k.After(1, 5, d1.Exit)
+		}
+	})
 	k.After(0, 5, d0.Hungry)
 	k.After(1, at, func() {
 		tr.Reset(1)

@@ -110,24 +110,3 @@ func Exhaustive(sc Scenario, prefix int, choices []sim.Time, tail sim.Time) Resu
 		}
 	}
 }
-
-// Sampled runs the scenario under n random assignments over a longer prefix
-// — the probabilistic companion for prefixes too long to enumerate.
-func Sampled(sc Scenario, prefix int, choices []sim.Time, tail sim.Time, n int, seed int64) Result {
-	rng := rand.New(rand.NewSource(seed))
-	var res Result
-	for i := 0; i < n; i++ {
-		assignment := make([]int, prefix)
-		for j := range assignment {
-			assignment[j] = rng.Intn(len(choices))
-		}
-		res.Runs++
-		pol := &PrefixDelay{Choices: choices, Assignment: assignment, Tail: tail}
-		if err := sc(pol); err != nil {
-			if len(res.Failures) < 10 {
-				res.Failures = append(res.Failures, Failure{Assignment: assignment, Err: err})
-			}
-		}
-	}
-	return res
-}

@@ -160,25 +160,3 @@ func TestCentralTableExclusionExhaustive(t *testing.T) {
 		t.Fatalf("exclusion violated under %d explored schedules: %v", res.Runs, res.Failures[0])
 	}
 }
-
-// TestSampledLongPrefix: the probabilistic companion covers a prefix too
-// long to enumerate.
-func TestSampledLongPrefix(t *testing.T) {
-	sc := func(pol sim.DelayPolicy) error {
-		k := sim.NewKernel(2, sim.WithSeed(2), sim.WithDelay(pol))
-		got := 0
-		k.Handle(1, "x", func(sim.Message) { got++ })
-		for i := 0; i < 64; i++ {
-			k.Send(0, 1, "x", nil)
-		}
-		k.Run(10000)
-		if got != 64 {
-			return fmt.Errorf("lost messages: %d", got)
-		}
-		return nil
-	}
-	res := explore.Sampled(sc, 64, []sim.Time{1, 10, 100}, 2, 200, 7)
-	if !res.Ok() || res.Runs != 200 {
-		t.Fatalf("sampled: %+v", res)
-	}
-}

@@ -138,31 +138,6 @@ func (g *Graph) Connected() bool {
 	return len(seen) == len(g.nodes)
 }
 
-// GreedyColoring returns a proper vertex coloring by first-fit in id order
-// and the number of colors used. It is a scheduling-quality heuristic, not
-// an optimal coloring.
-func (g *Graph) GreedyColoring() (map[rt.ProcID]int, int) {
-	colors := make(map[rt.ProcID]int, len(g.nodes))
-	maxc := 0
-	for _, u := range g.nodes {
-		used := make(map[int]bool)
-		for _, v := range g.adj[u] {
-			if c, ok := colors[v]; ok {
-				used[c] = true
-			}
-		}
-		c := 0
-		for used[c] {
-			c++
-		}
-		colors[u] = c
-		if c+1 > maxc {
-			maxc = c + 1
-		}
-	}
-	return colors, maxc
-}
-
 // Validate checks internal consistency (sorted unique adjacency, symmetric
 // edges, edge list matching adjacency).
 func (g *Graph) Validate() error {

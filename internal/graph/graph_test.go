@@ -80,28 +80,6 @@ func TestRandomConnectedProperty(t *testing.T) {
 	}
 }
 
-// TestGreedyColoringProper: colorings never assign equal colors across an
-// edge, on random graphs.
-func TestGreedyColoringProper(t *testing.T) {
-	prop := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw%10) + 2
-		g := Random(n, 0.4, rand.New(rand.NewSource(seed)))
-		colors, used := g.GreedyColoring()
-		if used > g.MaxDegree()+1 {
-			return false // first-fit bound
-		}
-		for _, e := range g.Edges() {
-			if colors[e[0]] == colors[e[1]] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNeighborsSortedAndImmutableView(t *testing.T) {
 	g := Ring(6)
 	for _, p := range g.Nodes() {

@@ -143,7 +143,10 @@ func TestCrashRestartDining(t *testing.T) {
 	oracle := detector.NewHeartbeat(r, "hb", liveHB)
 	tbl := forks.New(r, g, "dine", oracle, forks.Config{})
 	eating2 := make(chan struct{}, 1)
-	tbl.Diner(2).OnEat(func() {
+	tbl.Diner(2).OnChange(func(s dining.State) {
+		if s != dining.Eating {
+			return
+		}
 		select {
 		case eating2 <- struct{}{}:
 		default:

@@ -243,58 +243,30 @@ func Replay(lease int64, snapshot []byte, records [][]byte) (*Recovered, error) 
 		if rec.T > r.Watermark {
 			r.Watermark = rec.T
 		}
+		// Each record replays through the registry's own transition; the
+		// registry has no journal yet, so nothing is re-emitted.
 		k := Key{Diner: rec.D, ID: rec.I}
-		sh := s.shard(k)
-		sr, live := sh.recs[k]
 		switch rec.K {
 		case RecAcquire:
-			switch {
-			case live:
-				// Snapshot-cut duplicate: the session is already here.
-				if rec.T > sr.lastSeen {
-					sr.lastSeen = rec.T
-				}
-			case !sh.isDone(k): // else a cut duplicate of a session the snapshot saw finish
-				sh.recs[k] = &sessionRec{status: statusPending, lastSeen: rec.T, seq: s.nextSeq.Add(1) - 1}
-			}
+			s.Acquire(k, rec.T)
 		case RecGrant:
 			if grants[k]++; grants[k] > 1 {
 				r.Violations = append(r.Violations,
 					fmt.Sprintf("session %d/%s has %d grant records (double grant)", k.Diner, k.ID, grants[k]))
 			}
-			if !live {
-				if !sh.isDone(k) {
-					r.Violations = append(r.Violations,
-						fmt.Sprintf("grant record for unknown session %d/%s", k.Diner, k.ID))
-				}
-				continue
+			if sh := s.shard(k); sh.recs[k] == nil && !sh.isDone(k) {
+				r.Violations = append(r.Violations,
+					fmt.Sprintf("grant record for unknown session %d/%s", k.Diner, k.ID))
 			}
-			sr.status = statusGranted
-			// Same rule as the live Grant: a detached session's lease keeps
-			// running from its detach.
-			if sr.attached > 0 && rec.T > sr.lastSeen {
-				sr.lastSeen = rec.T
-			}
+			s.Grant(k, rec.T)
 		case RecRelease, RecExpire:
-			if live {
-				s.finish(sh, k)
-			}
+			s.Release(k, rec.T)
 		case RecAttach:
-			if live {
-				sr.attached++
-				sr.lastSeen = rec.T
-			}
+			s.Attach(k, rec.T)
 		case RecDetach:
-			if live {
-				if sr.attached > 0 {
-					sr.attached--
-				}
-				sr.lastSeen = rec.T
-			}
+			s.Detach(k, rec.T)
 		case RecAbort:
-			if live && sr.status == statusPending {
-				delete(sh.recs, k)
-			}
+			s.Abort(k)
 		case RecTick:
 			// Nothing beyond the watermark advance above.
 		case RecFork:

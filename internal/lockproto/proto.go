@@ -1,6 +1,8 @@
 // Package lockproto defines the client-facing wire protocol of the
 // dineserve lock/session service: newline-delimited JSON objects over TCP,
-// chosen so that a plain `nc` session is a usable client. Requests travel
+// chosen so that a plain `nc` session is a usable client. One line is one
+// message, of at most 64 KiB (LF or CRLF ends it, blank lines are skipped);
+// the server closes a connection whose line runs longer. Requests travel
 // client→server, events server→client. The protocol is asynchronous on the
 // server side — suspect-stream events may interleave with command replies on
 // a watching connection — but replies to one connection's acquire/release

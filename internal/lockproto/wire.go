@@ -32,6 +32,8 @@ import (
 // decoded strings, and a bail-out to encoding/json for everything unusual —
 // escaped strings, non-ASCII, case-folded or unknown keys, floats, nested
 // values — so semantics off the fast path are the stdlib's by construction.
+//
+// Framing is by newline: one line is one message, at most maxLine bytes.
 
 // AppendRequest appends the JSON encoding of r (as json.Marshal would
 // produce it, no trailing newline) to dst and returns the extended slice.
@@ -411,199 +413,84 @@ func decodeEventFast(data []byte, ev *Event) error {
 	})
 }
 
-// valueReader pulls one JSON value at a time off a byte stream — the
-// streaming half of the codec, replacing json.Decoder on connections. Like
-// json.Decoder it does not require newline framing: it scans one balanced
-// value (string-aware for objects) and leaves the rest of the stream
-// untouched. It scans the bufio window in place; only a value that spans a
-// refill is assembled in the reusable scratch buffer.
-type valueReader struct {
+// maxLine bounds one message line, newline excluded: a longer line fails
+// the read, so a client that never sends a newline costs its connection at
+// most this much buffer, not the process's memory.
+const maxLine = 64 << 10
+
+var errLineTooLong = fmt.Errorf("lockproto: line exceeds %d KiB", maxLine>>10)
+
+// lineReader pulls one message line at a time off a byte stream — the
+// streaming half of the codec. A line that fits the bufio window is
+// returned in place; only one that spans a refill is assembled in the
+// reusable scratch buffer, which never holds more than maxLine plus one
+// window.
+type lineReader struct {
 	br      *bufio.Reader
 	scratch []byte
+	tooLong bool // a line overran maxLine: the stream is lost mid-line
 }
 
-func newValueReader(r io.Reader) *valueReader {
-	return &valueReader{br: bufio.NewReaderSize(r, 4096)}
+func newLineReader(r io.Reader) *lineReader {
+	return &lineReader{br: bufio.NewReaderSize(r, 4096)}
 }
 
-// next reads the next JSON value. The returned slice — the buffered bytes
-// themselves, or the scratch buffer — is valid until the following call.
-func (vr *valueReader) next() ([]byte, error) {
-	win, err := vr.skipSpace()
-	if err != nil {
-		return nil, err
-	}
-	var sc valueScan
-	sc.open(win[0])
-	n, done := sc.scan(win, 1)
-	if done {
-		vr.br.Discard(n)
-		return win[:n:n], nil
-	}
-	buf := append(vr.scratch[:0], win[:n]...)
-	vr.br.Discard(n)
-	for !done {
-		if win, err = vr.window(); err != nil {
-			vr.scratch = buf
-			if sc.scalar && err == io.EOF {
-				return buf, nil // a number or literal may end the stream
+// next returns the next line that is not blank, without its newline. A last
+// line the stream ends without a newline is still a line. The returned
+// slice — the buffered bytes themselves, or the scratch buffer — is valid
+// until the following call.
+func (lr *lineReader) next() ([]byte, error) {
+	for !lr.tooLong {
+		line, err := lr.br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			buf := append(lr.scratch[:0], line...)
+			for err == bufio.ErrBufferFull && len(buf) <= maxLine {
+				line, err = lr.br.ReadSlice('\n')
+				buf = append(buf, line...)
 			}
-			return nil, unexpectedEOF(err)
+			lr.scratch, line = buf, buf
 		}
-		n, done = sc.scan(win, 0)
-		buf = append(buf, win[:n]...)
-		vr.br.Discard(n)
-	}
-	vr.scratch = buf
-	return buf, nil
-}
-
-// window returns every buffered byte, reading from the stream first when
-// none is buffered.
-func (vr *valueReader) window() ([]byte, error) {
-	if vr.br.Buffered() == 0 {
-		if _, err := vr.br.Peek(1); err != nil {
+		switch {
+		case err == nil:
+			line = line[:len(line)-1]
+		case err == io.EOF && len(line) > 0:
+			// The last line, unterminated.
+		case err != bufio.ErrBufferFull:
 			return nil, err
 		}
-	}
-	return vr.br.Peek(vr.br.Buffered())
-}
-
-// skipSpace discards inter-value whitespace and returns the window from the
-// value's first byte on.
-func (vr *valueReader) skipSpace() ([]byte, error) {
-	for {
-		win, err := vr.window()
-		if err != nil {
-			return nil, err
+		if len(line) > maxLine {
+			lr.tooLong = true
+			break
 		}
-		i := 0
-		for i < len(win) && isJSONSpace(win[i]) {
-			i++
-		}
-		vr.br.Discard(i)
-		if i < len(win) {
-			return win[i:], nil
+		if skipSpace(line, 0) < len(line) {
+			return line, nil
 		}
 	}
+	return nil, errLineTooLong
 }
 
 // pending reports whether anything but whitespace is buffered, without
-// reading from the stream; the whitespace it passes over is discarded. The
-// value just read leaves its framing newline in the window, so a buffered
-// byte count is never zero after a newline-framed value.
-func (vr *valueReader) pending() bool {
-	win, _ := vr.br.Peek(vr.br.Buffered())
-	i := 0
-	for i < len(win) && isJSONSpace(win[i]) {
-		i++
-	}
-	vr.br.Discard(i)
-	return i < len(win)
+// reading from the stream.
+func (lr *lineReader) pending() bool {
+	win, _ := lr.br.Peek(lr.br.Buffered())
+	return skipSpace(win, 0) < len(win)
 }
 
-// valueScan is the framing state of one value as its bytes go by: the
-// bracket depth, whether the scan is inside a string or just past a
-// backslash in one, and whether the value is a scalar — a number or a
-// literal, which has no closing byte.
-type valueScan struct {
-	depth              int
-	inStr, esc, scalar bool
-	lit                string // what is left to match of null, true or false
-}
-
-// open sets the state from the value's first byte.
-func (sc *valueScan) open(b byte) {
-	switch b {
-	case '{', '[':
-		sc.depth = 1
-	case '"':
-		sc.inStr = true
-	case 'n':
-		sc.scalar, sc.lit = true, "ull"
-	case 't':
-		sc.scalar, sc.lit = true, "rue"
-	case 'f':
-		sc.scalar, sc.lit = true, "alse"
-	default:
-		sc.scalar = true
-	}
-}
-
-// scan advances over win from i and returns how many of win's bytes belong
-// to the value, and whether the value ended within them.
-func (sc *valueScan) scan(win []byte, i int) (int, bool) {
-	if sc.lit != "" {
-		// A literal ends after its last letter, where json.Decoder ends it
-		// (`null{…}` is two values), or before the first byte that breaks
-		// it, leaving a prefix no decoder accepts.
-		for ; i < len(win); i++ {
-			if win[i] != sc.lit[0] {
-				return i, true
-			}
-			if sc.lit = sc.lit[1:]; sc.lit == "" {
-				return i + 1, true
-			}
-		}
-		return i, false
-	}
-	if sc.scalar {
-		// Any other scalar fails to decode into a message, whatever its
-		// extent: run it to a delimiter.
-		for ; i < len(win); i++ {
-			if c := win[i]; isJSONSpace(c) || c == ',' || c == '}' || c == ']' {
-				return i, true
-			}
-		}
-		return i, false
-	}
-	for ; i < len(win); i++ {
-		c := win[i]
-		switch {
-		case sc.esc:
-			sc.esc = false
-		case sc.inStr:
-			if c == '\\' {
-				sc.esc = true
-			} else if c == '"' {
-				if sc.inStr = false; sc.depth == 0 {
-					return i + 1, true
-				}
-			}
-		case c == '"':
-			sc.inStr = true
-		case c == '{' || c == '[':
-			sc.depth++
-		case c == '}' || c == ']':
-			if sc.depth--; sc.depth == 0 {
-				return i + 1, true
-			}
-		}
-	}
-	return i, false
-}
-
-func unexpectedEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-// RequestReader decodes a stream of client requests, replacing
-// json.Decoder on the server's read side.
-type RequestReader struct{ vr *valueReader }
+// RequestReader decodes a stream of client requests, one per line: the
+// server's read side.
+type RequestReader struct{ lr *lineReader }
 
 // NewRequestReader wraps r (typically a net.Conn) in a buffered request
 // decoder.
 func NewRequestReader(r io.Reader) *RequestReader {
-	return &RequestReader{vr: newValueReader(r)}
+	return &RequestReader{lr: newLineReader(r)}
 }
 
-// Read decodes the next request into req. req is not zeroed first; pass a
-// fresh value per message (as json.Decoder callers already do).
+// Read decodes the next request line into req. req is not zeroed first;
+// pass a fresh value per message. A line longer than maxLine fails this
+// Read and every later one.
 func (rr *RequestReader) Read(req *Request) error {
-	data, err := rr.vr.next()
+	data, err := rr.lr.next()
 	if err != nil {
 		return err
 	}
@@ -613,22 +500,22 @@ func (rr *RequestReader) Read(req *Request) error {
 // Pending reports whether a further request is already buffered: anything
 // but whitespace. It never reads from the stream, so a false answer means
 // the next Read must.
-func (rr *RequestReader) Pending() bool { return rr.vr.pending() }
+func (rr *RequestReader) Pending() bool { return rr.lr.pending() }
 
-// EventReader decodes a stream of server events, replacing json.Decoder on
-// the client's read side.
-type EventReader struct{ vr *valueReader }
+// EventReader decodes a stream of server events, one per line: the
+// client's read side.
+type EventReader struct{ lr *lineReader }
 
 // NewEventReader wraps r (typically a net.Conn) in a buffered event
 // decoder.
 func NewEventReader(r io.Reader) *EventReader {
-	return &EventReader{vr: newValueReader(r)}
+	return &EventReader{lr: newLineReader(r)}
 }
 
 // Read decodes the next event into ev. ev is not zeroed first; pass a fresh
 // value per message.
 func (er *EventReader) Read(ev *Event) error {
-	data, err := er.vr.next()
+	data, err := er.lr.next()
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,9 @@ package lockproto
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -151,9 +153,10 @@ func TestWireFastPathIsUsed(t *testing.T) {
 	}
 }
 
-// TestWireStreamReader checks the streaming reader against json.Decoder's
-// framing: values separated by newlines, by nothing, by runs of whitespace,
-// and values whose bytes span the internal buffer.
+// TestWireStreamReader checks the streaming reader's line framing: one
+// request per line, LF or CRLF, blank lines skipped, a last line without a
+// newline still read, a line whose bytes span the internal buffer, and a
+// line past maxLine failing the read for good.
 func TestWireStreamReader(t *testing.T) {
 	var src bytes.Buffer
 	var want []Request
@@ -166,22 +169,55 @@ func TestWireStreamReader(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	src.WriteString(`  {"op":"info"}   {"op":"watch"}`) // no newline framing
-	want = append(want, Request{Op: OpInfo}, Request{Op: OpWatch})
+	src.WriteString("\n  \r\n\t\n")                              // blank lines
+	src.WriteString(`{"op":"release","id":"e"}` + "\r\n")        // CRLF
+	src.WriteString(` {"op":"info"} ` + "\n" + `{"op":"watch"}`) // no final newline
+	want = append(want, Request{Op: OpRelease, ID: "e"}, Request{Op: OpInfo}, Request{Op: OpWatch})
 
-	rr := NewRequestReader(&src)
-	for i, w := range want {
-		var got Request
-		if err := rr.Read(&got); err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if got != w {
-			t.Fatalf("read %d: got %+v want %+v", i, got, w)
+	readAll := func(src []byte) (got []Request, err error) {
+		rr := NewRequestReader(bytes.NewReader(src))
+		for {
+			var r Request
+			if err := rr.Read(&r); err != nil {
+				return got, err
+			}
+			got = append(got, r)
 		}
 	}
-	var extra Request
-	if err := rr.Read(&extra); err != io.EOF {
-		t.Fatalf("expected EOF after last value, got %v", err)
+	got, err := readAll(src.Bytes())
+	if err != io.EOF {
+		t.Fatalf("expected EOF after the last line, got %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %+v\nwant %+v", got, want)
+	}
+
+	// A line past maxLine fails the read, and every read after it: the
+	// stream is lost mid-line. The fuzz target's inputs stay far below
+	// maxLine, so this is where the bound meets every kind of Read.
+	over := []byte(`{"op":"acquire"}` + "\n" + `{"op":"acquire","id":"` + strings.Repeat("y", maxLine) + "\"}\n{\"op\":\"info\"}\n")
+	for _, wrap := range []func(io.Reader) io.Reader{
+		func(r io.Reader) io.Reader { return r }, iotest.OneByteReader, iotest.HalfReader,
+	} {
+		rr := NewRequestReader(wrap(bytes.NewReader(over)))
+		var r Request
+		if err := rr.Read(&r); err != nil || r.Op != OpAcquire {
+			t.Fatalf("read before the long line: %+v, %v", r, err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := rr.Read(&r); err != errLineTooLong {
+				t.Fatalf("read %d past maxLine: got %v, want %v", i, err, errLineTooLong)
+			}
+		}
+		if n := len(rr.lr.scratch); n > maxLine+4096 {
+			t.Fatalf("%d bytes of the long line buffered before the read failed", n)
+		}
+	}
+	// A line of exactly maxLine bytes is still a message.
+	id := strings.Repeat("z", maxLine-len(`{"op":"acquire","id":""}`))
+	exact := AppendRequest(nil, &Request{Op: OpAcquire, ID: id})
+	if got, err := readAll(exact); err != io.EOF || len(got) != 1 || got[0].ID != id {
+		t.Fatalf("a %d-byte line: read %d requests, err %v", len(exact), len(got), err)
 	}
 }
 
@@ -235,14 +271,14 @@ func FuzzWireCodecEquivalence(f *testing.F) {
 	})
 }
 
-// FuzzWireStreamReader holds the streaming readers to json.Decoder on the
-// same byte stream, delivered whole, one byte per Read and half a Read at a
-// time, so values are framed both inside one buffered window and across
-// refills. Value by value the two must agree on success and on the decoded
-// message, and end together: both at a clean io.EOF, or both with an error
-// at the same value. After every request read, RequestReader.Pending must
-// agree with the buffered window — and the whitespace it discards must not
-// change what is decoded next.
+// FuzzWireStreamReader holds the streaming readers to the line reference
+// (splitLines: split at '\n', skip blank lines, json.Unmarshal each line,
+// fail past maxLine) on the same byte stream, delivered whole, one byte per
+// Read and half a Read at a time, so lines are framed both inside one
+// buffered window and across refills. Line by line the two must agree on
+// success and on the decoded message, and end together: both at a clean
+// io.EOF, or both at the over-long line. After every request read,
+// RequestReader.Pending must agree with the buffered window.
 func FuzzWireStreamReader(f *testing.F) {
 	var seed bytes.Buffer
 	enc := json.NewEncoder(&seed)
@@ -259,11 +295,11 @@ func FuzzWireStreamReader(f *testing.F) {
 	}
 	f.Add(seed.Bytes())
 	f.Add([]byte(`{"op":"info"}{"op":"watch"}  {"ev":"released","t":-1}` + "\n\t null {}"))
-	f.Add([]byte(`{"op":"a","x":[{"y":"]"}]} {"op":"b"}12`))
-	f.Add([]byte(`{"op":"a"} "s" {"op":"b"}`))
-	f.Add([]byte(`{"op":"a"}}`))
+	f.Add([]byte(`{"op":"a","x":[{"y":"]"}]}` + "\n\n" + `{"op":"b"}` + "\n12"))
+	f.Add([]byte(`{"op":"a"}` + "\r\n \r\n" + `{"op":"b"}` + "\r\n"))
+	f.Add([]byte(`{"op":"a"}}` + "\n" + `{"op":"b"}`))
 	f.Add([]byte(`{"id":"\u00e9\"\\"}` + " \r\n tru"))
-	f.Add([]byte(`null{"op":"a"}`))
+	f.Add([]byte("null\n" + `{"op":"a"}` + "\n\n"))
 	f.Add([]byte(` {"op":"unterminated`))
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		wrappers := []struct {
@@ -277,12 +313,12 @@ func FuzzWireStreamReader(f *testing.F) {
 		for _, w := range wrappers {
 			rr := NewRequestReader(w.wrap(bytes.NewReader(stream)))
 			er := NewEventReader(w.wrap(bytes.NewReader(stream)))
-			matchDecoder(t, w.name, stream, func(req *Request) error {
+			matchLines(t, w.name, stream, func(req *Request) error {
 				err := rr.Read(req)
 				checkPending(t, w.name, rr)
 				return err
 			})
-			matchDecoder(t, w.name, stream, func(ev *Event) error { return er.Read(ev) })
+			matchLines(t, w.name, stream, func(ev *Event) error { return er.Read(ev) })
 		}
 	})
 }
@@ -291,37 +327,52 @@ func FuzzWireStreamReader(f *testing.F) {
 // exactly when a byte other than JSON whitespace is buffered.
 func checkPending(t *testing.T, how string, rr *RequestReader) {
 	t.Helper()
-	win, _ := rr.vr.br.Peek(rr.vr.br.Buffered())
+	win, _ := rr.lr.br.Peek(rr.lr.br.Buffered())
 	want := len(bytes.TrimLeft(win, " \t\r\n")) > 0
 	if got := rr.Pending(); got != want {
 		t.Fatalf("%s: Pending() = %v over the buffered window %q", how, got, win)
 	}
 }
 
-// matchDecoder reads stream to its end through read and through a
-// json.Decoder, value by value, and fails on the first disagreement.
-func matchDecoder[T comparable](t *testing.T, how string, stream []byte, read func(*T) error) {
+// splitLines is the framing reference: the stream's lines, split at '\n',
+// blank ones dropped, cut short at the first line longer than maxLine
+// (tooLong reports the cut).
+func splitLines(stream []byte) (lines [][]byte, tooLong bool) {
+	for _, line := range bytes.Split(stream, []byte("\n")) {
+		if len(line) > maxLine {
+			return lines, true
+		}
+		if len(bytes.Trim(line, " \t\r")) > 0 {
+			lines = append(lines, line)
+		}
+	}
+	return lines, false
+}
+
+// matchLines reads stream to its end through read and holds every message
+// to json.Unmarshal of the reference's line, failing on the first
+// disagreement.
+func matchLines[T comparable](t *testing.T, how string, stream []byte, read func(*T) error) {
 	t.Helper()
-	dec := json.NewDecoder(bytes.NewReader(stream))
-	for i := 0; ; i++ {
+	lines, tooLong := splitLines(stream)
+	for i, line := range lines {
 		var got, want T
 		err := read(&got)
-		werr := dec.Decode(&want)
-		if werr == io.EOF || err == io.EOF {
-			if err != werr {
-				t.Fatalf("%s: %T %d of %q: err %v, json.Decoder err %v", how, got, i, stream, err, werr)
-			}
-			return
-		}
+		werr := json.Unmarshal(line, &want)
 		if (err == nil) != (werr == nil) {
-			t.Fatalf("%s: %T %d of %q: err %v, json.Decoder err %v", how, got, i, stream, err, werr)
+			t.Fatalf("%s: %T %d of %q: err %v, json.Unmarshal err %v", how, got, i, stream, err, werr)
 		}
-		if err != nil {
-			return
+		if err == nil && got != want {
+			t.Fatalf("%s: %T %d of %q: got %+v, json.Unmarshal %+v", how, got, i, stream, got, want)
 		}
-		if got != want {
-			t.Fatalf("%s: %T %d of %q: got %+v, json.Decoder %+v", how, got, i, stream, got, want)
-		}
+	}
+	var extra T
+	wantErr := io.EOF
+	if tooLong {
+		wantErr = errLineTooLong
+	}
+	if err := read(&extra); err != wantErr {
+		t.Fatalf("%s: %T after %d lines of %q: err %v, want %v", how, extra, len(lines), stream, err, wantErr)
 	}
 }
 
@@ -388,4 +439,32 @@ func BenchmarkWireDecodeEventJSON(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkWireReadRequests is the framing layer as the server drives it: a
+// RequestReader over 1 000 newline-framed acquires, with Pending after each
+// read. One op reads them all.
+func BenchmarkWireReadRequests(b *testing.B) {
+	const n = 1000
+	var stream []byte
+	for i := 0; i < n; i++ {
+		stream = AppendRequest(stream, &Request{Op: OpAcquire, Diner: i % 8, ID: fmt.Sprintf("a1b2c3-c12-%d", i)})
+		stream = append(stream, '\n')
+	}
+	src := bytes.NewReader(stream)
+	var req Request // one value, as the server keeps: Read makes it escape
+	b.ReportAllocs()
+	b.SetBytes(int64(len(stream)))
+	for i := 0; i < b.N; i++ {
+		src.Reset(stream)
+		rr := NewRequestReader(src)
+		for j := 0; j < n; j++ {
+			req = Request{}
+			if err := rr.Read(&req); err != nil {
+				b.Fatal(err)
+			}
+			rr.Pending()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/request")
 }

@@ -25,12 +25,18 @@ func TestDeferredGrantFlushesOnExit(t *testing.T) {
 	// 0 enters its critical section and holds it for a long while; 1 asks
 	// in the middle and must get in right after 0 exits.
 	k.After(0, 10, func() { d0.Hungry() })
-	d0.OnEat(func() { k.After(0, 500, func() { d0.Exit() }) })
+	d0.OnChange(func(s dining.State) {
+		if s == dining.Eating {
+			k.After(0, 500, func() { d0.Exit() })
+		}
+	})
 	k.After(1, 100, func() { d1.Hungry() })
 	var oneAte sim.Time = sim.Never
-	d1.OnEat(func() {
-		oneAte = k.Now()
-		d1.Exit()
+	d1.OnChange(func(s dining.State) {
+		if s == dining.Eating {
+			oneAte = k.Now()
+			d1.Exit()
+		}
 	})
 	k.Run(5000)
 	if oneAte == sim.Never {

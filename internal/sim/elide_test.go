@@ -190,7 +190,11 @@ func TestElisionIsInvisibleOnKernelRuns(t *testing.T) {
 		}, nil},
 		{"two runs, stopped in between", func() []outcome {
 			k, log, tbl := forkRing(5, 19, busy)
-			tbl.Diner(1).OnEat(k.Stop)
+			tbl.Diner(1).OnChange(func(s dining.State) {
+				if s == dining.Eating {
+					k.Stop()
+				}
+			})
 			o := []outcome{observe(k, log, k.Run(6000), false)}
 			// A stopped kernel runs one event per Run.
 			for i := 0; i < 30; i++ {

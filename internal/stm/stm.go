@@ -123,12 +123,12 @@ func NewClient(k *sim.Kernel, store *Store, p sim.ProcID, cfg Config) *Client {
 func NewManagedClient(k *sim.Kernel, store *Store, p sim.ProcID, d dining.Diner, cfg Config) *Client {
 	c := newClient(k, store, p, cfg)
 	c.managed = d
-	d.OnEat(func() {
-		c.attempt(func(committed bool) {
-			d.Exit()
-		})
-	})
 	d.OnChange(func(s dining.State) {
+		if s == dining.Eating {
+			c.attempt(func(committed bool) {
+				d.Exit()
+			})
+		}
 		if s == dining.Thinking && !c.done() {
 			k.After(p, 1, func() {
 				if d.State() == dining.Thinking && !c.done() {
